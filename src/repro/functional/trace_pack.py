@@ -28,12 +28,16 @@ program ships alongside the blob in the envelope payload, so unpacking
 re-links events to the very instruction objects the replay decode
 caches key on.
 
+The per-event flattening lives in one place, :func:`build_columns`:
+:func:`pack_trace` serializes its columns, and the timing engine's plan
+compiler (:mod:`repro.timing.replay_plan`) compiles an object trace
+from the very same columns.
+
 :class:`PackedTrace` is the lazy reader: aggregate counters and column
-views are available without materializing a single event object, and
+views are available without materializing a single event object — the
+replay plan compiles straight from the views — and
 :meth:`PackedTrace.events` rebuilds the plain event list on first use
 for consumers that genuinely need objects (``iter()``, golden checks).
-The timing engine's vectorized replay path
-(:mod:`repro.timing.replay_plan`) consumes either form.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ from ..isa.program import Program
 from .trace import (DynamicTrace, MemAccess, ScalarEvent, VectorEvent,
                     VsetvlEvent)
 
-__all__ = ["PACK_VERSION", "PackedTrace", "pack_trace", "unpack_trace"]
+__all__ = ["PACK_VERSION", "PackedTrace", "build_columns", "pack_trace",
+           "unpack_trace"]
 
 #: Version of the column layout inside the blob (independent of the
 #: envelope's ``DISK_FORMAT_VERSION``, which gates the file as a whole).
@@ -62,9 +67,9 @@ MAGIC = b"RVT6"
 TAG_SCALAR, TAG_VSETVL, TAG_VECTOR, TAG_FALLBACK = 0, 1, 2, 3
 
 #: Fixed pattern vocabulary: index in this tuple is the on-disk code.
-_PATTERNS = (MemPattern.NONE, MemPattern.UNIT, MemPattern.STRIDED,
-             MemPattern.INDEXED, MemPattern.MASK)
-_PATTERN_CODE = {p: i for i, p in enumerate(_PATTERNS)}
+PATTERNS = (MemPattern.NONE, MemPattern.UNIT, MemPattern.STRIDED,
+            MemPattern.INDEXED, MemPattern.MASK)
+_PATTERN_CODE = {p: i for i, p in enumerate(PATTERNS)}
 
 #: Column table: ``(name, dtype, count group, delta-coded)``.  The
 #: count group keys how many rows a column has — ``t``: one per event,
@@ -104,14 +109,6 @@ _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
 
-def _i64(value) -> bool:
-    return isinstance(value, int) and _I64_MIN <= value <= _I64_MAX
-
-
-def _u8(value) -> bool:
-    return isinstance(value, int) and 0 <= value <= 255
-
-
 def _align8(offset: int) -> int:
     return (offset + 7) & ~7
 
@@ -146,6 +143,109 @@ def _delta_decode(arr: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# Column building
+# ----------------------------------------------------------------------
+def _group_columns(rows: list, group: str) -> dict[str, np.ndarray]:
+    """Transpose one count group's row tuples into its typed columns."""
+    spec = [(name, dtype) for name, dtype, g, _ in _COLUMNS if g == group]
+    table = np.array(rows, dtype=np.int64).reshape(len(rows), len(spec))
+    return {name: table[:, j].astype(dtype)
+            for j, (name, dtype) in enumerate(spec)}
+
+
+def build_columns(events, instructions=None) -> tuple:
+    """One pass over ``events`` into the v6 columns (not delta-coded).
+
+    Returns ``(columns, kinds, fallback, instructions)``: the column
+    dict keyed like :data:`_COLUMNS`, the scalar-kind vocabulary, the
+    ``{event index: event}`` map of events that do not fit a column,
+    and the instruction tuple ``v_instr`` indexes.  With
+    ``instructions`` given (a program's instruction tuple), a vector
+    event whose instruction is not in it falls back; with ``None`` the
+    tuple is grown from the events in first-use order.
+    """
+    grow = instructions is None
+    instrs = [] if grow else instructions
+    instr_index = {id(instr): i for i, instr in enumerate(instrs)}
+    tags = bytearray()
+    scalars: list = []
+    vsetvls: list = []
+    vectors: list = []
+    kinds: list[str] = []
+    kind_code: dict[str, int] = {}
+    fallback: dict[int, object] = {}
+
+    # The range checks are inlined: this loop runs once per event on
+    # every pack and every object-trace plan compile.
+    lo, hi = _I64_MIN, _I64_MAX
+    for index, event in enumerate(events):
+        cls = event.__class__
+        if cls is ScalarEvent:
+            kind, addr, nbytes = event.kind, event.addr, event.nbytes
+            if (isinstance(kind, str)
+                    and isinstance(nbytes, int) and lo <= nbytes <= hi
+                    and (addr is None
+                         or (isinstance(addr, int) and 0 <= addr <= hi))):
+                code = kind_code.get(kind)
+                if code is None:
+                    code = kind_code[kind] = len(kinds)
+                    kinds.append(kind)
+                    if code > 0xFFFF:
+                        raise ValueError("scalar kind vocabulary overflow")
+                tags.append(TAG_SCALAR)
+                scalars.append((code, -1 if addr is None else addr, nbytes))
+                continue
+        elif cls is VsetvlEvent:
+            vl, sew, lmul = event.vl, event.sew, event.lmul
+            if (isinstance(vl, int) and lo <= vl <= hi
+                    and isinstance(sew, int) and 0 <= sew <= 255
+                    and isinstance(lmul, int) and 0 <= lmul <= 255):
+                tags.append(TAG_VSETVL)
+                vsetvls.append((vl, sew, lmul))
+                continue
+        elif cls is VectorEvent:
+            instr = event.instr
+            iidx = instr_index.get(id(instr))
+            if iidx is None and grow:
+                iidx = instr_index[id(instr)] = len(instrs)
+                instrs.append(instr)
+            vl, sew, lmul = event.vl, event.sew, event.lmul
+            slide, mem = event.slide_amount, event.mem
+            if (iidx is not None and iidx <= 0x7FFFFFFF
+                    and isinstance(vl, int) and lo <= vl <= hi
+                    and isinstance(sew, int) and 0 <= sew <= 255
+                    and isinstance(lmul, int) and 0 <= lmul <= 255
+                    and isinstance(slide, int) and lo <= slide <= hi):
+                if mem is None:
+                    tags.append(TAG_VECTOR)
+                    vectors.append((iidx, vl, sew, lmul, slide,
+                                    0, 0, 0, 0, 0, 0))
+                    continue
+                if type(mem) is MemAccess:
+                    base, stride, count = mem.base, mem.stride, mem.count
+                    ew, code = mem.ew_bytes, _PATTERN_CODE.get(mem.pattern)
+                    if (code is not None
+                            and isinstance(base, int) and lo <= base <= hi
+                            and isinstance(stride, int)
+                            and lo <= stride <= hi
+                            and isinstance(count, int) and lo <= count <= hi
+                            and isinstance(ew, int) and 0 <= ew <= 255):
+                        tags.append(TAG_VECTOR)
+                        vectors.append((iidx, vl, sew, lmul, slide,
+                                        3 if mem.is_store else 1, base,
+                                        stride, count, ew, code))
+                        continue
+        tags.append(TAG_FALLBACK)
+        fallback[index] = event
+
+    columns = {"tags": np.frombuffer(bytes(tags), dtype=np.uint8)}
+    columns.update(_group_columns(scalars, "s"))
+    columns.update(_group_columns(vsetvls, "w"))
+    columns.update(_group_columns(vectors, "v"))
+    return columns, tuple(kinds), fallback, tuple(instrs)
+
+
+# ----------------------------------------------------------------------
 # Packing
 # ----------------------------------------------------------------------
 def pack_trace(trace, program: Program) -> bytes:
@@ -157,78 +257,10 @@ def pack_trace(trace, program: Program) -> bytes:
     fallback map.  The result round-trips through
     :func:`unpack_trace` to an event stream with identical contents.
     """
-    instr_index = {id(instr): i
-                   for i, instr in enumerate(program.instructions)}
-    cols: dict[str, list] = {name: [] for name, _, _, _ in _COLUMNS}
-    tags = cols["tags"]
-    kinds: list[str] = []
-    kind_code: dict[str, int] = {}
-    fallback: dict[int, object] = {}
-
-    for index, event in enumerate(trace):
-        cls = event.__class__
-        if cls is ScalarEvent:
-            kind, addr, nbytes = event.kind, event.addr, event.nbytes
-            if (isinstance(kind, str) and _i64(nbytes)
-                    and (addr is None
-                         or (isinstance(addr, int)
-                             and 0 <= addr <= _I64_MAX))):
-                code = kind_code.get(kind)
-                if code is None:
-                    code = kind_code[kind] = len(kinds)
-                    kinds.append(kind)
-                    if code > 0xFFFF:
-                        raise ValueError("scalar kind vocabulary overflow")
-                tags.append(TAG_SCALAR)
-                cols["s_kind"].append(code)
-                cols["s_addr"].append(-1 if addr is None else addr)
-                cols["s_nbytes"].append(nbytes)
-                continue
-        elif cls is VsetvlEvent:
-            if _i64(event.vl) and _u8(event.sew) and _u8(event.lmul):
-                tags.append(TAG_VSETVL)
-                cols["w_vl"].append(event.vl)
-                cols["w_sew"].append(event.sew)
-                cols["w_lmul"].append(event.lmul)
-                continue
-        elif cls is VectorEvent:
-            iidx = instr_index.get(id(event.instr))
-            mem = event.mem
-            flat = (iidx is not None and iidx <= 0x7FFFFFFF
-                    and _i64(event.vl) and _u8(event.sew)
-                    and _u8(event.lmul) and _i64(event.slide_amount))
-            if flat and mem is not None:
-                flat = (type(mem) is MemAccess and _i64(mem.base)
-                        and _i64(mem.stride) and _i64(mem.count)
-                        and _u8(mem.ew_bytes)
-                        and mem.pattern in _PATTERN_CODE)
-            if flat:
-                tags.append(TAG_VECTOR)
-                cols["v_instr"].append(iidx)
-                cols["v_vl"].append(event.vl)
-                cols["v_sew"].append(event.sew)
-                cols["v_lmul"].append(event.lmul)
-                cols["v_slide"].append(event.slide_amount)
-                if mem is None:
-                    cols["v_flags"].append(0)
-                    cols["m_base"].append(0)
-                    cols["m_stride"].append(0)
-                    cols["m_count"].append(0)
-                    cols["m_ew"].append(0)
-                    cols["m_pattern"].append(0)
-                else:
-                    cols["v_flags"].append(1 | (2 if mem.is_store else 0))
-                    cols["m_base"].append(mem.base)
-                    cols["m_stride"].append(mem.stride)
-                    cols["m_count"].append(mem.count)
-                    cols["m_ew"].append(mem.ew_bytes)
-                    cols["m_pattern"].append(_PATTERN_CODE[mem.pattern])
-                continue
-        tags.append(TAG_FALLBACK)
-        fallback[index] = event
+    cols, kinds, fallback, _ = build_columns(trace, program.instructions)
 
     # -- assemble the blob --------------------------------------------
-    counts = {"t": len(tags), "s": len(cols["s_kind"]),
+    counts = {"t": len(cols["tags"]), "s": len(cols["s_kind"]),
               "w": len(cols["w_vl"]), "v": len(cols["v_instr"])}
     table, _ = _layout(counts)
     header = {
@@ -237,7 +269,7 @@ def pack_trace(trace, program: Program) -> bytes:
         "scalar_count": trace.scalar_count,
         "vector_count": trace.vector_count,
         "total_flops": trace.total_flops,
-        "kinds": tuple(kinds),
+        "kinds": kinds,
         "fallback": (pickle.dumps(fallback,
                                   protocol=pickle.HIGHEST_PROTOCOL)
                      if fallback else b""),
@@ -249,7 +281,7 @@ def pack_trace(trace, program: Program) -> bytes:
     cursor = 0
     for name, dtype, _, delta in _COLUMNS:
         dt, off, _ = table[name]
-        arr = np.asarray(cols[name], dtype=dt)
+        arr = cols[name]
         if delta and len(arr) > 1:
             arr = _delta_encode(arr)
         if off > cursor:
@@ -359,6 +391,13 @@ class PackedTrace:
         return events
 
     @property
+    def fallback(self) -> dict:
+        """``{event index: event}`` of the events kept out of the
+        columns (unpickled per access; empty for most traces)."""
+        return (pickle.loads(self.fallback_bytes) if self.fallback_bytes
+                else {})
+
+    @property
     def nbytes(self) -> int:
         """Size of the packed blob in bytes."""
         return len(self.blob)
@@ -375,8 +414,7 @@ def _build_events(packed: PackedTrace) -> list:
     cols = packed.columns
     kinds = packed.kinds
     instructions = packed.program.instructions
-    fallback = (pickle.loads(packed.fallback_bytes)
-                if packed.fallback_bytes else {})
+    fallback = packed.fallback
     tags = cols["tags"].tolist()
     s_kind = cols["s_kind"].tolist()
     s_addr = cols["s_addr"].tolist()
@@ -414,7 +452,7 @@ def _build_events(packed: PackedTrace) -> list:
             if flags & 1:
                 mem = MemAccess(base=m_base[vi], stride=m_stride[vi],
                                 count=m_count[vi], ew_bytes=m_ew[vi],
-                                pattern=_PATTERNS[m_pattern[vi]],
+                                pattern=PATTERNS[m_pattern[vi]],
                                 is_store=bool(flags & 2))
             append(VectorEvent(instructions[v_instr[vi]], v_vl[vi],
                                v_sew[vi], v_lmul[vi], mem, v_slide[vi]))

@@ -39,6 +39,13 @@ _UNIT_DTYPES = {1: np.dtype("u1"), 2: np.dtype("u2"),
                 4: np.dtype("u4"), 8: np.dtype("u8")}
 
 
+def _widen_fp(values, wide: np.dtype) -> np.ndarray:
+    """FP elements converted to ``wide``; a signaling NaN converts to a
+    quiet one by definition, so the cast's invalid flag stays silent."""
+    with np.errstate(invalid="ignore"):
+        return np.asarray(values, dtype=wide)
+
+
 class VectorUnit:
     """Executes one vector instruction against the architectural state."""
 
@@ -267,18 +274,18 @@ class VectorUnit:
         wide = fp_dtype(2 * sew)
         v = self.state.v
         vd = v.read_elems(p.vd, vl, wide, 2 * lmul, copy=False)
-        op1 = np.asarray(self._fetch_op1(p, vl, fp_dtype(sew)), dtype=wide)
-        vs2 = v.read_elems(
-            p.vs2, vl, fp_dtype(sew), lmul, copy=False).astype(wide)
+        op1 = _widen_fp(self._fetch_op1(p, vl, fp_dtype(sew)), wide)
+        vs2 = _widen_fp(
+            v.read_elems(p.vs2, vl, fp_dtype(sew), lmul, copy=False), wide)
         result = p.aux(vd, op1, vs2)
         v.write_elems(p.vd, result, 2 * lmul, mask_bits)
         return _NO_EXTRA
 
     def _h_fp_widen(self, p, vl, sew, lmul, mask_bits):  # vfwadd/vfwmul
         wide = fp_dtype(2 * sew)
-        vs2 = self.state.v.read_elems(
-            p.vs2, vl, fp_dtype(sew), lmul, copy=False).astype(wide)
-        op1 = np.asarray(self._fetch_op1(p, vl, fp_dtype(sew)), dtype=wide)
+        vs2 = _widen_fp(self.state.v.read_elems(
+            p.vs2, vl, fp_dtype(sew), lmul, copy=False), wide)
+        op1 = _widen_fp(self._fetch_op1(p, vl, fp_dtype(sew)), wide)
         result = p.aux(vs2, op1)
         self.state.v.write_elems(p.vd, result, 2 * lmul, mask_bits)
         return _NO_EXTRA
@@ -308,12 +315,14 @@ class VectorUnit:
             v.write_elems(p.vd, vs2.astype(fp_dtype(sew)), lmul, mask_bits)
         elif mnem == "vfwcvt_f_f_v":
             vs2 = v.read_elems(p.vs2, vl, fp_dtype(sew), lmul, copy=False)
-            v.write_elems(p.vd, vs2.astype(fp_dtype(2 * sew)), 2 * lmul,
+            v.write_elems(p.vd, _widen_fp(vs2, fp_dtype(2 * sew)), 2 * lmul,
                           mask_bits)
         elif mnem == "vfncvt_f_f_w":
             vs2 = v.read_elems(
                 p.vs2, vl, fp_dtype(2 * sew), 2 * lmul, copy=False)
-            v.write_elems(p.vd, vs2.astype(fp_dtype(sew)), lmul, mask_bits)
+            with np.errstate(over="ignore", invalid="ignore"):  # to ±inf
+                narrow = vs2.astype(fp_dtype(sew))
+            v.write_elems(p.vd, narrow, lmul, mask_bits)
         else:  # pragma: no cover
             raise ExecutionError(f"unhandled conversion {mnem}")
         return _NO_EXTRA

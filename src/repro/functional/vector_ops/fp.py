@@ -10,6 +10,10 @@ NumPy models used in tests):
   NumPy has no fused multiply-add.  Kernels and goldens share the rounding.
 * ``vfmin/vfmax`` use ``np.fmin/np.fmax``, which return the non-NaN operand,
   matching the RISC-V (IEEE 754-2019 minimumNumber) behaviour.
+
+Overflow to ±inf and invalid operations yielding NaN (``inf - inf``,
+``0 * inf``) are the defined IEEE-754 results, not errors, so the
+arithmetic below runs with those NumPy floating-point warnings off.
 """
 
 from __future__ import annotations
@@ -19,13 +23,23 @@ from typing import Callable
 import numpy as np
 
 
+def _ieee(fn: Callable) -> Callable:
+    """``fn`` with IEEE-754 overflow and invalid results left silent."""
+
+    def apply(*operands):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*operands)
+
+    return apply
+
+
 def _div(vs2: np.ndarray, op1: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return vs2 / op1
 
 
 def _rdiv(vs2: np.ndarray, op1: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return op1 / vs2
 
 
@@ -56,10 +70,10 @@ def _sign_inject(mode: str) -> Callable:
 
 
 BINOPS: dict[str, Callable] = {
-    "vfadd": np.add,
-    "vfsub": np.subtract,
-    "vfrsub": lambda vs2, op1: np.subtract(op1, vs2),
-    "vfmul": np.multiply,
+    "vfadd": _ieee(np.add),
+    "vfsub": _ieee(np.subtract),
+    "vfrsub": _ieee(lambda vs2, op1: np.subtract(op1, vs2)),
+    "vfmul": _ieee(np.multiply),
     "vfdiv": _div,
     "vfrdiv": _rdiv,
     "vfmin": np.fmin,
@@ -86,19 +100,19 @@ COMPARES: dict[str, Callable] = {
 
 #: func(vd, op1, vs2) following the RVV accumulate definitions.
 FMA: dict[str, Callable] = {
-    "vfmacc": lambda vd, a, b: a * b + vd,
-    "vfnmacc": lambda vd, a, b: -(a * b) - vd,
-    "vfmsac": lambda vd, a, b: a * b - vd,
-    "vfnmsac": lambda vd, a, b: -(a * b) + vd,
-    "vfmadd": lambda vd, a, b: a * vd + b,
-    "vfmsub": lambda vd, a, b: a * vd - b,
-    "vfnmadd": lambda vd, a, b: -(a * vd) - b,
-    "vfnmsub": lambda vd, a, b: -(a * vd) + b,
-    "vfwmacc": lambda vd, a, b: a * b + vd,  # operands pre-widened
+    "vfmacc": _ieee(lambda vd, a, b: a * b + vd),
+    "vfnmacc": _ieee(lambda vd, a, b: -(a * b) - vd),
+    "vfmsac": _ieee(lambda vd, a, b: a * b - vd),
+    "vfnmsac": _ieee(lambda vd, a, b: -(a * b) + vd),
+    "vfmadd": _ieee(lambda vd, a, b: a * vd + b),
+    "vfmsub": _ieee(lambda vd, a, b: a * vd - b),
+    "vfnmadd": _ieee(lambda vd, a, b: -(a * vd) - b),
+    "vfnmsub": _ieee(lambda vd, a, b: -(a * vd) + b),
+    "vfwmacc": _ieee(lambda vd, a, b: a * b + vd),  # operands pre-widened
 }
 
 #: Widening FP binary ops (operands pre-widened to 2*SEW by the engine).
 WIDENING: dict[str, Callable] = {
-    "vfwadd": np.add,
-    "vfwmul": np.multiply,
+    "vfwadd": _ieee(np.add),
+    "vfwmul": _ieee(np.multiply),
 }

@@ -17,7 +17,7 @@ import numpy as np
 
 
 def _sum(values: np.ndarray, seed) -> np.ndarray:
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return values.dtype.type(seed + np.add.reduce(values, dtype=values.dtype))
 
 

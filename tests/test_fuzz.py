@@ -254,3 +254,18 @@ class TestMaskedStoreRegression:
         program = asm.build()
         for config in machine_pair:
             Simulator(config).run(program)  # must not raise
+
+
+# ----------------------------------------------------------------------
+# Regression: IEEE overflow in FP arithmetic is a result, not a warning.
+# ----------------------------------------------------------------------
+class TestFpWarningRegression:
+    def test_overflowing_fma_seed_emits_no_runtime_warning(
+            self, machine_pair):
+        import warnings
+
+        # Seed 6 drives vfmacc into float overflow; the result (inf) is
+        # the defined IEEE value and must not surface as a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            check_seed(6, size=40, configs=machine_pair)

@@ -11,6 +11,11 @@ Two families of guarantees:
   trace produces a byte-identical ``TimingReport`` to replaying the
   object form, on every machine in the registry, for both the
   vectorized and the reference replay loops.
+* **Columns-native plans** — the plan compiled from a ``DynamicTrace``
+  equals, field for field, the plan compiled from its ``PackedTrace``;
+  compiling the packed form never materializes event objects; and the
+  first-event byte accounting of the decode memo survives both the
+  column path and the fallback path.
 """
 
 from __future__ import annotations
@@ -24,12 +29,15 @@ from repro.functional.trace import (DynamicTrace, MemAccess, ScalarEvent,
                                     VectorEvent, VsetvlEvent)
 from repro.functional.trace_pack import (MAGIC, PackedTrace, pack_trace,
                                          unpack_trace)
+from repro.fuzz.kernel import generate_case, kernel_for_case
+from repro.isa import Assembler
 from repro.isa.instructions import MemPattern
-from repro.kernels import build_fmatmul
+from repro.kernels import ZOO, build_fmatmul
 from repro.machine.registry import get_machine, list_machines
 from repro.params import Ara2Config
 from repro.sim.simulator import build_model
 from repro.timing.engine import TimingEngine
+from repro.timing.replay_plan import ReplayPlan
 
 _I64_MAX = (1 << 63) - 1
 
@@ -222,3 +230,147 @@ class TestReplayIdentity:
         fast_packed = TimingEngine(model).replay(packed)
         assert fast_obj == reference
         assert fast_packed == reference
+
+
+# ----------------------------------------------------------------------
+# Columns-native plan compilation
+# ----------------------------------------------------------------------
+_MACHINES = sorted(list_machines())
+
+
+def _assert_plans_equal(a: ReplayPlan, b: ReplayPlan) -> None:
+    for name in ReplayPlan.__slots__:
+        if name in ("_seg_memo", "_machine_memo"):
+            continue
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, np.ndarray):
+            assert isinstance(y, np.ndarray), name
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+        else:
+            assert type(x) is type(y) and x == y, name
+
+
+def _assert_plan_identity(trace, program) -> None:
+    """Object and packed plans agree; both replay like the reference on
+    every registry machine; the packed form is never materialized."""
+    packed = unpack_trace(pack_trace(trace, program), program)
+    _assert_plans_equal(ReplayPlan.from_trace(trace),
+                        ReplayPlan.from_trace(packed))
+    for machine in _MACHINES:
+        engine = TimingEngine(build_model(get_machine(machine)))
+        reference = engine.replay_reference(trace)
+        assert engine.replay(trace) == reference, machine
+        assert engine.replay(packed) == reference, machine
+    assert packed._events is None
+
+
+class TestColumnsNativePlan:
+    def test_fmatmul_capture(self, capture):
+        _assert_plan_identity(capture.trace, capture.program)
+
+    @pytest.mark.parametrize("kernel", sorted(ZOO))
+    def test_zoo_kernel(self, kernel):
+        cfg = Ara2Config(lanes=4)
+        captured = ZOO[kernel](cfg, 64).capture(cfg, verify=False)
+        _assert_plan_identity(captured.trace, captured.program)
+
+    def test_fuzz_seed(self, fuzz_seed):
+        config = get_machine("8L-Ara2")
+        case = generate_case(fuzz_seed, size=40)
+        captured = kernel_for_case(case, config).capture(config,
+                                                          verify=False)
+        _assert_plan_identity(captured.trace, case.program)
+
+
+def _mask_program():
+    """A program with mask load/store and one FP add; fresh instruction
+    objects, so their decode memos start empty."""
+    a = Assembler("mask_bytes")
+    vlm = a.vlm_v("v1", "x5")
+    vsm = a.vsm_v("v1", "x6")
+    vfadd = a.vfadd_vv("v2", "v3", "v3")
+    a.halt()
+    return a.build(), vlm, vsm, vfadd
+
+
+def _mask(base, count, is_store=False):
+    return MemAccess(base=base, stride=1, count=count, ew_bytes=1,
+                     pattern=MemPattern.MASK, is_store=is_store)
+
+
+def _replay_all_forms(trace, program, machine):
+    """``[(reference, fast), ...]`` for the object and the packed form.
+
+    Each form is held against its own reference: a fallback vector
+    event is pickled whole, so the packed form links it to an
+    unpickled copy of its instruction, whose decode memo (and hence
+    first-event byte accounting) is its own.
+    """
+    blob = pack_trace(trace, program)
+    engine = TimingEngine(build_model(get_machine(machine)))
+    reference = engine.replay_reference(trace)
+    pairs = [(reference, engine.replay(trace))]
+    packed = unpack_trace(blob, program)
+    pairs.append((engine.replay_reference(unpack_trace(blob, program)),
+                  engine.replay(packed)))
+    assert packed._events is None
+    return pairs
+
+
+class TestFirstEventByteAccounting:
+    @pytest.mark.parametrize("machine", _MACHINES)
+    def test_mask_counts_vary_within_one_decode_group(self, machine):
+        program, vlm, vsm, _ = _mask_program()
+        trace = DynamicTrace()
+        trace.add_vsetvl(VsetvlEvent(64, 64, 1))
+        for base, count in ((0x1000, 5), (0x1040, 9), (0x1081, 2)):
+            trace.add_scalar(ScalarEvent("load", base, 8))
+            trace.add_vector(VectorEvent(vlm, 64, 64, 1,
+                                         _mask(base, count)))
+        for base, count in ((0x2000, 3), (0x2040, 7)):
+            trace.add_vector(VectorEvent(vsm, 64, 64, 1,
+                                         _mask(base, count, True)))
+        pairs = _replay_all_forms(trace, program, machine)
+        # The decode memo keeps the first event's bytes for its group.
+        assert pairs[0][0].mem_bytes_read == 3 * 5.0
+        assert pairs[0][0].mem_bytes_written == 2 * 3.0
+        for reference, got in pairs:
+            assert got.mem_bytes_read == reference.mem_bytes_read
+            assert got.mem_bytes_written == reference.mem_bytes_written
+            assert got.cycles == reference.cycles
+            assert got == reference
+
+    @pytest.mark.parametrize("machine", _MACHINES)
+    def test_fallback_events_replay_like_the_reference(self, machine):
+        program, vlm, _, vfadd = _mask_program()
+        trace = DynamicTrace()
+        trace.add_vsetvl(VsetvlEvent(8, 64, 1))
+        trace.add_vector(VectorEvent(vlm, 8, 64, 1, _mask(0x1000, 5)))
+        trace.add_scalar(ScalarEvent("load", -4, 8))  # negative address
+        trace.add_vector(VectorEvent(vlm, 8, 64, 1, _mask(0x1040, 9)))
+        trace.add_vsetvl(VsetvlEvent(1 << 64, 64, 1))  # vl beyond i64
+        trace.add_vector(VectorEvent(vfadd, 1 << 64, 64, 1))
+        # Same decode group as the first vlm, count beyond i64.
+        trace.add_vector(VectorEvent(vlm, 8, 64, 1,
+                                     _mask(0x1081, 1 << 64)))
+        trace.add_scalar(ScalarEvent("store", 0x1000, 8))
+        packed = unpack_trace(pack_trace(trace, program), program)
+        assert len(packed.fallback) == 4
+        pairs = _replay_all_forms(trace, program, machine)
+        assert pairs[0][0].mem_bytes_read == 3 * 5.0
+        for reference, got in pairs:
+            assert got.mem_bytes_read == reference.mem_bytes_read
+            assert got.mem_bytes_written == reference.mem_bytes_written
+            assert got.cycles == reference.cycles
+            assert got == reference
+
+    def test_memory_row_without_access_raises(self):
+        from repro.errors import TimingError
+
+        program, vlm, _, _ = _mask_program()
+        trace = DynamicTrace()
+        trace.add_vector(VectorEvent(vlm, 8, 64, 1, None))
+        packed = unpack_trace(pack_trace(trace, program), program)
+        for form in (trace, packed):
+            with pytest.raises(TimingError, match="lacks a MemAccess"):
+                ReplayPlan.from_trace(form)
