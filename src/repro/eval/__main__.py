@@ -19,7 +19,6 @@ from ..env import ENV_FUZZ_SEEDS, ENV_STORE_DIR, read_env
 from ..errors import ConfigError
 from ..machine import get_machine, list_machines
 from ..sim.parallel import SimPool
-from ..sim.trace_cache import TraceCache
 from ..sim.trace_store import TraceStore
 from .runner import EXPERIMENTS, SIMULATION_EXPERIMENTS, run_experiment
 
@@ -169,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
                              for name in names):
         pool = SimPool(workers=args.workers,
                        capture_workers=args.capture_workers,
-                       cache=store if store is not None else TraceCache(),
+                       cache=store,
                        job_timeout=args.job_timeout)
 
     fuzz_failures = 0

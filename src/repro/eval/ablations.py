@@ -45,9 +45,8 @@ def run_knob_sweep(configs: Sequence[SystemConfig],
     byte-identical for any worker counts.
     """
     if sim_pool is None:
-        cache = trace_cache if trace_cache is not None else TraceCache()
         sim_pool = SimPool(workers=workers, capture_workers=capture_workers,
-                           cache=cache, job_timeout=job_timeout)
+                           cache=trace_cache, job_timeout=job_timeout)
     runs = []
     captures: list[CaptureTask] = []
     replays = []

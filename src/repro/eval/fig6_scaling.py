@@ -93,9 +93,8 @@ def run_fig6(kernels: tuple[str, ...] | None = None,
     machines = machines if machines is not None else default_machines()
     kwargs_by_kernel = _SCALE_KWARGS[scale]
     if sim_pool is None:
-        cache = trace_cache if trace_cache is not None else TraceCache()
         sim_pool = SimPool(workers=workers, capture_workers=capture_workers,
-                           cache=cache, job_timeout=job_timeout)
+                           cache=trace_cache, job_timeout=job_timeout)
 
     # ---- plan: one capture per distinct trace key; every (kernel,
     # machine, size) point replays against its VLEN group's capture.

@@ -95,9 +95,8 @@ def run_fig7(kernels: tuple[str, ...] | None = None,
         base_config, **INTERFACE_SETUPS[interface])
         for interface in interfaces}
     if sim_pool is None:
-        cache = trace_cache if trace_cache is not None else TraceCache()
         sim_pool = SimPool(workers=workers, capture_workers=capture_workers,
-                           cache=cache, job_timeout=job_timeout)
+                           cache=trace_cache, job_timeout=job_timeout)
 
     # ---- plan: one capture per (kernel, B/lane) point; the baseline
     # replay plus one replay per interface cut reference it by index.

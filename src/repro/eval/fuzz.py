@@ -66,9 +66,8 @@ def run_fuzz(seeds: int = 25, size: int = FUZZ_SIZE, features: str = "all",
     """
     configs = list(machines) if machines else default_configs()
     if sim_pool is None:
-        cache = trace_cache if trace_cache is not None else TraceCache()
         sim_pool = SimPool(workers=workers, capture_workers=capture_workers,
-                           cache=cache, job_timeout=job_timeout)
+                           cache=trace_cache, job_timeout=job_timeout)
     kwargs = {"seed": 0, "size": size, "features": features}
 
     # Phase 1: every seed through the standard capture/replay pipeline.

@@ -64,14 +64,13 @@ def run_table1(config: SystemConfig | None = None,
     its stats afterwards.  Rows are byte-identical for any combination
     and any cache state.
     """
-    from ..sim import CaptureTask, SimPool, TraceCache, run_pipeline
+    from ..sim import CaptureTask, SimPool, run_pipeline
     from .fig6_scaling import _SCALE_KWARGS
 
     config = config if config is not None else AraXLConfig(lanes=64)
     if sim_pool is None:
-        cache = trace_cache if trace_cache is not None else TraceCache()
         sim_pool = SimPool(workers=workers, capture_workers=capture_workers,
-                           cache=cache, job_timeout=job_timeout)
+                           cache=trace_cache, job_timeout=job_timeout)
 
     # ---- plan: one capture and one replay per kernel.
     meta = []

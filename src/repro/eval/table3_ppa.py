@@ -49,7 +49,7 @@ def run_table3(configs: list[SystemConfig] | None = None,
     ``capture_workers`` the soft share its capture phase may hold; pass
     ``sim_pool`` to supply (and afterwards inspect) the pool yourself.
     """
-    from ..sim import CaptureTask, SimPool, TraceCache, run_pipeline
+    from ..sim import CaptureTask, SimPool, run_pipeline
     from .fig6_scaling import _SCALE_KWARGS
 
     configs = configs if configs is not None else default_configs()
@@ -59,9 +59,8 @@ def run_table3(configs: list[SystemConfig] | None = None,
     # shared SimPool as its group's trace lands (workers=1 stays
     # in-process for both phases).
     if sim_pool is None:
-        cache = trace_cache if trace_cache is not None else TraceCache()
         sim_pool = SimPool(workers=workers, capture_workers=capture_workers,
-                           cache=cache, job_timeout=job_timeout)
+                           cache=trace_cache, job_timeout=job_timeout)
     cidx_by_key: dict = {}
     captures: list[CaptureTask] = []
     replays = []

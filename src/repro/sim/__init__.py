@@ -14,10 +14,7 @@ out over one shared worker pool via :mod:`repro.sim.parallel`:
 :class:`~repro.sim.parallel.SimPool` executes tagged capture/replay
 jobs inside a single ``workers=`` process budget,
 :func:`~repro.sim.parallel.run_pipeline` streams each capture's replays
-into the pool as its trace lands, and
-:class:`~repro.sim.parallel.CapturePool` /
-:class:`~repro.sim.parallel.ReplayPool` remain as batch-API facades
-over the same machinery.
+into the pool as its trace lands.
 
 Fault tolerance lives in :mod:`repro.sim.faults`: a seeded
 :class:`~repro.sim.faults.FaultPlan` deterministically injects worker
@@ -32,12 +29,10 @@ from .result import RunResult
 from .faults import FaultLog, FaultPlan
 from .trace_cache import TraceCache, trace_key
 from .trace_store import TraceStore, attach_store, resolve_store_dir
-from .parallel import (CapturePool, CaptureTask, PipelineStats, ReplayPool,
-                       SimPool, autodetect_workers, replay_batch,
-                       run_pipeline)
+from .parallel import (CaptureTask, PipelineStats, SimPool,
+                       autodetect_workers, run_pipeline)
 
-__all__ = ["CapturePool", "CaptureTask", "FaultLog", "FaultPlan",
-           "PipelineStats", "Simulator", "RunResult", "SimPool",
-           "TraceCache", "TraceStore", "ReplayPool", "attach_store",
-           "autodetect_workers", "replay_batch", "replay_trace",
+__all__ = ["CaptureTask", "FaultLog", "FaultPlan", "PipelineStats",
+           "Simulator", "RunResult", "SimPool", "TraceCache", "TraceStore",
+           "attach_store", "autodetect_workers", "replay_trace",
            "resolve_store_dir", "run_pipeline", "run_program", "trace_key"]

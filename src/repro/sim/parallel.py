@@ -1,21 +1,17 @@
 """Parallel capture and replay: one shared pool, tagged jobs, two phases.
 
-PR 1 made :meth:`~repro.sim.simulator.Simulator.capture` and
-:class:`~repro.timing.engine.TimingEngine` replay fully independent: one
-captured :class:`~repro.functional.executor.ExecResult` can be replayed
-against any number of machine models and each replay is bit-identical to
-a fresh end-to-end run.  The paper's evaluation sweeps (Fig 6/7,
-Table I/III, the ablations) are therefore embarrassingly parallel in
-*both* phases: replays of one capture are independent of each other, and
-captures of distinct ``(program fingerprint, vlen_bits, setup)`` keys
-are independent of everything.
+:meth:`~repro.sim.simulator.Simulator.capture` and
+:class:`~repro.timing.engine.TimingEngine` replay are independent: one
+captured :class:`~repro.functional.executor.ExecResult` replays against
+any number of machine models, each replay bit-identical to a fresh
+end-to-end run.  The paper's evaluation sweeps (Fig 6/7, Table I/III,
+the ablations) are therefore embarrassingly parallel in *both* phases:
+replays of one capture are independent of each other, and captures of
+distinct ``(program fingerprint, vlen_bits, setup)`` keys are
+independent of everything.
 
-:class:`SimPool` exploits this with **one** process pool.  Earlier
-revisions ran two private executors (a capture pool feeding a replay
-pool), which could hold up to ``capture_workers + workers`` live
-processes during the overlap window — oversubscription on exactly the
-small hosts that need parallelism least.  A :class:`SimPool` owns a
-single :class:`~concurrent.futures.ProcessPoolExecutor` sized by one
+:class:`SimPool` owns a single
+:class:`~concurrent.futures.ProcessPoolExecutor` sized by one
 ``workers=`` budget and executes *tagged* jobs on it:
 
 * ``capture`` jobs run one functional capture per distinct trace key
@@ -25,19 +21,18 @@ single :class:`~concurrent.futures.ProcessPoolExecutor` sized by one
   :meth:`~repro.sim.trace_cache.TraceCache.put` path);
 * ``replay`` jobs time a captured trace on one or more machine configs.
 
-``capture_workers=`` survives as a **soft priority split**: while replay
-jobs are in flight, at most ``min(capture_workers, workers)`` capture
-jobs are submitted concurrently, leaving the remaining slots to drain
+``capture_workers=`` is a **soft priority split**: while replay jobs
+are in flight, at most ``min(capture_workers, workers)`` capture jobs
+are submitted concurrently, leaving the remaining slots to drain
 replays; when no replays are pending, captures may fill the whole
 budget.  ``capture_workers=1`` (the default) keeps the capture phase
-in-process — the old two-pool ``workers=1``-capture semantics — and
-``workers=1`` keeps *everything* in-process with no executor at all.
-Whatever the knobs, the total number of live worker processes never
-exceeds the ``workers=`` budget, and rendered sweep output is
-byte-identical: only scheduling changes, never results.
+in-process, and ``workers=1`` keeps *everything* in-process with no
+executor at all.  Whatever the knobs, the total number of live worker
+processes never exceeds the ``workers=`` budget, and rendered sweep
+output is byte-identical: only scheduling changes, never results.
 
-:func:`run_pipeline` is the cold-sweep pipeline over one
-:class:`SimPool`: each operating point's replay jobs enter the pool *as
+:meth:`SimPool.run` (reached through :func:`run_pipeline`) is the one
+scheduling loop: each operating point's replay jobs enter the pool *as
 soon as* its trace lands, so capture and replay overlap instead of
 running as strict serial phases.  Replay submissions are **chunked
 adaptively**: a capture whose key sits in the shared disk store ships no
@@ -53,12 +48,6 @@ its wall-clock, aggregated per worker and per phase in
 tables can report capture/replay seconds per point — pipeline
 *efficiency*, not just cache hit counts.
 
-:class:`CapturePool` and :class:`ReplayPool` remain as thin batch-API
-facades over a private :class:`SimPool` (their historical constructors
-and ``capture_batch`` / ``replay_batch`` / ``stats`` surfaces are used
-throughout the test and benchmark suites); neither owns an executor of
-its own anymore.
-
 Worker-side details shared by both job kinds:
 
 * **One process-local cache per worker** — with a ``disk_dir`` it
@@ -71,10 +60,9 @@ Worker-side details shared by both job kinds:
   pruning the disk cache uses) only when the key is not already in the
   shared store; stale or vanished store entries trigger an explicit
   payload resend (:data:`_NEEDS_PAYLOAD`).
-* **Failure degradation** — a dead capture worker, or a store GC that
-  evicts a fresh entry before the parent adopts it, degrades to an
-  in-process capture (counted in :attr:`SimPool.fallbacks`) rather than
-  failing the sweep.
+* **Failure degradation** — a dead worker, or a store GC that evicts a
+  fresh entry before the parent adopts it, degrades to in-process work
+  (counted in ``FaultLog.fallbacks``) rather than failing the sweep.
 * **Per-worker statistics** — each job reports its worker's cache
   counters; :attr:`SimPool.stats` aggregates them across the pool.
 
@@ -110,8 +98,7 @@ from collections import OrderedDict, deque
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                 ProcessPoolExecutor, wait)
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..functional.executor import ExecResult
 from ..params import SystemConfig
@@ -123,9 +110,6 @@ from .trace_cache import (DEFAULT_CAPACITY, TraceCache, TraceKey,
 
 #: Executor rebuilds allowed before a sweep degrades to serial.
 DEFAULT_MAX_REBUILDS = 3
-
-#: A replay task: ``(config, captured)`` or ``(config, captured, key)``.
-ReplayTask = tuple
 
 #: A pipeline replay plan entry: ``(config, capture_index)``.
 PipelineReplay = tuple
@@ -216,16 +200,6 @@ class _Job:
     deadline: Optional[float] = None
 
 
-@dataclass
-class _Group:
-    """All tasks of one replay batch that share a captured trace."""
-
-    key: Optional[TraceKey]
-    captured: ExecResult
-    configs: list[SystemConfig] = field(default_factory=list)
-    indices: list[int] = field(default_factory=list)
-
-
 def _merge_snapshot(per_worker: dict[int, dict], pid: int,
                     stats: dict) -> None:
     """Keep the newest cumulative cache snapshot per worker pid.
@@ -259,6 +233,9 @@ _WORKER_FAULTS: Optional[FaultPlan] = None
 #: Sentinel result: the worker had no payload and could not rehydrate the
 #: key from its cache; the parent must resend with an explicit payload.
 _NEEDS_PAYLOAD = None
+
+#: Parent-side sentinel outcome: the pooled job raised or timed out.
+_FAILED = object()
 
 
 def _init_worker(disk_dir: Optional[str], capacity: int,
@@ -335,59 +312,6 @@ def _run_job(tag: str, token: str, attempt: int, *args):
 
 
 # ----------------------------------------------------------------------
-# Batch planning helpers (replay-only batches).
-# ----------------------------------------------------------------------
-def _normalize_tasks(tasks: Sequence[ReplayTask]) -> list[tuple]:
-    """Coerce ``(config, captured[, key])`` task tuples to triples."""
-    norm = []
-    for task in tasks:
-        if len(task) == 2:
-            config, captured = task
-            key = None
-        else:
-            config, captured, key = task
-        norm.append((config, captured, key))
-    return norm
-
-
-def _group_tasks(norm: list[tuple]) -> "OrderedDict[int, _Group]":
-    """Group batch tasks by the captured trace they replay."""
-    groups: OrderedDict[int, _Group] = OrderedDict()
-    for idx, (config, captured, key) in enumerate(norm):
-        group = groups.get(id(captured))
-        if group is None:
-            group = groups[id(captured)] = _Group(key=key, captured=captured)
-        group.configs.append(config)
-        group.indices.append(idx)
-    return groups
-
-
-def _batch_jobs(groups: "OrderedDict[int, _Group]",
-                workers: int) -> list[_Group]:
-    """Split a batch's groups into jobs so every worker gets work.
-
-    One job per group is ideal when there are at least as many groups
-    as workers (the payload ships once per group).  Batches with few
-    groups but many configs — e.g. an ablation varying one timing knob
-    over a single kernel — would otherwise serialize inside one worker,
-    so each group is chunked into up to ``workers // len(groups)`` jobs;
-    re-shipping the pruned payload per chunk is cheap relative to the
-    replays it buys back.  (The *streaming* pipeline instead adapts its
-    chunking to live queue depth: :meth:`SimPool._adaptive_chunks`.)
-    """
-    per_group = max(1, workers // len(groups))
-    jobs: list[_Group] = []
-    for group in groups.values():
-        chunks = min(per_group, len(group.configs))
-        size = -(-len(group.configs) // chunks)  # ceil division
-        for start in range(0, len(group.configs), size):
-            jobs.append(_Group(key=group.key, captured=group.captured,
-                               configs=group.configs[start:start + size],
-                               indices=group.indices[start:start + size]))
-    return jobs
-
-
-# ----------------------------------------------------------------------
 # Capture task specs.
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -455,12 +379,12 @@ class SimPool:
       disk envelopes instead of pipe payloads.
 
     The pool is lazy: the executor spawns on first pooled submission
-    and is torn down at the end of each :func:`run_pipeline` /
-    batch call (or explicitly via :meth:`shutdown` / ``with pool:``).
+    and is torn down at the end of each :meth:`run` (or explicitly via
+    :meth:`shutdown` / ``with pool:``).
     """
 
     def __init__(self, workers: int | None = 1,
-                 capture_workers: int | None = None,
+                 capture_workers: int | None = 1,
                  cache: TraceCache | None = None,
                  capacity: int = DEFAULT_CAPACITY,
                  fault_plan: Optional[FaultPlan] = None,
@@ -492,8 +416,6 @@ class SimPool:
         self.max_rebuilds = int(max_rebuilds)
         self._executor: Optional[ProcessPoolExecutor] = None
         self._worker_stats: dict[int, dict] = {}
-        #: In-process captures forced by a worker death or a lost entry.
-        self.fallbacks = 0
         #: Per-phase wall-clock, aggregated per worker.
         self.pipeline_stats = PipelineStats()
         #: Structured fault/recovery counters (alias of
@@ -688,9 +610,6 @@ class SimPool:
             return False
         return disk_path(self.cache.disk_dir, key).exists()
 
-    def _merge_worker_stats(self, pid: int, stats: dict) -> None:
-        _merge_snapshot(self._worker_stats, pid, stats)
-
     def _capture_local(self, task: CaptureTask,
                        points: int = 1) -> ExecResult:
         """Capture (or cache-serve) one task in the parent, timed.
@@ -709,7 +628,6 @@ class SimPool:
         return captured
 
     def _fallback(self, task: CaptureTask, points: int = 1) -> ExecResult:
-        self.fallbacks += 1
         self.fault_log.fallbacks += 1
         return self._capture_local(task, points=points)
 
@@ -770,36 +688,67 @@ class SimPool:
                                     (key, payload, job.configs)):
                 self._replay_local(job, results)
 
-    def _resubmit_replay(self, pending: dict, job: _Job) -> bool:
-        """Re-enter one replay job as a fresh pool attempt."""
+    def _resubmit_replay(self, pending: dict, job: _Job,
+                         resend: bool = False) -> bool:
+        """Re-enter one replay job as a fresh pool attempt.
+
+        ``resend`` forces an explicit payload (the worker found the
+        store entry stale or missing); otherwise the payload ships only
+        when the key is not in the shared disk store.
+        """
         job.attempts += 1
-        on_disk = self._on_disk(job.key)
-        payload = None if on_disk else _disk_payload(job.captured)
+        payload = _disk_payload(job.captured) \
+            if resend or not self._on_disk(job.key) else None
         return self._submit_job(pending, job,
                                 (job.key, payload, job.configs))
 
-    def _finish_replay(self, pending: dict, job: _Job, outcome,
-                       results: list) -> bool:
-        """Record one replay job's outcome; False = resent for payload."""
+    def _collect(self, fut, job: _Job, expired: set):
+        """One finished or expired job's outcome, or :data:`_FAILED`.
+
+        The single failure step of :meth:`run`'s wait loop, for both
+        job kinds: an expired job is abandoned (its worker may be hung —
+        the process is terminated at shutdown); a raised exception (a
+        dead worker, or a broken pool taking every sibling future with
+        it) is classified into the fault log.  Either way the caller
+        retries once, then serves the job in the parent.
+        ``KeyboardInterrupt`` / ``SystemExit`` re-raise.
+        """
+        if fut in expired:
+            self._abandon(fut, job)
+            return _FAILED
+        try:
+            return fut.result()
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception as exc:
+            self._note_failure(exc)
+            return _FAILED
+
+    def _replay_failed(self, pending: dict, job: _Job,
+                       results: list) -> None:
+        """Retry a failed replay job once; else finish it in-process."""
+        if job.attempts < 1 and self._resubmit_replay(pending, job):
+            self.fault_log.retries += 1
+        else:
+            self._replay_local(job, results)
+
+    def _replay_landed(self, pending: dict, job: _Job, outcome,
+                       results: list) -> None:
+        """Record one replay job's reports (or resend it a payload)."""
         if outcome is _NEEDS_PAYLOAD:
             # Stale/missing disk entry: resend with an explicit payload
             # (in-process if the pool can no longer take the job).
-            job.attempts += 1
-            if self._submit_job(
-                    pending, job,
-                    (job.key, _disk_payload(job.captured), job.configs)):
-                return False
-            self._replay_local(job, results)
-            return True
+            if not self._resubmit_replay(pending, job, resend=True):
+                self._replay_local(job, results)
+            return
         pid, reports, stats, seconds = outcome
-        self._merge_worker_stats(pid, stats)
+        _merge_snapshot(self._worker_stats, pid, stats)
         self.pipeline_stats.note("replay", pid, len(job.indices), seconds)
         for idx, report in zip(job.indices, reports):
             results[idx] = report
-        return True
 
     # ------------------------------------------------------------------
-    # The two-phase pipeline.
+    # The two-phase pipeline: the pool's one scheduling loop.
     # ------------------------------------------------------------------
     def run(self, captures: Sequence[CaptureTask],
             replays: Sequence[PipelineReplay]) -> list[TimingReport]:
@@ -854,34 +803,31 @@ class SimPool:
 
         pooled_captures = self.capture_workers > 1 and len(captures) > 1
         pending: dict = {}
-        in_flight_captures = 0
-        pending_replays = 0
+
+        def in_flight(tag: str) -> int:
+            return sum(job.tag == tag for job in pending.values())
 
         def capture_allowance() -> int:
             # The soft split: full budget while no replays compete.
-            return self.capture_workers if pending_replays else self.workers
+            return self.capture_workers if in_flight("replay") \
+                else self.workers
 
         def top_up_captures() -> None:
-            nonlocal in_flight_captures
-            if not pooled_captures:
-                return
-            while cold and in_flight_captures < capture_allowance():
+            while (pooled_captures and cold
+                   and in_flight("capture") < capture_allowance()):
                 key, cidxs = cold.popleft()
                 job = _Job(tag="capture", key=key, indices=list(cidxs))
-                if self._submit_job(pending, job, (captures[cidxs[0]],)):
-                    in_flight_captures += 1
-                else:
+                if not self._submit_job(pending, job, (captures[cidxs[0]],)):
                     # Unusable pool: capture (and replay) in the parent.
                     submit_point(cidxs, key,
                                  self._fallback(captures[cidxs[0]]))
 
-        def capture_failure(job: _Job) -> bool:
+        def capture_failed(job: _Job) -> None:
             """Retry a failed capture once; else quarantine + fallback.
 
-            Returns True while the job is back in flight.  The second
-            failure for one key marks it a poison job: it runs in the
-            parent (like any fallback) and the key is flagged in
-            ``FaultLog.quarantined_keys``.
+            The second failure for one key marks it a poison job: it
+            runs in the parent (like any fallback) and the key is
+            flagged in ``FaultLog.quarantined_keys``.
             """
             task = captures[job.indices[0]]
             strikes = self._strikes.get(job.key, 0) + 1
@@ -890,33 +836,32 @@ class SimPool:
                 job.attempts += 1
                 if self._submit_job(pending, job, (task,)):
                     self.fault_log.retries += 1
-                    return True
+                    return
             else:
                 self.fault_log.quarantined += 1
                 self.fault_log.quarantined_keys.append(repr(job.key))
             submit_point(job.indices, job.key, self._fallback(task))
-            return False
 
-        def replay_failure(job: _Job) -> bool:
-            """Retry a failed replay job once; else finish in-process.
-
-            Returns True while the job is back in flight.
-            """
-            if job.attempts < 1 and self._resubmit_replay(pending, job):
-                self.fault_log.retries += 1
-                return True
-            self._replay_local(job, results)
-            return False
+        def capture_landed(job: _Job, outcome) -> None:
+            pid, _wkey, payload, stats, seconds = outcome
+            _merge_snapshot(self._worker_stats, pid, stats)
+            self.pipeline_stats.note("capture", pid, 1, seconds)
+            captured = self.cache.ingest_remote(job.key, payload)
+            if captured is None:
+                # The store's GC evicted the entry (or a corrupt write
+                # failed its checksum) between the worker's put and
+                # adoption; the point is already counted, so the
+                # re-capture adds seconds, not points.
+                captured = self._fallback(captures[job.indices[0]],
+                                          points=0)
+            submit_point(job.indices, job.key, captured)
 
         def submit_point(cidxs: list[int], key: TraceKey,
                          captured: ExecResult) -> None:
-            nonlocal pending_replays
             indices = [ridx for cidx in cidxs for ridx in plans[cidx]]
-            before = len(pending)
             self._submit_replays(pending, captured,
                                  key, [replays[r][0] for r in indices],
                                  indices, results)
-            pending_replays += len(pending) - before
 
         try:
             # Cold keys enter the pool first, so the warm serving below
@@ -927,8 +872,8 @@ class SimPool:
                              self._capture_local(captures[cidxs[0]]))
             if not pooled_captures:
                 # capture_workers == 1: the capture phase stays in the
-                # parent (old two-pool semantics) while submitted
-                # replays drain in the pool behind it.
+                # parent while submitted replays drain in the pool
+                # behind it.
                 while cold:
                     key, cidxs = cold.popleft()
                     submit_point(cidxs, key,
@@ -937,234 +882,20 @@ class SimPool:
                 done, expired = self._wait_done(pending)
                 for fut in (done or expired):
                     job = pending.pop(fut)
-                    timed_out = fut in expired
-                    if timed_out:
-                        # Deadline exceeded: the worker may be hung —
-                        # abandon the future (terminated at shutdown)
-                        # and handle it like any other failure.
-                        self._abandon(fut, job)
+                    outcome = self._collect(fut, job, expired)
                     if job.tag == "capture":
-                        in_flight_captures -= 1
-                        failed = timed_out
-                        outcome = None
-                        if not timed_out:
-                            try:
-                                outcome = fut.result()
-                            except (KeyboardInterrupt, SystemExit):
-                                raise
-                            except Exception as exc:
-                                # Dead worker (or a broken pool taking
-                                # every sibling future with it):
-                                # classified below, retried once, then
-                                # captured locally.
-                                self._note_failure(exc)
-                                failed = True
-                        if failed:
-                            if capture_failure(job):
-                                in_flight_captures += 1  # retried
+                        if outcome is _FAILED:
+                            capture_failed(job)
                         else:
-                            pid, _wkey, payload, stats, seconds = outcome
-                            self._merge_worker_stats(pid, stats)
-                            self.pipeline_stats.note("capture", pid, 1,
-                                                     seconds)
-                            captured = self.cache.ingest_remote(job.key,
-                                                                payload)
-                            if captured is None:
-                                # The store's GC evicted the entry (or a
-                                # corrupt write failed its checksum)
-                                # between the worker's put and adoption;
-                                # the point is already counted, so the
-                                # re-capture adds seconds, not points.
-                                captured = self._fallback(
-                                    captures[job.indices[0]], points=0)
-                            submit_point(job.indices, job.key, captured)
+                            capture_landed(job, outcome)
+                    elif outcome is _FAILED:
+                        self._replay_failed(pending, job, results)
                     else:
-                        pending_replays -= 1
-                        failed = timed_out
-                        outcome = None
-                        if not timed_out:
-                            try:
-                                outcome = fut.result()
-                            except (KeyboardInterrupt, SystemExit):
-                                raise
-                            except Exception as exc:
-                                # Dead worker/broken pool: classified
-                                # below, retried once, then finished in
-                                # the parent (which holds the capture).
-                                self._note_failure(exc)
-                                failed = True
-                        if failed:
-                            if replay_failure(job):
-                                pending_replays += 1  # retried
-                        elif not self._finish_replay(pending, job,
-                                                     outcome, results):
-                            pending_replays += 1  # resent: pending
+                        self._replay_landed(pending, job, outcome, results)
                     top_up_captures()
         finally:
             self.shutdown()
         return results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # Replay-only batches.
-    # ------------------------------------------------------------------
-    def replay_batch(self, tasks: Sequence[ReplayTask]) -> list[TimingReport]:
-        """Replay every task; reports come back in task order."""
-        norm = _normalize_tasks(tasks)
-        if not norm:
-            return []
-        if self.workers == 1 or len(norm) == 1:
-            # In-process serial baseline (workers=1) — also the only
-            # sensible plan for a one-task batch.
-            t0 = time.perf_counter()
-            reports = [replay_trace(config, captured).timing
-                       for config, captured, _ in norm]
-            self.pipeline_stats.note("replay", PARENT_WORKER, len(norm),
-                                     time.perf_counter() - t0)
-            return reports
-        jobs = _batch_jobs(_group_tasks(norm), self.workers)
-        results: list[Optional[TimingReport]] = [None] * len(norm)
-        try:
-            pending: dict = {}
-            for group in jobs:
-                payload = None if self._on_disk(group.key) \
-                    else _disk_payload(group.captured)
-                job = _Job(tag="replay", key=group.key,
-                           captured=group.captured, configs=group.configs,
-                           indices=group.indices)
-                if not self._submit_job(pending, job,
-                                        (job.key, payload, job.configs)):
-                    self._replay_local(job, results)
-            while pending:
-                done, expired = self._wait_done(pending)
-                for fut in (done or expired):
-                    job = pending.pop(fut)
-                    if fut in expired:
-                        self._abandon(fut, job)
-                        if not (job.attempts < 1
-                                and self._resubmit_replay(pending, job)):
-                            self._replay_local(job, results)
-                        else:
-                            self.fault_log.retries += 1
-                        continue
-                    try:
-                        outcome = fut.result()
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except Exception as exc:
-                        # Dead worker/broken pool: classify, retry once,
-                        # then finish in-process.
-                        self._note_failure(exc)
-                        if (job.attempts < 1
-                                and self._resubmit_replay(pending, job)):
-                            self.fault_log.retries += 1
-                        else:
-                            self._replay_local(job, results)
-                        continue
-                    self._finish_replay(pending, job, outcome, results)
-        finally:
-            self.shutdown()
-        return results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # Capture-only batches.
-    # ------------------------------------------------------------------
-    def capture_batch(self, tasks: Sequence[CaptureTask]) -> list[ExecResult]:
-        """Capture every task; results come back in task order."""
-        results: list[Optional[ExecResult]] = [None] * len(tasks)
-        for idx, _key, captured in self.capture_stream(tasks):
-            results[idx] = captured
-        return results  # type: ignore[return-value]
-
-    def capture_stream(self, tasks: Sequence[CaptureTask]
-                       ) -> Iterator[tuple[int, TraceKey, ExecResult]]:
-        """Yield ``(task_index, key, captured)`` as captures land.
-
-        ``workers=1`` yields in task order (plain serial sweep); pooled
-        captures yield in completion order.  Tasks sharing a trace key
-        execute exactly once.
-        """
-        tasks = list(tasks)
-        if self.workers == 1 or len(tasks) == 1:
-            for idx, task in enumerate(tasks):
-                captured = self._capture_local(task)
-                yield idx, task.build().trace_key(task.config), captured
-            return
-
-        groups: "OrderedDict[TraceKey, list[int]]" = OrderedDict()
-        for idx, task in enumerate(tasks):
-            groups.setdefault(task.key(), []).append(idx)
-        local: list[tuple[TraceKey, list[int]]] = []
-        remote: list[tuple[TraceKey, list[int]]] = []
-        for key, indices in groups.items():
-            (local if self.cache.probe(key) else remote).append(
-                (key, indices))
-        # Cold keys go to the workers *first*, so the serial warm-serve
-        # loop below overlaps with captures already in flight instead of
-        # keeping the pool idle for its duration.
-        pending: dict = {}
-        try:
-            for key, indices in remote:
-                job = _Job(tag="capture", key=key, indices=list(indices))
-                if not self._submit_job(pending, job,
-                                        (tasks[indices[0]],)):
-                    # Unusable pool: serve the point in the parent.
-                    captured = self._fallback(tasks[indices[0]])
-                    for idx in indices:
-                        yield idx, key, captured
-            for key, indices in local:
-                captured = self._capture_local(tasks[indices[0]])
-                for idx in indices:
-                    yield idx, key, captured
-            while pending:
-                done, expired = self._wait_done(pending)
-                for fut in (done or expired):
-                    job = pending.pop(fut)
-                    key, indices = job.key, job.indices
-                    task = tasks[indices[0]]
-                    failed = fut in expired
-                    if failed:
-                        self._abandon(fut, job)
-                    else:
-                        try:
-                            outcome = fut.result()
-                        except (KeyboardInterrupt, SystemExit):
-                            raise
-                        except Exception as exc:
-                            # Dead worker (or a broken pool taking every
-                            # sibling future with it): classify, retry
-                            # once, then capture in-process.
-                            self._note_failure(exc)
-                            failed = True
-                    if failed:
-                        strikes = self._strikes.get(key, 0) + 1
-                        self._strikes[key] = strikes
-                        if strikes < 2:
-                            job.attempts += 1
-                            if self._submit_job(pending, job, (task,)):
-                                self.fault_log.retries += 1
-                                continue
-                        else:
-                            self.fault_log.quarantined += 1
-                            self.fault_log.quarantined_keys.append(
-                                repr(key))
-                        captured = self._fallback(task)
-                    else:
-                        pid, _wkey, payload, stats, seconds = outcome
-                        self._merge_worker_stats(pid, stats)
-                        self.pipeline_stats.note("capture", pid, 1, seconds)
-                        captured = self.cache.ingest_remote(key, payload)
-                        if captured is None:
-                            # The store's GC evicted the entry between
-                            # the worker's put and our adoption; the
-                            # point is already counted, so the local
-                            # re-capture adds seconds, not points.
-                            captured = self._fallback(task, points=0)
-                    for idx in indices:
-                        yield idx, key, captured
-        finally:
-            # Also reached via GeneratorExit if the consumer abandons
-            # the stream: never leak the worker processes.
-            self.shutdown()
 
     # ------------------------------------------------------------------
     @property
@@ -1172,7 +903,6 @@ class SimPool:
         """Cache counters aggregated over every worker this pool used."""
         agg = {"hits": 0, "disk_hits": 0, "misses": 0,
                "workers": len(self._worker_stats),
-               "fallbacks": self.fallbacks,
                "faults": self.fault_log.as_dict(),
                "per_worker": dict(self._worker_stats)}
         for stats in self._worker_stats.values():
@@ -1216,106 +946,3 @@ def run_pipeline(captures: Sequence[CaptureTask],
         expand.append(slot)
     reports = pool.run(captures, order)
     return [reports[i] for i in expand]
-
-
-# ----------------------------------------------------------------------
-# Historical facades.  Both wrap a private SimPool — neither owns an
-# executor of its own — and keep the batch APIs the tests and benchmark
-# suite use.
-# ----------------------------------------------------------------------
-class ReplayPool:
-    """Replay-only batch facade over a private :class:`SimPool`.
-
-    ``workers=None`` autodetects from the host CPU count; ``workers=1``
-    replays in-process with no executor, pickling, or subprocess spawn —
-    the results are byte-identical either way.  ``disk_dir`` (typically
-    the sweep cache's own ``disk_dir``) lets workers rehydrate captures
-    from the shared disk layer instead of receiving them over the pipe.
-    """
-
-    def __init__(self, workers: int | None = None,
-                 disk_dir: str | Path | None = None,
-                 capacity: int = DEFAULT_CAPACITY) -> None:
-        self._sim = SimPool(
-            workers=workers,
-            cache=TraceCache(capacity=capacity, disk_dir=disk_dir),
-            capacity=capacity)
-
-    @property
-    def workers(self) -> int:
-        return self._sim.workers
-
-    @property
-    def disk_dir(self) -> Optional[Path]:
-        return self._sim.cache.disk_dir
-
-    def replay_batch(self, tasks: Sequence[ReplayTask]) -> list[TimingReport]:
-        """Replay every task; reports come back in task order."""
-        return self._sim.replay_batch(tasks)
-
-    @property
-    def stats(self) -> dict:
-        """Cache counters aggregated over every worker this pool used."""
-        return self._sim.stats
-
-    @property
-    def pipeline_stats(self) -> PipelineStats:
-        return self._sim.pipeline_stats
-
-
-def replay_batch(tasks: Sequence[ReplayTask], workers: int | None = 1,
-                 disk_dir: str | Path | None = None) -> list[TimingReport]:
-    """One-shot convenience wrapper around :class:`ReplayPool`."""
-    return ReplayPool(workers=workers,
-                      disk_dir=disk_dir).replay_batch(tasks)
-
-
-class CapturePool:
-    """Capture-only batch facade over a private :class:`SimPool`.
-
-    One worker task per distinct trace key, ``workers=1`` capturing
-    in-process with no executor (byte-identical to the pooled path),
-    ``workers=None`` autodetecting the host CPUs.  Keys already present
-    in ``cache`` (memory or shared disk) are served in-process with the
-    same hit/verify accounting as a serial sweep; a worker that dies —
-    or a store whose GC evicts the fresh entry before the parent adopts
-    it — degrades to an in-process capture instead of failing the sweep
-    (counted in :attr:`fallbacks`).
-    """
-
-    def __init__(self, workers: int | None = 1,
-                 cache: TraceCache | None = None,
-                 capacity: int = DEFAULT_CAPACITY) -> None:
-        self._sim = SimPool(workers=workers, capture_workers=workers,
-                            cache=cache, capacity=capacity)
-
-    @property
-    def workers(self) -> int:
-        return self._sim.workers
-
-    @property
-    def cache(self) -> TraceCache:
-        return self._sim.cache
-
-    @property
-    def fallbacks(self) -> int:
-        """In-process captures forced by a worker death or a lost entry."""
-        return self._sim.fallbacks
-
-    def capture_batch(self, tasks: Sequence[CaptureTask]) -> list[ExecResult]:
-        """Capture every task; results come back in task order."""
-        return self._sim.capture_batch(tasks)
-
-    def capture_stream(self, tasks: Sequence[CaptureTask]
-                       ) -> Iterator[tuple[int, TraceKey, ExecResult]]:
-        """Yield ``(task_index, key, captured)`` as captures land."""
-        return self._sim.capture_stream(tasks)
-
-    @property
-    def stats(self) -> dict:
-        """Cache counters aggregated over every worker this pool used."""
-        return self._sim.stats
-
-    @property
-    def pipeline_stats(self) -> PipelineStats:
-        return self._sim.pipeline_stats

@@ -45,12 +45,17 @@ Sweep use (capture once, replay per timing config)::
     for config in timing_configs:
         report = replay_trace(config, captured).timing
 
-Replays of one capture are fully independent, so a whole sweep's replay
-batch can fan out over worker processes via
-:class:`~repro.sim.parallel.ReplayPool`::
+Replays of one capture are fully independent, so a whole sweep can fan
+out over worker processes via :func:`~repro.sim.parallel.run_pipeline`,
+which captures each :class:`~repro.sim.parallel.CaptureTask` once and
+replays it on every config as its trace lands::
 
-    pool = ReplayPool(workers=None)  # autodetect host CPUs
-    reports = pool.replay_batch([(cfg, captured) for cfg in timing_configs])
+    from repro.sim import CaptureTask, SimPool, run_pipeline
+
+    task = CaptureTask.for_kernel("fmatmul", config, bytes_per_lane)
+    pool = SimPool(workers=None)  # autodetect host CPUs
+    reports = run_pipeline([task], [(cfg, 0) for cfg in timing_configs],
+                           pool)
 """
 
 from __future__ import annotations

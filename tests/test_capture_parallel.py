@@ -8,9 +8,7 @@ serially in-process or as tagged jobs on a shared
 store is cold or pre-warmed by a previous run.  The failure tests pin
 the degraded modes: a dead capture worker, a store key raced by two
 pools in separate processes, and the store's GC evicting an entry while
-a capture of it is in flight.  (:class:`~repro.sim.parallel.CapturePool`
-here is the batch facade over a private SimPool — the unit tests below
-double as coverage for that surface.)
+a capture of it is in flight.
 """
 
 from __future__ import annotations
@@ -30,8 +28,8 @@ from repro.eval.table3_ppa import render_table3, run_table3
 from repro.kernels import build_fmatmul
 from repro.params import Ara2Config, AraXLConfig
 from repro.report import render_table
-from repro.sim import (CapturePool, CaptureTask, TraceCache, TraceStore,
-                       replay_trace)
+from repro.sim import (CaptureTask, SimPool, TraceCache, TraceStore,
+                       replay_trace, run_pipeline)
 from repro.sim.trace_cache import (DISK_FORMAT_VERSION, _disk_payload,
                                    _payload_schema, disk_path)
 import repro.sim.parallel as parallel_mod
@@ -111,7 +109,7 @@ class TestByteIdentityHarness:
 
 
 # ----------------------------------------------------------------------
-# CapturePool unit behaviour
+# Capture-phase behaviour of SimPool.run, driven through run_pipeline
 # ----------------------------------------------------------------------
 def _task(lanes=4, k=16, verify=False):
     return CaptureTask.for_kernel("fmatmul", Ara2Config(lanes=lanes), 64,
@@ -123,72 +121,86 @@ def _direct_timing(task):
     return run.run(task.config, verify=False).timing
 
 
+def _timed(tasks, pool):
+    """Replay every task once on its own config through ``pool``."""
+    return run_pipeline(tasks, [(t.config, i) for i, t in enumerate(tasks)],
+                        pool)
+
+
+def _no_executor(monkeypatch, why):
+    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor",
+                        lambda *a, **k: pytest.fail(why))
+
+
 class TestCapturePool:
+    """The capture phase of :meth:`SimPool.run`: in-process paths, key
+    dedup, warm serving, and capture-only degradation counts."""
+
     def test_workers_one_never_spawns_processes(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel_mod, "ProcessPoolExecutor",
-            lambda *a, **k: pytest.fail("workers=1 must not build a pool"))
+        _no_executor(monkeypatch, "workers=1 must not build a pool")
         tasks = [_task(lanes=4), _task(lanes=8)]
-        captured = CapturePool(workers=1).capture_batch(tasks)
-        for task, cap in zip(tasks, captured):
-            assert replay_trace(task.config, cap).timing \
-                == _direct_timing(task)
+        assert _timed(tasks, SimPool(workers=1, capture_workers=4)) \
+            == [_direct_timing(task) for task in tasks]
 
     def test_single_task_stays_in_process(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel_mod, "ProcessPoolExecutor",
-            lambda *a, **k: pytest.fail("one task must capture in-process"))
-        [cap] = CapturePool(workers=4).capture_batch([_task()])
-        assert cap is not None
+        """One capture with no replays never builds an executor."""
+        _no_executor(monkeypatch, "one capture must run in-process")
+        store = TraceCache()
+        pool = SimPool(workers=4, capture_workers=4, cache=store)
+        assert run_pipeline([_task()], [], pool) == []
+        assert store.stats["misses"] == 1
+        assert pool.pipeline_stats.capture_points == 1
 
     def test_batch_dedupes_by_trace_key(self, tmp_path):
         """Tasks sharing a key run one functional capture, not three."""
         store = TraceStore(disk_dir=tmp_path)
         tasks = [_task(k=16), _task(k=16), _task(k=32)]
-        pool = CapturePool(workers=2, cache=store)
-        captured = pool.capture_batch(tasks)
-        assert captured[0] is captured[1]
-        assert captured[2] is not captured[0]
+        pool = SimPool(workers=2, capture_workers=2, cache=store)
+        assert _timed(tasks, pool) == [_direct_timing(t) for t in tasks]
         assert store.stats["remote_puts"] + store.stats["misses"] == 2
 
     def test_cached_keys_served_in_process(self, tmp_path):
-        """A pre-warmed store serves the pool without any worker."""
+        """A pre-warmed store serves the capture without any worker."""
         store = TraceStore(disk_dir=tmp_path)
         task = _task()
         task.build().capture(task.config, cache=store, verify=False)
         fresh = TraceStore(disk_dir=tmp_path)
-        pool = CapturePool(workers=2, cache=fresh)
-        [cap] = pool.capture_batch([task])
-        assert replay_trace(task.config, cap).timing == _direct_timing(task)
+        pool = SimPool(workers=2, capture_workers=2, cache=fresh)
+        assert _timed([task, task], pool) == [_direct_timing(task)] * 2
         assert fresh.stats["disk_hits"] == 1
         assert fresh.stats["remote_puts"] == 0
+        assert pool.pipeline_stats.per_worker[
+            parallel_mod.PARENT_WORKER]["capture_points"] == 1
 
     def test_autodetect_and_validation(self):
-        assert CapturePool().workers == 1  # explicit default stays serial
-        assert CapturePool(workers=None).workers >= 1
+        assert SimPool().capture_workers == 1  # the default stays serial
+        assert SimPool(workers=4, capture_workers=None).capture_workers \
+            == min(4, parallel_mod.autodetect_workers())
         with pytest.raises(ValueError):
-            CapturePool(workers=0)
+            SimPool(workers=2, capture_workers=0)
 
     def test_empty_batch(self):
-        assert CapturePool(workers=2).capture_batch([]) == []
+        assert run_pipeline([], [], SimPool(workers=2)) == []
 
     def test_dead_worker_falls_back_in_process(self, tmp_path, monkeypatch):
         """A worker whose job never returns a result degrades to an
         in-process capture instead of failing the sweep.  The job is
         made unrunnable by patching the tagged worker entry point to
         something the executor cannot ship, so its future raises
-        regardless of the multiprocessing start method."""
+        regardless of the multiprocessing start method.  With no
+        replays in the pipeline, every fallback is a capture."""
         monkeypatch.setattr(parallel_mod, "_run_job",
                             lambda *a: (_ for _ in ()).throw(RuntimeError))
         store = TraceStore(disk_dir=tmp_path)
         tasks = [_task(lanes=4), _task(lanes=8)]
-        pool = CapturePool(workers=2, cache=store)
-        captured = pool.capture_batch(tasks)
-        assert pool.fallbacks == 2
+        pool = SimPool(workers=2, capture_workers=2, cache=store)
+        assert run_pipeline(tasks, [], pool) == []
+        assert pool.fault_log.fallbacks == 2
         assert store.stats["misses"] == 2  # in-process captures
         assert store.stats["remote_puts"] == 0
-        for task, cap in zip(tasks, captured):
-            assert replay_trace(task.config, cap).timing \
+        reader = TraceStore(disk_dir=tmp_path)
+        for task in tasks:
+            assert replay_trace(task.config, reader.get(task.key())).timing \
                 == _direct_timing(task)
 
     def test_gc_evicting_fresh_entry_falls_back(self, tmp_path, monkeypatch):
@@ -197,17 +209,15 @@ class TestCapturePool:
         store = TraceStore(disk_dir=tmp_path)
         monkeypatch.setattr(TraceStore, "ingest_remote",
                             lambda self, key, payload=None: None)
-        pool = CapturePool(workers=2, cache=store)
+        pool = SimPool(workers=2, capture_workers=2, cache=store)
         tasks = [_task(lanes=4), _task(lanes=8)]
-        captured = pool.capture_batch(tasks)
-        assert pool.fallbacks == 2
-        for task, cap in zip(tasks, captured):
-            assert replay_trace(task.config, cap).timing \
-                == _direct_timing(task)
+        assert run_pipeline(tasks, [], pool) == []
+        assert pool.fault_log.fallbacks == 2
+        assert pool.pipeline_stats.capture_points == 2
 
     def test_gc_racing_live_captures(self, tmp_path):
         """An aggressive GC (budget 0) hammering the store while a
-        CapturePool captures into it: whatever the interleaving, every
+        pipeline captures into it: whatever the interleaving, every
         point comes back correct (fallbacks absorb lost entries)."""
         store = TraceStore(disk_dir=tmp_path)
         stop = threading.Event()
@@ -220,29 +230,30 @@ class TestCapturePool:
         thread.start()
         try:
             tasks = [_task(lanes=4, k=k) for k in (16, 32, 48)]
-            captured = CapturePool(workers=2, cache=store) \
-                .capture_batch(tasks)
+            reports = _timed(tasks, SimPool(workers=2, capture_workers=2,
+                                            cache=store))
         finally:
             stop.set()
             thread.join()
-        for task, cap in zip(tasks, captured):
-            assert replay_trace(task.config, cap).timing \
-                == _direct_timing(task)
+        assert reports == [_direct_timing(task) for task in tasks]
 
 
 # ----------------------------------------------------------------------
-# Two CapturePool processes racing on the same store keys
+# Two pipeline processes racing on the same store keys
 # ----------------------------------------------------------------------
 def _pool_capture_proc(disk_dir: str) -> None:
-    """Worker process: run a CapturePool over the same keys as its twin."""
+    """Worker process: run a pooled pipeline over its twin's keys."""
     store = TraceStore(disk_dir=disk_dir)
     tasks = [CaptureTask.for_kernel("fmatmul", Ara2Config(lanes=4), 64,
                                     {"m": 8, "k": k}) for k in (16, 32)]
-    captured = CapturePool(workers=2, cache=store).capture_batch(tasks)
-    assert all(cap is not None for cap in captured)
+    reports = _timed(tasks, SimPool(workers=2, capture_workers=2,
+                                    cache=store))
+    assert all(report is not None for report in reports)
 
 
 class TestConcurrentCapturePools:
+    """Two pooled pipelines in separate processes share one store."""
+
     def test_two_pools_racing_one_store(self, tmp_path):
         """Both pools capture the same keys; the store ends with one
         whole envelope per key and no torn or orphaned files."""

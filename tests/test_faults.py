@@ -16,12 +16,13 @@ serial degradation latch.
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import Future
 
 import pytest
 
 from repro.params import Ara2Config, AraXLConfig
-from repro.sim import (CapturePool, CaptureTask, SimPool, TraceCache,
-                       TraceStore, run_pipeline)
+from repro.sim import (CaptureTask, SimPool, TraceCache, TraceStore,
+                       run_pipeline)
 from repro.sim.faults import (ENV_FAULT_PLAN, FaultLog, FaultPlan,
                               JobTimeout)
 from repro.sim.trace_cache import disk_path
@@ -166,6 +167,32 @@ class TestPoolRecoveryLadder:
             SimPool(job_timeout=-1.5)
 
 
+class TestInterruptsPropagate:
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_from_pooled_job_reraises(self, tmp_path,
+                                                monkeypatch, exc):
+        """An interrupt surfacing from a pooled job's future is never
+        classified, retried or served in-process: it re-raises out of
+        :meth:`SimPool.run`, and the pool still tears its executor
+        down on the way out."""
+        def interrupted_wait(self, pending):
+            fut = Future()
+            fut.set_exception(exc())
+            real = next(iter(pending))
+            pending[fut] = pending.pop(real)
+            return {fut}, set()
+
+        monkeypatch.setattr(SimPool, "_wait_done", interrupted_wait)
+        pool = SimPool(workers=2, capture_workers=2,
+                       cache=TraceStore(disk_dir=tmp_path))
+        with pytest.raises(exc):
+            _tiny_pipeline(pool)
+        assert pool._executor is None
+        assert pool.fault_log.fallbacks == 0
+        assert pool.fault_log.job_errors == 0
+        assert pool.fault_log.retries == 0
+
+
 # ----------------------------------------------------------------------
 # Store-tier integrity: checksum, ENOSPC, transient I/O.
 # ----------------------------------------------------------------------
@@ -173,7 +200,7 @@ def _capture_one(store, k=16):
     """Capture one fmatmul trace into ``store``; returns its key."""
     cfg = Ara2Config(lanes=4)
     task = CaptureTask.for_kernel("fmatmul", cfg, 64, {"m": 8, "k": k})
-    CapturePool(workers=1, cache=store).capture_batch([task])
+    task.build().capture(cfg, cache=store, verify=False)
     return task.key()
 
 

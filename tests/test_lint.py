@@ -252,7 +252,7 @@ def test_task_dataclass_callable_field_flagged(tmp_path):
         from typing import Callable
 
         @dataclass(frozen=True)
-        class ReplayTask:
+        class ProbeTask:
             index: int
             build: Callable[[], int]
         """, [TaskFieldChecker()])
@@ -268,7 +268,7 @@ def test_task_dataclass_plain_fields_allowed(tmp_path):
         from typing import Optional
 
         @dataclass(frozen=True)
-        class ReplayTask:
+        class ProbeTask:
             index: int
             name: str
             sizes: tuple[int, ...]

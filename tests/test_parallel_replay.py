@@ -1,4 +1,4 @@
-"""ReplayPool fan-out and TraceCache concurrency hardening."""
+"""Pooled replay through SimPool and TraceCache concurrency hardening."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ from repro.eval.fig7_latency import render_fig7, run_fig7
 from repro.eval.table3_ppa import render_table3, run_table3
 from repro.kernels import build_fmatmul
 from repro.params import Ara2Config, AraXLConfig
-from repro.sim import ReplayPool, TraceCache, replay_trace
+from repro.sim import (CaptureTask, FaultPlan, SimPool, TraceCache,
+                       TraceStore, replay_trace, run_pipeline)
 from repro.sim.trace_cache import DISK_FORMAT_VERSION, disk_path
 import repro.sim.parallel as parallel_mod
 
@@ -25,109 +26,89 @@ def _fmatmul_capture(config, cache=None, **kw):
     return run, captured
 
 
+def _fmatmul_task(config):
+    return CaptureTask.for_kernel("fmatmul", config, 64, {"m": 8, "k": 16})
+
+
+def _serial(captures, replays):
+    return run_pipeline(captures, replays,
+                        SimPool(workers=1, cache=TraceCache()))
+
+
+SMALL, SMALL_XL = Ara2Config(lanes=4), AraXLConfig(lanes=4)
+BIG, BIG_XL = Ara2Config(lanes=8), AraXLConfig(lanes=8)
+#: Two captures (one per VLEN), each replayed on two machines.
+CAPTURES = [_fmatmul_task(SMALL), _fmatmul_task(BIG)]
+REPLAYS = [(SMALL, 0), (SMALL_XL, 0), (BIG, 1), (BIG_XL, 1)]
+
+
 class TestReplayPool:
+    """The replay phase of :meth:`SimPool.run`: ordering, in-process
+    serving, disk rehydration, and payload shipping/resending."""
+
     def test_results_in_task_order_across_workers(self):
-        """Interleaved tasks over two VLEN groups come back in task order."""
-        small, big = Ara2Config(lanes=4), Ara2Config(lanes=8)
-        _, cap_small = _fmatmul_capture(small)
-        _, cap_big = _fmatmul_capture(big)
-        tasks = [(big, cap_big), (small, cap_small),
-                 (big, cap_big), (small, cap_small)]
-        serial = [replay_trace(cfg, cap).timing for cfg, cap in tasks]
-        pooled = ReplayPool(workers=2).replay_batch(tasks)
-        assert pooled == serial
+        """Interleaved replays over two VLEN groups come back in order."""
+        replays = [(BIG, 1), (SMALL, 0), (BIG_XL, 1), (SMALL_XL, 0)]
+        pooled = run_pipeline(CAPTURES, replays, SimPool(workers=2))
+        assert pooled == _serial(CAPTURES, replays)
+        _, cap_small = _fmatmul_capture(SMALL)
+        assert pooled[1] == replay_trace(SMALL, cap_small).timing
 
     def test_workers_one_never_spawns_processes(self, monkeypatch):
         def boom(*args, **kwargs):  # pragma: no cover - defensive
             raise AssertionError("workers=1 must not build a process pool")
 
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", boom)
-        cfg = Ara2Config(lanes=4)
-        _, captured = _fmatmul_capture(cfg)
-        reports = ReplayPool(workers=1).replay_batch([(cfg, captured)] * 3)
+        configs = [SMALL, SMALL_XL, AraXLConfig(lanes=4, ring_hop_latency=4)]
+        reports = run_pipeline([_fmatmul_task(SMALL)],
+                               [(cfg, 0) for cfg in configs],
+                               SimPool(workers=1))
         assert len(reports) == 3 and len(set(map(id, reports))) == 3
-        assert reports[0] == replay_trace(cfg, captured).timing
+        _, captured = _fmatmul_capture(SMALL)
+        assert reports == [replay_trace(cfg, captured).timing
+                           for cfg in configs]
 
-    def test_single_task_stays_in_process(self, monkeypatch):
+    def test_empty_batch(self, monkeypatch):
+        """Captures with no replays return nothing and, with the capture
+        phase in the parent, never build an executor."""
         monkeypatch.setattr(
             parallel_mod, "ProcessPoolExecutor",
-            lambda *a, **k: pytest.fail("one task must replay in-process"))
-        cfg = Ara2Config(lanes=4)
-        _, captured = _fmatmul_capture(cfg)
-        reports = ReplayPool(workers=8).replay_batch([(cfg, captured)])
-        assert reports == [replay_trace(cfg, captured).timing]
-
-    def test_single_group_chunks_across_workers(self):
-        """A one-kernel many-config batch still fans out (and stays
-        ordered): the lone trace group is split into per-worker chunks."""
-        cfg = Ara2Config(lanes=4)
-        other = AraXLConfig(lanes=4)  # same VLEN, different interconnect
-        _, captured = _fmatmul_capture(cfg)
-        tasks = [(cfg, captured), (other, captured)] * 2
-        pool = ReplayPool(workers=2)
-        jobs = parallel_mod._batch_jobs(
-            parallel_mod._group_tasks(parallel_mod._normalize_tasks(tasks)),
-            workers=2)
-        assert len(jobs) == 2  # one group chunked into two jobs
-        assert [i for job in jobs for i in job.indices] == [0, 1, 2, 3]
-        reports = pool.replay_batch(tasks)
-        assert reports == [replay_trace(c, captured).timing
-                           for c, _ in tasks]
-        assert reports[0] != reports[1]
-
-    def test_autodetect_and_validation(self):
-        assert ReplayPool().workers >= 1
-        assert parallel_mod.autodetect_workers() >= 1
-        with pytest.raises(ValueError):
-            ReplayPool(workers=0)
-
-    def test_empty_batch(self):
-        assert ReplayPool(workers=2).replay_batch([]) == []
+            lambda *a, **k: pytest.fail("no replays, no pool"))
+        assert run_pipeline(CAPTURES, [], SimPool(workers=2)) == []
 
     def test_disk_backed_workers_rehydrate_and_report_stats(self, tmp_path):
         """Keys on disk ship no payload; worker stats aggregate per pid."""
-        cache = TraceCache(disk_dir=tmp_path)
-        small, big = Ara2Config(lanes=4), Ara2Config(lanes=8)
-        _, cap_small = _fmatmul_capture(small, cache=cache)
-        run_big, cap_big = _fmatmul_capture(big, cache=cache)
-        tasks = [(small, cap_small, build_fmatmul(small, 64, m=8, k=16)
-                  .trace_key(small)),
-                 (big, cap_big, run_big.trace_key(big))]
-        pool = ReplayPool(workers=2, disk_dir=tmp_path)
-        reports = pool.replay_batch(tasks)
-        assert reports == [replay_trace(cfg, cap).timing
-                           for cfg, cap, _ in tasks]
+        serial = run_pipeline(CAPTURES, REPLAYS, SimPool(
+            workers=1, cache=TraceCache(disk_dir=tmp_path)))
+        pool = SimPool(workers=2, cache=TraceCache(disk_dir=tmp_path))
+        assert run_pipeline(CAPTURES, REPLAYS, pool) == serial
         stats = pool.stats
         assert stats["workers"] >= 1
-        assert stats["disk_hits"] == 2  # both groups rehydrated from disk
-        assert sum(s["disk_hits"] for s in stats["per_worker"].values()) == 2
+        assert stats["disk_hits"] >= 1  # workers rehydrated from disk
+        assert stats["misses"] == 0
+        assert sum(s["disk_hits"] for s in stats["per_worker"].values()) \
+            == stats["disk_hits"]
 
-    def test_missing_disk_entry_falls_back_to_payload(self, tmp_path):
-        """A key absent from disk_dir still replays (payload resend)."""
-        small, big = Ara2Config(lanes=4), Ara2Config(lanes=8)
-        run_s, cap_small = _fmatmul_capture(small)
-        run_b, cap_big = _fmatmul_capture(big)
-        # disk_dir is empty: the parent sends payloads directly.
-        tasks = [(small, cap_small, run_s.trace_key(small)),
-                 (big, cap_big, run_b.trace_key(big))]
-        pool = ReplayPool(workers=2, disk_dir=tmp_path / "empty")
-        assert pool.replay_batch(tasks) == \
-            [replay_trace(cfg, cap).timing for cfg, cap, _ in tasks]
+    def test_missing_disk_entry_falls_back_to_payload(self):
+        """Without a shared disk store every replay job ships its
+        trace as a payload; workers never look for a disk entry."""
+        pool = SimPool(workers=2, cache=TraceCache())
+        assert run_pipeline(CAPTURES, REPLAYS, pool) \
+            == _serial(CAPTURES, REPLAYS)
+        assert pool.stats["disk_hits"] == 0
+        assert pool.stats["misses"] >= 1
 
     def test_stale_disk_entry_triggers_payload_resend(self, tmp_path):
-        """A file that exists but fails to load hits the retry path."""
-        small, big = Ara2Config(lanes=4), Ara2Config(lanes=8)
-        run_s, cap_small = _fmatmul_capture(small)
-        run_b, cap_big = _fmatmul_capture(big)
-        key_s, key_b = run_s.trace_key(small), run_b.trace_key(big)
-        for key in (key_s, key_b):
-            path = disk_path(tmp_path, key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(b"not a pickle")
-        tasks = [(small, cap_small, key_s), (big, cap_big, key_b)]
-        pool = ReplayPool(workers=2, disk_dir=tmp_path)
-        assert pool.replay_batch(tasks) == \
-            [replay_trace(cfg, cap).timing for cfg, cap, _ in tasks]
+        """Entries that exist but fail to load hit the resend path: the
+        parent's store writes every payload corrupted, so each worker
+        misses on disk, answers for a payload, and gets it resent."""
+        store = TraceStore(disk_dir=tmp_path,
+                           fault_plan=FaultPlan(seed=1, corrupt_rate=1.0))
+        pool = SimPool(workers=2, capture_workers=1, cache=store)
+        assert run_pipeline(CAPTURES, REPLAYS, pool) \
+            == _serial(CAPTURES, REPLAYS)
+        assert pool.stats["misses"] == 6
+        assert pool.fault_log.fallbacks == 0
 
 
 class TestParallelSweepsByteIdentical:

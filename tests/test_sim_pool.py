@@ -45,7 +45,8 @@ def _small_fig6(pool):
 class TestSimPoolKnobs:
     def test_defaults_and_validation(self):
         assert SimPool().workers == 1
-        assert SimPool(workers=None).workers >= 1
+        assert SimPool(workers=None).workers \
+            == parallel_mod.autodetect_workers() >= 1
         with pytest.raises(ValueError):
             SimPool(workers=0)
         with pytest.raises(ValueError):
@@ -55,7 +56,8 @@ class TestSimPoolKnobs:
         """The soft split can never promise more slots than exist."""
         assert SimPool(workers=2, capture_workers=5).capture_workers == 2
         assert SimPool(workers=4, capture_workers=2).capture_workers == 2
-        assert SimPool(workers=3).capture_workers <= 3  # autodetect clamp
+        assert SimPool(workers=3).capture_workers == 1  # the default
+        assert SimPool(workers=3, capture_workers=None).capture_workers <= 3
         assert SimPool(workers=1, capture_workers=8).capture_workers == 1
 
 
@@ -218,20 +220,6 @@ class TestPipelineStats:
         assert stats.seconds_per_point("replay") == pytest.approx(0.5)
         assert stats.per_worker[7]["replay_points"] == 4
 
-    def test_batch_facades_time_their_phase(self, tmp_path):
-        from repro.sim import CapturePool, CaptureTask, ReplayPool
-
-        cfg = Ara2Config(lanes=4)
-        task = CaptureTask.for_kernel("fmatmul", cfg, 64,
-                                      {"m": 8, "k": 16})
-        cap = CapturePool(workers=1, cache=TraceCache())
-        [captured] = cap.capture_batch([task])
-        assert cap.pipeline_stats.capture_points == 1
-        rep = ReplayPool(workers=1)
-        rep.replay_batch([(cfg, captured)] * 3)
-        assert rep.pipeline_stats.replay_points == 3
-        assert rep.pipeline_stats.replay_seconds > 0.0
-
 
 # ----------------------------------------------------------------------
 # Degradation: the shared pool must finish the sweep, never fail it
@@ -246,10 +234,13 @@ class TestSharedPoolDegradation:
         serial = _small_fig6(SimPool(workers=1, cache=TraceCache()))
         monkeypatch.setattr(parallel_mod, "_run_job",
                             lambda *a: (_ for _ in ()).throw(RuntimeError))
-        pool = SimPool(workers=2, capture_workers=2,
-                       cache=TraceStore(disk_dir=tmp_path))
+        store = TraceStore(disk_dir=tmp_path)
+        pool = SimPool(workers=2, capture_workers=2, cache=store)
         assert _small_fig6(pool) == serial
-        assert pool.fallbacks > 0
+        assert pool.fault_log.fallbacks > 0
+        # Every capture ran in the parent; no worker capture was adopted.
+        assert store.stats["misses"] == 4
+        assert store.stats["remote_puts"] == 0
         # Accounting stays points-served, not attempts: 4 distinct
         # operating points, 6 replays, whatever the degradation path.
         assert pool.pipeline_stats.capture_points == 4
@@ -262,11 +253,15 @@ class TestSharedPoolDegradation:
         only counted once (bench assertions rely on points == points)."""
         monkeypatch.setattr(TraceStore, "ingest_remote",
                             lambda self, key, payload=None: None)
-        pool = SimPool(workers=2, capture_workers=2,
-                       cache=TraceStore(disk_dir=tmp_path))
+        store = TraceStore(disk_dir=tmp_path)
+        pool = SimPool(workers=2, capture_workers=2, cache=store)
         _small_fig6(pool)
-        assert pool.fallbacks == 4
+        assert pool.fault_log.fallbacks == 4
         assert pool.pipeline_stats.capture_points == 4
+        # Nothing was adopted; each fallback re-capture is served by
+        # the entry the worker had already written.
+        assert store.stats["remote_puts"] == 0
+        assert store.stats["misses"] == 0
 
     def test_duplicate_key_captures_collapse(self, tmp_path):
         """Two capture tasks resolving to one trace key run ONE

@@ -17,8 +17,7 @@ invariants the test suite cannot exhaustively pin:
 * **Env-var registry** (RL501): every environment read goes through
   :mod:`repro.env`, the registry the docs knob table is generated from.
 * **Docs** (RL601–RL603): markdown links resolve, documented CLI lines
-  parse with the real parser, docstrings exist (absorbed from the old
-  ``tools/check_docs.py``).
+  parse with the real parser, docstrings exist.
 
 Findings carry ``file:line``, a stable rule code, severity, and a
 message; inline pragmas (``# repro-lint: disable=RL201  reason``) and a

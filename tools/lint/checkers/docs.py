@@ -1,12 +1,11 @@
-"""Docs rules (RL601–RL603): the checks absorbed from check_docs.py.
+"""Docs rules (RL601–RL603): links, documented CLI lines, docstrings.
 
-Repo-level, like their predecessor: RL601 verifies every relative
-markdown link in the documented pages resolves inside the checkout,
-RL602 parses every documented ``python -m repro.eval`` line with the
-*real* argument parser (a renamed flag breaks the lint, not the
-reader), and RL603 requires docstrings on every ``src/repro`` module
-and public top-level def.  ``tools/check_docs.py`` survives as a thin
-shim over these so the historical entry point keeps working.
+Repo-level checks: RL601 verifies every relative markdown link in the
+documented pages resolves inside the checkout, RL602 parses every
+documented ``python -m repro.eval`` line with the *real* argument
+parser (a renamed flag breaks the lint, not the reader), and RL603
+requires docstrings on every ``src/repro`` module and public top-level
+def.  Run them alone with ``python -m tools.lint --select RL6``.
 """
 
 from __future__ import annotations
