@@ -59,12 +59,14 @@ Worker-side details shared by both job kinds:
   disk payload (:func:`~repro.sim.trace_cache._disk_payload`, the same
   pruning the disk cache uses) only when the key is not already in the
   shared store; stale or vanished store entries trigger an explicit
-  payload resend (:data:`_NEEDS_PAYLOAD`).
+  payload resend (the job answers with ``reports`` of None).
 * **Failure degradation** — a dead worker, or a store GC that evicts a
   fresh entry before the parent adopts it, degrades to in-process work
   (counted in ``FaultLog.fallbacks``) rather than failing the sweep.
-* **Per-worker statistics** — each job reports its worker's cache
-  counters; :attr:`SimPool.stats` aggregates them across the pool.
+* **Per-worker statistics** — each job, including one answered with a
+  payload request, reports its worker's cache counters;
+  :attr:`SimPool.stats` aggregates them across the pool, so every
+  worker lookup is counted once whatever the schedule.
 
 Fault tolerance (the full ladder lives in ``docs/robustness.md``):
 
@@ -230,10 +232,6 @@ _WORKER_CACHE: Optional[TraceCache] = None
 #: pool workers, so every injected fault is recoverable by design.
 _WORKER_FAULTS: Optional[FaultPlan] = None
 
-#: Sentinel result: the worker had no payload and could not rehydrate the
-#: key from its cache; the parent must resend with an explicit payload.
-_NEEDS_PAYLOAD = None
-
 #: Parent-side sentinel outcome: the pooled job raised or timed out.
 _FAILED = object()
 
@@ -275,20 +273,27 @@ def _capture_job(task: "CaptureTask"):
 
 def _replay_job(key: Optional[TraceKey], payload: Optional[ExecResult],
                 configs: list[SystemConfig]):
-    """Replay one trace's configs in a worker; (pid, reports, stats, s)."""
+    """Replay one trace's configs in a worker; (pid, reports, stats, s).
+
+    ``reports`` is None when the job carries no payload and the worker's
+    cache cannot serve the key: the parent must resend it with an
+    explicit payload.  The stats snapshot travels either way, so the
+    miss that lookup counted is reported like any other.
+    """
     t0 = time.perf_counter()
     cache = _WORKER_CACHE
     captured = None
     if cache is not None and key is not None:
         captured = cache.get(key)
-    if captured is None:
-        if payload is None:
-            return _NEEDS_PAYLOAD
+    reports = None
+    if captured is None and payload is not None:
         captured = payload
         if cache is not None and key is not None:
             cache._remember(key, captured)  # memory layer only: the
             # parent (or another worker) already owns the disk write.
-    reports = [replay_trace(config, captured).timing for config in configs]
+    if captured is not None:
+        reports = [replay_trace(config, captured).timing
+                   for config in configs]
     stats = dict(cache.stats) if cache is not None else {}
     return os.getpid(), reports, stats, time.perf_counter() - t0
 
@@ -735,14 +740,14 @@ class SimPool:
     def _replay_landed(self, pending: dict, job: _Job, outcome,
                        results: list) -> None:
         """Record one replay job's reports (or resend it a payload)."""
-        if outcome is _NEEDS_PAYLOAD:
+        pid, reports, stats, seconds = outcome
+        _merge_snapshot(self._worker_stats, pid, stats)
+        if reports is None:
             # Stale/missing disk entry: resend with an explicit payload
             # (in-process if the pool can no longer take the job).
             if not self._resubmit_replay(pending, job, resend=True):
                 self._replay_local(job, results)
             return
-        pid, reports, stats, seconds = outcome
-        _merge_snapshot(self._worker_stats, pid, stats)
         self.pipeline_stats.note("replay", pid, len(job.indices), seconds)
         for idx, report in zip(job.indices, reports):
             results[idx] = report

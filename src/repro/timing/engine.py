@@ -72,13 +72,17 @@ class TimingEngine:
 
         The vectorized fast path: compile the trace once into a
         :class:`~repro.timing.replay_plan.ReplayPlan` (cached on the
-        trace), fetch the fused per-machine row bundle (numpy-batched
-        rates/latencies/stream constants, memoized per model), then run
-        one branch-light pass over the issue rows.  Every arithmetic
-        operation is performed in the same order with the same operands
-        as :meth:`replay_reference`, so reports are bit-identical —
-        the reference loop stays as the executable specification and
-        the property-test oracle.
+        trace), fetch the per-machine columns (numpy-batched
+        rates/latencies/stream constants plus the flat scalar costs of
+        one batch D$ walk; memoized per model), then run one
+        branch-light pass over the issue rows, zipping the plan's row
+        columns with the machine's inside the loop.  Before each row
+        the loop adds the flat scalar costs up to the row's
+        ``seg_end``, one at a time as the reference loop does.  Every
+        arithmetic operation is performed in the same order with the
+        same operands as :meth:`replay_reference`, so reports are
+        bit-identical — the reference loop stays as the executable
+        specification and the property-test oracle.
         """
         plan = getattr(trace, "_plan", None)
         if plan is None or plan.n_events != len(trace):
@@ -114,10 +118,17 @@ class TimingEngine:
         next_vissue = 0.0
         issue_stalls = 0.0
 
-        for (costs, kind, u, cn, nn, srcs, dregs, dscal,
-             lat, rinv, q1, busy, tail) in bundle.rows:
-            for c in costs:
-                t_scalar += c
+        costs = bundle.seg_costs
+        k = 0
+        for (end, kind, u, cn, nn, srcs, dregs, dscal,
+             lat, rinv, q1, busy, tail) in zip(
+                plan.seg_end, plan.row_kind, plan.row_unit, plan.row_cn,
+                plan.row_n, plan.row_srcs, plan.row_dest, plan.row_dscal,
+                bundle.lat, bundle.rinv, bundle.q1, bundle.busy,
+                bundle.tail):
+            while k < end:
+                t_scalar += costs[k]
+                k += 1
             if kind == ROW_VSETVL:
                 t_scalar += vsetvli_cycles
                 gap_end = t_scalar + issue_gap
@@ -226,7 +237,7 @@ class TimingEngine:
                     + scalar_result_latency
                 if sync > t_scalar:
                     t_scalar = sync
-        for c in bundle.tail_seg:
+        for c in costs[k:]:
             t_scalar += c
 
         total = t_scalar
@@ -251,7 +262,7 @@ class TimingEngine:
             dcache_hits=bundle.dcache_hits,
             dcache_misses=bundle.dcache_misses,
         )
-        bundle.report = report
+        bundle.finish(report)
         return _copy_report(report)
 
     # ------------------------------------------------------------------

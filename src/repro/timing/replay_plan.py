@@ -36,15 +36,25 @@ packs with.  From there:
   handful of vectorized array operations instead of per-event Python —
   each element is the *same single* IEEE-754 operation the reference
   performs, so replay output is bit-identical;
-* **scalar segments** — cut from the tag column by cumulative issue
-  index into the flat ``s_kind``/``s_addr`` columns; the in-order
-  scalar cost walk (including the stateful D$) is memoized per
-  ``(scalar config, L2 latency)``, which all machines sharing a
-  frontend configuration reuse;
+* **scalar costs** — one batch walk over the flat ``s_kind``/``s_addr``
+  columns (:meth:`~repro.timing.frontend.ScalarFrontend.cost_many`:
+  one kind-table lookup, and one sort-based pass of the stateful D$
+  over the loads and stores) gives a flat per-event cost array,
+  memoized per ``(scalar config, L2 latency)``, which all machines
+  sharing a frontend configuration reuse.  It is never cut into
+  per-segment objects: each issue row carries the cumulative scalar
+  index its segment ends at (``seg_end``), and the row loop adds the
+  flat costs up to it;
+* **column-zipped rows** — the per-machine step builds column lists
+  only; :meth:`~repro.timing.engine.TimingEngine.replay` zips the
+  plan's row columns with them inside its loop (the loop unpacks each
+  zipped tuple at once, so CPython reuses it), never a list of row
+  tuples;
 * **report memo** — replay is a pure function of (trace, model), so the
-  fused per-machine row bundle remembers the finished
-  :class:`~repro.timing.report.TimingReport`; replay-many of one trace
-  against one model is a dict hit plus a defensive copy.
+  per-machine bundle remembers the finished
+  :class:`~repro.timing.report.TimingReport` and lets its columns go;
+  replay-many of one trace against one model is a dict hit plus a
+  defensive copy.
 
 Events the columns cannot hold (the pickled fallback map: out-of-range
 fields, foreign event classes) take a small per-event path inside the
@@ -178,18 +188,31 @@ def _rep_events(cols: dict, instructions: tuple, rows: np.ndarray) -> list:
 
 
 class _MachineRows:
-    """Per-(plan, machine) fused row bundle plus the replay-report memo."""
+    """Per-(plan, machine) columns plus the replay-report memo.
 
-    __slots__ = ("rows", "tail_seg", "dcache_hits", "dcache_misses",
-                 "report")
+    ``seg_costs`` is the flat per-scalar-event cost list (cut by the
+    plan's ``seg_end``); ``lat``/``rinv``/``q1``/``busy``/``tail`` hold
+    one entry per issue row, parallel to the plan's ``row_*`` columns.
+    :meth:`finish` memoizes the report and drops the columns, which are
+    never read again.
+    """
 
-    def __init__(self, rows: list, tail_seg: tuple,
+    __slots__ = ("seg_costs", "lat", "rinv", "q1", "busy", "tail",
+                 "dcache_hits", "dcache_misses", "report")
+
+    def __init__(self, seg_costs: list, columns: tuple,
                  dcache_hits: int, dcache_misses: int) -> None:
-        self.rows = rows
-        self.tail_seg = tail_seg
+        self.seg_costs = seg_costs
+        self.lat, self.rinv, self.q1, self.busy, self.tail = columns
         self.dcache_hits = dcache_hits
         self.dcache_misses = dcache_misses
         self.report = None
+
+    def finish(self, report) -> None:
+        """Remember ``report``; the per-row columns are done with."""
+        self.report = report
+        self.seg_costs = self.lat = self.rinv = self.q1 = None
+        self.busy = self.tail = None
 
 
 class ReplayPlan:
@@ -197,13 +220,13 @@ class ReplayPlan:
 
     __slots__ = ("n_events", "scalar_count", "vector_count", "total_flops",
                  "bytes_read", "bytes_written", "first_vec_unit",
-                 "kind_vocab", "scalar_kind", "scalar_addr", "segs",
+                 "kind_vocab", "scalar_kind", "scalar_addr", "seg_end",
                  "row_kind", "row_unit", "row_cn", "row_n", "row_srcs",
                  "row_dest", "row_dscal", "mem_keys", "slide_pairs",
                  "_cnt_f", "_sew_code", "_thr", "_is_fpu", "_mlog",
                  "_mem_ix", "_align", "_is_store", "_slide_ix",
                  "_ix_mem", "_ix_red", "_ix_slide", "_ix_masku",
-                 "_ix_arith", "_seg_memo", "_machine_memo")
+                 "_ix_arith", "_cost_memo", "_machine_memo")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -291,13 +314,9 @@ class ReplayPlan:
             tags, s_kind, s_addr, fb_vec = _merge_fallback(
                 fallback, tags, vocab, s_kind, s_addr)
 
-        # -- issue rows and the scalar segments between them -----------
+        # -- issue rows and where their scalar segments end -------------
         row_pos = np.flatnonzero(tags != TAG_SCALAR)
         n_rows = row_pos.size
-        segs = np.empty(n_rows + 2, dtype=np.int64)
-        segs[0] = 0
-        segs[1:-1] = row_pos - np.arange(n_rows)
-        segs[-1] = n_events - n_rows
         row_tags = tags[row_pos]
         vrow = np.flatnonzero(row_tags == TAG_VECTOR)
 
@@ -413,7 +432,7 @@ class ReplayPlan:
         plan.kind_vocab = tuple(vocab)
         plan.scalar_kind = s_kind
         plan.scalar_addr = s_addr
-        plan.segs = segs
+        plan.seg_end = (row_pos - np.arange(n_rows)).tolist()
         plan.row_kind = ints[0].tolist()
         plan.row_unit = ints[1].tolist()
         plan.row_cn = cn.tolist()
@@ -439,44 +458,29 @@ class ReplayPlan:
         plan._ix_slide = np.flatnonzero(cats == cat_slide)
         plan._ix_masku = np.flatnonzero(cats == cat_masku)
         plan._ix_arith = np.flatnonzero(cats == cat_arith)
-        plan._seg_memo = {}
+        plan._cost_memo = {}
         plan._machine_memo = {}
         return plan
 
     # ------------------------------------------------------------------
     def scalar_costs(self, scalar_cfg, l2_latency) -> tuple:
-        """Per-segment scalar cost tuples for one frontend configuration.
+        """Per-event scalar costs for one frontend configuration.
 
-        Walks the flat scalar kind/address columns in original order
-        through a fresh :class:`ScalarFrontend` (fixed-cost kinds are a
-        table hit, D$-dependent ones update the D$ state), then cuts the
-        costs into the segments between issue rows.  The result —
-        ``(segment cost tuples, dcache hits, dcache misses)`` — is
-        memoized: every machine model sharing the scalar config reuses
-        the walk.
+        One :meth:`ScalarFrontend.cost_many` walk over the flat scalar
+        kind/address columns in original order through a fresh
+        frontend (so the D$ starts cold, as in the reference loop).
+        The result — ``(float64 cost array, dcache hits, dcache
+        misses)`` — is memoized: every machine model sharing the scalar
+        config reuses the walk.
         """
         key = (scalar_cfg, l2_latency)
-        hit = self._seg_memo.get(key)
+        hit = self._cost_memo.get(key)
         if hit is None:
             frontend = ScalarFrontend(scalar_cfg, l2_latency)
-            vocab = self.kind_vocab
-            fixed = [frontend.fixed_costs.get(kind) for kind in vocab]
-            cost = frontend.cost
-            flat = []
-            for kid, addr in zip(self.scalar_kind.tolist(),
-                                 self.scalar_addr.tolist()):
-                cycles = fixed[kid]
-                if cycles is None:
-                    cycles = cost(ScalarEvent(vocab[kid], addr))
-                flat.append(cycles)
-            bounds = self.segs.tolist()
-            # Tuples, not lists: once the cyclic GC has seen that a cost
-            # tuple (and the row tuple holding it) contains no
-            # containers it stops tracking both, which keeps full
-            # collections cheap while these bundles stay memoized.
-            hit = ([tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])],
-                   frontend.dcache.hits, frontend.dcache.misses)
-            self._seg_memo[key] = hit
+            costs = frontend.cost_many(self.scalar_kind, self.kind_vocab,
+                                       self.scalar_addr)
+            hit = (costs, frontend.dcache.hits, frontend.dcache.misses)
+            self._cost_memo[key] = hit
         return hit
 
     # ------------------------------------------------------------------
@@ -534,7 +538,8 @@ class ReplayPlan:
 
     # ------------------------------------------------------------------
     def machine_rows(self, model) -> _MachineRows:
-        """Fused per-machine row bundle (memoized per model identity)."""
+        """Per-machine columns and report memo (memoized per model
+        identity); no per-row objects beyond the column entries."""
         cfg = model.config
         key = None
         bundle = None
@@ -544,14 +549,9 @@ class ReplayPlan:
         except TypeError:
             key = None  # unhashable custom config: rebuild per replay
         if bundle is None:
-            seg_costs, dcache_hits, dcache_misses = self.scalar_costs(
+            costs, dcache_hits, dcache_misses = self.scalar_costs(
                 cfg.scalar, cfg.memory.l2_latency_cycles)
-            lat, rinv, q1, busy, tail = self._columns_for(model)
-            rows = list(zip(seg_costs[:-1], self.row_kind, self.row_unit,
-                            self.row_cn, self.row_n, self.row_srcs,
-                            self.row_dest, self.row_dscal,
-                            lat, rinv, q1, busy, tail))
-            bundle = _MachineRows(rows, seg_costs[-1],
+            bundle = _MachineRows(costs.tolist(), self._columns_for(model),
                                   dcache_hits, dcache_misses)
             if key is not None:
                 self._machine_memo[key] = bundle

@@ -1,5 +1,6 @@
 """Memory-system substrate: AXI bursts, banked L2, invalidation filter."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -132,3 +133,43 @@ class TestDirectMappedCache:
         c.access(0)
         c.access(128)  # same index as 0
         assert not c.access(0)
+
+
+class TestAccessMany:
+    """The batch D$ walk is exactly ``access`` on each address in order."""
+
+    @given(line_bytes=st.sampled_from([1, 4, 16, 64]),
+           num_lines=st.integers(min_value=1, max_value=16),
+           slack=st.integers(min_value=0, max_value=3),
+           base=st.sampled_from([0, 2**40, 2**70]),
+           warm=st.lists(st.integers(-512, 4096), max_size=24),
+           offsets=st.lists(st.integers(-512, 4096), max_size=80),
+           probe=st.lists(st.integers(-512, 4096), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sequential_access(self, line_bytes, num_lines, slack,
+                                       base, warm, offsets, probe):
+        size = line_bytes * num_lines + slack  # odd sizes floor the lines
+        seq = DirectMappedCache(size, line_bytes)
+        batch = DirectMappedCache(size, line_bytes)
+        for addr in warm:
+            seq.access(base + addr)
+            batch.access(base + addr)
+        addrs = [base + off for off in offsets]
+        expect = [seq.access(addr) for addr in addrs]
+        # Beyond int64 the addresses stay Python ints in an object array.
+        column = np.array(addrs, dtype=object if base > 2**62 else np.int64)
+        mask = batch.access_many(column)
+        assert mask.dtype == bool and mask.tolist() == expect
+        assert (batch.hits, batch.misses) == (seq.hits, seq.misses)
+        assert batch._tags == seq._tags
+        for addr in probe:
+            batch.invalidate_line(base + addr // 2)
+            seq.invalidate_line(base + addr // 2)
+            assert batch.access(base + addr) == seq.access(base + addr)
+        assert (batch.hits, batch.misses) == (seq.hits, seq.misses)
+
+    def test_empty_batch_changes_nothing(self):
+        c = DirectMappedCache(1024, 64)
+        c.access(0)
+        assert c.access_many(np.zeros(0, dtype=np.int64)).size == 0
+        assert (c.hits, c.misses) == (0, 1) and c.access(0)

@@ -2,11 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TimingError
-from repro.params import Ara2Config, AraXLConfig
+from repro.functional.trace import ScalarEvent
+from repro.params import Ara2Config, AraXLConfig, ScalarCoreConfig
+from repro.timing.frontend import ScalarFrontend
 from repro.timing.resources import Resource
 from repro.timing.scoreboard import Scoreboard
 from repro.timing.stream import Stream, consume
@@ -129,6 +132,47 @@ class TestScoreboard:
         src = sb.source_stream(20, 1, 16)
         assert src.t_first == 0.0
         assert math.isinf(src.rate)
+
+
+class TestScalarFrontendBatch:
+    """``cost_many`` is exactly ``cost`` on each scalar event in order."""
+
+    #: Known kinds, D$ kinds and kinds the model does not know.
+    KINDS = ("alu", "mul", "div", "fp", "branch", "branch_taken",
+             "load", "store", "csr", "fence")
+
+    @given(events=st.lists(
+               st.tuples(st.sampled_from(KINDS),
+                         st.one_of(st.none(), st.integers(0, 2048))),
+               max_size=120),
+           dcache_bytes=st.sampled_from([64, 256, 1024]),
+           l2_latency=st.integers(0, 40))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_event_cost(self, events, dcache_bytes, l2_latency):
+        cfg = ScalarCoreConfig(dcache_bytes=dcache_bytes,
+                               dcache_line_bytes=16, fpu_latency=5)
+        seq = ScalarFrontend(cfg, l2_latency)
+        batch = ScalarFrontend(cfg, l2_latency)
+        expect = [seq.cost(ScalarEvent(kind, addr)) for kind, addr in events]
+        # The batch interns kinds into a vocabulary and reads a missing
+        # address as 0, as cost() does.
+        vocab = sorted({kind for kind, _ in events}, reverse=True)
+        kinds = np.array([vocab.index(kind) for kind, _ in events],
+                         dtype=np.int64)
+        addrs = np.array([addr or 0 for _, addr in events], dtype=np.int64)
+        got = batch.cost_many(kinds, vocab, addrs)
+        assert got.dtype == np.float64 and got.tolist() == expect
+        assert (batch.dcache.hits, batch.dcache.misses) \
+            == (seq.dcache.hits, seq.dcache.misses)
+
+    def test_no_memory_kinds_skip_the_dcache(self, monkeypatch):
+        frontend = ScalarFrontend(ScalarCoreConfig(), 20)
+        monkeypatch.setattr(frontend.dcache, "access_many",
+                            lambda addrs: pytest.fail("no loads/stores"))
+        got = frontend.cost_many(np.array([0, 1, 2, 1]),
+                                 ("alu", "branch_taken", "csr"),
+                                 np.zeros(4, dtype=np.int64))
+        assert got.tolist() == [1.0, 3.0, 1.0, 3.0]
 
 
 def _trace(build):

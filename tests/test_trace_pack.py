@@ -240,7 +240,7 @@ _MACHINES = sorted(list_machines())
 
 def _assert_plans_equal(a: ReplayPlan, b: ReplayPlan) -> None:
     for name in ReplayPlan.__slots__:
-        if name in ("_seg_memo", "_machine_memo"):
+        if name in ("_cost_memo", "_machine_memo"):
             continue
         x, y = getattr(a, name), getattr(b, name)
         if isinstance(x, np.ndarray):
@@ -280,6 +280,39 @@ class TestColumnsNativePlan:
         captured = kernel_for_case(case, config).capture(config,
                                                           verify=False)
         _assert_plan_identity(captured.trace, case.program)
+
+
+class TestMachineRows:
+    """The per-machine step keeps parallel columns and a report memo,
+    never a list of per-row tuples."""
+
+    def test_bundle_holds_columns_not_row_tuples(self, capture):
+        plan = ReplayPlan.from_trace(capture.trace)
+        bundle = plan.machine_rows(build_model(get_machine("8L-AraXL")))
+        n_rows = len(plan.row_kind)
+        assert len(plan.seg_end) == n_rows
+        assert len(bundle.seg_costs) == plan.scalar_kind.size
+        for name in type(bundle).__slots__:
+            value = getattr(bundle, name)
+            if isinstance(value, list):
+                assert not any(isinstance(v, tuple) for v in value), name
+                if name != "seg_costs":
+                    assert len(value) == n_rows, name
+
+    def test_second_replay_is_equal_but_distinct(self, capture):
+        trace = unpack_trace(pack_trace(capture.trace, capture.program),
+                             capture.program)
+        model = build_model(get_machine("16L-AraXL"))
+        engine = TimingEngine(model)
+        first = engine.replay(trace)
+        bundle = trace._plan.machine_rows(model)
+        assert bundle.report == first
+        # The finished report is memoized; the columns are let go.
+        assert bundle.seg_costs is None and bundle.lat is None
+        second = engine.replay(trace)
+        assert second == first and second is not first
+        assert second.unit_busy is not first.unit_busy
+        assert first == engine.replay_reference(capture.trace)
 
 
 def _mask_program():
