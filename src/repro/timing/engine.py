@@ -22,7 +22,6 @@ length.  The mechanisms modelled, and where the paper's effects come from:
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
 from dataclasses import dataclass
 
 from ..errors import TimingError
@@ -31,7 +30,7 @@ from ..functional.trace import (DynamicTrace, MemAccess, ScalarEvent,
 from ..isa.instructions import ExecUnit, MemPattern
 from ..uarch.common import MachineModel
 from .frontend import ScalarFrontend
-from .replay_plan import ROW_REDUCTION, ROW_VSETVL, ReplayPlan
+from .replay_plan import ReplayPlan
 from .report import TimingReport
 from .resources import Resource
 from .scoreboard import FlatScoreboard, Scoreboard
@@ -72,13 +71,17 @@ class TimingEngine:
 
         The vectorized fast path: compile the trace once into a
         :class:`~repro.timing.replay_plan.ReplayPlan` (cached on the
-        trace), fetch the per-machine columns (numpy-batched
-        rates/latencies/stream constants plus the flat scalar costs of
-        one batch D$ walk; memoized per model), then run one
-        branch-light pass over the issue rows, zipping the plan's row
-        columns with the machine's inside the loop.  Before each row
-        the loop adds the flat scalar costs up to the row's
-        ``seg_end``, one at a time as the reference loop does.  Every
+        trace), fetch the per-machine class table (static fields joined
+        with numpy-batched rates/latencies/stream constants) and the
+        flat scalar costs of one batch D$ walk, both memoized per
+        model, then run one branch-light pass over the issue rows,
+        zipping ``seg_end`` with ``row_class`` and unpacking each row's
+        class entry.  Before each row the loop adds the flat scalar
+        costs up to the row's ``seg_end``, one at a time as the
+        reference loop does.  The scoreboard is indexed by the plan's
+        shared slots and each unit's queue is a ring of its last
+        ``unit_queue_depth`` end times (:class:`~repro.timing
+        .scoreboard.FlatScoreboard` states why both are exact).  Every
         arithmetic operation is performed in the same order with the
         same operands as :meth:`replay_reference`, so reports are
         bit-identical — the reference loop stays as the executable
@@ -106,11 +109,13 @@ class TimingEngine:
         issue_to_arrive = model.request_latency + model.dispatch_latency
         scalar_result_latency = model.scalar_result_latency
 
-        sb = FlatScoreboard()
-        streams = sb.streams
+        sb = FlatScoreboard(plan.n_slots)
+        first = sb.first
+        last = sb.last
         write_end = sb.write_end
         read_end = sb.read_end
-        upend = [deque() for _ in range(6)]
+        # ops % depth never reaches past the vector row count.
+        rings = [[0.0] * min(depth, plan.vector_count) for _ in range(6)]
         uready = [0.0] * 6
         ubusy = [0.0] * 6
         uops = [0] * 6
@@ -118,36 +123,36 @@ class TimingEngine:
         next_vissue = 0.0
         issue_stalls = 0.0
 
+        table = bundle.table
         costs = bundle.seg_costs
         k = 0
-        for (end, kind, u, cn, nn, srcs, dregs, dscal,
-             lat, rinv, q1, busy, tail) in zip(
-                plan.seg_end, plan.row_kind, plan.row_unit, plan.row_cn,
-                plan.row_n, plan.row_srcs, plan.row_dest, plan.row_dscal,
-                bundle.lat, bundle.rinv, bundle.q1, bundle.busy,
-                bundle.tail):
+        for end, c in zip(plan.seg_end, plan.row_class):
             while k < end:
                 t_scalar += costs[k]
                 k += 1
-            if kind == ROW_VSETVL:
+            if not c:  # vsetvl
                 t_scalar += vsetvli_cycles
                 gap_end = t_scalar + issue_gap
                 if gap_end > next_vissue:
                     next_vissue = gap_end
                 continue
+            # CLASS_FIELDS, then the machine fields.
+            (u, red, srcs, groups, reads, dregs, dscal, cn, last1, nm1,
+             cm1, cnf, lat, rinv, q1, busy, tail) = table[c]
 
             # --- issue: frontend cycle, ack gap, queue slot -----------
             t_scalar += 1.0
             t_ready = t_scalar if t_scalar > next_vissue else next_vissue
-            pq = upend[u]
-            while pq and pq[0] <= t_ready:
-                pq.popleft()
-            t_admit = t_ready if len(pq) < depth else pq[0]
+            ops = uops[u]
+            ring = rings[u]
+            qi = ops % depth
+            w = ring[qi]  # end of the op `depth` issues back
+            t_admit = w if w > t_ready else t_ready
             issue_stalls += t_admit - t_ready
             t_scalar = t_admit
             next_vissue = t_admit + issue_gap
 
-            # --- hazards: WAW/WAR on the destination group ------------
+            # --- hazards: WAW/WAR on the destination slots ------------
             earliest = t_admit + issue_to_arrive
             for r in dregs:
                 w = write_end[r]
@@ -159,27 +164,39 @@ class TimingEngine:
             rt = uready[u]
             start = rt if rt > earliest else earliest
 
-            # --- execute: inlined stream algebra over the row columns -
+            # --- execute: inlined stream algebra over the class -------
             if cn:
                 t0 = start
                 tmax = 0.0
-                last1 = (cn if cn < nn else nn) - 1
-                for regs in srcs:
-                    gf = 0.0
-                    gl = 0.0
-                    for r in regs:
-                        st = streams[r]
-                        if st is not None:
-                            f = st[0]
-                            if f > gf:
-                                gf = f
-                            f = st[1]
-                            if f > gl:
-                                gl = f
+                # A single-slot group reads its slot as is: stored times
+                # never fall below the group-combine's 0.0 floor.
+                for r in srcs:
+                    gf = first[r]
                     if gf > t0:
                         t0 = gf
-                    if last1 and nn > 1 and gl > gf:
-                        t = gf + last1 / ((nn - 1) / (gl - gf))
+                    if last1:
+                        gl = last[r]
+                        if gl > gf:
+                            t = gf + last1 / (nm1 / (gl - gf))
+                            if t > tmax:
+                                tmax = t
+                            continue
+                    if gf > tmax:
+                        tmax = gf
+                for slots in groups:
+                    gf = 0.0
+                    gl = 0.0
+                    for r in slots:
+                        f = first[r]
+                        if f > gf:
+                            gf = f
+                        f = last[r]
+                        if f > gl:
+                            gl = f
+                    if gf > t0:
+                        t0 = gf
+                    if last1 and gl > gf:
+                        t = gf + last1 / (nm1 / (gl - gf))
                         if t > tmax:
                             tmax = t
                     elif gf > tmax:
@@ -188,60 +205,55 @@ class TimingEngine:
                 if tmax > t_last_in:
                     t_last_in = tmax
                 end_exec = t_last_in + rinv
-                if kind == ROW_REDUCTION:
+                if red:
                     # Instant single-element result after the tail.
                     end_exec += tail
-                    res = (end_exec, end_exec)
-                    res_end = end_exec
-                    t_last_res = end_exec
-                    res_n = 1
+                    rf = rl = res_end = end_exec
                 else:
-                    t_first_out = t0 + lat + rinv
-                    t_last_out = t_last_in + lat + rinv
+                    rf = t0 + lat + rinv
                     if cn == 1:
-                        t_last_res = t_first_out
-                        res_end = t_first_out + rinv
+                        rl = rf
+                        res_end = rf + rinv
                     else:
-                        dd = t_last_out - t_first_out
+                        dd = t_last_in + lat + rinv - rf
                         if dd < 1e-12:
                             dd = 1e-12
-                        eff = (cn - 1) / dd
-                        t_last_res = t_first_out + (cn - 1) / eff
-                        res_end = t_first_out + cn / eff
-                    res = (t_first_out, t_last_res)
-                    res_n = cn
-                busy_j = busy
+                        eff = cm1 / dd
+                        rl = rf + cm1 / eff
+                        res_end = rf + cnf / eff
+                t_sync = rl
+                if rf < 0.0:  # only under negative latencies; rl >= rf
+                    rf = 0.0
+                    if rl < 0.0:
+                        rl = 0.0
             else:  # zero-element op (masked access with empty count)
-                end_exec = start
-                res = None
+                end_exec = t_sync = start
+                rf = rl = 0.0  # an empty stream reads as never written
                 res_end = start + lat
-                t_last_res = 0.0
-                res_n = 0
-                busy_j = 0.0
+                busy = 0.0
 
             # --- retire + scoreboard updates --------------------------
             uready[u] = end_exec
-            ubusy[u] += busy_j
-            uops[u] += 1
-            pq.append(end_exec)
-            for regs in srcs:
-                for r in regs:
-                    if end_exec > read_end[r]:
-                        read_end[r] = end_exec
+            ubusy[u] += busy
+            uops[u] = ops + 1
+            ring[qi] = end_exec
+            for r in reads:
+                if end_exec > read_end[r]:
+                    read_end[r] = end_exec
             for r in dregs:
-                streams[r] = res
+                first[r] = rf
+                last[r] = rl
                 if res_end > write_end[r]:
                     write_end[r] = res_end
             if dscal:
-                sync = (t_last_res if res_n else end_exec) \
-                    + scalar_result_latency
+                sync = t_sync + scalar_result_latency
                 if sync > t_scalar:
                     t_scalar = sync
         for c in costs[k:]:
             t_scalar += c
 
         total = t_scalar
-        done = max(write_end)
+        done = sb.all_done()
         if done > total:
             total = done
         for v in uready:

@@ -1,4 +1,4 @@
-"""Compiled replay plans: decode a trace once, replay it as columns.
+"""Compiled replay plans: decode a trace once, replay it by row class.
 
 The reference replay loop (:meth:`repro.timing.engine.TimingEngine
 .replay_reference`) dispatches per event object: every event pays
@@ -16,21 +16,31 @@ column views as they are, and an object trace is flattened by the same
 :func:`~repro.functional.trace_pack.build_columns` pass the disk tier
 packs with.  From there:
 
-* **static decode table** — the decode depends only on the static
-  instruction plus ``(vl, sew, lmul)``, so the vector rows are grouped
-  by those four columns (first-occurrence order) and each group is
-  decoded once, through :meth:`TimingEngine._event_info` on one
-  representative event (the group's first row).  That reuses
-  the per-instruction ``_tinfo_by_cfg`` memo — including its
-  first-event ``mem`` byte accounting — so the plan can never drift
-  from the reference decode;
-* **gathered rows** — one row per issued instruction (vsetvl or
-  vector): unit index, element counts and pre-resolved register-index
-  tuples are gathered from the group table by each row's group id; the
-  per-row dynamic fields (MASK element counts from ``m_count``,
-  memory-key and slide-key indices, unit-stride misalignment, SEW
-  codes) are numpy expressions over the columns;
-* **machine columns** — for a given machine model the per-row rates,
+* **row classes** — one issue row per issued instruction (vsetvl or
+  vector).  Column rows that agree on every field replay reads — the
+  decode key ``(instr, vl, sew, lmul)``, the memory fields (pattern,
+  element width, flags, unit-stride misalignment), the MASK element
+  count and the slide amount — form one *row class*, numbered in
+  first-occurrence order (class 0 holds the vsetvl rows).  The plan
+  keeps only a class id per row plus a small per-class table; a warm
+  paper sweep has ~910k issue rows in ~5.3k classes;
+* **one decode per class** — the decode depends only on the static
+  instruction plus ``(vl, sew, lmul)``, so each class takes it from its
+  first row through the per-instruction memos of
+  :meth:`TimingEngine._event_info` (building that row's event only
+  when the memos miss).  That reuses the ``_tinfo_by_cfg`` memo —
+  including its first-event ``mem`` byte accounting — so the plan can
+  never drift from the reference decode.  The class's dynamic fields
+  (MASK count, memory-key and slide-key indices, misalignment) come
+  from the same first row;
+* **scoreboard slots** — registers that every register group of the
+  plan touches together are always in the same scoreboard state, so
+  each such set shares one slot: a uniform LMUL=4 kernel pays one
+  scoreboard visit per group, not four.  Each class lists the slots of
+  its single-slot source groups apart from its multi-slot groups, one
+  deduplicated read-slot tuple, and the count-only stream-algebra
+  constants as floats;
+* **machine columns** — for a given machine model the per-class rates,
   latencies and the stream-algebra constants of
   :func:`repro.timing.stream.batch_stream_params` are produced by a
   handful of vectorized array operations instead of per-event Python —
@@ -45,21 +55,21 @@ packs with.  From there:
   per-segment objects: each issue row carries the cumulative scalar
   index its segment ends at (``seg_end``), and the row loop adds the
   flat costs up to it;
-* **column-zipped rows** — the per-machine step builds column lists
-  only; :meth:`~repro.timing.engine.TimingEngine.replay` zips the
-  plan's row columns with them inside its loop (the loop unpacks each
-  zipped tuple at once, so CPython reuses it), never a list of row
-  tuples;
+* **per-machine class table** — the per-machine step joins each
+  class's static fields with its machine columns into one tuple per
+  class; :meth:`~repro.timing.engine.TimingEngine.replay` zips only
+  ``seg_end`` and ``row_class`` and unpacks ``table[class]`` for every
+  row outside the vsetvl class 0;
 * **report memo** — replay is a pure function of (trace, model), so the
   per-machine bundle remembers the finished
-  :class:`~repro.timing.report.TimingReport` and lets its columns go;
+  :class:`~repro.timing.report.TimingReport` and lets its table go;
   replay-many of one trace against one model is a dict hit plus a
   defensive copy.
 
 Events the columns cannot hold (the pickled fallback map: out-of-range
 fields, foreign event classes) take a small per-event path inside the
 same compiler: each becomes a scalar entry, a vsetvl row or a vector
-row with its own decode-table entry.
+row with a class of its own.
 """
 
 from __future__ import annotations
@@ -76,34 +86,108 @@ from ..isa.instructions import MemPattern
 from .frontend import ScalarFrontend
 from .stream import batch_stream_params
 
-__all__ = ["ReplayPlan"]
+__all__ = ["CLASS_FIELDS", "ReplayPlan"]
 
 #: Row kinds in the fused issue stream.
 ROW_VSETVL, ROW_VECTOR, ROW_REDUCTION = 0, 1, 2
+
+#: Fields of a vector class's entry in :attr:`ReplayPlan.classes`, in
+#: order: unit id, is reduction, slots of the single-slot source groups,
+#: the multi-slot source groups (slot tuples), the distinct source
+#: slots, dest slots, dest is scalar, element count ``cn``, then the
+#: float constants ``min(cn, n) - 1`` (0.0 unless ``n > 1``), ``n - 1``,
+#: ``cn - 1`` and ``cn``.
+CLASS_FIELDS = ("unit", "reduction", "ones", "multi", "reads", "dest",
+                "dest_scalar", "cn", "last1", "nm1", "cm1", "cn_f")
 
 #: SEW -> index into the per-machine (8, 16, 32, 64) rate vectors.
 _SEW_CODE = {8: 0, 16: 1, 32: 2, 64: 3}
 _SEWS = (8, 16, 32, 64)
 
-#: On-disk pattern codes the per-row memory expressions test.
+#: On-disk pattern codes the row-class key tests.
 _UNIT_CODE = PATTERNS.index(MemPattern.UNIT)
 _MASK_CODE = PATTERNS.index(MemPattern.MASK)
 
-#: Decode-table entry of a vsetvl row (group 0): ``(row kind, unit,
-#: n, sources, dest, dest scalar, category, SEW code, throughput,
-#: is FPU, mask-logical, flops, bytes read, bytes written)``.
-_VSETVL_ENTRY = (ROW_VSETVL, 0, 1, (), (), False, -1, 0, 1.0, False,
+#: Decode-table entry of the vsetvl class (class 0): ``(row kind, unit,
+#: n, source group ids, dest group id or -1, dest scalar, category,
+#: SEW code, throughput, is FPU, mask-logical, flops, bytes read, bytes
+#: written)``.
+_VSETVL_ENTRY = (ROW_VSETVL, 0, 1, (), -1, False, -1, 0, 1.0, False,
                  False, 0.0, 0.0, 0.0)
 
-#: Vector-event columns, in :class:`VectorEvent`/:class:`MemAccess`
-#: argument order, that rebuild a group's representative event.
+#: Vector-event columns a class's first row is read from.
 _REP_COLUMNS = ("v_instr", "v_vl", "v_sew", "v_lmul", "v_slide", "v_flags",
                 "m_base", "m_stride", "m_count", "m_ew", "m_pattern")
 
 
-def _regs(base: int, emul: int) -> tuple:
-    """Register group -> explicit member-index tuple (scoreboard order)."""
-    return tuple(range(base, min(32, base + emul) if emul > 1 else base + 1))
+def _group(base: int, emul: int) -> int:
+    """Register group -> id ``first << 5 | last`` of its member range."""
+    return base << 5 | (min(32, base + emul) - 1 if emul > 1 else base)
+
+
+def _slot_layout(table: list) -> tuple[dict, int]:
+    """Scoreboard slots of the register groups of a plan's decode table.
+
+    Registers that belong to exactly the same register groups of the
+    plan are read and written together by every row, so they always hold
+    the same scoreboard state and share one slot.  Distinct register
+    groups then map to distinct slot sets, so an entry's deduplicated
+    source groups stay deduplicated.  Returns ``({group id: slot
+    tuple}, slot count)``.
+    """
+    groups: set = set()
+    for entry in table:
+        groups.update(entry[3])
+        if entry[4] >= 0:
+            groups.add(entry[4])
+    # Bit i of ``member`` at register r says whether group i holds r:
+    # each group toggles its bit on at its first register and off past
+    # its last, and a running XOR over the registers accumulates them.
+    toggles = [0] * 33
+    bit = 1
+    for g in groups:
+        toggles[g >> 5] ^= bit
+        toggles[(g & 31) + 1] ^= bit
+        bit <<= 1
+    slot_ids: dict = {}
+    reg_slot = []
+    member = 0
+    for toggle in toggles[:32]:
+        member ^= toggle
+        reg_slot.append(slot_ids.setdefault(member, len(slot_ids))
+                        if member else -1)
+    return ({g: (reg_slot[g >> 5],) if g >> 5 == g & 31
+             else tuple(dict.fromkeys(reg_slot[g >> 5:(g & 31) + 1]))
+             for g in groups}, len(slot_ids))
+
+
+def _source_slots(sources: tuple, group_slots: dict) -> tuple:
+    """``(slots of the single-slot groups, the multi-slot groups, the
+    distinct slots read)`` of one entry's source groups."""
+    ones = []
+    multi = []
+    reads: tuple = ()
+    for g in sources:
+        slots = group_slots[g]
+        reads += slots
+        if len(slots) == 1:
+            ones.append(slots[0])
+        else:
+            multi.append(slots)
+    if multi:  # overlapping groups can share slots
+        reads = tuple(dict.fromkeys(reads))
+    return tuple(ones), tuple(multi), reads
+
+
+def _cached_entry(instr, cfg_key: tuple):
+    """The decode-table entry of any event of ``instr`` at ``cfg_key``
+    when the instruction's memos already hold it, else ``None`` (an
+    event's cached decode is always its instruction's memo entry)."""
+    memos = instr.__dict__
+    hit = memos.get("_tentry_by_cfg", {}).get(cfg_key)
+    if hit is not None and hit[0] is memos["_tinfo_by_cfg"].get(cfg_key):
+        return hit[1]
+    return None
 
 
 def _first_groups(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,59 +254,49 @@ def _merge_fallback(fallback: dict, tags: np.ndarray, vocab: list,
     return tags, s_kind, s_addr, vectors
 
 
-def _rep_events(cols: dict, instructions: tuple, rows: np.ndarray) -> list:
-    """One :class:`VectorEvent` per vector row in ``rows``, rebuilt from
-    the columns."""
-    (instr, vl, sew, lmul, slide, flags, base, stride, count, ew,
-     pattern) = (cols[name][rows].tolist() for name in _REP_COLUMNS)
-    events = []
-    for j, ii in enumerate(instr):
-        mem = None
-        if flags[j] & 1:
-            mem = MemAccess(base=base[j], stride=stride[j], count=count[j],
-                            ew_bytes=ew[j], pattern=PATTERNS[pattern[j]],
-                            is_store=bool(flags[j] & 2))
-        events.append(VectorEvent(instructions[ii], vl[j], sew[j], lmul[j],
-                                  mem, slide[j]))
-    return events
-
-
 class _MachineRows:
-    """Per-(plan, machine) columns plus the replay-report memo.
+    """Per-(plan, machine) class table plus the replay-report memo.
 
     ``seg_costs`` is the flat per-scalar-event cost list (cut by the
-    plan's ``seg_end``); ``lat``/``rinv``/``q1``/``busy``/``tail`` hold
-    one entry per issue row, parallel to the plan's ``row_*`` columns.
-    :meth:`finish` memoizes the report and drops the columns, which are
+    plan's ``seg_end``); ``table`` holds one entry per row class,
+    indexed by the plan's ``row_class``: the class's
+    :data:`CLASS_FIELDS` (none for the vsetvl class 0) followed by its
+    machine fields ``(lat, 1/rate, (cn-1)/rate, busy, reduction
+    tail)``.
+    :meth:`finish` memoizes the report and drops both lists, which are
     never read again.
     """
 
-    __slots__ = ("seg_costs", "lat", "rinv", "q1", "busy", "tail",
-                 "dcache_hits", "dcache_misses", "report")
+    __slots__ = ("seg_costs", "table", "dcache_hits", "dcache_misses",
+                 "report")
 
-    def __init__(self, seg_costs: list, columns: tuple,
+    def __init__(self, seg_costs: list, table: list,
                  dcache_hits: int, dcache_misses: int) -> None:
         self.seg_costs = seg_costs
-        self.lat, self.rinv, self.q1, self.busy, self.tail = columns
+        self.table = table
         self.dcache_hits = dcache_hits
         self.dcache_misses = dcache_misses
         self.report = None
 
     def finish(self, report) -> None:
-        """Remember ``report``; the per-row columns are done with."""
+        """Remember ``report``; the cost list and table are done with."""
         self.report = report
-        self.seg_costs = self.lat = self.rinv = self.q1 = None
-        self.busy = self.tail = None
+        self.seg_costs = self.table = None
 
 
 class ReplayPlan:
-    """Machine-independent compilation of one dynamic trace."""
+    """Machine-independent compilation of one dynamic trace.
+
+    ``row_class`` holds each issue row's class id; ``classes`` one
+    :data:`CLASS_FIELDS` tuple per class (empty for the vsetvl class
+    0), whose scoreboard slots run ``0 .. n_slots - 1``.
+    """
 
     __slots__ = ("n_events", "scalar_count", "vector_count", "total_flops",
                  "bytes_read", "bytes_written", "first_vec_unit",
                  "kind_vocab", "scalar_kind", "scalar_addr", "seg_end",
-                 "row_kind", "row_unit", "row_cn", "row_n", "row_srcs",
-                 "row_dest", "row_dscal", "mem_keys", "slide_pairs",
+                 "row_class", "classes", "n_slots", "mem_keys",
+                 "slide_pairs",
                  "_cnt_f", "_sew_code", "_thr", "_is_fpu", "_mlog",
                  "_mem_ix", "_align", "_is_store", "_slide_ix",
                  "_ix_mem", "_ix_red", "_ix_slide", "_ix_masku",
@@ -297,8 +371,8 @@ class ReplayPlan:
                 else:
                     rd = mem_info[1]
             entry = (kind, unit_index[unit_name], n,
-                     tuple(_regs(b, e) for b, e in sources),
-                     _regs(*dest) if dest is not None else (),
+                     tuple(dict.fromkeys(_group(b, e) for b, e in sources)),
+                     _group(*dest) if dest is not None else -1,
                      dest_scalar, cat, sc, th, fp, ml, flops, rd, wr)
             memo[cfg_key] = (info, entry)
             return entry
@@ -320,139 +394,149 @@ class ReplayPlan:
         row_tags = tags[row_pos]
         vrow = np.flatnonzero(row_tags == TAG_VECTOR)
 
-        # -- static decode table: one entry per distinct group ---------
+        # -- row classes: one decode-table entry per class ---------------
+        # Column rows fall in one class when they agree on every field
+        # replay reads: the decode key (instr, vl, sew, lmul), the
+        # memory fields (pattern, element width, flags, unit-stride
+        # misalignment), the MASK element count and the slide amount.
+        # Class 0 holds every vsetvl row.
         table = [_VSETVL_ENTRY]
-        rg = np.zeros(n_rows, dtype=np.int64)
-        v_instr = cols["v_instr"]
-        v_vl = cols["v_vl"]
+        row_class = np.zeros(n_rows, dtype=np.int64)
+        first = np.zeros(0, dtype=np.int64)
         if vrow.size:
-            first, inv = _first_groups(
-                (v_instr.astype(np.int64) << 16)
-                | (cols["v_sew"].astype(np.int64) << 8) | cols["v_lmul"],
-                v_vl)
-            if events is None:
-                reps = _rep_events(cols, instructions, first)
-            else:
-                pos = np.flatnonzero(tags == TAG_VECTOR)[first].tolist()
-                reps = [events[p] for p in pos]
-            table.extend(decode(rep) for rep in reps)
-            rg[vrow] = inv + 1
+            pattern = cols["m_pattern"]
+            # From the u1 columns and the i4 instruction index: the
+            # memory bits start at bit 47 and end below bit 61.
+            mem_bits = ((pattern.astype(np.int64) << 8 | cols["m_ew"]) << 3
+                        | (cols["v_flags"] & 3).astype(np.int64) << 1
+                        | ((pattern == _UNIT_CODE)
+                           & (cols["m_base"] % 64 != 0)))
+            keys = [cols["v_instr"].astype(np.int64) << 16
+                    | cols["v_sew"].astype(np.int64) << 8 | cols["v_lmul"]
+                    | mem_bits << 47, cols["v_vl"]]
+            mask = pattern == _MASK_CODE
+            if mask.any():
+                keys.append(np.where(mask, cols["m_count"], 0))
+            if cols["v_slide"].any():
+                keys.append(cols["v_slide"])
+            first, inv = _first_groups(*keys)
+            row_class[vrow] = inv + 1
         if fb_vec:
-            rg[row_tags == TAG_FALLBACK] = np.arange(
-                len(table), len(table) + len(fb_vec))
-            table.extend(decode(event) for event in fb_vec)
-        (t_kind, t_unit, t_n, t_srcs, t_dest, t_dscal, t_cat, t_sewc,
-         t_thr, t_fpu, t_mlog, t_flops, t_rd, t_wr) = zip(*table)
-        n_groups = len(table)
-
-        # -- gathers: one per table dtype --------------------------------
-        ints = np.array((t_kind, t_unit, t_cat, t_sewc),
-                        dtype=np.int64)[:, rg]
-        bits = np.array((t_dscal, t_fpu, t_mlog), dtype=bool)[:, rg]
-        floats = np.array((t_thr, t_flops, t_rd, t_wr), dtype=np.float64)
-        cats = ints[2]
-        # Fallback vectors may carry counts beyond i64: keep Python ints.
-        n_col = np.array(t_n, dtype=object if fb_vec else np.int64)[rg]
-        cn = n_col.copy()
-        mem_ix = np.zeros(n_rows, dtype=np.int64)
-        align = np.zeros(n_rows, dtype=np.float64)
-        is_store = np.zeros(n_rows, dtype=bool)
-        slide_ix = np.zeros(n_rows, dtype=np.int64)
+            row_class[row_tags == TAG_FALLBACK] = np.arange(
+                first.size + 1, first.size + 1 + len(fb_vec))
+        n_classes = 1 + first.size + len(fb_vec)
+        mask_count: dict = {}
+        mem_ix = [0] * n_classes
+        align = [0.0] * n_classes
+        is_store = [False] * n_classes
+        slide_ix = [0] * n_classes
         mem_keys: dict = {}
         slide_pairs: dict = {}
 
-        # -- per-row dynamic fields of the column rows -----------------
-        if vrow.size:
-            cat_v = cats[vrow]
-            ix = np.flatnonzero(cat_v == cat_mem)
-            if ix.size:
-                flags = cols["v_flags"][ix]
-                bad = (flags & 1) == 0
-                if bad.any():
-                    k = int(ix[bad.argmax()])
-                    raise TimingError(f"memory op {instructions[v_instr[k]]} "
-                                      f"lacks a MemAccess")
-                pattern = cols["m_pattern"][ix]
-                ew = cols["m_ew"][ix]
-                store = (flags & 2) != 0
-                rows = vrow[ix]
-                sel = pattern == _MASK_CODE
-                cn[rows[sel]] = cols["m_count"][ix[sel]]
-                kfirst, kinv = _first_groups(
-                    pattern.astype(np.int64) * 512
-                    + ew.astype(np.int64) * 2 + store)
-                for p, e, st in zip(pattern[kfirst].tolist(),
-                                    ew[kfirst].tolist(),
-                                    store[kfirst].tolist()):
-                    mem_keys[(PATTERNS[p], e, st)] = len(mem_keys)
-                mem_ix[rows] = kinv
-                align[rows[(pattern == _UNIT_CODE)
-                           & (cols["m_base"][ix] % 64 != 0)]] = 1.0
-                is_store[rows] = store
-            ix = np.flatnonzero(cat_v == cat_slide)
-            if ix.size:
-                amount = cols["v_slide"][ix]
-                vl = v_vl[ix]
-                sfirst, sinv = _first_groups(amount, vl)
-                for pair in zip(amount[sfirst].tolist(), vl[sfirst].tolist()):
-                    slide_pairs[pair] = len(slide_pairs)
-                slide_ix[vrow[ix]] = sinv
+        def note_mem(c: int, pattern, ew, store, base, count) -> None:
+            """Class ``c``'s memory fields (numbered in class order,
+            which is the order of first occurrence)."""
+            if pattern is MemPattern.MASK:
+                mask_count[c] = count
+            mem_ix[c] = mem_keys.setdefault((pattern, ew, store),
+                                            len(mem_keys))
+            if pattern is MemPattern.UNIT and base % 64:
+                align[c] = 1.0
+            is_store[c] = bool(store)
 
-        # -- the same fields, per fallback vector event ----------------
-        for r, g, event in zip(np.flatnonzero(row_tags == TAG_FALLBACK),
-                               range(n_groups - len(fb_vec), n_groups),
-                               fb_vec):
-            if t_cat[g] == cat_mem:
+        # -- one decode per class, from its first row -------------------
+        # (class order is first-occurrence order, so the first offending
+        # class is the first offending row)
+        vpos = None
+        for c, (ii, vl, sew, lmul, slide, flags, base, stride, count, ew,
+                pat, row) in enumerate(zip(
+                    *(cols[name][first].tolist() for name in _REP_COLUMNS),
+                    first.tolist()), 1):
+            instr = instructions[ii]
+            entry = _cached_entry(instr, (vl, sew, lmul))
+            if entry is None and events is None:
+                entry = decode(VectorEvent(
+                    instr, vl, sew, lmul, MemAccess(
+                        base=base, stride=stride, count=count, ew_bytes=ew,
+                        pattern=PATTERNS[pat], is_store=(flags & 2) != 0)
+                    if flags & 1 else None, slide))
+            elif entry is None:
+                if vpos is None:
+                    vpos = np.flatnonzero(tags == TAG_VECTOR)
+                entry = decode(events[vpos[row]])
+            table.append(entry)
+            if entry[6] == cat_mem:
+                if not flags & 1:
+                    raise TimingError(f"memory op {instr} lacks a MemAccess")
+                note_mem(c, PATTERNS[pat], ew, (flags & 2) != 0, base, count)
+            elif entry[6] == cat_slide:
+                slide_ix[c] = slide_pairs.setdefault((slide, vl),
+                                                     len(slide_pairs))
+        for c, event in enumerate(fb_vec, first.size + 1):
+            entry = decode(event)
+            table.append(entry)
+            if entry[6] == cat_mem:
                 mem = event.mem
                 if mem is None:
                     raise TimingError(
                         f"memory op {event.instr} lacks a MemAccess")
-                if mem.pattern is MemPattern.MASK:
-                    cn[r] = mem.count
-                key = (mem.pattern, mem.ew_bytes, mem.is_store)
-                mem_ix[r] = mem_keys.setdefault(key, len(mem_keys))
-                if mem.pattern is MemPattern.UNIT and mem.base % 64:
-                    align[r] = 1.0
-                is_store[r] = bool(mem.is_store)
-            elif t_cat[g] == cat_slide:
-                slide_ix[r] = slide_pairs.setdefault(
+                note_mem(c, mem.pattern, mem.ew_bytes, mem.is_store,
+                         mem.base, mem.count)
+            elif entry[6] == cat_slide:
+                slide_ix[c] = slide_pairs.setdefault(
                     (event.slide_amount, event.vl), len(slide_pairs))
+        (t_kind, t_unit, t_n, t_srcs, t_dest, t_dscal, t_cat, t_sewc,
+         t_thr, t_fpu, t_mlog, t_flops, t_rd, t_wr) = zip(*table)
+        cn = list(t_n)
+        for c, count in mask_count.items():
+            cn[c] = count
+
+        # -- the row loop's static fields, per class -------------------
+        group_slots, n_slots = _slot_layout(table)
+        by_sources: dict = {}
+        classes = [()]
+        for entry, c in zip(table[1:], cn[1:]):
+            sources = by_sources.get(entry[3])
+            if sources is None:
+                sources = by_sources[entry[3]] = _source_slots(entry[3],
+                                                               group_slots)
+            n = entry[2]
+            # The row loop's stream algebra mixes these counts into
+            # float arithmetic; converting here is the same conversion
+            # its int/float operands would get.
+            classes.append((
+                entry[1], entry[0] == ROW_REDUCTION, *sources,
+                group_slots[entry[4]] if entry[4] >= 0 else (), entry[5],
+                c, float((c if c < n else n) - 1) if n > 1 else 0.0,
+                float(n - 1), float(c - 1), float(c)))
 
         # -- counters: running sums in event order (np.sum is pairwise,
         # so its last bits would differ from the reference loop's +=) --
-        vg = rg[rg > 0]
-        sums = (np.add.accumulate(floats[1:, vg], axis=1)[:, -1].tolist()
-                if vg.size else [0.0, 0.0, 0.0])
+        vc = row_class[row_class > 0]
+        sums = (np.add.accumulate(
+            np.array((t_flops, t_rd, t_wr), dtype=np.float64)[:, vc],
+            axis=1)[:, -1].tolist() if vc.size else [0.0, 0.0, 0.0])
         plan = cls.__new__(cls)
         plan.n_events = n_events
-        plan.vector_count = vg.size
-        plan.scalar_count = n_events - vg.size
+        plan.vector_count = vc.size
+        plan.scalar_count = n_events - vc.size
         plan.total_flops, plan.bytes_read, plan.bytes_written = sums
-        plan.first_vec_unit = t_unit[vg[0]] if vg.size else None
+        plan.first_vec_unit = t_unit[vc[0]] if vc.size else None
         plan.kind_vocab = tuple(vocab)
         plan.scalar_kind = s_kind
         plan.scalar_addr = s_addr
         plan.seg_end = (row_pos - np.arange(n_rows)).tolist()
-        plan.row_kind = ints[0].tolist()
-        plan.row_unit = ints[1].tolist()
-        plan.row_cn = cn.tolist()
-        plan.row_n = n_col.tolist()
-        plan.row_srcs = np.fromiter(t_srcs, dtype=object,
-                                    count=n_groups)[rg].tolist()
-        plan.row_dest = np.fromiter(t_dest, dtype=object,
-                                    count=n_groups)[rg].tolist()
-        plan.row_dscal = bits[0].tolist()
+        plan.row_class = row_class.tolist()
+        plan.classes = classes
+        plan.n_slots = n_slots
         plan.mem_keys = tuple(mem_keys)
         plan.slide_pairs = tuple(slide_pairs)
-        plan._cnt_f = cn.astype(np.float64)
-        plan._sew_code = ints[3]
-        plan._thr = floats[0, rg]
-        plan._is_fpu = bits[1]
-        plan._mlog = bits[2]
-        plan._mem_ix = mem_ix
-        plan._align = align
-        plan._is_store = is_store
-        plan._slide_ix = slide_ix
+        (plan._sew_code, plan._mem_ix, plan._slide_ix, cats) = np.array(
+            (t_sewc, mem_ix, slide_ix, t_cat), dtype=np.int64)
+        plan._cnt_f, plan._thr, plan._align = np.array(
+            (cn, t_thr, align), dtype=np.float64)
+        plan._is_fpu, plan._mlog, plan._is_store = np.array(
+            (t_fpu, t_mlog, is_store), dtype=bool)
         plan._ix_mem = np.flatnonzero(cats == cat_mem)
         plan._ix_red = np.flatnonzero(cats == cat_red)
         plan._ix_slide = np.flatnonzero(cats == cat_slide)
@@ -484,13 +568,13 @@ class ReplayPlan:
         return hit
 
     # ------------------------------------------------------------------
-    def _columns_for(self, model) -> tuple:
-        """Vectorized per-row machine columns: latency, 1/rate,
-        ``(n-1)/rate``, busy cycles, reduction tail."""
-        n_rows = len(self.row_kind)
-        rate = np.ones(n_rows, dtype=np.float64)
-        lat = np.zeros(n_rows, dtype=np.float64)
-        tail = np.zeros(n_rows, dtype=np.float64)
+    def _columns_for(self, model):
+        """Vectorized per-class machine fields, one ``(latency, 1/rate,
+        (cn-1)/rate, busy cycles, reduction tail)`` tuple per class."""
+        n_classes = len(self.classes)
+        rate = np.ones(n_classes, dtype=np.float64)
+        lat = np.zeros(n_classes, dtype=np.float64)
+        tail = np.zeros(n_classes, dtype=np.float64)
         vfu = None
         ix = self._ix_arith
         if ix.size:
@@ -504,8 +588,10 @@ class ReplayPlan:
                 vfu = np.asarray([model.vfu_rate(s) for s in _SEWS])
             sc = self._sew_code[ix]
             rate[ix] = vfu[sc]
-            tail[ix] = np.asarray([model.reduction_tail_cycles(s)
-                                   for s in _SEWS])[sc]
+            codes = sc.tolist()
+            tail_of = {c: model.reduction_tail_cycles(_SEWS[c])
+                       for c in dict.fromkeys(codes)}
+            tail[ix] = [tail_of[c] for c in codes]
         ix = self._ix_slide
         if ix.size:
             sldu = np.asarray([model.sldu_rate(s) for s in _SEWS])
@@ -533,13 +619,13 @@ class ReplayPlan:
                                model.load_first_data_latency) \
                 + self._align[ix]
         q1, rinv, busy = batch_stream_params(self._cnt_f, rate)
-        return (lat.tolist(), rinv.tolist(), q1.tolist(), busy.tolist(),
-                tail.tolist())
+        return zip(lat.tolist(), rinv.tolist(), q1.tolist(), busy.tolist(),
+                   tail.tolist())
 
     # ------------------------------------------------------------------
     def machine_rows(self, model) -> _MachineRows:
-        """Per-machine columns and report memo (memoized per model
-        identity); no per-row objects beyond the column entries."""
+        """Per-machine class table and report memo (memoized per model
+        identity); nothing per row."""
         cfg = model.config
         key = None
         bundle = None
@@ -551,8 +637,10 @@ class ReplayPlan:
         if bundle is None:
             costs, dcache_hits, dcache_misses = self.scalar_costs(
                 cfg.scalar, cfg.memory.l2_latency_cycles)
-            bundle = _MachineRows(costs.tolist(), self._columns_for(model),
-                                  dcache_hits, dcache_misses)
+            table = list(map(tuple.__add__, self.classes,
+                             self._columns_for(model)))
+            bundle = _MachineRows(costs.tolist(), table, dcache_hits,
+                                  dcache_misses)
             if key is not None:
                 self._machine_memo[key] = bundle
         return bundle

@@ -89,25 +89,43 @@ class FlatScoreboard:
 
     The plan-driven replay loop (:meth:`repro.timing.engine.TimingEngine
     .replay`) inlines every scoreboard operation — group-combine, WAW/WAR
-    bound, read/write recording — directly over these lists, with
-    register groups pre-resolved to index tuples at plan-build time.  A
-    produced stream is summarized as a ``(t_first, t_last)`` pair
-    (``None`` = never written or empty, which the group-combine skips,
-    exactly like :meth:`Scoreboard.source_stream` skips ``n == 0``
-    streams); ``write_end`` / ``read_end`` carry the same completion
-    times :class:`Scoreboard` tracks.  Exposing the lists raw trades
-    encapsulation for the hot loop's locals — the class exists so the
-    state layout is named and testable in one place.
+    bound, read/write recording — directly over these lists.  They are
+    indexed by the plan's scoreboard *slots*, not by register: a produced
+    stream is summarized as its ``first``/``last`` element times, floored
+    at 0.0 (0.0 = never written or empty, which the group-combine's
+    running maximum from 0.0 ignores, exactly like
+    :meth:`Scoreboard.source_stream` skips ``n == 0`` streams);
+    ``write_end`` / ``read_end`` carry the same completion times
+    :class:`Scoreboard` tracks.  Exposing the lists raw
+    trades encapsulation for the hot loop's locals — the class exists so
+    the state layout is named and testable in one place.
+
+    Two invariants make the fast path exact:
+
+    * **one state per slot** — registers share a slot only when every
+      register group of the plan contains all of them or none, so every
+      read and write updates them together and, starting equal, they
+      stay equal; the maximum over a group's members is the maximum
+      over its distinct slots;
+    * **nondecreasing per-unit end times** — an op starts no earlier
+      than its unit's previous op ended and ends no earlier than it
+      starts (positive rates), and issue times never decrease, so the
+      ops still queued at any issue are the newest ones: a queue of
+      ``depth`` entries is full exactly
+      when the op ``depth`` issues back ends after the issue time: the
+      engine keeps a ring of each unit's last ``depth`` end times
+      instead of a queue.
     """
 
-    __slots__ = ("streams", "write_end", "read_end")
+    __slots__ = ("first", "last", "write_end", "read_end")
 
-    def __init__(self) -> None:
-        #: (t_first, t_last) of the last write per register, or None.
-        self.streams: list = [None] * 32
-        self.write_end: list[float] = [0.0] * 32
-        self.read_end: list[float] = [0.0] * 32
+    def __init__(self, n_slots: int) -> None:
+        #: First/last element time of the last write per slot.
+        self.first: list[float] = [0.0] * n_slots
+        self.last: list[float] = [0.0] * n_slots
+        self.write_end: list[float] = [0.0] * n_slots
+        self.read_end: list[float] = [0.0] * n_slots
 
     def all_done(self) -> float:
         """Cycle at which every register write has landed."""
-        return max(self.write_end)
+        return max(self.write_end, default=0.0)

@@ -1,8 +1,12 @@
-"""Scoreboard hazard edges and replay-plan memo isolation.
+"""Scoreboard hazard edges, scoreboard slots, queue depths and
+replay-plan memo isolation.
 
 The fuzzer drives these paths statistically; this module pins them
-deterministically — full 32-register pressure, WAW/WAR orderings, and
-the :class:`~repro.timing.replay_plan.ReplayPlan` per-machine memo tier
+deterministically — full 32-register pressure, WAW/WAR orderings, the
+register-to-slot mapping of the plan's scoreboard, the per-unit issue
+rings at non-default queue depths (kernel zoo, fuzz seeds and random
+valid machine specs), and the
+:class:`~repro.timing.replay_plan.ReplayPlan` per-machine memo tier
 staying isolated across machine specs.
 """
 
@@ -10,11 +14,18 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.fuzz.kernel import generate_case, kernel_for_case
 from repro.isa import Assembler
+from repro.kernels import ZOO
 from repro.machine import get_machine
+from repro.machine.spec import MachineSpec
 from repro.params import AraXLConfig
 from repro.sim import Simulator
 from repro.timing.engine import TimingEngine
+from repro.timing.replay_plan import CLASS_FIELDS, ReplayPlan
 from repro.uarch import build_model
 
 
@@ -95,6 +106,128 @@ class TestScoreboardHazards:
             trace = _capture(asm.build(), config)
             engine = TimingEngine(build_model(config))
             assert engine.replay(trace) == engine.replay_reference(trace)
+
+
+# ----------------------------------------------------------------------
+# Scoreboard slots: registers every group touches together share one.
+# ----------------------------------------------------------------------
+def _class_slots(plan) -> list[tuple]:
+    """``(dest slots, source slot groups)`` of every vector class."""
+    out = []
+    for static in plan.classes[1:]:
+        fields = dict(zip(CLASS_FIELDS, static))
+        sources = tuple((s,) for s in fields["ones"]) + fields["multi"]
+        out.append((fields["dest"], sources))
+    return out
+
+
+class TestScoreboardSlots:
+    def test_uniform_lmul4_groups_take_one_slot(self, ara2_small,
+                                                araxl_small):
+        asm = Assembler("lmul4")
+        asm.li("x1", 32)
+        asm.vsetvli("x2", "x1", sew=64, lmul=4)
+        asm.vid_v("v8")
+        asm.vid_v("v12")
+        asm.vadd_vv("v16", "v8", "v12")
+        asm.vmul_vv("v20", "v16", "v8")
+        asm.vadd_vv("v8", "v20", "v16")
+        asm.halt()
+        for config in (ara2_small, araxl_small):
+            trace = _capture(asm.build(), config)
+            plan = ReplayPlan.from_trace(trace)
+            assert plan.n_slots == 4  # v8, v12, v16, v20
+            for dest, sources in _class_slots(plan):
+                assert len(dest) == 1
+                assert all(len(group) == 1 for group in sources)
+            engine = TimingEngine(build_model(config))
+            assert engine.replay(trace) == engine.replay_reference(trace)
+
+    def test_overlapping_single_splits_its_group(self, ara2_small,
+                                                 araxl_small):
+        """The ``test_group_overlap_hazard_identity`` program: v9 gets a
+        slot of its own, v8/v10/v11 share one."""
+        asm = Assembler("group_overlap_slots")
+        asm.li("x1", 32)
+        asm.vsetvli("x2", "x1", sew=64, lmul=4)
+        asm.vid_v("v8")
+        asm.vsetvli("x2", "x1", sew=64, lmul=1)
+        asm.vadd_vv("v9", "v9", "v9")
+        asm.vsetvli("x2", "x1", sew=64, lmul=4)
+        asm.vadd_vv("v8", "v8", "v8")
+        asm.halt()
+        for config in (ara2_small, araxl_small):
+            trace = _capture(asm.build(), config)
+            plan = ReplayPlan.from_trace(trace)
+            assert plan.n_slots == 2
+            (vid_dest, _), (v9_dest, v9_src), (v8_dest, v8_src) = \
+                _class_slots(plan)
+            assert len(v9_dest) == 1 and v9_src == (v9_dest,)
+            assert len(vid_dest) == 2 and v9_dest[0] in vid_dest
+            assert v8_dest == vid_dest and v8_src == (vid_dest,)
+            engine = TimingEngine(build_model(config))
+            assert engine.replay(trace) == engine.replay_reference(trace)
+
+
+# ----------------------------------------------------------------------
+# Issue rings at non-default queue depths.
+# ----------------------------------------------------------------------
+_ZOO_CONFIG = get_machine("8L-Ara2")
+
+
+@pytest.fixture(scope="module")
+def zoo_traces():
+    return {name: ZOO[name](_ZOO_CONFIG, 64).capture(
+        _ZOO_CONFIG, verify=False).trace for name in sorted(ZOO)}
+
+
+@pytest.fixture(scope="module")
+def fuzz_traces():
+    return [kernel_for_case(generate_case(seed, size=40), _ZOO_CONFIG)
+            .capture(_ZOO_CONFIG, verify=False).trace for seed in range(4)]
+
+
+def _assert_fast_matches_reference(config, traces) -> None:
+    engine = TimingEngine(build_model(config))
+    for trace in traces:
+        assert engine.replay(trace) == engine.replay_reference(trace)
+
+
+class TestQueueDepth:
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("machine", ["8L-Ara2", "8L-AraXL"])
+    def test_zoo_and_fuzz_at_shallow_queues(self, zoo_traces, fuzz_traces,
+                                            machine, depth):
+        config = dataclasses.replace(get_machine(machine),
+                                     unit_queue_depth=depth)
+        _assert_fast_matches_reference(
+            config, list(zoo_traces.values()) + fuzz_traces)
+
+    @settings(max_examples=10, deadline=None)
+    @given(family=st.sampled_from(["ara2", "araxl"]),
+           depth=st.integers(1, 6),
+           l2=st.integers(0, 40),
+           fpu=st.integers(1, 9),
+           valu=st.integers(1, 4),
+           sldu=st.integers(0, 4),
+           masku=st.integers(0, 4),
+           dispatch=st.integers(1, 6),
+           read_bw=st.sampled_from([0.5, 2.0, 8.0, 16.0]))
+    def test_random_valid_specs(self, fuzz_traces, family, depth, l2, fpu,
+                                valu, sldu, masku, dispatch, read_bw):
+        """ReplayPlan == replay_reference on random valid 8-lane specs
+        (the lane count keeps the captured traces' VLEN); the fuzz
+        traces keep each example cheap."""
+        config = MachineSpec.from_dict({
+            "family": family, "lanes": 8,
+            "memory": {"l2_latency_cycles": l2,
+                       "read_bytes_per_cycle_per_lane": read_bw},
+            "pipeline": {"unit_queue_depth": depth, "fpu_latency": fpu,
+                         "valu_latency": valu, "sldu_latency": sldu,
+                         "masku_latency": masku,
+                         "dispatch_latency": dispatch},
+        }).to_config()
+        _assert_fast_matches_reference(config, fuzz_traces)
 
 
 # ----------------------------------------------------------------------

@@ -283,21 +283,28 @@ class TestColumnsNativePlan:
 
 
 class TestMachineRows:
-    """The per-machine step keeps parallel columns and a report memo,
-    never a list of per-row tuples."""
+    """The per-machine step builds one table entry per row class, never
+    a per-row machine column."""
 
-    def test_bundle_holds_columns_not_row_tuples(self, capture):
+    def test_bundle_holds_one_entry_per_class(self, capture):
         plan = ReplayPlan.from_trace(capture.trace)
         bundle = plan.machine_rows(build_model(get_machine("8L-AraXL")))
-        n_rows = len(plan.row_kind)
+        n_rows = len(plan.row_class)
         assert len(plan.seg_end) == n_rows
         assert len(bundle.seg_costs) == plan.scalar_kind.size
+        assert len(bundle.table) == len(plan.classes) == \
+            max(plan.row_class) + 1
+        assert len(bundle.table) < n_rows
+        # Static class fields lead each entry, machine fields follow.
+        assert plan.classes[0] == ()  # the vsetvl class
+        for static, entry in zip(plan.classes, bundle.table):
+            assert entry[:len(static)] == static
+            assert len(entry) == len(static) + 5
+        # No list on the bundle runs parallel to the issue rows.
         for name in type(bundle).__slots__:
             value = getattr(bundle, name)
-            if isinstance(value, list):
-                assert not any(isinstance(v, tuple) for v in value), name
-                if name != "seg_costs":
-                    assert len(value) == n_rows, name
+            if isinstance(value, list) and name != "seg_costs":
+                assert len(value) == len(plan.classes), name
 
     def test_second_replay_is_equal_but_distinct(self, capture):
         trace = unpack_trace(pack_trace(capture.trace, capture.program),
@@ -307,8 +314,8 @@ class TestMachineRows:
         first = engine.replay(trace)
         bundle = trace._plan.machine_rows(model)
         assert bundle.report == first
-        # The finished report is memoized; the columns are let go.
-        assert bundle.seg_costs is None and bundle.lat is None
+        # The finished report is memoized; the table is let go.
+        assert bundle.seg_costs is None and bundle.table is None
         second = engine.replay(trace)
         assert second == first and second is not first
         assert second.unit_busy is not first.unit_busy
