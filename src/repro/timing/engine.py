@@ -33,6 +33,7 @@ from .frontend import ScalarFrontend
 from .replay_plan import ReplayPlan
 from .report import TimingReport
 from .resources import Resource
+from . import superblock
 from .scoreboard import FlatScoreboard, Scoreboard
 from .stream import Stream, consume
 
@@ -74,18 +75,21 @@ class TimingEngine:
         trace), fetch the per-machine class table (static fields joined
         with numpy-batched rates/latencies/stream constants) and the
         flat scalar costs of one batch D$ walk, both memoized per
-        model, then run one branch-light pass over the issue rows,
-        zipping ``seg_end`` with ``row_class`` and unpacking each row's
-        class entry.  Before each row the loop adds the flat scalar
-        costs up to the row's ``seg_end``, one at a time as the
-        reference loop does.  The scoreboard is indexed by the plan's
-        shared slots and each unit's queue is a ring of its last
-        ``unit_queue_depth`` end times (:class:`~repro.timing
-        .scoreboard.FlatScoreboard` states why both are exact).  Every
-        arithmetic operation is performed in the same order with the
-        same operands as :meth:`replay_reference`, so reports are
-        bit-identical — the reference loop stays as the executable
-        specification and the property-test oracle.
+        model, then walk the issue rows as alternating gaps and
+        superblocks (:func:`repro.timing.superblock.segments`).  A gap
+        is one branch-light pass zipping ``seg_end`` with ``row_class``
+        and unpacking each row's class entry; a superblock is one call
+        of the generated straight-line function of its periodic body.
+        Before each row both add the flat scalar costs up to the row's
+        ``seg_end``, one at a time as the reference loop does.  The
+        scoreboard is indexed by the plan's shared slots and each
+        unit's queue is a ring of its last ``unit_queue_depth`` end
+        times (:class:`~repro.timing.scoreboard.FlatScoreboard` states
+        why both are exact).  Every arithmetic operation is performed
+        in the same order with the same operands as
+        :meth:`replay_reference`, so reports are bit-identical — the
+        reference loop stays as the executable specification and the
+        property-test oracle.
         """
         plan = getattr(trace, "_plan", None)
         if plan is None or plan.n_events != len(trace):
@@ -126,129 +130,141 @@ class TimingEngine:
         table = bundle.table
         costs = bundle.seg_costs
         k = 0
-        for end, c in zip(plan.seg_end, plan.row_class):
-            while k < end:
-                t_scalar += costs[k]
-                k += 1
-            if not c:  # vsetvl
-                t_scalar += vsetvli_cycles
-                gap_end = t_scalar + issue_gap
-                if gap_end > next_vissue:
-                    next_vissue = gap_end
-                continue
-            # CLASS_FIELDS, then the machine fields.
-            (u, red, srcs, groups, reads, dregs, dscal, cn, last1, nm1,
-             cm1, cnf, lat, rinv, q1, busy, tail) = table[c]
+        seg_end = plan.seg_end
+        row_class = plan.row_class
+        for a, b, block in superblock.segments(plan):
+            for end, c in zip(seg_end[a:b], row_class[a:b]):
+                while k < end:
+                    t_scalar += costs[k]
+                    k += 1
+                if not c:  # vsetvl
+                    t_scalar += vsetvli_cycles
+                    gap_end = t_scalar + issue_gap
+                    if gap_end > next_vissue:
+                        next_vissue = gap_end
+                    continue
+                # CLASS_FIELDS, then the machine fields.
+                (u, red, srcs, groups, reads, dregs, dscal, cn, last1, nm1,
+                 cm1, cnf, lat, rinv, q1, busy, tail) = table[c]
 
-            # --- issue: frontend cycle, ack gap, queue slot -----------
-            t_scalar += 1.0
-            t_ready = t_scalar if t_scalar > next_vissue else next_vissue
-            ops = uops[u]
-            ring = rings[u]
-            qi = ops % depth
-            w = ring[qi]  # end of the op `depth` issues back
-            t_admit = w if w > t_ready else t_ready
-            issue_stalls += t_admit - t_ready
-            t_scalar = t_admit
-            next_vissue = t_admit + issue_gap
+                # --- issue: frontend cycle, ack gap, queue slot -------
+                t_scalar += 1.0
+                t_ready = t_scalar if t_scalar > next_vissue else next_vissue
+                ops = uops[u]
+                ring = rings[u]
+                qi = ops % depth
+                w = ring[qi]  # end of the op `depth` issues back
+                t_admit = w if w > t_ready else t_ready
+                issue_stalls += t_admit - t_ready
+                t_scalar = t_admit
+                next_vissue = t_admit + issue_gap
 
-            # --- hazards: WAW/WAR on the destination slots ------------
-            earliest = t_admit + issue_to_arrive
-            for r in dregs:
-                w = write_end[r]
-                if w > earliest:
-                    earliest = w
-                w = read_end[r]
-                if w > earliest:
-                    earliest = w
-            rt = uready[u]
-            start = rt if rt > earliest else earliest
+                # --- hazards: WAW/WAR on the destination slots --------
+                earliest = t_admit + issue_to_arrive
+                for r in dregs:
+                    w = write_end[r]
+                    if w > earliest:
+                        earliest = w
+                    w = read_end[r]
+                    if w > earliest:
+                        earliest = w
+                rt = uready[u]
+                start = rt if rt > earliest else earliest
 
-            # --- execute: inlined stream algebra over the class -------
-            if cn:
-                t0 = start
-                tmax = 0.0
-                # A single-slot group reads its slot as is: stored times
-                # never fall below the group-combine's 0.0 floor.
-                for r in srcs:
-                    gf = first[r]
-                    if gf > t0:
-                        t0 = gf
-                    if last1:
-                        gl = last[r]
-                        if gl > gf:
+                # --- execute: inlined stream algebra over the class ---
+                if cn:
+                    t0 = start
+                    tmax = 0.0
+                    # A single-slot group reads its slot as is: stored times
+                    # never fall below the group-combine's 0.0 floor.
+                    for r in srcs:
+                        gf = first[r]
+                        if gf > t0:
+                            t0 = gf
+                        if last1:
+                            gl = last[r]
+                            if gl > gf:
+                                t = gf + last1 / (nm1 / (gl - gf))
+                                if t > tmax:
+                                    tmax = t
+                                continue
+                        if gf > tmax:
+                            tmax = gf
+                    for slots in groups:
+                        gf = 0.0
+                        gl = 0.0
+                        for r in slots:
+                            f = first[r]
+                            if f > gf:
+                                gf = f
+                            f = last[r]
+                            if f > gl:
+                                gl = f
+                        if gf > t0:
+                            t0 = gf
+                        if last1 and gl > gf:
                             t = gf + last1 / (nm1 / (gl - gf))
                             if t > tmax:
                                 tmax = t
-                            continue
-                    if gf > tmax:
-                        tmax = gf
-                for slots in groups:
-                    gf = 0.0
-                    gl = 0.0
-                    for r in slots:
-                        f = first[r]
-                        if f > gf:
-                            gf = f
-                        f = last[r]
-                        if f > gl:
-                            gl = f
-                    if gf > t0:
-                        t0 = gf
-                    if last1 and gl > gf:
-                        t = gf + last1 / (nm1 / (gl - gf))
-                        if t > tmax:
-                            tmax = t
-                    elif gf > tmax:
-                        tmax = gf
-                t_last_in = t0 + q1
-                if tmax > t_last_in:
-                    t_last_in = tmax
-                end_exec = t_last_in + rinv
-                if red:
-                    # Instant single-element result after the tail.
-                    end_exec += tail
-                    rf = rl = res_end = end_exec
-                else:
-                    rf = t0 + lat + rinv
-                    if cn == 1:
-                        rl = rf
-                        res_end = rf + rinv
+                        elif gf > tmax:
+                            tmax = gf
+                    t_last_in = t0 + q1
+                    if tmax > t_last_in:
+                        t_last_in = tmax
+                    end_exec = t_last_in + rinv
+                    if red:
+                        # Instant single-element result after the tail.
+                        end_exec += tail
+                        rf = rl = res_end = end_exec
                     else:
-                        dd = t_last_in + lat + rinv - rf
-                        if dd < 1e-12:
-                            dd = 1e-12
-                        eff = cm1 / dd
-                        rl = rf + cm1 / eff
-                        res_end = rf + cnf / eff
-                t_sync = rl
-                if rf < 0.0:  # only under negative latencies; rl >= rf
-                    rf = 0.0
-                    if rl < 0.0:
-                        rl = 0.0
-            else:  # zero-element op (masked access with empty count)
-                end_exec = t_sync = start
-                rf = rl = 0.0  # an empty stream reads as never written
-                res_end = start + lat
-                busy = 0.0
+                        rf = t0 + lat + rinv
+                        if cn == 1:
+                            rl = rf
+                            res_end = rf + rinv
+                        else:
+                            dd = t_last_in + lat + rinv - rf
+                            if dd < 1e-12:
+                                dd = 1e-12
+                            eff = cm1 / dd
+                            rl = rf + cm1 / eff
+                            res_end = rf + cnf / eff
+                    t_sync = rl
+                    if rf < 0.0:  # only under negative latencies; rl >= rf
+                        rf = 0.0
+                        if rl < 0.0:
+                            rl = 0.0
+                else:  # zero-element op (masked access with empty count)
+                    end_exec = t_sync = start
+                    rf = rl = 0.0  # an empty stream reads as never written
+                    res_end = start + lat
+                    busy = 0.0
 
-            # --- retire + scoreboard updates --------------------------
-            uready[u] = end_exec
-            ubusy[u] += busy
-            uops[u] = ops + 1
-            ring[qi] = end_exec
-            for r in reads:
-                if end_exec > read_end[r]:
-                    read_end[r] = end_exec
-            for r in dregs:
-                first[r] = rf
-                last[r] = rl
-                if res_end > write_end[r]:
-                    write_end[r] = res_end
-            if dscal:
-                sync = t_sync + scalar_result_latency
-                if sync > t_scalar:
-                    t_scalar = sync
+                # --- retire + scoreboard updates ----------------------
+                uready[u] = end_exec
+                ubusy[u] += busy
+                uops[u] = ops + 1
+                ring[qi] = end_exec
+                for r in reads:
+                    if end_exec > read_end[r]:
+                        read_end[r] = end_exec
+                for r in dregs:
+                    first[r] = rf
+                    last[r] = rl
+                    if res_end > write_end[r]:
+                        write_end[r] = res_end
+                if dscal:
+                    sync = t_sync + scalar_result_latency
+                    if sync > t_scalar:
+                        t_scalar = sync
+            if block is not None:
+                fn, reps, cids, slots = block
+                k, t_scalar, next_vissue, issue_stalls = fn(
+                    reps, k, t_scalar, next_vissue, issue_stalls,
+                    costs, table, cids, slots, first, last,
+                    write_end, read_end, rings, uready, ubusy, uops,
+                    depth, vsetvli_cycles, issue_gap, issue_to_arrive,
+                    scalar_result_latency)
+
         for c in costs[k:]:
             t_scalar += c
 

@@ -55,11 +55,18 @@ packs with.  From there:
   per-segment objects: each issue row carries the cumulative scalar
   index its segment ends at (``seg_end``), and the row loop adds the
   flat costs up to it;
+* **superblocks** — one numpy pass of :func:`repro.timing.superblock
+  .scan` over ``row_class`` and the per-row scalar counts finds the
+  runs of four or more equal periods (``superblocks``: ``(first row,
+  period, reps)``); plans below :data:`~repro.timing.superblock
+  .MIN_ROWS` rows skip it.  Their bodies replay through generated
+  straight-line functions, bound on first replay;
 * **per-machine class table** — the per-machine step joins each
   class's static fields with its machine columns into one tuple per
-  class; :meth:`~repro.timing.engine.TimingEngine.replay` zips only
-  ``seg_end`` and ``row_class`` and unpacks ``table[class]`` for every
-  row outside the vsetvl class 0;
+  class; :meth:`~repro.timing.engine.TimingEngine.replay` runs the rows
+  between superblocks by zipping ``seg_end`` with ``row_class`` and
+  unpacking ``table[class]`` for every row outside the vsetvl class 0,
+  and hands the table to each superblock's generated function;
 * **report memo** — replay is a pure function of (trace, model), so the
   per-machine bundle remembers the finished
   :class:`~repro.timing.report.TimingReport` and lets its table go;
@@ -83,6 +90,7 @@ from ..functional.trace_pack import (PATTERNS, TAG_FALLBACK, TAG_SCALAR,
                                      TAG_VECTOR, TAG_VSETVL, PackedTrace,
                                      build_columns)
 from ..isa.instructions import MemPattern
+from . import superblock
 from .frontend import ScalarFrontend
 from .stream import batch_stream_params
 
@@ -289,14 +297,16 @@ class ReplayPlan:
 
     ``row_class`` holds each issue row's class id; ``classes`` one
     :data:`CLASS_FIELDS` tuple per class (empty for the vsetvl class
-    0), whose scoreboard slots run ``0 .. n_slots - 1``.
+    0), whose scoreboard slots run ``0 .. n_slots - 1``;
+    ``superblocks`` the ``(first row, period, reps)`` periodic runs of
+    :func:`repro.timing.superblock.scan`.
     """
 
     __slots__ = ("n_events", "scalar_count", "vector_count", "total_flops",
                  "bytes_read", "bytes_written", "first_vec_unit",
                  "kind_vocab", "scalar_kind", "scalar_addr", "seg_end",
                  "row_class", "classes", "n_slots", "mem_keys",
-                 "slide_pairs",
+                 "slide_pairs", "superblocks", "_segments",
                  "_cnt_f", "_sew_code", "_thr", "_is_fpu", "_mlog",
                  "_mem_ix", "_align", "_is_store", "_slide_ix",
                  "_ix_mem", "_ix_red", "_ix_slide", "_ix_masku",
@@ -525,7 +535,10 @@ class ReplayPlan:
         plan.kind_vocab = tuple(vocab)
         plan.scalar_kind = s_kind
         plan.scalar_addr = s_addr
-        plan.seg_end = (row_pos - np.arange(n_rows)).tolist()
+        seg_end = row_pos - np.arange(n_rows)
+        plan.superblocks = superblock.scan(row_class, seg_end)
+        plan._segments = None
+        plan.seg_end = seg_end.tolist()
         plan.row_class = row_class.tolist()
         plan.classes = classes
         plan.n_slots = n_slots

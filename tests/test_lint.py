@@ -30,7 +30,8 @@ from tools.lint import (  # noqa: E402
     ALL_CHECKERS, load_baseline, run_lint, write_baseline)
 from tools.lint.checkers.boundary import (  # noqa: E402
     SubmitPicklableChecker, TaskFieldChecker)
-from tools.lint.checkers.determinism import DeterminismChecker  # noqa: E402
+from tools.lint.checkers.determinism import (  # noqa: E402
+    DeterminismChecker, DynamicCodeChecker)
 from tools.lint.checkers.docs import (  # noqa: E402
     DocLinkChecker, DocstringChecker)
 from tools.lint.checkers.envreg import EnvRegistryChecker  # noqa: E402
@@ -54,7 +55,7 @@ def codes_of(findings):
 
 
 # ----------------------------------------------------------------------
-# Determinism (RL101/RL102/RL103)
+# Determinism (RL101/RL102/RL103/RL104)
 # ----------------------------------------------------------------------
 def test_wall_clock_flagged_in_scope(tmp_path):
     """time.time() on the capture path is RL101."""
@@ -134,6 +135,31 @@ def test_sorted_set_iteration_allowed(tmp_path):
         def visit(keys):
             return [k for k in sorted(set(keys))]
         """, [DeterminismChecker()])
+    assert findings == []
+
+
+def test_dynamic_code_flagged_outside_the_generator(tmp_path):
+    """exec/eval/compile builtins anywhere else in src/ are RL104."""
+    findings = lint_source(
+        tmp_path, "src/repro/eval/tables.py", """\
+        import re
+        def build(text):
+            exec(compile(text, "<x>", "exec"), {})
+            return eval("1") + len(re.compile("a").pattern)
+        """, [DynamicCodeChecker()])
+    assert codes_of(findings) == ["RL104"]
+    assert len(findings) == 3  # exec, compile, eval; re.compile is fine
+
+
+def test_dynamic_code_allowed_in_the_generator(tmp_path):
+    """The superblock generator is the one module that may exec."""
+    findings = lint_source(
+        tmp_path, "src/repro/timing/superblock.py", """\
+        def build(text):
+            namespace = {}
+            exec(compile(text, "<superblock>", "exec"), namespace)
+            return namespace
+        """, [DynamicCodeChecker()])
     assert findings == []
 
 

@@ -5,8 +5,8 @@ The fuzzer drives these paths statistically; this module pins them
 deterministically — full 32-register pressure, WAW/WAR orderings, the
 register-to-slot mapping of the plan's scoreboard, the per-unit issue
 rings at non-default queue depths (kernel zoo, fuzz seeds and random
-valid machine specs), and the
-:class:`~repro.timing.replay_plan.ReplayPlan` per-machine memo tier
+valid machine specs), which zoo kernels replay through superblocks, and
+the :class:`~repro.timing.replay_plan.ReplayPlan` per-machine memo tier
 staying isolated across machine specs.
 """
 
@@ -213,11 +213,13 @@ class TestQueueDepth:
            masku=st.integers(0, 4),
            dispatch=st.integers(1, 6),
            read_bw=st.sampled_from([0.5, 2.0, 8.0, 16.0]))
-    def test_random_valid_specs(self, fuzz_traces, family, depth, l2, fpu,
-                                valu, sldu, masku, dispatch, read_bw):
+    def test_random_valid_specs(self, zoo_traces, fuzz_traces, family,
+                                depth, l2, fpu, valu, sldu, masku, dispatch,
+                                read_bw):
         """ReplayPlan == replay_reference on random valid 8-lane specs
         (the lane count keeps the captured traces' VLEN); the fuzz
-        traces keep each example cheap."""
+        traces keep each example cheap, and jacobi2d adds one
+        superblock between gap rows."""
         config = MachineSpec.from_dict({
             "family": family, "lanes": 8,
             "memory": {"l2_latency_cycles": l2,
@@ -227,7 +229,25 @@ class TestQueueDepth:
                          "masku_latency": masku,
                          "dispatch_latency": dispatch},
         }).to_config()
-        _assert_fast_matches_reference(config, fuzz_traces)
+        _assert_fast_matches_reference(
+            config, fuzz_traces + [zoo_traces["jacobi2d"]])
+
+
+class TestSuperblockReach:
+    def test_zoo_superblocks(self, zoo_traces):
+        """The zoo kernels' superblocks, ``(period, reps)`` in row
+        order: the large loop kernels run both generated bodies and
+        gap rows, every other kernel the generic row loop alone, so
+        the queue-depth tests above cover both paths."""
+        expected = {"fconv2d": [(316, 64)], "fmatmul": [(10, 127)] * 16,
+                    "jacobi2d": [(10, 255)]}
+        for name, trace in zoo_traces.items():
+            plan = ReplayPlan.from_trace(trace)
+            got = [(period, reps) for _, period, reps in plan.superblocks]
+            assert got == expected.get(name, []), name
+            if got:
+                covered = sum(period * reps for period, reps in got)
+                assert 0 < covered < len(plan.row_class), name
 
 
 # ----------------------------------------------------------------------

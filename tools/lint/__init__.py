@@ -3,9 +3,10 @@
 One entry point — ``python -m tools.lint`` — machine-checks the
 invariants the test suite cannot exhaustively pin:
 
-* **Determinism** (RL101–RL103): no wall-clock reads, unseeded
+* **Determinism** (RL101–RL104): no wall-clock reads, unseeded
   randomness, or unordered set iteration in the code that feeds trace
-  fingerprints and rendered sweep output.
+  fingerprints and rendered sweep output, and no run-time code
+  generation outside the one audited generator.
 * **Exception hygiene** (RL201): a bare or broad ``except`` in ``src/``
   must re-raise, classify the failure into ``FaultLog``-style
   accounting, or carry a reasoned suppression pragma.

@@ -9,7 +9,7 @@ module here, give it a stable unused ``RL`` code, append an instance to
 """
 
 from .boundary import SubmitPicklableChecker, TaskFieldChecker
-from .determinism import DeterminismChecker
+from .determinism import DeterminismChecker, DynamicCodeChecker
 from .docs import CliExampleChecker, DocLinkChecker, DocstringChecker
 from .envreg import EnvRegistryChecker
 from .exceptions import ExceptionHygieneChecker
@@ -18,6 +18,7 @@ from .slots import SlotsChecker
 #: The suite, in rule-code order.
 ALL_CHECKERS = (
     DeterminismChecker(),
+    DynamicCodeChecker(),
     ExceptionHygieneChecker(),
     SubmitPicklableChecker(),
     TaskFieldChecker(),

@@ -1,4 +1,4 @@
-"""Determinism rules (RL101–RL103): the byte-identical-render invariant.
+"""Determinism rules (RL101–RL104): the byte-identical-render invariant.
 
 The whole pipeline's correctness story is that a capture replays
 byte-identically anywhere: trace keys are content hashes, renders are
@@ -15,6 +15,12 @@ the capture/replay path of ``sim/`` (``simulator``, ``trace_cache``,
 scope: its ``time.perf_counter`` feeds ``PipelineStats`` telemetry,
 never a render.  The injected-clock default in ``trace_cache._now``
 carries the one sanctioned pragma.
+
+These rules read source, so code built from strings at run time is
+invisible to them.  RL104 keeps that blind spot to one audited module:
+the ``exec``/``eval``/``compile`` builtins may appear in ``src/`` only
+in ``repro/timing/superblock.py``, whose generator iterates only
+ordered containers and whose output a test pins verbatim.
 """
 
 from __future__ import annotations
@@ -102,3 +108,26 @@ class DeterminismChecker(Checker):
                 "interpreter run; wrap in sorted(...) or use a "
                 "list/tuple/dict",
                 code="RL103")
+
+
+class DynamicCodeChecker(Checker):
+    """Confine run-time code generation to the superblock generator."""
+
+    code = "RL104"
+    codes = ("RL104",)
+    name = "dynamic-code"
+    description = ("the exec/eval/compile builtins appear in src/ only "
+                   "in repro/timing/superblock.py")
+    scope = ("src/",)
+    exclude = ("src/repro/timing/superblock.py",)
+
+    def check(self, ctx: FileContext):
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Name) \
+                    and node.func.id in ("exec", "eval", "compile"):
+                yield self.finding(
+                    ctx, node.lineno,
+                    f"`{node.func.id}` builds code the determinism rules "
+                    f"cannot read; generate code only in "
+                    f"repro/timing/superblock.py")
