@@ -27,16 +27,14 @@ from repro.report import render_table
 from conftest import save_output
 
 
-def test_ablation_ring_hop_latency(benchmark, trace_store, workers,
-                                   capture_workers):
+def test_ablation_ring_hop_latency(benchmark, pool):
     hops = (1, 2, 4, 8)
 
     def sweep():
         configs = [AraXLConfig(lanes=32, ring_hop_latency=h) for h in hops]
         utils = run_knob_sweep(configs, [("fconv2d", 512, {"rows": 32}),
                                          ("fdotproduct", 512, {})],
-                               trace_cache=trace_store, workers=workers,
-                               capture_workers=capture_workers)
+                               pool=pool)
         return [(hop, f"{u[0] * 100:.1f}%", f"{u[1] * 100:.1f}%")
                 for hop, u in zip(hops, utils)]
 
@@ -50,16 +48,14 @@ def test_ablation_ring_hop_latency(benchmark, trace_store, workers,
     assert first - last < 5.0
 
 
-def test_ablation_glsu_depth(benchmark, trace_store, workers,
-                             capture_workers):
+def test_ablation_glsu_depth(benchmark, pool):
     extras = (0, 4, 8, 16)
 
     def sweep():
         configs = [AraXLConfig(lanes=32, glsu_extra_regs=e) for e in extras]
         utils = run_knob_sweep(configs, [("fmatmul", 512, {"m": 16, "k": 64}),
                                          ("fdotproduct", 512, {})],
-                               trace_cache=trace_store, workers=workers,
-                               capture_workers=capture_workers)
+                               pool=pool)
         return [(extra, f"{u[0] * 100:.1f}%", f"{u[1] * 100:.1f}%")
                 for extra, u in zip(extras, utils)]
 
@@ -71,8 +67,7 @@ def test_ablation_glsu_depth(benchmark, trace_store, workers,
     assert float(rows[-1][1][:-1]) > 95.0
 
 
-def test_ablation_queue_depth(benchmark, trace_store, workers,
-                              capture_workers):
+def test_ablation_queue_depth(benchmark, pool):
     depths = (1, 2, 4, 8)
 
     def sweep():
@@ -80,8 +75,7 @@ def test_ablation_queue_depth(benchmark, trace_store, workers,
                                        unit_queue_depth=d) for d in depths]
         utils = run_knob_sweep(configs,
                                [("fmatmul", 128, {"m": 16, "k": 64})],
-                               trace_cache=trace_store, workers=workers,
-                               capture_workers=capture_workers)
+                               pool=pool)
         return [(depth, f"{u[0] * 100:.1f}%")
                 for depth, u in zip(depths, utils)]
 
@@ -94,8 +88,7 @@ def test_ablation_queue_depth(benchmark, trace_store, workers,
     assert utils == sorted(utils)
 
 
-def test_ablation_ring_hop_zoo_kernels(benchmark, trace_store, workers,
-                                       capture_workers):
+def test_ablation_ring_hop_zoo_kernels(benchmark, pool):
     # The zoo's permute-bound kernels (scan: log-depth slides; sort:
     # rgather + mask algebra per compare-exchange) are the workloads a
     # slow ring actually hurts — the curated six barely touch the SLDU.
@@ -104,8 +97,7 @@ def test_ablation_ring_hop_zoo_kernels(benchmark, trace_store, workers,
     def sweep():
         configs = [AraXLConfig(lanes=8, ring_hop_latency=h) for h in hops]
         utils = run_knob_sweep(configs, [("scan", 256, {}), ("sort", 256, {})],
-                               trace_cache=trace_store, workers=workers,
-                               capture_workers=capture_workers)
+                               pool=pool)
         return [(hop, f"{u[0] * 100:.1f}%", f"{u[1] * 100:.1f}%")
                 for hop, u in zip(hops, utils)]
 

@@ -15,9 +15,8 @@ from conftest import save_output
 
 
 @pytest.fixture(scope="module")
-def fig6_points(trace_store, workers, capture_workers):
-    return run_fig6(scale="reduced", trace_cache=trace_store,
-                    workers=workers, capture_workers=capture_workers)
+def fig6_points(pool):
+    return run_fig6(scale="reduced", pool=pool)
 
 
 def test_fig6_full_sweep(benchmark, fig6_points):
@@ -46,14 +45,11 @@ def test_fig6_full_sweep(benchmark, fig6_points):
             < pt(kernel, "64L-AraXL", 512).utilization
 
 
-def test_fig6_fmatmul_paper_size(benchmark, trace_store, workers,
-                                 capture_workers):
+def test_fig6_fmatmul_paper_size(benchmark, pool):
     """One full-size (Table I) fmatmul point as a timing reference."""
     points = benchmark.pedantic(
         lambda: run_fig6(kernels=("fmatmul",), bytes_per_lane=(512,),
-                         scale="paper", trace_cache=trace_store,
-                         workers=workers,
-                         capture_workers=capture_workers),
+                         scale="paper", pool=pool),
         rounds=1, iterations=1)
     pt = next(p for p in points if p.machine == "64L-AraXL")
     assert pt.utilization > 0.99  # the abstract's ">99% FPU utilization"

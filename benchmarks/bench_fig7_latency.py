@@ -9,9 +9,8 @@ from conftest import save_output
 
 
 @pytest.fixture(scope="module")
-def fig7_points(trace_store, workers, capture_workers):
-    return run_fig7(scale="reduced", lanes=64, trace_cache=trace_store,
-                    workers=workers, capture_workers=capture_workers)
+def fig7_points(pool):
+    return run_fig7(scale="reduced", lanes=64, pool=pool)
 
 
 def test_fig7_all_interfaces(benchmark, fig7_points):

@@ -7,12 +7,9 @@ from repro.eval.table1_kernels import PAPER_TABLE1, render_table1, run_table1
 from conftest import save_output
 
 
-def test_table1_bounds(benchmark, trace_store, workers, capture_workers):
+def test_table1_bounds(benchmark, pool):
     rows = benchmark.pedantic(run_table1,
-                              kwargs={"scale": "reduced",
-                                      "trace_cache": trace_store,
-                                      "workers": workers,
-                                      "capture_workers": capture_workers},
+                              kwargs={"scale": "reduced", "pool": pool},
                               rounds=1, iterations=1)
     save_output("table1_kernels", render_table1(rows))
     by_name = {r.kernel: r for r in rows}

@@ -7,12 +7,9 @@ from repro.eval.table3_ppa import PAPER_TABLE3, render_table3, run_table3
 from conftest import save_output
 
 
-def test_table3_ppa(benchmark, trace_store, workers, capture_workers):
+def test_table3_ppa(benchmark, pool):
     points = benchmark.pedantic(run_table3,
-                                kwargs={"scale": "reduced",
-                                        "trace_cache": trace_store,
-                                        "workers": workers,
-                                        "capture_workers": capture_workers},
+                                kwargs={"scale": "reduced", "pool": pool},
                                 rounds=1, iterations=1)
     save_output("table3_ppa", render_table3(points))
     by_machine = {p.machine: p for p in points}

@@ -79,12 +79,12 @@ def _point_key(points):
 def test_trace_reuse_cold_vs_warm(benchmark, tmp_path, trace_store):
     cache = TraceCache()
 
-    def sweep(trace_cache=cache, workers=1, capture_workers=1):
+    def sweep(cache=cache, workers=1, capture_workers=1):
         """One Fig 7 run on a fresh SimPool; returns (points, pool)."""
         pool = SimPool(workers=workers, capture_workers=capture_workers,
-                       cache=trace_cache)
+                       cache=cache)
         points = run_fig7(kernels=_KERNELS, bytes_per_lane=_SIZES,
-                          lanes=32, scale="reduced", sim_pool=pool)
+                          lanes=32, scale="reduced", pool=pool)
         return points, pool
 
     t0 = time.perf_counter()
@@ -109,7 +109,7 @@ def test_trace_reuse_cold_vs_warm(benchmark, tmp_path, trace_store):
     # capture.
     cap_store = TraceStore(disk_dir=tmp_path / "capture_store")
     t0 = time.perf_counter()
-    cap_points, cap_pool = sweep(trace_cache=cap_store,
+    cap_points, cap_pool = sweep(cache=cap_store,
                                  workers=_PARALLEL_WORKERS,
                                  capture_workers=_PARALLEL_WORKERS)
     cap_s = time.perf_counter() - t0
@@ -117,19 +117,19 @@ def test_trace_reuse_cold_vs_warm(benchmark, tmp_path, trace_store):
     disk_dir = tmp_path / "trace_cache"
     disk_cold = TraceCache(disk_dir=disk_dir)
     t0 = time.perf_counter()
-    _, disk_cold_pool = sweep(trace_cache=disk_cold)
+    _, disk_cold_pool = sweep(cache=disk_cold)
     disk_cold_s = time.perf_counter() - t0
 
     disk_warm = TraceCache(disk_dir=disk_dir)  # fresh memory, shared disk
     t0 = time.perf_counter()
-    disk_points, disk_warm_pool = sweep(trace_cache=disk_warm)
+    disk_points, disk_warm_pool = sweep(cache=disk_warm)
     disk_warm_s = time.perf_counter() - t0
 
     # The suite-wide store: reads captures other benchmarks (or earlier
     # suite runs) left behind, and warms it for whatever runs next.
     store_before = dict(trace_store.stats)
     t0 = time.perf_counter()
-    store_points, store_pool = sweep(trace_cache=trace_store)
+    store_points, store_pool = sweep(cache=trace_store)
     store_s = time.perf_counter() - t0
     store_after = dict(trace_store.stats)
 
@@ -148,7 +148,7 @@ def test_trace_reuse_cold_vs_warm(benchmark, tmp_path, trace_store):
     spec_pool = SimPool(workers=1, cache=cache)
     t0 = time.perf_counter()
     spec_rows = run_knob_sweep(spec_machines, spec_kernels,
-                               sim_pool=spec_pool)
+                               pool=spec_pool)
     spec_s = time.perf_counter() - t0
 
     def row(label, seconds, stats, pool, prev=None):

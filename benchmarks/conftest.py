@@ -16,11 +16,13 @@ are atomic.  The store directory resolves from ``--trace-store``, then
 ``$REPRO_TRACE_STORE``, then ``benchmarks/out/trace_cache``; its GC
 (size cap, stale purge, orphan reaping) runs once at session start.
 
-The sweeps run on a shared :class:`~repro.sim.parallel.SimPool` whose
-total process budget comes from ``--workers`` (default: autodetect) and
-whose capture phase holds at most ``--capture-workers`` of that budget
-while replays are pending.  Rendered outputs are byte-identical
-whatever the store's state or the pool sizing.
+The sweeps run on one session-scoped :class:`~repro.sim.parallel.SimPool`
+(the :func:`pool` fixture, passed to every sweep as ``pool=``) whose
+cache is that store, whose total process budget comes from
+``--workers`` (default: autodetect) and whose capture phase holds at
+most ``--capture-workers`` of that budget while replays are pending.
+Rendered outputs are byte-identical whatever the store's state or the
+pool sizing.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import pathlib
 
 import pytest
 
+from repro.sim import SimPool
 from repro.sim.trace_store import TraceStore, resolve_store_dir
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
@@ -54,19 +57,6 @@ def pytest_addoption(parser):
 
 
 @pytest.fixture(scope="session")
-def workers(request) -> int | None:
-    """The shared pool's process budget ('auto' -> None = autodetect)."""
-    raw = request.config.getoption("--workers")
-    return None if raw == "auto" else max(1, int(raw))
-
-
-@pytest.fixture(scope="session")
-def capture_workers(request) -> int:
-    """Capture-phase soft split every simulation benchmark threads through."""
-    return max(1, int(request.config.getoption("--capture-workers")))
-
-
-@pytest.fixture(scope="session")
 def trace_store(request) -> TraceStore:
     """The suite-wide shared disk trace store, GC'd once per session."""
     explicit = request.config.getoption("--trace-store")
@@ -75,6 +65,19 @@ def trace_store(request) -> TraceStore:
     store = TraceStore(disk_dir=resolve_store_dir(explicit))
     store.gc()  # reap crashed-writer orphans, purge stale, enforce budget
     return store
+
+
+@pytest.fixture(scope="session")
+def pool(request, trace_store):
+    """The shared SimPool every simulation benchmark runs on."""
+    raw = request.config.getoption("--workers")
+    shared = SimPool(
+        workers=None if raw == "auto" else max(1, int(raw)),
+        capture_workers=max(1, int(
+            request.config.getoption("--capture-workers"))),
+        cache=trace_store)
+    yield shared
+    shared.shutdown()
 
 
 def save_output(name: str, text: str) -> None:

@@ -36,7 +36,7 @@ def main() -> None:
     pool = SimPool(workers=1, cache=TraceCache())
     rows = run_knob_sweep([toy, builtin],
                           [("fmatmul", 128, {"m": 16, "k": 64})],
-                          sim_pool=pool)
+                          pool=pool)
     stats = pool.pipeline_stats
     print(f"  captures executed: {stats.capture_points} "
           f"(shared by {stats.replay_points} replays)")

@@ -174,12 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     fuzz_failures = 0
     try:
         for name in names:
-            text = run_experiment(name, scale=args.scale,
-                                  workers=args.workers,
-                                  trace_store=store,
-                                  capture_workers=args.capture_workers,
-                                  job_timeout=args.job_timeout,
-                                  sim_pool=pool,
+            text = run_experiment(name, scale=args.scale, pool=pool,
                                   machines=machines)
             print(text)
             print()
@@ -192,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
                 seeds = int(env_seeds) if env_seeds else 25
             text, fuzz_failures = run_fuzz(
                 seeds=seeds, size=args.fuzz_size, features=args.features,
-                machines=machines, sim_pool=pool)
+                machines=machines, pool=pool)
             print(text)
             print()
     finally:

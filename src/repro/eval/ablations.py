@@ -17,7 +17,7 @@ from typing import Sequence
 
 from ..kernels import zoo_builder
 from ..params import SystemConfig
-from ..sim import CaptureTask, SimPool, TraceCache, run_pipeline
+from ..sim import CaptureTask, SimPool, run_pipeline
 
 #: One kernel of a sweep: ``(kernel_name, bytes_per_lane, problem_kwargs)``.
 KernelSpec = tuple
@@ -25,28 +25,18 @@ KernelSpec = tuple
 
 def run_knob_sweep(configs: Sequence[SystemConfig],
                    kernel_specs: Sequence[KernelSpec],
-                   trace_cache: TraceCache | None = None,
-                   workers: int | None = 1,
-                   capture_workers: int | None = 1,
-                   job_timeout: float | None = None,
-                   sim_pool: SimPool | None = None) -> list[list[float]]:
+                   pool: SimPool | None = None) -> list[list[float]]:
     """Utilization matrix for timing-knob ``configs`` x ``kernel_specs``.
 
     Capture phase: one functional execution per kernel spec (the knobs
     do not change VLEN, so every config replays the same trace), served
-    from ``trace_cache`` — e.g. the suite's shared store — when another
+    from the pool's cache — e.g. the suite's shared store — when another
     sweep already captured that point.  Replay phase: the full configs
     x kernels cross-product, each spec's replays entering the shared
     :class:`~repro.sim.parallel.SimPool` as its trace lands.
-    ``workers`` is the pool's total process budget, ``capture_workers``
-    the soft share captures may hold while replays are pending; pass
-    ``sim_pool`` to supply (and afterwards inspect) the pool yourself.
     Returns ``rows[config_index][spec_index] -> utilization``,
-    byte-identical for any worker counts.
+    byte-identical for any ``pool``.
     """
-    if sim_pool is None:
-        sim_pool = SimPool(workers=workers, capture_workers=capture_workers,
-                           cache=trace_cache, job_timeout=job_timeout)
     runs = []
     captures: list[CaptureTask] = []
     replays = []
@@ -55,7 +45,7 @@ def run_knob_sweep(configs: Sequence[SystemConfig],
         cidx = len(captures)
         captures.append(CaptureTask.for_kernel(name, configs[0], bpl, kw))
         replays.extend((config, cidx) for config in configs)
-    reports = run_pipeline(captures, replays, sim_pool)
+    reports = run_pipeline(captures, replays, pool)
     per_spec = len(configs)
     rows: list[list[float]] = [[0.0] * len(kernel_specs) for _ in configs]
     for spec_i, run in enumerate(runs):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from ..kernels import KERNELS
 from ..params import Ara2Config, AraXLConfig, SystemConfig
 from ..report.tables import render_table
-from ..sim import CaptureTask, SimPool, TraceCache, run_pipeline
+from ..sim import CaptureTask, SimPool, run_pipeline
 
 DEFAULT_BYTES_PER_LANE = (64, 128, 256, 512)
 
@@ -67,11 +67,7 @@ def run_fig6(kernels: tuple[str, ...] | None = None,
              machines: list[SystemConfig] | None = None,
              scale: str = "paper",
              verify: bool = False,
-             trace_cache: TraceCache | None = None,
-             workers: int | None = 1,
-             capture_workers: int | None = 1,
-             job_timeout: float | None = None,
-             sim_pool: SimPool | None = None) -> list[Fig6Point]:
+             pool: SimPool | None = None) -> list[Fig6Point]:
     """Execute the Fig 6 sweep; returns one point per (kernel, machine, size).
 
     A capture/replay pipeline over one shared
@@ -80,21 +76,13 @@ def run_fig6(kernels: tuple[str, ...] | None = None,
     over the same data, so one :class:`~repro.sim.parallel.CaptureTask`
     runs per distinct trace key.  **Replay**: every (kernel, machine,
     size) timing replay is independent, and each VLEN group's replays
-    enter the pool as soon as its trace lands.  ``workers`` is the
-    pool's total process budget (``1`` stays in-process, ``None``
-    autodetects) and ``capture_workers`` the soft share of it the
-    capture phase may hold while replays are pending; callers that want
-    the pool's :class:`~repro.sim.parallel.PipelineStats` afterwards
-    pass their own ``sim_pool`` (which then supplies the cache and
-    worker budget).  The rendered output is byte-identical for any
-    combination.
+    enter the pool as soon as its trace lands.  ``pool`` supplies the
+    worker budget and trace cache (default: in-process, private cache);
+    the rendered output is byte-identical for any pool.
     """
     kernels = kernels or tuple(KERNELS)
     machines = machines if machines is not None else default_machines()
     kwargs_by_kernel = _SCALE_KWARGS[scale]
-    if sim_pool is None:
-        sim_pool = SimPool(workers=workers, capture_workers=capture_workers,
-                           cache=trace_cache, job_timeout=job_timeout)
 
     # ---- plan: one capture per distinct trace key; every (kernel,
     # machine, size) point replays against its VLEN group's capture.
@@ -118,7 +106,7 @@ def run_fig6(kernels: tuple[str, ...] | None = None,
                 replays.append((config, cidx))
 
     # ---- pipeline: captures fan out, replays start as traces land.
-    reports = run_pipeline(captures, replays, sim_pool)
+    reports = run_pipeline(captures, replays, pool)
 
     # ---- assembly: index the normalization baseline per (kernel, B/lane)
     # after the replay phase, so custom `machines=` lists are order-

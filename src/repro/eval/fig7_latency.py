@@ -19,7 +19,7 @@ from ..errors import ConfigError
 from ..kernels import KERNELS
 from ..params import AraXLConfig
 from ..report.tables import render_table
-from ..sim import CaptureTask, SimPool, TraceCache, run_pipeline
+from ..sim import CaptureTask, SimPool, run_pipeline
 from .fig6_scaling import _SCALE_KWARGS, DEFAULT_BYTES_PER_LANE
 
 #: Section IV-C claims: maximum utilization drop per interface in the
@@ -59,11 +59,7 @@ def run_fig7(kernels: tuple[str, ...] | None = None,
              interfaces: tuple[str, ...] = ("glsu", "reqi", "ringi"),
              scale: str = "paper",
              base_config: AraXLConfig | None = None,
-             trace_cache: TraceCache | None = None,
-             workers: int | None = 1,
-             capture_workers: int | None = 1,
-             job_timeout: float | None = None,
-             sim_pool: SimPool | None = None) -> list[Fig7Point]:
+             pool: SimPool | None = None) -> list[Fig7Point]:
     """Run the Fig 7 sweep as a capture/replay pipeline.
 
     The register-cut configurations change only the timing model — the
@@ -76,11 +72,7 @@ def run_fig7(kernels: tuple[str, ...] | None = None,
     are applied to (e.g. one resolved from a spec file); it must be an
     AraXL-family configuration because the ``*_extra_regs`` knobs are
     AraXL interconnect quantities, and it overrides ``lanes``.
-    ``workers`` is the pool's total process budget (``1`` stays
-    in-process, ``None`` autodetects) and ``capture_workers`` the soft
-    share captures may hold while replays are pending; pass your own
-    ``sim_pool`` to read its :class:`~repro.sim.parallel.PipelineStats`
-    afterwards.  Output is byte-identical for any combination.
+    Output is byte-identical for any ``pool``.
     """
     kernels = kernels or tuple(KERNELS)
     kwargs_by_kernel = _SCALE_KWARGS[scale]
@@ -94,9 +86,6 @@ def run_fig7(kernels: tuple[str, ...] | None = None,
     cut_configs = {interface: dataclasses.replace(
         base_config, **INTERFACE_SETUPS[interface])
         for interface in interfaces}
-    if sim_pool is None:
-        sim_pool = SimPool(workers=workers, capture_workers=capture_workers,
-                           cache=trace_cache, job_timeout=job_timeout)
 
     # ---- plan: one capture per (kernel, B/lane) point; the baseline
     # replay plus one replay per interface cut reference it by index.
@@ -117,7 +106,7 @@ def run_fig7(kernels: tuple[str, ...] | None = None,
                 replays.append((cut_configs[interface], cidx))
 
     # ---- pipeline: captures fan out, replays start as traces land.
-    reports = run_pipeline(captures, replays, sim_pool)
+    reports = run_pipeline(captures, replays, pool)
 
     points: list[Fig7Point] = []
     per_point = 1 + len(interfaces)

@@ -26,7 +26,7 @@ from ..fuzz.kernel import generate_case
 from ..fuzz.properties import (PropertyFailure, check_case, default_configs)
 from ..fuzz.shrink import shrink_case
 from ..params import SystemConfig
-from ..sim import CaptureTask, SimPool, TraceCache, run_pipeline
+from ..sim import CaptureTask, SimPool, run_pipeline
 
 #: Problem scale of the fuzz sweep, in the suite's B/lane currency:
 #: clamped to AVL by the fuzz kernel builder (``max_avl = 64``).
@@ -53,10 +53,7 @@ def _shrink_failure(failure: PropertyFailure, configs) -> str:
 def run_fuzz(seeds: int = 25, size: int = FUZZ_SIZE, features: str = "all",
              bytes_per_lane: int = FUZZ_BYTES_PER_LANE,
              machines: Sequence[SystemConfig] | None = None,
-             trace_cache: TraceCache | None = None,
-             workers: int | None = 1, capture_workers: int | None = 1,
-             job_timeout: float | None = None,
-             sim_pool: SimPool | None = None) -> tuple[str, int]:
+             pool: SimPool | None = None) -> tuple[str, int]:
     """Run the fuzz sweep; returns ``(rendered report, failure count)``.
 
     ``machines`` defaults to the registry pair sharing one VLEN
@@ -65,9 +62,6 @@ def run_fuzz(seeds: int = 25, size: int = FUZZ_SIZE, features: str = "all",
     default pair shares one capture per seed.
     """
     configs = list(machines) if machines else default_configs()
-    if sim_pool is None:
-        sim_pool = SimPool(workers=workers, capture_workers=capture_workers,
-                           cache=trace_cache, job_timeout=job_timeout)
     kwargs = {"seed": 0, "size": size, "features": features}
 
     # Phase 1: every seed through the standard capture/replay pipeline.
@@ -87,7 +81,7 @@ def run_fuzz(seeds: int = 25, size: int = FUZZ_SIZE, features: str = "all",
                     "fuzz", config, bytes_per_lane,
                     {**kwargs, "seed": seed}))
             replays.append((config, capture_index[point]))
-    reports = run_pipeline(captures, replays, sim_pool)
+    reports = run_pipeline(captures, replays, pool)
 
     # Phase 2: the four differential properties, per seed, in-process.
     failures: list[str] = []

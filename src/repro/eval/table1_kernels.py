@@ -45,32 +45,21 @@ class Table1Row:
 def run_table1(config: SystemConfig | None = None,
                bytes_per_lane: int = 512,
                scale: str = "paper",
-               trace_cache=None,
-               workers: int | None = 1,
-               capture_workers: int | None = 1,
-               job_timeout: float | None = None,
-               sim_pool=None) -> list[Table1Row]:
+               pool=None) -> list[Table1Row]:
     """Measure every kernel's peak at one operating point.
 
     A capture/replay pipeline like the other sweeps: the **capture
     phase** executes each kernel functionally once (or fetches its trace
-    from ``trace_cache`` — e.g. the suite's shared disk store, where a
+    from the pool's cache — e.g. the suite's shared disk store, where a
     Fig 6/7 run over the same operating points has already paid for it)
     and the **replay phase** times each capture as its trace lands, both
-    inside one shared :class:`~repro.sim.parallel.SimPool`.  ``workers``
-    is the pool's total process budget (``1`` stays in-process, ``None``
-    autodetects) and ``capture_workers`` the soft share captures may
-    hold while replays are pending; pass your own ``sim_pool`` to read
-    its stats afterwards.  Rows are byte-identical for any combination
-    and any cache state.
+    inside one shared :class:`~repro.sim.parallel.SimPool`.  Rows are
+    byte-identical for any ``pool`` and any cache state.
     """
-    from ..sim import CaptureTask, SimPool, run_pipeline
+    from ..sim import CaptureTask, run_pipeline
     from .fig6_scaling import _SCALE_KWARGS
 
     config = config if config is not None else AraXLConfig(lanes=64)
-    if sim_pool is None:
-        sim_pool = SimPool(workers=workers, capture_workers=capture_workers,
-                           cache=trace_cache, job_timeout=job_timeout)
 
     # ---- plan: one capture and one replay per kernel.
     meta = []
@@ -85,7 +74,7 @@ def run_table1(config: SystemConfig | None = None,
                                                bytes_per_lane, kw))
 
     # ---- pipeline: captures fan out, replays start as traces land.
-    reports = run_pipeline(captures, replays, sim_pool)
+    reports = run_pipeline(captures, replays, pool)
 
     rows = []
     for (name, run), report in zip(meta, reports):

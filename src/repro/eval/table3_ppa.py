@@ -38,29 +38,17 @@ def default_configs() -> list[SystemConfig]:
 def run_table3(configs: list[SystemConfig] | None = None,
                bytes_per_lane: int = 512,
                scale: str = "paper",
-               trace_cache=None,
-               workers: int | None = 1,
-               capture_workers: int | None = 1,
-               job_timeout: float | None = None,
-               sim_pool=None) -> list[PpaPoint]:
-    """Run the Table III PPA sweep as a capture/replay pipeline.
-
-    ``workers`` is the shared pool's total process budget and
-    ``capture_workers`` the soft share its capture phase may hold; pass
-    ``sim_pool`` to supply (and afterwards inspect) the pool yourself.
-    """
-    from ..sim import CaptureTask, SimPool, run_pipeline
+               pool=None) -> list[PpaPoint]:
+    """Run the Table III PPA sweep as a capture/replay pipeline on
+    ``pool`` (default: in-process, private cache)."""
+    from ..sim import CaptureTask, run_pipeline
     from .fig6_scaling import _SCALE_KWARGS
 
     configs = configs if configs is not None else default_configs()
     kw = _SCALE_KWARGS[scale].get("fmatmul", {})
     # 16L-Ara2 and 16L-AraXL share a VLEN: fmatmul runs functionally
     # once per VLEN group, and every machine's timing replay enters the
-    # shared SimPool as its group's trace lands (workers=1 stays
-    # in-process for both phases).
-    if sim_pool is None:
-        sim_pool = SimPool(workers=workers, capture_workers=capture_workers,
-                           cache=trace_cache, job_timeout=job_timeout)
+    # shared SimPool as its group's trace lands.
     cidx_by_key: dict = {}
     captures: list[CaptureTask] = []
     replays = []
@@ -73,7 +61,7 @@ def run_table3(configs: list[SystemConfig] | None = None,
             captures.append(CaptureTask.for_kernel(
                 "fmatmul", config, bytes_per_lane, kw))
         replays.append((config, cidx))
-    reports = run_pipeline(captures, replays, sim_pool)
+    reports = run_pipeline(captures, replays, pool)
     return [ppa_point(config, report)
             for (config, _cidx), report in zip(replays, reports)]
 

@@ -107,8 +107,7 @@ from ..params import SystemConfig
 from ..timing.report import TimingReport
 from .faults import FaultLog, FaultPlan, JobTimeout
 from .simulator import replay_trace
-from .trace_cache import (DEFAULT_CAPACITY, TraceCache, TraceKey,
-                          _disk_payload, disk_path)
+from .trace_cache import TraceCache, TraceKey, _disk_payload, disk_path
 
 #: Executor rebuilds allowed before a sweep degrades to serial.
 DEFAULT_MAX_REBUILDS = 3
@@ -236,14 +235,13 @@ _WORKER_FAULTS: Optional[FaultPlan] = None
 _FAILED = object()
 
 
-def _init_worker(disk_dir: Optional[str], capacity: int,
+def _init_worker(disk_dir: Optional[str],
                  fault_plan: Optional[FaultPlan] = None) -> None:
     global _WORKER_CACHE, _WORKER_FAULTS
     # The worker cache shares the pool's fault plan, so store-tier
     # faults (corrupt payloads, ENOSPC) fire on worker write-throughs
     # with the same deterministic rolls as in the parent.
-    _WORKER_CACHE = TraceCache(capacity=capacity, disk_dir=disk_dir,
-                               fault_plan=fault_plan)
+    _WORKER_CACHE = TraceCache(disk_dir=disk_dir, fault_plan=fault_plan)
     _WORKER_FAULTS = fault_plan
 
 
@@ -391,7 +389,6 @@ class SimPool:
     def __init__(self, workers: int | None = 1,
                  capture_workers: int | None = 1,
                  cache: TraceCache | None = None,
-                 capacity: int = DEFAULT_CAPACITY,
                  fault_plan: Optional[FaultPlan] = None,
                  job_timeout: Optional[float] = None,
                  max_rebuilds: int = DEFAULT_MAX_REBUILDS) -> None:
@@ -410,7 +407,6 @@ class SimPool:
         #: capture jobs while replay jobs are pending.
         self.capture_workers = max(1, min(split, self.workers))
         self.cache = cache if cache is not None else TraceCache()
-        self.capacity = capacity
         #: Fault plan shipped to pool workers (None unless configured
         #: explicitly or via $REPRO_FAULT_PLAN).
         self.fault_plan = (fault_plan if fault_plan is not None
@@ -443,7 +439,7 @@ class SimPool:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_worker,
-                initargs=(disk_dir, self.capacity, self.fault_plan))
+                initargs=(disk_dir, self.fault_plan))
         return self._executor
 
     def _pool_usable(self) -> bool:
@@ -918,7 +914,7 @@ class SimPool:
 
 def run_pipeline(captures: Sequence[CaptureTask],
                  replays: Sequence[PipelineReplay],
-                 pool: SimPool) -> list[TimingReport]:
+                 pool: SimPool | None = None) -> list[TimingReport]:
     """Cold-sweep pipeline over one shared :class:`SimPool`.
 
     ``captures[i]`` names one distinct operating point;
@@ -928,7 +924,9 @@ def run_pipeline(captures: Sequence[CaptureTask],
     phase overlaps the remainder of its capture phase — all inside the
     single ``workers=`` process budget.  Returns one report per replay
     entry **in replay order**, byte-identical for any pool sizing.
-    Per-phase wall-clock lands in ``pool.pipeline_stats``.
+    Per-phase wall-clock lands in ``pool.pipeline_stats``.  Without a
+    ``pool`` the pipeline runs in-process on a private :class:`SimPool`
+    with its own in-memory cache.
 
     Replays are deduplicated by **machine-spec identity**: two entries
     naming the same capture and configs with equal
@@ -949,5 +947,7 @@ def run_pipeline(captures: Sequence[CaptureTask],
             slot = unique[key] = len(order)
             order.append((config, cidx))
         expand.append(slot)
+    if pool is None:
+        pool = SimPool()
     reports = pool.run(captures, order)
     return [reports[i] for i in expand]

@@ -57,14 +57,13 @@ Disk entries are written for *concurrent* readers and writers sharing one
   lets envelope *validation* (``__contains__`` probes, the store GC's
   stale purge) check the tags without deserializing — or decompressing
   — the trace itself.
-* **Payload checksum** — ``crc32`` (optional-within-v4, like
-  ``hits_served``) covers the compressed payload bytes and is verified
-  on every disk read and :meth:`TraceCache.probe`.  A mismatch means
-  the bytes on disk are not what the writer produced (bit rot, a
-  partial foreign write, injected corruption); the entry is unlinked
-  and counted in ``corrupt_purged`` rather than left to shadow the
-  budget, and the caller sees a plain miss.  Pre-checksum v4 entries
-  (no ``crc32`` field) are accepted unverified.
+* **Payload checksum** — ``crc32`` covers the compressed payload bytes
+  and is verified on every disk read and :meth:`TraceCache.probe`.  A
+  mismatch or a missing checksum means the bytes on disk are not what
+  the writer produced (bit rot, a partial foreign write, injected
+  corruption); the entry is unlinked and counted in ``corrupt_purged``
+  rather than left to shadow the budget, and the caller sees a plain
+  miss.
 * **Write-failure degradation** — a ``put`` whose disk write raises
   ``ENOSPC`` flips the cache to memory-only (one-shot
   ``RuntimeWarning``; later puts skip the disk layer entirely); any
@@ -261,16 +260,15 @@ def _write_envelope(path: Path, envelope: dict,
 
 
 def _crc_ok(obj: dict) -> bool:
-    """Payload bytes match the envelope's checksum (absent = accepted).
+    """Payload bytes match the envelope's checksum (absent = corrupt).
 
     Cheap relative to decompression — a CRC32 pass over compressed
     bytes — so reads and probes can verify integrity without paying
     for a decode attempt on garbage.
     """
     crc = obj.get("crc32")
-    if crc is None:
-        return True  # pre-checksum v4 entry: accepted unverified
-    return crc == (zlib.crc32(obj["payload"]) & 0xFFFFFFFF)
+    return crc is not None and crc == (zlib.crc32(obj["payload"])
+                                       & 0xFFFFFFFF)
 
 
 def _unwrap_envelope(obj: object) -> Optional[ExecResult]:

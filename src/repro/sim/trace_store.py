@@ -396,20 +396,9 @@ class TraceStore(TraceCache):
         return stats
 
 
-def attach_store(store: Union[TraceCache, str, Path, None] = None
-                 ) -> Optional[TraceCache]:
-    """Resolve a caller-supplied store argument to a usable cache.
-
-    * a :class:`TraceCache`/:class:`TraceStore` instance — used as-is;
-    * a path — a :class:`TraceStore` attached to that directory;
-    * ``None`` — a :class:`TraceStore` at ``$REPRO_TRACE_STORE`` when
-      the environment names one, else ``None`` (caller keeps its
-      private-cache behaviour).
-    """
-    if isinstance(store, TraceCache):
-        return store
-    if store is not None:
-        return TraceStore(disk_dir=store)
+def attach_store() -> Optional[TraceCache]:
+    """The :class:`TraceStore` at ``$REPRO_TRACE_STORE``, or ``None``
+    when the variable is unset (the caller keeps a private cache)."""
     if read_env(ENV_STORE_DIR):
         return TraceStore()
     return None

@@ -39,45 +39,40 @@ import repro.sim.parallel as parallel_mod
 # The five-sweep byte-identity harness.  Each entry runs one sweep at a
 # small reduced operating point and returns its *rendered* output.
 # ----------------------------------------------------------------------
-def _fig6(cache, workers, capture_workers, **kw):
+def _fig6(pool):
     return render_fig6(run_fig6(
         kernels=("fmatmul", "fdotproduct"), bytes_per_lane=(64,),
         machines=[Ara2Config(lanes=8), AraXLConfig(lanes=8),
                   AraXLConfig(lanes=16)],
-        scale="reduced", trace_cache=cache, workers=workers,
-        capture_workers=capture_workers, **kw))
+        scale="reduced", pool=pool))
 
 
-def _fig7(cache, workers, capture_workers, **kw):
+def _fig7(pool):
     return render_fig7(run_fig7(
         kernels=("fmatmul", "softmax"), bytes_per_lane=(64, 128), lanes=8,
-        scale="reduced", trace_cache=cache, workers=workers,
-        capture_workers=capture_workers, **kw))
+        scale="reduced", pool=pool))
 
 
-def _table1(cache, workers, capture_workers, **kw):
+def _table1(pool):
     return render_table1(run_table1(
         config=AraXLConfig(lanes=8), bytes_per_lane=64, scale="reduced",
-        trace_cache=cache, workers=workers,
-        capture_workers=capture_workers, **kw))
+        pool=pool))
 
 
-def _table3(cache, workers, capture_workers, **kw):
+def _table3(pool):
     return render_table3(run_table3(
         configs=[Ara2Config(lanes=8), AraXLConfig(lanes=8),
                  AraXLConfig(lanes=16)],
-        scale="reduced", trace_cache=cache, workers=workers,
-        capture_workers=capture_workers, **kw))
+        scale="reduced", pool=pool))
 
 
-def _ablations(cache, workers, capture_workers, **kw):
+def _ablations(pool):
     hops = (1, 4)
     configs = [AraXLConfig(lanes=8, ring_hop_latency=h) for h in hops]
     rows = run_knob_sweep(configs,
                           [("fdotproduct", 64, {}),
                            ("fmatmul", 64, {"m": 8, "k": 16})],
-                          trace_cache=cache, workers=workers,
-                          capture_workers=capture_workers, **kw)
+                          pool=pool)
     return render_table(
         ("hop cycles", "fdotproduct util", "fmatmul util"),
         [(hop, f"{u[0] * 100:.3f}%", f"{u[1] * 100:.3f}%")
@@ -95,16 +90,20 @@ class TestByteIdentityHarness:
     @pytest.mark.parametrize("name", sorted(SWEEPS))
     def test_sweep_byte_identical(self, name, tmp_path):
         sweep = SWEEPS[name]
-        serial = sweep(TraceStore(disk_dir=tmp_path / "serial"), 1, 1)
+        serial = sweep(SimPool(cache=TraceStore(disk_dir=tmp_path / "serial")))
         # Cold store, captures fanned over a pool, replays pooled too.
-        cold_parallel = sweep(TraceStore(disk_dir=tmp_path / "par"), 2, 3)
+        cold_parallel = sweep(SimPool(
+            workers=2, capture_workers=3,
+            cache=TraceStore(disk_dir=tmp_path / "par")))
         assert cold_parallel == serial
         # Pre-warmed store: every point is a disk hit, same bytes out.
-        warm_parallel = sweep(TraceStore(disk_dir=tmp_path / "par"), 2, 3)
+        warm_parallel = sweep(SimPool(
+            workers=2, capture_workers=3,
+            cache=TraceStore(disk_dir=tmp_path / "par")))
         assert warm_parallel == serial
         # Parallel capture without any disk store at all (payloads ship
         # back over the pipe instead of landing as envelopes).
-        memory_only = sweep(TraceCache(), 1, 2)
+        memory_only = sweep(SimPool(capture_workers=2, cache=TraceCache()))
         assert memory_only == serial
 
 

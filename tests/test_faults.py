@@ -15,6 +15,7 @@ serial degradation latch.
 
 from __future__ import annotations
 
+import pickle
 import warnings
 from concurrent.futures import Future
 
@@ -49,13 +50,13 @@ class TestChaosSweeps:
     def test_sweep_byte_identical_under_chaos(self, name, tmp_path,
                                               monkeypatch):
         sweep = SWEEPS[name]
-        clean = sweep(TraceStore(disk_dir=tmp_path / "clean"), 1, 1)
+        clean = sweep(SimPool(cache=TraceStore(disk_dir=tmp_path / "clean")))
 
         monkeypatch.setenv(ENV_FAULT_PLAN, CHAOS_SPEC)
         store = TraceStore(disk_dir=tmp_path / "chaos")
         pool = SimPool(workers=2, capture_workers=2, cache=store,
                        job_timeout=CHAOS_JOB_TIMEOUT)
-        chaotic = sweep(store, 2, 2, sim_pool=pool)
+        chaotic = sweep(pool)
 
         assert chaotic == clean
         log = pool.fault_log.as_dict()
@@ -233,6 +234,27 @@ class TestStoreIntegrity:
         assert summary["purged_corrupt"] == 1
         assert store.corrupt_purged == 1
         assert store.gc()["purged_corrupt"] == 0  # gone for good
+
+    @pytest.mark.parametrize("path_name", ["get", "gc"])
+    def test_missing_checksum_counts_as_corrupt(self, tmp_path, path_name):
+        """Every writer stamps ``crc32``, so an envelope without one is
+        damaged: ``probe`` refuses it, ``manifest`` flags it, and both
+        ``get`` and ``gc`` purge and count it instead of serving it."""
+        key = _capture_one(TraceStore(disk_dir=tmp_path))
+        path = disk_path(tmp_path, key)
+        envelope = pickle.loads(path.read_bytes())
+        del envelope["crc32"]
+        path.write_bytes(pickle.dumps(envelope))
+
+        store = TraceStore(disk_dir=tmp_path)
+        assert store.probe(key) is False
+        assert [row["corrupt"] for row in store.manifest()] == [True]
+        if path_name == "get":
+            assert store.get(key) is None
+        else:
+            assert store.gc()["purged_corrupt"] == 1
+        assert store.corrupt_purged == 1
+        assert not path.exists()
 
     def test_enospc_degrades_to_memory_only_with_one_warning(self,
                                                              tmp_path):

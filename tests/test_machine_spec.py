@@ -236,7 +236,7 @@ class TestSweepIntegration:
         alias = AraXLConfig(lanes=8, label="alias-8L")
         pool = SimPool(workers=1, cache=TraceCache())
         rows = run_knob_sweep([base, alias],
-                              [("fdotproduct", 64, {})], sim_pool=pool)
+                              [("fdotproduct", 64, {})], pool=pool)
         assert rows[0] == rows[1]
         assert pool.pipeline_stats.replay_points == 1
         assert pool.pipeline_stats.capture_points == 1
@@ -245,7 +245,7 @@ class TestSweepIntegration:
         # A pure-YAML machine with the same VLEN as a builtin replays
         # the builtin's stored capture: zero new captures executed.
         from repro.eval.table1_kernels import run_table1
-        from repro.sim.trace_store import TraceStore
+        from repro.sim import SimPool, TraceStore
         path = tmp_path / "toy.yaml"
         path.write_text("name: toy-64L\nfamily: araxl\nlanes: 64\n"
                         "interconnect:\n  ring_hop_latency: 4\n")
@@ -253,13 +253,14 @@ class TestSweepIntegration:
 
         warm = TraceStore(disk_dir=store_dir)
         run_table1(config=AraXLConfig(lanes=64), scale="reduced",
-                   trace_cache=warm)
+                   pool=SimPool(cache=warm))
         captured = warm.misses
         assert captured > 0
 
         toy = get_machine(str(path))
         cold = TraceStore(disk_dir=store_dir)
-        rows = run_table1(config=toy, scale="reduced", trace_cache=cold)
+        rows = run_table1(config=toy, scale="reduced",
+                          pool=SimPool(cache=cold))
         assert cold.misses == 0, "YAML machine must reuse stored captures"
         assert len(rows) > 0
 

@@ -141,16 +141,16 @@ class TestParallelSweepsByteIdentical:
                   machines=[Ara2Config(lanes=8), AraXLConfig(lanes=8),
                             AraXLConfig(lanes=16)],
                   scale="reduced")
-        serial = run_fig6(**kw, workers=1)
-        parallel = run_fig6(**kw, workers=3)
+        serial = run_fig6(**kw, pool=SimPool(workers=1))
+        parallel = run_fig6(**kw, pool=SimPool(workers=3))
         assert render_fig6(parallel) == render_fig6(serial)
         assert parallel == serial
 
     def test_fig7_parallel_matches_serial(self):
         kw = dict(kernels=("fmatmul", "softmax"), bytes_per_lane=(64, 128),
                   lanes=8, scale="reduced")
-        serial = run_fig7(**kw, workers=1)
-        parallel = run_fig7(**kw, workers=4)
+        serial = run_fig7(**kw, pool=SimPool(workers=1))
+        parallel = run_fig7(**kw, pool=SimPool(workers=4))
         assert render_fig7(parallel) == render_fig7(serial)
         assert parallel == serial
 
@@ -158,8 +158,8 @@ class TestParallelSweepsByteIdentical:
         kw = dict(configs=[Ara2Config(lanes=8), AraXLConfig(lanes=8),
                            AraXLConfig(lanes=16)],
                   scale="reduced")
-        serial = run_table3(**kw, workers=1)
-        parallel = run_table3(**kw, workers=2)
+        serial = run_table3(**kw, pool=SimPool(workers=1))
+        parallel = run_table3(**kw, pool=SimPool(workers=2))
         assert render_table3(parallel) == render_table3(serial)
 
     def test_fig6_baseline_position_is_irrelevant(self):

@@ -18,11 +18,15 @@ Pins the tentpole invariants of the shared capture/replay pool:
 
 from __future__ import annotations
 
+import inspect
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.eval import (run_experiment, run_fig7, run_knob_sweep,
+                        run_table1, run_table3)
 from repro.eval.fig6_scaling import render_fig6, run_fig6
+from repro.eval.fuzz import run_fuzz
 from repro.params import Ara2Config, AraXLConfig
 from repro.sim import SimPool, TraceCache, TraceStore
 from repro.sim.parallel import PARENT_WORKER, PipelineStats
@@ -36,7 +40,7 @@ def _small_fig6(pool):
         kernels=("fmatmul", "fdotproduct"), bytes_per_lane=(64,),
         machines=[Ara2Config(lanes=8), AraXLConfig(lanes=8),
                   AraXLConfig(lanes=16)],
-        scale="reduced", sim_pool=pool))
+        scale="reduced", pool=pool))
 
 
 # ----------------------------------------------------------------------
@@ -59,6 +63,27 @@ class TestSimPoolKnobs:
         assert SimPool(workers=3).capture_workers == 1  # the default
         assert SimPool(workers=3, capture_workers=None).capture_workers <= 3
         assert SimPool(workers=1, capture_workers=8).capture_workers == 1
+
+    def test_no_capacity_knob(self):
+        """Worker caches take the default LRU capacity."""
+        assert "capacity" not in inspect.signature(SimPool).parameters
+
+
+#: Pool-building knobs no sweep takes: its caller builds the pool.
+_REMOVED_KNOBS = {"trace_cache", "trace_store", "workers",
+                  "capture_workers", "job_timeout"}
+
+
+@pytest.mark.parametrize("entry", [
+    run_fig6, run_fig7, run_table1, run_table3, run_knob_sweep, run_fuzz,
+    run_experiment], ids=lambda f: f.__name__)
+def test_sweeps_take_one_pool_argument(entry):
+    """Each sweep and the registry take one ``pool`` (default None)
+    and none of the knobs it replaced."""
+    params = inspect.signature(entry).parameters
+    assert params["pool"].default is None
+    assert [name for name in params if "pool" in name] == ["pool"]
+    assert not _REMOVED_KNOBS & set(params)
 
 
 # ----------------------------------------------------------------------
@@ -156,10 +181,15 @@ class TestSweepIdentityAcrossPoolSizings:
         render the same bytes (results order is replay order, not
         completion order)."""
         sweep = SWEEPS[name]
-        serial = sweep(TraceStore(disk_dir=tmp_path / "serial"), 1, 1)
-        replay_only = sweep(TraceStore(disk_dir=tmp_path / "r"), 3, 1)
+
+        def pool(subdir, workers, capture_workers):
+            return SimPool(workers=workers, capture_workers=capture_workers,
+                           cache=TraceStore(disk_dir=tmp_path / subdir))
+
+        serial = sweep(pool("serial", 1, 1))
+        replay_only = sweep(pool("r", 3, 1))
         assert replay_only == serial
-        shared = sweep(TraceStore(disk_dir=tmp_path / "s"), 2, 2)
+        shared = sweep(pool("s", 2, 2))
         assert shared == serial
 
 

@@ -10,7 +10,7 @@ from repro.eval.fig7_latency import run_fig7
 from repro.functional.executor import Executor
 from repro.kernels import KERNELS, build_fmatmul
 from repro.params import Ara2Config, AraXLConfig
-from repro.sim import Simulator, TraceCache, replay_trace
+from repro.sim import SimPool, Simulator, TraceCache, replay_trace
 from repro.errors import ConfigError
 
 
@@ -151,7 +151,7 @@ class TestFunctionalExecutionCounts:
     def test_fig7_warm_cache_runs_zero_functional(self, exec_counter):
         cache = TraceCache()
         kw = dict(kernels=("fmatmul",), bytes_per_lane=(64,), lanes=16,
-                  scale="reduced", trace_cache=cache)
+                  scale="reduced", pool=SimPool(cache=cache))
         cold = run_fig7(**kw)
         assert len(exec_counter) == 1
         warm = run_fig7(**kw)

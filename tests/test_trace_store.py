@@ -17,7 +17,7 @@ from repro.eval.runner import (EXPERIMENTS, SIMULATION_EXPERIMENTS,
 from repro.eval.table1_kernels import render_table1, run_table1
 from repro.kernels import build_fmatmul
 from repro.params import Ara2Config, AraXLConfig
-from repro.sim import TraceCache, TraceStore, attach_store
+from repro.sim import SimPool, TraceCache, TraceStore, attach_store
 from repro.sim.trace_cache import disk_path
 from repro.sim.trace_store import (ENV_STORE_BYTES, ENV_STORE_DIR,
                                    resolve_store_bytes, resolve_store_dir)
@@ -210,14 +210,9 @@ class TestStoreResolution:
 
     def test_attach_store(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ENV_STORE_DIR, raising=False)
-        cache = TraceCache()
-        assert attach_store(cache) is cache
-        store = attach_store(tmp_path / "s")
-        assert isinstance(store, TraceStore)
-        assert store.disk_dir == tmp_path / "s"
-        assert attach_store(None) is None
+        assert attach_store() is None
         monkeypatch.setenv(ENV_STORE_DIR, str(tmp_path / "envstore"))
-        via_env = attach_store(None)
+        via_env = attach_store()
         assert isinstance(via_env, TraceStore)
         assert via_env.disk_dir == tmp_path / "envstore"
 
@@ -291,11 +286,11 @@ class TestSharedStoreAcrossSweeps:
         store1 = TraceStore(disk_dir=tmp_path)
         run_fig6(kernels=("fmatmul",), bytes_per_lane=(64,),
                  machines=[Ara2Config(lanes=8)], scale="reduced",
-                 trace_cache=store1)
+                 pool=SimPool(cache=store1))
         assert store1.stats["misses"] == 1  # fig6 paid the capture
 
         store2 = TraceStore(disk_dir=tmp_path)  # fresh attach, same disk
-        points = run_fig7(**self._FIG7_KW, trace_cache=store2)
+        points = run_fig7(**self._FIG7_KW, pool=SimPool(cache=store2))
         assert store2.stats["misses"] == 0
         assert store2.stats["disk_hits"] >= 1  # served from fig6's capture
         private = run_fig7(**self._FIG7_KW)
@@ -303,25 +298,25 @@ class TestSharedStoreAcrossSweeps:
 
     def test_output_identical_cold_warm_and_gcd(self, tmp_path):
         store = TraceStore(disk_dir=tmp_path)
-        cold = run_fig7(**self._FIG7_KW, trace_cache=store)
+        cold = run_fig7(**self._FIG7_KW, pool=SimPool(cache=store))
         warm = run_fig7(**self._FIG7_KW,
-                        trace_cache=TraceStore(disk_dir=tmp_path))
+                        pool=SimPool(cache=TraceStore(disk_dir=tmp_path)))
         store.gc(max_bytes=0)  # evict everything mid-run
         assert store.manifest() == []
         gcd = run_fig7(**self._FIG7_KW,
-                       trace_cache=TraceStore(disk_dir=tmp_path))
+                       pool=SimPool(cache=TraceStore(disk_dir=tmp_path)))
         assert render_fig7(cold) == render_fig7(warm) == render_fig7(gcd)
 
     def test_table1_reads_and_warms_the_store(self, tmp_path):
         cfg = AraXLConfig(lanes=8)
         kw = dict(config=cfg, bytes_per_lane=64, scale="reduced")
         store = TraceStore(disk_dir=tmp_path)
-        first = run_table1(**kw, trace_cache=store)
+        first = run_table1(**kw, pool=SimPool(cache=store))
         assert store.stats["misses"] > 0  # cold: capture phase ran
         assert len(store.manifest()) == store.stats["misses"]  # warmed disk
 
         again = TraceStore(disk_dir=tmp_path)
-        second = run_table1(**kw, trace_cache=again)
+        second = run_table1(**kw, pool=SimPool(cache=again))
         assert again.stats["misses"] == 0
         assert again.stats["disk_hits"] == store.stats["misses"]
         assert second == first
@@ -331,8 +326,8 @@ class TestTable1Workers:
     def test_parallel_matches_serial(self):
         kw = dict(config=AraXLConfig(lanes=8), bytes_per_lane=64,
                   scale="reduced")
-        serial = run_table1(**kw, workers=1)
-        parallel = run_table1(**kw, workers=2)
+        serial = run_table1(**kw, pool=SimPool(workers=1))
+        parallel = run_table1(**kw, pool=SimPool(workers=2))
         assert parallel == serial
         assert render_table1(parallel) == render_table1(serial)
 
@@ -348,18 +343,38 @@ class TestRegistry:
     @pytest.mark.parametrize("name", sorted(STATIC_EXPERIMENTS))
     def test_static_experiments_ignore_all_args(self, name, tmp_path):
         plain = run_experiment(name)
-        decorated = run_experiment(name, scale="reduced", workers=3,
-                                   trace_store=tmp_path / "ignored")
+        pool = SimPool(workers=3,
+                       cache=TraceStore(disk_dir=tmp_path / "ignored"))
+        decorated = run_experiment(name, scale="reduced", pool=pool,
+                                   machines=[AraXLConfig(lanes=8)])
         assert decorated == plain
         assert not (tmp_path / "ignored").exists()  # store never touched
+        assert pool.pipeline_stats.replay_points == 0
 
     def test_run_experiment_threads_workers_and_store(self, tmp_path):
         store_dir = tmp_path / "store"
-        kw = dict(scale="reduced", trace_store=store_dir)
-        cold = run_experiment("table1", workers=2, **kw)
+        cold = run_experiment("table1", scale="reduced", pool=SimPool(
+            workers=2, cache=TraceStore(disk_dir=store_dir)))
         assert any(store_dir.glob("trace_*.pkl"))  # experiment warmed it
-        warm = run_experiment("table1", workers=1, **kw)
+        warm = run_experiment("table1", scale="reduced", pool=SimPool(
+            cache=TraceStore(disk_dir=store_dir)))
         assert warm == cold
+
+    def test_one_pool_carries_two_experiments(self):
+        """The CLI's contract: one pool per invocation.  Its cache
+        serves the second run's captures, and its stats add up."""
+        pool = SimPool(cache=TraceCache())
+        first = run_experiment("table1", scale="reduced", pool=pool)
+        after_first = dict(pool.cache.stats)
+        points = pool.pipeline_stats.replay_points
+        assert after_first["misses"] == points > 0
+
+        second = run_experiment("table1", scale="reduced", pool=pool)
+        assert second == first
+        assert pool.cache.stats["misses"] == after_first["misses"]
+        assert pool.cache.stats["hits"] - after_first["hits"] == points
+        assert pool.pipeline_stats.replay_points == 2 * points
+        assert pool.pipeline_stats.capture_points == 2 * points
 
     def test_run_experiment_attaches_via_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_STORE_DIR, str(tmp_path / "envstore"))
