@@ -10,14 +10,17 @@ dictionary lookups (``instr.op("vd").index``) and handler resolution
 * the mnemonic base (``vadd_vv`` -> ``vadd``) and the vector dispatch key
   (``vkind``) with the semantic callable pre-resolved into ``p.aux``;
 * the scalar handler function (``p.scalar_fn``) with its per-mnemonic
-  data (op callable, byte width, comparison...) in ``p.aux``;
+  data (op callable, byte width, comparison...) in ``p.aux`` and its
+  trace kind code (``p.skind``);
 * branch targets resolved to instruction *indices* (``p.target_idx``);
-* for ``vsetvli``: the decoded :class:`VType` plus its integer SEW/LMUL.
+* for ``vsetvli``: the decoded :class:`VType` plus its integer SEW/LMUL;
+* the index the trace's ``v_instr`` column records for the instruction
+  (``p.trace_index``, set by :func:`plans_for`).
 
 Plans are cached: :func:`plans_for` memoizes the full decoded program on
 the (immutable) :class:`~repro.isa.program.Program` instance, and
 :func:`plan_for_instr` memoizes single-instruction decodes for direct
-``VectorUnit.execute`` / ``ScalarUnit.execute`` callers (unit tests).
+``VectorUnit.execute`` callers (unit tests).
 Only quantities that cannot depend on dynamic state (``vl``, ``vtype``)
 are pre-resolved; dtypes still resolve per-retirement from the live SEW
 through the memoized singletons in :mod:`repro.functional.state`.
@@ -48,7 +51,7 @@ class InstrPlan:
                  "vd", "vs1", "vs2", "vs3", "rd", "rs1", "rs2",
                  "frd", "frs1", "frs2", "frs3",
                  "imm", "target", "target_idx",
-                 "aux", "scalar_fn")
+                 "aux", "scalar_fn", "skind", "trace_index")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<InstrPlan {self.mnemonic}>"
@@ -225,6 +228,8 @@ def decode(instr: Instruction,
         p.target_idx = None
     p.aux = None
     p.scalar_fn = None
+    p.skind = None
+    p.trace_index = None
     p.vkind = None
     p.op1_mode = _op1_mode(spec.fmt)
     p.flops = spec.flops
@@ -242,7 +247,7 @@ def decode(instr: Instruction,
         _decode_vector(p)
     else:
         p.kind = K_SCALAR
-        p.scalar_fn, p.aux = _scalar.resolve_scalar(spec)
+        p.scalar_fn, p.aux, p.skind = _scalar.resolve_scalar(spec)
     return p
 
 
@@ -261,10 +266,20 @@ def plan_for_instr(instr: Instruction) -> InstrPlan:
 
 
 def plans_for(program) -> tuple[InstrPlan, ...]:
-    """Decode (and memoize) the full execution plan of a program."""
+    """Decode (and memoize) the full execution plan of a program.
+
+    Each plan's ``trace_index`` is the *last* position of its
+    instruction object in the program, the index the packed trace
+    format records for it (so a program that holds one instruction
+    object twice still packs like its object trace).
+    """
     plans = program.__dict__.get("_plans")
     if plans is None:
         labels = program.labels
-        plans = tuple(decode(instr, labels) for instr in program.instructions)
+        instrs = program.instructions
+        last = {id(instr): i for i, instr in enumerate(instrs)}
+        plans = tuple(decode(instr, labels) for instr in instrs)
+        for p in plans:
+            p.trace_index = last[id(p.instr)]
         program.__dict__["_plans"] = plans
     return plans

@@ -7,9 +7,12 @@ extension scalar FP on float64, loads/stores, and branches.
 Handlers operate on pre-decoded :class:`~repro.functional.plan.InstrPlan`
 objects: operand indices and the per-mnemonic semantic callable are
 resolved once by :func:`resolve_scalar` (called at program decode time),
-so the hot path does no ``getattr`` or format-dict dispatch.  A handler
-returns ``(taken, event)`` where ``taken`` tells the executor to redirect
-to ``plan.target_idx``.
+so the hot path does no ``getattr`` or format-dict dispatch.  A load or
+store handler returns the address it accessed; every other handler
+returns ``taken``, which tells the executor to redirect to
+``plan.target_idx``.  The trace kind of each instruction is a code into
+:data:`~repro.functional.trace.SCALAR_KINDS`, resolved with the handler
+(a branch's code plus ``taken`` is its taken form).
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from typing import Any, Callable
 import numpy as np
 
 from ..errors import ExecutionError
-from ..isa.instructions import Instruction, InstrSpec
+from ..isa.instructions import InstrSpec
 from .memory import FunctionalMemory
 from .state import ArchState
-from .trace import ScalarEvent
+from .trace import SCALAR_KINDS
 
 _I64_MASK = (1 << 64) - 1
 
@@ -49,14 +52,10 @@ def _rem(a: int, b: int) -> int:
     return a - _div(a, b) * b
 
 
-#: Singleton events for kinds that carry no payload — the trace only ever
-#: reads them, so every ALU retirement can share one frozen instance.
-_EV_ALU = ScalarEvent("alu")
-_EV_MUL = ScalarEvent("mul")
-_EV_DIV = ScalarEvent("div")
-_EV_FP = ScalarEvent("fp")
-_EV_BRANCH = ScalarEvent("branch")
-_EV_TAKEN = ScalarEvent("branch_taken")
+#: Kind codes (positions in ``SCALAR_KINDS``); loads and stores, the
+#: kinds with an address, are the codes from ``S_LOAD`` on.
+(S_ALU, S_MUL, S_DIV, S_FP, S_BRANCH, _, S_LOAD,
+ S_STORE) = range(len(SCALAR_KINDS))
 
 
 class ScalarUnit:
@@ -65,19 +64,6 @@ class ScalarUnit:
     def __init__(self, state: ArchState, mem: FunctionalMemory) -> None:
         self.state = state
         self.mem = mem
-
-    # ------------------------------------------------------------------
-    def execute(self, instr: Instruction):
-        """Decode-on-the-fly single-instruction path (tests, tools).
-
-        Returns ``(taken-branch label or None, trace event)`` like the
-        pre-plan interpreter did.
-        """
-        from .plan import plan_for_instr
-
-        p = plan_for_instr(instr)
-        taken, event = p.scalar_fn(self, p)
-        return (p.target if taken else None), event
 
     # ------------------------------------------------------------------
     # Integer ALU
@@ -108,28 +94,26 @@ class ScalarUnit:
     _DIV_KINDS = frozenset({"div", "rem"})
 
     def _h_alu_rr(self, p):
-        op, ev = p.aux
         x = self.state.x
-        x.write(p.rd, _wrap(op(x.read(p.rs1), x.read(p.rs2))))
-        return False, ev
+        x.write(p.rd, _wrap(p.aux(x.read(p.rs1), x.read(p.rs2))))
+        return False
 
     def _h_alu_ri(self, p):
-        op, ev = p.aux
         x = self.state.x
-        x.write(p.rd, _wrap(op(x.read(p.rs1), p.imm)))
-        return False, ev
+        x.write(p.rd, _wrap(p.aux(x.read(p.rs1), p.imm)))
+        return False
 
     def _h_li(self, p):
         self.state.x.write(p.rd, p.imm)
-        return False, _EV_ALU
+        return False
 
     def _h_mv(self, p):
         x = self.state.x
         x.write(p.rd, x.read(p.rs1))
-        return False, _EV_ALU
+        return False
 
     def _h_nop(self, p):
-        return False, _EV_ALU
+        return False
 
     # ------------------------------------------------------------------
     # Memory
@@ -141,13 +125,13 @@ class ScalarUnit:
         nbytes = p.aux
         addr = self.state.x.read(p.rs1) + p.imm
         self.state.x.write(p.rd, self.mem.load_int(addr, nbytes, signed=True))
-        return False, ScalarEvent("load", addr=addr, nbytes=nbytes)
+        return addr
 
     def _h_store(self, p):
         nbytes = p.aux
         addr = self.state.x.read(p.rs1) + p.imm
         self.mem.store_int(addr, self.state.x.read(p.rs2), nbytes)
-        return False, ScalarEvent("store", addr=addr, nbytes=nbytes)
+        return addr
 
     def _h_fload(self, p):
         addr = self.state.x.read(p.rs1) + p.imm
@@ -156,7 +140,7 @@ class ScalarUnit:
         else:
             value = self.mem.load_f32(addr)
         self.state.f.write(p.frd, value)
-        return False, ScalarEvent("load", addr=addr, nbytes=p.aux)
+        return addr
 
     def _h_fstore(self, p):
         addr = self.state.x.read(p.rs1) + p.imm
@@ -165,7 +149,7 @@ class ScalarUnit:
             self.mem.store_f64(addr, value)
         else:
             self.mem.store_f32(addr, value)
-        return False, ScalarEvent("store", addr=addr, nbytes=p.aux)
+        return addr
 
     # ------------------------------------------------------------------
     # Scalar FP
@@ -209,17 +193,17 @@ class ScalarUnit:
     def _h_fp_rr(self, p):
         f = self.state.f
         f.write(p.frd, p.aux(f.read(p.frs1), f.read(p.frs2)))
-        return False, _EV_FP
+        return False
 
     def _h_fp_rrr(self, p):
         f = self.state.f
         f.write(p.frd, p.aux(f.read(p.frs1), f.read(p.frs2), f.read(p.frs3)))
-        return False, _EV_FP
+        return False
 
     def _h_fp_r(self, p):
         f = self.state.f
         f.write(p.frd, p.aux(f.read(p.frs1)))
-        return False, _EV_FP
+        return False
 
     def _h_frd_rs(self, p):
         raw = self.state.x.read(p.rs1)
@@ -229,7 +213,7 @@ class ScalarUnit:
             value = struct.unpack(
                 "<d", (raw & _I64_MASK).to_bytes(8, "little"))[0]
         self.state.f.write(p.frd, value)
-        return False, _EV_FP
+        return False
 
     def _h_rd_frs(self, p):
         a = self.state.f.read(p.frs1)
@@ -238,12 +222,12 @@ class ScalarUnit:
         else:  # fmv.x.d
             value = _wrap(int.from_bytes(struct.pack("<d", a), "little"))
         self.state.x.write(p.rd, value)
-        return False, _EV_FP
+        return False
 
     def _h_fcmp(self, p):
         f = self.state.f
         self.state.x.write(p.rd, p.aux(f.read(p.frs1), f.read(p.frs2)))
-        return False, _EV_FP
+        return False
 
     # ------------------------------------------------------------------
     # Control flow
@@ -267,72 +251,68 @@ class ScalarUnit:
 
     def _h_branch(self, p):
         x = self.state.x
-        if p.aux(x.read(p.rs1), x.read(p.rs2)):
-            return True, _EV_TAKEN
-        return False, _EV_BRANCH
+        return p.aux(x.read(p.rs1), x.read(p.rs2))
 
     def _h_branchz(self, p):
-        if p.aux(self.state.x.read(p.rs1)):
-            return True, _EV_TAKEN
-        return False, _EV_BRANCH
+        return p.aux(self.state.x.read(p.rs1))
 
     def _h_j(self, p):
-        return True, _EV_TAKEN
+        return True
 
 
 ScalarUnit._FP_BINOPS["fdiv_d"] = ScalarUnit._fdiv
 
 
-def resolve_scalar(spec: InstrSpec) -> tuple[Callable, Any]:
-    """Resolve the handler + per-mnemonic data for one scalar mnemonic.
+def resolve_scalar(spec: InstrSpec) -> tuple[Callable, Any, int]:
+    """Resolve the handler, per-mnemonic data and trace kind code of one
+    scalar mnemonic.
 
-    Called once per static instruction at decode time; the returned pair
-    lands in ``plan.scalar_fn`` / ``plan.aux``.
+    Called once per static instruction at decode time; the returned
+    triple lands in ``plan.scalar_fn`` / ``plan.aux`` / ``plan.skind``.
     """
     m = spec.mnemonic
     fmt = spec.fmt
     su = ScalarUnit
     if m == "li":
-        return su._h_li, None
+        return su._h_li, None, S_ALU
     if m == "mv":
-        return su._h_mv, None
+        return su._h_mv, None, S_ALU
     if m == "nop":
-        return su._h_nop, None
+        return su._h_nop, None, S_ALU
     if m == "j":
-        return su._h_j, None
+        return su._h_j, None, S_BRANCH
     if fmt == "rd_rs_rs" or fmt == "rd_rs_imm":
         base = su._IMMOPS.get(m, m)
-        op = su._BINOPS[base]
         if base in su._MUL_KINDS:
-            ev = _EV_MUL
+            kind = S_MUL
         elif base in su._DIV_KINDS:
-            ev = _EV_DIV
+            kind = S_DIV
         else:
-            ev = _EV_ALU
+            kind = S_ALU
         handler = su._h_alu_rr if fmt == "rd_rs_rs" else su._h_alu_ri
-        return handler, (op, ev)
+        return handler, su._BINOPS[base], kind
     if fmt == "load":
-        return su._h_load, su._LOAD_SIZES[m]
+        return su._h_load, su._LOAD_SIZES[m], S_LOAD
     if fmt == "store":
-        return su._h_store, su._STORE_SIZES[m]
+        return su._h_store, su._STORE_SIZES[m], S_STORE
     if fmt == "fload":
-        return su._h_fload, 8 if m == "fld" else 4
+        return su._h_fload, 8 if m == "fld" else 4, S_LOAD
     if fmt == "fstore":
-        return su._h_fstore, 8 if m == "fsd" else 4
+        return su._h_fstore, 8 if m == "fsd" else 4, S_STORE
     if fmt == "frd_frs_frs":
-        return su._h_fp_rr, su._FP_BINOPS[m]
+        return su._h_fp_rr, su._FP_BINOPS[m], S_FP
     if fmt == "frd_frs_frs_frs":
-        return su._h_fp_rrr, su._FP_TERNOPS[m]
+        return su._h_fp_rrr, su._FP_TERNOPS[m], S_FP
     if fmt == "frd_frs":
-        return su._h_fp_r, su._FP_UNOPS[m]
+        return su._h_fp_r, su._FP_UNOPS[m], S_FP
     if fmt == "frd_rs":
-        return su._h_frd_rs, m == "fcvt_d_l"
+        return su._h_frd_rs, m == "fcvt_d_l", S_FP
     if fmt == "rd_frs":
-        return su._h_rd_frs, m == "fcvt_l_d"
+        return su._h_rd_frs, m == "fcvt_l_d", S_FP
     if fmt == "rd_frs_frs":
-        return su._h_fcmp, su._FP_CMPS[m]
+        return su._h_fcmp, su._FP_CMPS[m], S_FP
     if fmt == "branch":
-        return su._h_branch, su._BRANCH_CMP[m]
+        return su._h_branch, su._BRANCH_CMP[m], S_BRANCH
     if fmt == "branchz":
-        return su._h_branchz, su._BRANCHZ_CMP[m]
+        return su._h_branchz, su._BRANCHZ_CMP[m], S_BRANCH
     raise ExecutionError(f"no scalar semantics for {m} (fmt {fmt})")

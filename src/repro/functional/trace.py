@@ -1,9 +1,18 @@
 """Dynamic execution trace: the contract between functional and timing.
 
-The functional executor emits one event per retired instruction.  The
-timing engine replays the event stream against a machine model — it never
-re-executes semantics, so functional correctness and cycle estimation stay
-decoupled (the classic functional/timing split of architecture simulators).
+One record per retired instruction — a scalar instruction classified
+for the CVA6 model, a ``vsetvli``, or a vector instruction with its
+dynamic configuration and memory access — ordered as retired.  The
+timing engine replays that stream against a machine model — it never
+re-executes semantics, so functional correctness and cycle estimation
+stay decoupled (the classic functional/timing split of architecture
+simulators).
+
+The functional executor writes the records straight into the columnar
+layout of :mod:`repro.functional.trace_pack`; the event classes below
+are the object view of the same records, built on demand
+(:attr:`~repro.functional.trace_pack.PackedTrace.events`) for the
+reference replay loop and golden checks, and by hand in tests.
 """
 
 from __future__ import annotations
@@ -13,6 +22,13 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from ..isa.instructions import Instruction, MemPattern
+
+
+#: Every kind a retired scalar instruction is classified as; a kind's
+#: position is its code in :class:`~repro.functional.plan.InstrPlan`.
+#: A branch's code plus one is the taken form of the same branch.
+SCALAR_KINDS = ("alu", "mul", "div", "fp", "branch", "branch_taken",
+                "load", "store")
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,10 +54,10 @@ class MemAccess:
 class ScalarEvent:
     """A retired scalar instruction, classified for the CVA6 timing model.
 
-    Hand-rolled (not a dataclass): one is built per retired scalar
-    instruction, and plain ``__init__`` assignment is markedly cheaper
-    than the frozen-dataclass ``object.__setattr__`` chain.  Events are
-    immutable by convention; payload-free kinds share singletons.
+    Hand-rolled (not a dataclass): materializing a trace builds one
+    per scalar record, and plain ``__init__`` assignment is markedly
+    cheaper than the frozen-dataclass ``object.__setattr__`` chain.
+    Events are immutable by convention.
     """
 
     __slots__ = ("kind", "addr", "nbytes")

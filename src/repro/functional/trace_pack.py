@@ -1,11 +1,10 @@
-"""Columnar (struct-of-arrays) trace packing: the v6 envelope payload.
+"""Columnar (struct-of-arrays) traces: the v6 layout, capture to disk.
 
-A captured :class:`~repro.functional.trace.DynamicTrace` is a list of
-small Python objects — perfect for capture, terrible for a disk tier:
-pickling builds (and unpickling rebuilds) one heap object per retired
-instruction, which dominates warm-path latency once traces reach 10^5
-events.  This module flattens the event stream into per-kind numpy
-columns ("struct of arrays"):
+A dynamic trace is one record per retired instruction.  Held as Python
+objects (:mod:`repro.functional.trace`), it costs one heap object per
+record — to build, to pickle and to unpickle — which dominates capture
+and warm-path latency once traces reach 10^5 records.  This module
+keeps the records in per-kind numpy columns ("struct of arrays"):
 
 * a ``tags`` byte per event (scalar / vsetvl / vector / fallback) keeps
   the original interleaving, so the stream order — which the timing
@@ -28,15 +27,18 @@ program ships alongside the blob in the envelope payload, so unpacking
 re-links events to the very instruction objects the replay decode
 caches key on.
 
-The per-event flattening lives in one place, :func:`build_columns`:
-:func:`pack_trace` serializes its columns, and the timing engine's plan
-compiler (:mod:`repro.timing.replay_plan`) compiles an object trace
-from the very same columns.
+The functional executor writes these columns as it retires instructions,
+through the typed append buffers of :class:`TraceBuffers`, and a
+capture is a :class:`PackedTrace` over them; its blob is serialized the
+first time something needs it (:func:`pack_trace`, pickling, ``nbytes``).
+:func:`build_columns` flattens event objects into the same columns for
+traces built by hand, which :func:`pack_trace` and the replay-plan
+compiler (:mod:`repro.timing.replay_plan`) accept too.
 
-:class:`PackedTrace` is the lazy reader: aggregate counters and column
-views are available without materializing a single event object — the
-replay plan compiles straight from the views — and
-:meth:`PackedTrace.events` rebuilds the plain event list on first use
+:class:`PackedTrace` is also the lazy reader of a disk blob: aggregate
+counters and column views are available without materializing a single
+event object — the replay plan compiles straight from the views — and
+:meth:`PackedTrace.events` builds the plain event list on first use
 for consumers that genuinely need objects (``iter()``, golden checks).
 """
 
@@ -44,17 +46,18 @@ from __future__ import annotations
 
 import pickle
 import struct
+from array import array
 from typing import Iterator
 
 import numpy as np
 
 from ..isa.instructions import MemPattern
 from ..isa.program import Program
-from .trace import (DynamicTrace, MemAccess, ScalarEvent, VectorEvent,
-                    VsetvlEvent)
+from .trace import (SCALAR_KINDS, DynamicTrace, MemAccess, ScalarEvent,
+                    VectorEvent, VsetvlEvent)
 
-__all__ = ["PACK_VERSION", "PackedTrace", "build_columns", "pack_trace",
-           "unpack_trace"]
+__all__ = ["PACK_VERSION", "PackedTrace", "TraceBuffers", "build_columns",
+           "pack_trace", "unpack_trace"]
 
 #: Version of the column layout inside the blob (independent of the
 #: envelope's ``DISK_FORMAT_VERSION``, which gates the file as a whole).
@@ -69,7 +72,7 @@ TAG_SCALAR, TAG_VSETVL, TAG_VECTOR, TAG_FALLBACK = 0, 1, 2, 3
 #: Fixed pattern vocabulary: index in this tuple is the on-disk code.
 PATTERNS = (MemPattern.NONE, MemPattern.UNIT, MemPattern.STRIDED,
             MemPattern.INDEXED, MemPattern.MASK)
-_PATTERN_CODE = {p: i for i, p in enumerate(PATTERNS)}
+PATTERN_CODE = {p: i for i, p in enumerate(PATTERNS)}
 
 #: Column table: ``(name, dtype, count group, delta-coded)``.  The
 #: count group keys how many rows a column has — ``t``: one per event,
@@ -105,8 +108,8 @@ _COLUMNS = (
     ("m_pattern", "u1", "v", False),
 )
 
-_I64_MIN = -(1 << 63)
-_I64_MAX = (1 << 63) - 1
+I64_MIN = -(1 << 63)
+I64_MAX = (1 << 63) - 1
 
 
 def _align8(offset: int) -> int:
@@ -177,7 +180,7 @@ def build_columns(events, instructions=None) -> tuple:
 
     # The range checks are inlined: this loop runs once per event on
     # every pack and every object-trace plan compile.
-    lo, hi = _I64_MIN, _I64_MAX
+    lo, hi = I64_MIN, I64_MAX
     for index, event in enumerate(events):
         cls = event.__class__
         if cls is ScalarEvent:
@@ -223,7 +226,7 @@ def build_columns(events, instructions=None) -> tuple:
                     continue
                 if type(mem) is MemAccess:
                     base, stride, count = mem.base, mem.stride, mem.count
-                    ew, code = mem.ew_bytes, _PATTERN_CODE.get(mem.pattern)
+                    ew, code = mem.ew_bytes, PATTERN_CODE.get(mem.pattern)
                     if (code is not None
                             and isinstance(base, int) and lo <= base <= hi
                             and isinstance(stride, int)
@@ -245,34 +248,148 @@ def build_columns(events, instructions=None) -> tuple:
     return columns, tuple(kinds), fallback, tuple(instrs)
 
 
+class TraceBuffers:
+    """Typed append buffers the functional executor writes a trace into.
+
+    Dense buffers hold one value per row in their column's dtype
+    (``bytearray`` for ``u1``, :class:`array.array` otherwise), so
+    :meth:`finish` views them with :func:`numpy.frombuffer`.  Payload
+    most rows lack is sparse: the memory fields and flags of the vector
+    rows that access memory (rows in ``mem_row``), the amount of slide
+    rows (``slide_row``) and the address and size of scalar loads and
+    stores (``s_mem_row``) are scattered into zero-filled columns (``-1``
+    for a missing address).  ``s_kind`` holds trace codes into
+    ``kinds``, grown in first-use order like :func:`build_columns` does;
+    ``kind_code`` maps a :data:`~repro.functional.trace.SCALAR_KINDS`
+    code to its trace code (``-1``: unused so far).  ``fallback`` maps an
+    event index to a record that does not fit the columns.
+    """
+
+    __slots__ = ("tags", "s_kind", "s_mem_row", "s_addr", "s_nbytes",
+                 "kinds", "kind_code", "w_vl", "w_sew", "w_lmul",
+                 "v_instr", "v_vl", "v_sew", "v_lmul", "slide_row",
+                 "v_slide", "mem_row", "v_flags", "m_base", "m_stride",
+                 "m_count", "m_ew", "m_pattern", "fallback")
+
+    def __init__(self) -> None:
+        self.tags = bytearray()
+        self.s_kind = bytearray()  # widened to the u2 column by finish()
+        self.s_mem_row = array("q")
+        self.s_addr = array("q")
+        self.s_nbytes = array("q")
+        self.kinds: list[str] = []
+        self.kind_code = [-1] * len(SCALAR_KINDS)
+        self.w_vl = array("q")
+        self.w_sew = bytearray()
+        self.w_lmul = bytearray()
+        self.v_instr = array("i")
+        self.v_vl = array("q")
+        self.v_sew = bytearray()
+        self.v_lmul = bytearray()
+        self.slide_row = array("q")
+        self.v_slide = array("q")
+        self.mem_row = array("q")
+        self.v_flags = bytearray()
+        self.m_base = array("q")
+        self.m_stride = array("q")
+        self.m_count = array("q")
+        self.m_ew = bytearray()
+        self.m_pattern = bytearray()
+        self.fallback: dict = {}
+
+    def new_kind(self, code: int) -> int:
+        """Trace code of ``SCALAR_KINDS[code]`` on its first use."""
+        local = self.kind_code[code] = len(self.kinds)
+        self.kinds.append(SCALAR_KINDS[code])
+        return local
+
+    def finish(self, program: Program, total_flops: float) -> "PackedTrace":
+        """The :class:`PackedTrace` of the buffered records (the
+        buffers stay exported to its columns)."""
+        counts = {"t": len(self.tags), "s": len(self.s_kind),
+                  "w": len(self.w_vl), "v": len(self.v_instr)}
+        columns: dict[str, np.ndarray] = {}
+        row_index: dict[str, np.ndarray] = {}
+        for name, dtype, group, _ in _COLUMNS:
+            rows = _SPARSE_ROWS.get(name)
+            if rows is None:
+                column = np.frombuffer(getattr(self, name),
+                                       np.uint8 if name == "s_kind" else dtype)
+                if name == "s_kind":
+                    column = column.astype(dtype)
+            else:
+                column = np.zeros(counts[group], dtype)
+                if name == "s_addr":
+                    column.fill(-1)
+                index = row_index.get(rows)
+                if index is None:
+                    index = row_index[rows] = np.frombuffer(
+                        getattr(self, rows), np.int64)
+                if index.size:
+                    column[index] = np.frombuffer(getattr(self, name), dtype)
+            columns[name] = column
+        fallback = self.fallback
+        vector_count = counts["v"]
+        if fallback:
+            vector_count += sum(type(event) is VectorEvent
+                                for event in fallback.values())
+        packed = PackedTrace.__new__(PackedTrace)
+        _fill(packed, None, program, columns, tuple(self.kinds),
+              _pickle_fallback(fallback), counts["t"] - vector_count,
+              vector_count, total_flops)
+        return packed
+
+
+#: Sparse :class:`TraceBuffers` columns and the buffer of their rows.
+_SPARSE_ROWS = {"s_addr": "s_mem_row", "s_nbytes": "s_mem_row",
+                "v_slide": "slide_row", "v_flags": "mem_row",
+                "m_base": "mem_row", "m_stride": "mem_row",
+                "m_count": "mem_row", "m_ew": "mem_row",
+                "m_pattern": "mem_row"}
+
+
 # ----------------------------------------------------------------------
 # Packing
 # ----------------------------------------------------------------------
 def pack_trace(trace, program: Program) -> bytes:
     """Flatten ``trace`` into a self-describing columnar blob.
 
-    Every event that fits the column schema is encoded as array rows;
-    anything else (foreign event classes, out-of-range fields,
-    instructions absent from ``program``) is pickled whole into the
-    fallback map.  The result round-trips through
+    A :class:`PackedTrace` of ``program`` contributes its own blob.  Of
+    any other trace, every event that fits the column schema is encoded
+    as array rows; anything else (foreign event classes, out-of-range
+    fields, instructions absent from ``program``) is pickled whole into
+    the fallback map.  The result round-trips through
     :func:`unpack_trace` to an event stream with identical contents.
     """
+    if isinstance(trace, PackedTrace) and trace.program is program:
+        return trace.blob
     cols, kinds, fallback, _ = build_columns(trace, program.instructions)
+    return _serialize(cols, kinds, _pickle_fallback(fallback),
+                      trace.scalar_count, trace.vector_count,
+                      trace.total_flops)
 
-    # -- assemble the blob --------------------------------------------
+
+def _pickle_fallback(fallback: dict) -> bytes:
+    """The header's bytes of a fallback map (empty for none)."""
+    return (pickle.dumps(fallback, protocol=pickle.HIGHEST_PROTOCOL)
+            if fallback else b"")
+
+
+def _serialize(cols: dict, kinds: tuple, fallback_bytes: bytes,
+               scalar_count: int, vector_count: int,
+               total_flops: float) -> bytes:
+    """The blob of the (not delta-coded) columns ``cols``."""
     counts = {"t": len(cols["tags"]), "s": len(cols["s_kind"]),
               "w": len(cols["w_vl"]), "v": len(cols["v_instr"])}
     table, _ = _layout(counts)
     header = {
         "pack": PACK_VERSION,
         "counts": (counts["t"], counts["s"], counts["w"], counts["v"]),
-        "scalar_count": trace.scalar_count,
-        "vector_count": trace.vector_count,
-        "total_flops": trace.total_flops,
+        "scalar_count": scalar_count,
+        "vector_count": vector_count,
+        "total_flops": total_flops,
         "kinds": kinds,
-        "fallback": (pickle.dumps(fallback,
-                                  protocol=pickle.HIGHEST_PROTOCOL)
-                     if fallback else b""),
+        "fallback": fallback_bytes,
     }
     header_bytes = pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
     region = _align8(len(MAGIC) + 4 + len(header_bytes))
@@ -333,31 +450,42 @@ def _parse_into(packed: "PackedTrace", blob, program: Program) -> None:
         if delta and count > 1:
             arr = _delta_decode(arr)
         columns[name] = arr
-    packed.blob = blob
+    _fill(packed, blob, program, columns, header["kinds"],
+          header["fallback"], int(header["scalar_count"]),
+          int(header["vector_count"]), header["total_flops"])
+
+
+def _fill(packed: "PackedTrace", blob, program: Program, columns: dict,
+          kinds: tuple, fallback_bytes: bytes, scalar_count: int,
+          vector_count: int, total_flops: float) -> None:
+    """Set every slot of ``packed`` (``blob`` may be ``None``: built on
+    first use)."""
+    packed._blob = blob
     packed.program = program
-    packed.n_events = counts["t"]
-    packed.scalar_count = int(header["scalar_count"])
-    packed.vector_count = int(header["vector_count"])
-    packed.total_flops = header["total_flops"]
-    packed.kinds = header["kinds"]
+    packed.n_events = len(columns["tags"])
+    packed.scalar_count = scalar_count
+    packed.vector_count = vector_count
+    packed.total_flops = total_flops
+    packed.kinds = kinds
     packed.columns = columns
-    packed.fallback_bytes = header["fallback"]
+    packed.fallback_bytes = fallback_bytes
     packed._events = None
     packed._plan = None
 
 
 class PackedTrace:
-    """Lazy columnar view of a packed trace.
+    """Lazy columnar view of a trace: a capture or a packed blob.
 
     Quacks like :class:`~repro.functional.trace.DynamicTrace` for the
     consumers that matter (aggregate counters, ``len``, iteration,
-    ``vector_events``) while keeping the payload as flat numpy column
-    views over the blob bytes until someone genuinely needs event
-    objects.  ``_plan`` caches the timing engine's compiled replay plan
-    exactly like ``DynamicTrace._plan`` does.
+    ``vector_events``) while keeping the payload as flat numpy columns
+    — the executor's buffers, or views over the blob bytes — until
+    someone genuinely needs event objects.  ``_plan`` caches the timing
+    engine's compiled replay plan exactly like ``DynamicTrace._plan``
+    does.
     """
 
-    __slots__ = ("blob", "program", "n_events", "scalar_count",
+    __slots__ = ("_blob", "program", "n_events", "scalar_count",
                  "vector_count", "total_flops", "kinds", "columns",
                  "fallback_bytes", "_events", "_plan")
 
@@ -396,6 +524,16 @@ class PackedTrace:
         columns (unpickled per access; empty for most traces)."""
         return (pickle.loads(self.fallback_bytes) if self.fallback_bytes
                 else {})
+
+    @property
+    def blob(self) -> bytes:
+        """The packed blob (serialized from the columns on first use)."""
+        blob = self._blob
+        if blob is None:
+            blob = self._blob = _serialize(
+                self.columns, self.kinds, self.fallback_bytes,
+                self.scalar_count, self.vector_count, self.total_flops)
+        return blob
 
     @property
     def nbytes(self) -> int:

@@ -1,9 +1,13 @@
 """The functional vector engine: RVV state handling + dispatch.
 
 Fetches operands from the VRF, applies the pure semantics from
-:mod:`repro.functional.vector_ops`, handles masking (mask-undisturbed) and
-tail policy (tail-undisturbed, legal under agnosticism), and emits one
-:class:`~repro.functional.trace.VectorEvent` per retired instruction.
+:mod:`repro.functional.vector_ops`, and handles masking (mask-undisturbed)
+and tail policy (tail-undisturbed, legal under agnosticism).  Each
+handler returns the trace fields the instruction adds to its dynamic
+configuration — a memory access's ``(base, stride, count, element
+bytes)``, a slide's amount, else ``None`` — which the executor appends
+to the trace columns and :meth:`VectorUnit.execute` wraps in a
+:class:`~repro.functional.trace.VectorEvent`.
 
 Hot-path notes (this module runs once per retired vector instruction):
 
@@ -14,11 +18,14 @@ Hot-path notes (this module runs once per retired vector instruction):
   semantic function allocates a fresh result before anything is written
   back, and register groups of equal EMUL are equal-or-disjoint);
 * the ``v0`` mask is unpacked once and cached until ``v0`` is written
-  (tracked by ``VectorRegFile.v0_writes``) or ``vl`` changes.
+  (tracked by ``VectorRegFile.v0_writes``) or ``vl`` changes;
+* handlers run inside one :meth:`VectorUnit.ieee_errors` scope per
+  executor run instead of entering ``np.errstate`` per FP operation.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
@@ -32,18 +39,27 @@ from .trace import MemAccess, VectorEvent
 from .vector_ops import mask as maskops, mem as memops, permute
 
 
-#: Handler return value for instructions with no memory access / slide.
-_NO_EXTRA = (None, 0)
-
 _UNIT_DTYPES = {1: np.dtype("u1"), 2: np.dtype("u2"),
                 4: np.dtype("u4"), 8: np.dtype("u8")}
 
+#: NumPy error state of vector FP arithmetic: overflow to ±inf, invalid
+#: operations yielding NaN and division by zero are the defined
+#: IEEE-754 results, not errors.
+IEEE_ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
-def _widen_fp(values, wide: np.dtype) -> np.ndarray:
-    """FP elements converted to ``wide``; a signaling NaN converts to a
-    quiet one by definition, so the cast's invalid flag stays silent."""
-    with np.errstate(invalid="ignore"):
-        return np.asarray(values, dtype=wide)
+
+def vector_event(p: InstrPlan, vl: int, sew: int, lmul: int,
+                 extra) -> VectorEvent:
+    """The :class:`VectorEvent` of one execution of ``p`` at ``(vl, sew,
+    lmul)`` from its handler's ``extra`` fields."""
+    if extra is None:
+        return VectorEvent(p.instr, vl, sew, lmul)
+    if p.vkind == "mem":
+        base, stride, count, ew = extra
+        spec = p.spec
+        return VectorEvent(p.instr, vl, sew, lmul, MemAccess(
+            base, stride, count, ew, spec.mem_pattern, spec.is_store))
+    return VectorEvent(p.instr, vl, sew, lmul, None, extra)
 
 
 class VectorUnit:
@@ -90,24 +106,42 @@ class VectorUnit:
         self._v0_key = -1
         self._v0_vl = -1
         self._v0_bits: Optional[np.ndarray] = None
+        self._caller_err = self._int_err = np.geterr()
 
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
+    @contextmanager
+    def ieee_errors(self):
+        """Scope that vector instructions execute in.
+
+        FP arithmetic — and the data-movement handlers, which do none —
+        run under :data:`IEEE_ERRSTATE`, entered once for the scope.
+        The integer and conversion handlers restore the error state the
+        scope was entered with, so their numpy warnings still surface.
+        """
+        caller = np.geterr()
+        self._caller_err = caller
+        self._int_err = {**caller, "over": "ignore"}  # integers wrap
+        with np.errstate(**IEEE_ERRSTATE):
+            yield
+
     def execute(self, instr: Instruction) -> VectorEvent:
         """Decode-on-the-fly single-instruction path (tests, tools)."""
-        return self.execute_plan(plan_for_instr(instr))
-
-    def execute_plan(self, p: InstrPlan) -> VectorEvent:
+        p = plan_for_instr(instr)
         state = self.state
         state.require_legal_vtype()
-        vl = state.vl
-        sew = state.sew_bits
-        lmul = state.lmul_i
-        mask_bits = self._v0_mask(vl) if p.masked else None
-        mem_access, slide_amount = self._dispatch[p.vkind](
-            p, vl, sew, lmul, mask_bits)
-        return VectorEvent(p.instr, vl, sew, lmul, mem_access, slide_amount)
+        vl, sew, lmul = state.vl, state.sew_bits, state.lmul_i
+        with self.ieee_errors():
+            extra = self.execute_plan(p, vl, sew, lmul)
+        return vector_event(p, vl, sew, lmul, extra)
+
+    def execute_plan(self, p: InstrPlan, vl: int, sew: int, lmul: int):
+        """Execute ``p`` at the given configuration inside an
+        :meth:`ieee_errors` scope; returns the handler's trace fields
+        (see the module docstring)."""
+        return self._dispatch[p.vkind](
+            p, vl, sew, lmul, self._v0_mask(vl) if p.masked else None)
 
     # ------------------------------------------------------------------
     # Operand helpers
@@ -156,7 +190,7 @@ class VectorUnit:
         src = self.state.v.read_elems(
             p.vs2, vl, int_dtype(sew), lmul, copy=False)
         self.state.v.write_elems(p.vd, src, lmul, mask_bits)
-        return _NO_EXTRA
+        return None
 
     def _h_splat(self, p, vl, sew, lmul, mask_bits):
         m = p.mnemonic
@@ -169,33 +203,33 @@ class VectorUnit:
         else:  # vmv_v_i
             value = self._splat_int(p.imm, int_dtype(sew), vl)
         self.state.v.write_elems(p.vd, value, lmul, mask_bits)
-        return _NO_EXTRA
+        return None
 
     def _h_mv_sx(self, p, vl, sew, lmul, mask_bits):
         self.state.v.write_elems(
             p.vd,
             self._splat_int(self.state.x.read(p.rs1), int_dtype(sew), 1),
             emul=1)
-        return _NO_EXTRA
+        return None
 
     def _h_mv_xs(self, p, vl, sew, lmul, mask_bits):
         value = self.state.v.read_elems(
             p.vs2, 1, int_dtype(sew, signed=True), 1, copy=False)[0]
         self.state.x.write(p.rd, int(value))
-        return _NO_EXTRA
+        return None
 
     def _h_fmv_sf(self, p, vl, sew, lmul, mask_bits):
         self.state.v.write_elems(
             p.vd,
             np.array([self.state.f.read(p.frs1)], dtype=fp_dtype(sew)),
             emul=1)
-        return _NO_EXTRA
+        return None
 
     def _h_fmv_fs(self, p, vl, sew, lmul, mask_bits):
         value = self.state.v.read_elems(
             p.vs2, 1, fp_dtype(sew), 1, copy=False)[0]
         self.state.f.write(p.frd, float(value))
-        return _NO_EXTRA
+        return None
 
     def _h_merge(self, p, vl, sew, lmul, mask_bits):
         # Merges read v0 as selector regardless of `masked`.
@@ -205,7 +239,7 @@ class VectorUnit:
         op1 = self._fetch_op1(p, vl, dtype)
         result = np.where(selector, op1, vs2).astype(dtype)
         self.state.v.write_elems(p.vd, result, lmul, None)
-        return _NO_EXTRA
+        return None
 
     # ------------------------------------------------------------------
     # Integer element-wise
@@ -216,41 +250,43 @@ class VectorUnit:
         vd = v.read_elems(p.vd, vl, dtype, lmul, copy=False)
         op1 = self._fetch_op1(p, vl, dtype)
         vs2 = v.read_elems(p.vs2, vl, dtype, lmul, copy=False)
-        with np.errstate(over="ignore"):
+        with np.errstate(**self._int_err):
             result = p.aux(vd, op1, vs2).astype(dtype)
         v.write_elems(p.vd, result, lmul, mask_bits)
-        return _NO_EXTRA
+        return None
 
     def _h_int_widen(self, p, vl, sew, lmul, mask_bits):
         narrow = int_dtype(sew, signed=True)
         wide = int_dtype(2 * sew, signed=True)
         vs2 = self.state.v.read_elems(
-            p.vs2, vl, narrow, lmul, copy=False).astype(wide)
-        op1 = self._fetch_op1(p, vl, narrow).astype(wide)
-        result = p.aux(vs2, op1).astype(wide)
+            p.vs2, vl, narrow, lmul, copy=False)
+        op1 = self._fetch_op1(p, vl, narrow)
+        with np.errstate(**self._caller_err):
+            result = p.aux(vs2.astype(wide), op1.astype(wide)).astype(wide)
         self.state.v.write_elems(p.vd, result, 2 * lmul, mask_bits)
-        return _NO_EXTRA
+        return None
 
     def _h_int_narrow(self, p, vl, sew, lmul, mask_bits):  # vnsrl
         wide_u = int_dtype(2 * sew)
         vs2 = self.state.v.read_elems(
             p.vs2, vl, wide_u, 2 * lmul, copy=False)
         op1 = self._fetch_op1(p, vl, wide_u)
-        shift = (op1.astype(np.uint64) & np.uint64(2 * sew - 1)) \
-            .astype(wide_u)
-        result = np.right_shift(vs2, shift).astype(int_dtype(sew))
+        with np.errstate(**self._caller_err):
+            shift = (op1.astype(np.uint64) & np.uint64(2 * sew - 1)) \
+                .astype(wide_u)
+            result = np.right_shift(vs2, shift).astype(int_dtype(sew))
         self.state.v.write_elems(p.vd, result, lmul, mask_bits)
-        return _NO_EXTRA
+        return None
 
     def _h_int_bin(self, p, vl, sew, lmul, mask_bits):
         op = p.aux
         dtype = int_dtype(sew, signed=op.signed)
         vs2 = self.state.v.read_elems(p.vs2, vl, dtype, lmul, copy=False)
         op1 = self._fetch_op1(p, vl, dtype)
-        with np.errstate(over="ignore"):
+        with np.errstate(**self._int_err):
             result = op.func(vs2, op1).astype(dtype)
         self.state.v.write_elems(p.vd, result, lmul, mask_bits)
-        return _NO_EXTRA
+        return None
 
     # ------------------------------------------------------------------
     # Floating-point element-wise
@@ -259,7 +295,7 @@ class VectorUnit:
         vs2 = self.state.v.read_elems(
             p.vs2, vl, fp_dtype(sew), lmul, copy=False)
         self.state.v.write_elems(p.vd, p.aux(vs2), lmul, mask_bits)
-        return _NO_EXTRA
+        return None
 
     def _h_fp_fma(self, p, vl, sew, lmul, mask_bits):
         dtype = fp_dtype(sew)
@@ -268,27 +304,27 @@ class VectorUnit:
         op1 = self._fetch_op1(p, vl, dtype)
         vs2 = v.read_elems(p.vs2, vl, dtype, lmul, copy=False)
         v.write_elems(p.vd, p.aux(vd, op1, vs2), lmul, mask_bits)
-        return _NO_EXTRA
+        return None
 
     def _h_fp_fma_w(self, p, vl, sew, lmul, mask_bits):  # vfwmacc
         wide = fp_dtype(2 * sew)
         v = self.state.v
         vd = v.read_elems(p.vd, vl, wide, 2 * lmul, copy=False)
-        op1 = _widen_fp(self._fetch_op1(p, vl, fp_dtype(sew)), wide)
-        vs2 = _widen_fp(
-            v.read_elems(p.vs2, vl, fp_dtype(sew), lmul, copy=False), wide)
+        op1 = np.asarray(self._fetch_op1(p, vl, fp_dtype(sew)), dtype=wide)
+        vs2 = v.read_elems(p.vs2, vl, fp_dtype(sew), lmul,
+                           copy=False).astype(wide)
         result = p.aux(vd, op1, vs2)
         v.write_elems(p.vd, result, 2 * lmul, mask_bits)
-        return _NO_EXTRA
+        return None
 
     def _h_fp_widen(self, p, vl, sew, lmul, mask_bits):  # vfwadd/vfwmul
         wide = fp_dtype(2 * sew)
-        vs2 = _widen_fp(self.state.v.read_elems(
-            p.vs2, vl, fp_dtype(sew), lmul, copy=False), wide)
-        op1 = _widen_fp(self._fetch_op1(p, vl, fp_dtype(sew)), wide)
+        vs2 = self.state.v.read_elems(
+            p.vs2, vl, fp_dtype(sew), lmul, copy=False).astype(wide)
+        op1 = np.asarray(self._fetch_op1(p, vl, fp_dtype(sew)), dtype=wide)
         result = p.aux(vs2, op1)
         self.state.v.write_elems(p.vd, result, 2 * lmul, mask_bits)
-        return _NO_EXTRA
+        return None
 
     def _h_fp_bin(self, p, vl, sew, lmul, mask_bits):
         dtype = fp_dtype(sew)
@@ -296,36 +332,36 @@ class VectorUnit:
         op1 = self._fetch_op1(p, vl, dtype)
         result = np.asarray(p.aux(vs2, op1), dtype=dtype)
         self.state.v.write_elems(p.vd, result, lmul, mask_bits)
-        return _NO_EXTRA
+        return None
 
     def _h_fp_cvt(self, p, vl, sew, lmul, mask_bits):
         mnem = p.mnemonic
         v = self.state.v
-        if mnem == "vfcvt_x_f_v":
+        if mnem in ("vfcvt_x_f_v", "vfcvt_rtz_x_f_v"):
             vs2 = v.read_elems(p.vs2, vl, fp_dtype(sew), lmul, copy=False)
-            result = np.rint(vs2).astype(int_dtype(sew, signed=True))
-            v.write_elems(p.vd, result, lmul, mask_bits)
-        elif mnem == "vfcvt_rtz_x_f_v":
-            vs2 = v.read_elems(p.vs2, vl, fp_dtype(sew), lmul, copy=False)
-            result = np.trunc(vs2).astype(int_dtype(sew, signed=True))
+            rounded = np.rint(vs2) if mnem == "vfcvt_x_f_v" else np.trunc(vs2)
+            # Integer conversions keep the caller's error state: a NaN
+            # or out-of-range element warns.
+            with np.errstate(**self._caller_err):
+                result = rounded.astype(int_dtype(sew, signed=True))
             v.write_elems(p.vd, result, lmul, mask_bits)
         elif mnem == "vfcvt_f_x_v":
             vs2 = v.read_elems(
                 p.vs2, vl, int_dtype(sew, signed=True), lmul, copy=False)
-            v.write_elems(p.vd, vs2.astype(fp_dtype(sew)), lmul, mask_bits)
-        elif mnem == "vfwcvt_f_f_v":
+            with np.errstate(**self._caller_err):
+                result = vs2.astype(fp_dtype(sew))
+            v.write_elems(p.vd, result, lmul, mask_bits)
+        elif mnem == "vfwcvt_f_f_v":  # a signaling NaN converts quietly
             vs2 = v.read_elems(p.vs2, vl, fp_dtype(sew), lmul, copy=False)
-            v.write_elems(p.vd, _widen_fp(vs2, fp_dtype(2 * sew)), 2 * lmul,
+            v.write_elems(p.vd, vs2.astype(fp_dtype(2 * sew)), 2 * lmul,
                           mask_bits)
-        elif mnem == "vfncvt_f_f_w":
+        elif mnem == "vfncvt_f_f_w":  # out-of-range elements go to ±inf
             vs2 = v.read_elems(
                 p.vs2, vl, fp_dtype(2 * sew), 2 * lmul, copy=False)
-            with np.errstate(over="ignore", invalid="ignore"):  # to ±inf
-                narrow = vs2.astype(fp_dtype(sew))
-            v.write_elems(p.vd, narrow, lmul, mask_bits)
+            v.write_elems(p.vd, vs2.astype(fp_dtype(sew)), lmul, mask_bits)
         else:  # pragma: no cover
             raise ExecutionError(f"unhandled conversion {mnem}")
-        return _NO_EXTRA
+        return None
 
     # ------------------------------------------------------------------
     # Compares -> mask destination
@@ -340,7 +376,7 @@ class VectorUnit:
             old = self.state.v.read_mask(p.vd, vl)
             bits = np.where(mask_bits, bits, old)
         self.state.v.write_mask(p.vd, bits)
-        return _NO_EXTRA
+        return None
 
     # ------------------------------------------------------------------
     # Reductions
@@ -355,7 +391,7 @@ class VectorUnit:
         result = fn(values, seed)
         self.state.v.write_elems(
             p.vd, np.array([result], dtype=dtype), emul=1)
-        return _NO_EXTRA
+        return None
 
     # ------------------------------------------------------------------
     # Slides / gathers
@@ -379,7 +415,7 @@ class VectorUnit:
             vs2_full = v.read_elems(p.vs2, vlmax, dtype, lmul, copy=False)
             result = permute.slidedown(vs2_full, vl, offset)
             v.write_elems(p.vd, result, lmul, mask_bits)
-        return None, offset
+        return offset
 
     def _h_slide1(self, p, vl, sew, lmul, mask_bits):
         is_up, from_f = p.aux
@@ -395,7 +431,7 @@ class VectorUnit:
         else:
             result = permute.slide1down(vs2, scalar, vl)
         self.state.v.write_elems(p.vd, result, lmul, mask_bits)
-        return None, 1
+        return 1
 
     def _h_rgather(self, p, vl, sew, lmul, mask_bits):
         dtype = int_dtype(sew)
@@ -405,7 +441,7 @@ class VectorUnit:
         indices = v.read_elems(p.vs1, vl, dtype, lmul, copy=False)
         result = permute.rgather(vs2_full, indices, vlmax)
         v.write_elems(p.vd, result, lmul, mask_bits)
-        return None, 0
+        return None
 
     def _h_compress(self, p, vl, sew, lmul, mask_bits):
         dtype = int_dtype(sew)
@@ -415,7 +451,7 @@ class VectorUnit:
         dest = v.read_elems(p.vd, vl, dtype, lmul, copy=False)
         result = permute.compress(vs2, select, dest)
         v.write_elems(p.vd, result, lmul)
-        return None, 0
+        return None
 
     # ------------------------------------------------------------------
     # Mask unit
@@ -425,14 +461,14 @@ class VectorUnit:
         a = v.read_mask(p.vs2, vl)
         b = v.read_mask(p.vs1, vl)
         v.write_mask(p.vd, p.aux(a, b))
-        return _NO_EXTRA
+        return None
 
     def _h_mask_scalar(self, p, vl, sew, lmul, mask_bits):  # vcpop/vfirst
         bits = self.state.v.read_mask(p.vs2, vl)
         if mask_bits is not None:
             bits = bits & mask_bits
         self.state.x.write(p.rd, p.aux(bits))
-        return _NO_EXTRA
+        return None
 
     def _h_m_unary(self, p, vl, sew, lmul, mask_bits):
         v = self.state.v
@@ -442,7 +478,7 @@ class VectorUnit:
             old = v.read_mask(p.vd, vl)
             result = np.where(mask_bits, result, old)
         v.write_mask(p.vd, result)
-        return _NO_EXTRA
+        return None
 
     def _h_iota(self, p, vl, sew, lmul, mask_bits):
         bits = self.state.v.read_mask(p.vs2, vl)
@@ -450,12 +486,12 @@ class VectorUnit:
             bits = bits & mask_bits
         result = maskops.iota(bits).astype(int_dtype(sew))
         self.state.v.write_elems(p.vd, result, lmul, mask_bits)
-        return _NO_EXTRA
+        return None
 
     def _h_vid(self, p, vl, sew, lmul, mask_bits):
         result = np.arange(vl, dtype=np.int64).astype(int_dtype(sew))
         self.state.v.write_elems(p.vd, result, lmul, mask_bits)
-        return _NO_EXTRA
+        return None
 
     # ------------------------------------------------------------------
     # Memory
@@ -463,47 +499,46 @@ class VectorUnit:
     def _h_mem(self, p, vl, sew, lmul, mask_bits):
         spec = p.spec
         pattern = spec.mem_pattern
-        shape = memops.data_shape(p.mnemonic, pattern, vl, sew, lmul)
+        ew_bytes, emul, count = memops.data_shape(p.aux, pattern, vl, sew,
+                                                  lmul)
         base = self.state.x.read_unsigned(p.rs1)
-        dtype = _UNIT_DTYPES[shape.ew_bytes]
+        dtype = _UNIT_DTYPES[ew_bytes]
         vfile = self.state.v
 
         if pattern is MemPattern.MASK:
             if spec.is_load:
-                raw = self.mem.read_bytes(base, shape.count)
+                raw = self.mem.read_bytes(base, count)
                 view = vfile._group_bytes(p.vd, 1)
                 if p.vd == 0:
                     vfile.v0_writes += 1
-                view[:shape.count] = raw
+                view[:count] = raw
             else:
                 view = vfile._group_bytes(p.vs3, 1)
-                self.mem.write_bytes(base, view[:shape.count])
-            return (MemAccess(base, 1, shape.count, 1, pattern,
-                              spec.is_store), 0)
+                self.mem.write_bytes(base, view[:count])
+            return base, 1, count, 1
 
         if pattern is MemPattern.UNIT:
-            stride = shape.ew_bytes
+            stride = ew_bytes
             if spec.is_load:
                 data = self.mem.read_array(base, vl, dtype)
-                vfile.write_elems(p.vd, data, shape.emul, mask_bits)
+                vfile.write_elems(p.vd, data, emul, mask_bits)
             else:
-                data = vfile.read_elems(p.vs3, vl, dtype, shape.emul,
+                data = vfile.read_elems(p.vs3, vl, dtype, emul,
                                         copy=False)
                 if mask_bits is None:
                     self.mem.write_array(base, data)
                 else:
                     offsets = np.flatnonzero(mask_bits) * stride
                     self.mem.write_scatter(base, offsets, data[mask_bits])
-            return (MemAccess(base, stride, vl, shape.ew_bytes, pattern,
-                              spec.is_store), 0)
+            return base, stride, vl, ew_bytes
 
         if pattern is MemPattern.STRIDED:
             stride = self.state.x.read(p.rs2)
             if spec.is_load:
                 data = self.mem.read_strided(base, vl, stride, dtype)
-                vfile.write_elems(p.vd, data, shape.emul, mask_bits)
+                vfile.write_elems(p.vd, data, emul, mask_bits)
             else:
-                data = vfile.read_elems(p.vs3, vl, dtype, shape.emul,
+                data = vfile.read_elems(p.vs3, vl, dtype, emul,
                                         copy=False)
                 if mask_bits is None:
                     self.mem.write_strided(base, data, stride)
@@ -511,8 +546,7 @@ class VectorUnit:
                     offsets = np.flatnonzero(mask_bits).astype(np.int64) \
                         * stride
                     self.mem.write_scatter(base, offsets, data[mask_bits])
-            return (MemAccess(base, stride, vl, shape.ew_bytes, pattern,
-                              spec.is_store), 0)
+            return base, stride, vl, ew_bytes
 
         # Indexed: mnemonic width is the index EEW; data uses SEW.
         index_eew = p.aux
@@ -537,4 +571,4 @@ class VectorUnit:
                 offsets = offsets[mask_bits]
                 data = data[mask_bits]
             self.mem.write_scatter(base, offsets, data)
-        return (MemAccess(base, 0, vl, sew // 8, pattern, spec.is_store), 0)
+        return base, 0, vl, sew // 8

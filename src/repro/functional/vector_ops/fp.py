@@ -11,9 +11,12 @@ NumPy models used in tests):
 * ``vfmin/vfmax`` use ``np.fmin/np.fmax``, which return the non-NaN operand,
   matching the RISC-V (IEEE 754-2019 minimumNumber) behaviour.
 
-Overflow to ±inf and invalid operations yielding NaN (``inf - inf``,
-``0 * inf``) are the defined IEEE-754 results, not errors, so the
-arithmetic below runs with those NumPy floating-point warnings off.
+Overflow to ±inf, invalid operations yielding NaN (``inf - inf``,
+``0 * inf``) and division by zero are the defined IEEE-754 results, not
+errors.  The functions below enter no ``np.errstate`` of their own: the
+vector unit calls them inside its IEEE error scope
+(:meth:`repro.functional.vector.VectorUnit.ieee_errors`), entered once
+per executor run.
 """
 
 from __future__ import annotations
@@ -21,31 +24,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-
-
-def _ieee(fn: Callable) -> Callable:
-    """``fn`` with IEEE-754 overflow and invalid results left silent."""
-
-    def apply(*operands):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return fn(*operands)
-
-    return apply
-
-
-def _div(vs2: np.ndarray, op1: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return vs2 / op1
-
-
-def _rdiv(vs2: np.ndarray, op1: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return op1 / vs2
-
-
-def _sqrt(vs2: np.ndarray) -> np.ndarray:
-    with np.errstate(invalid="ignore"):
-        return np.sqrt(vs2)
 
 
 def _sign_inject(mode: str) -> Callable:
@@ -70,12 +48,12 @@ def _sign_inject(mode: str) -> Callable:
 
 
 BINOPS: dict[str, Callable] = {
-    "vfadd": _ieee(np.add),
-    "vfsub": _ieee(np.subtract),
-    "vfrsub": _ieee(lambda vs2, op1: np.subtract(op1, vs2)),
-    "vfmul": _ieee(np.multiply),
-    "vfdiv": _div,
-    "vfrdiv": _rdiv,
+    "vfadd": np.add,
+    "vfsub": np.subtract,
+    "vfrsub": lambda vs2, op1: np.subtract(op1, vs2),
+    "vfmul": np.multiply,
+    "vfdiv": np.divide,
+    "vfrdiv": lambda vs2, op1: np.divide(op1, vs2),
     "vfmin": np.fmin,
     "vfmax": np.fmax,
     "vfsgnj": _sign_inject("j"),
@@ -84,7 +62,7 @@ BINOPS: dict[str, Callable] = {
 }
 
 UNARY: dict[str, Callable] = {
-    "vfsqrt_v": _sqrt,
+    "vfsqrt_v": np.sqrt,
     "vfabs_v": np.abs,
     "vfneg_v": np.negative,
 }
@@ -100,19 +78,19 @@ COMPARES: dict[str, Callable] = {
 
 #: func(vd, op1, vs2) following the RVV accumulate definitions.
 FMA: dict[str, Callable] = {
-    "vfmacc": _ieee(lambda vd, a, b: a * b + vd),
-    "vfnmacc": _ieee(lambda vd, a, b: -(a * b) - vd),
-    "vfmsac": _ieee(lambda vd, a, b: a * b - vd),
-    "vfnmsac": _ieee(lambda vd, a, b: -(a * b) + vd),
-    "vfmadd": _ieee(lambda vd, a, b: a * vd + b),
-    "vfmsub": _ieee(lambda vd, a, b: a * vd - b),
-    "vfnmadd": _ieee(lambda vd, a, b: -(a * vd) - b),
-    "vfnmsub": _ieee(lambda vd, a, b: -(a * vd) + b),
-    "vfwmacc": _ieee(lambda vd, a, b: a * b + vd),  # operands pre-widened
+    "vfmacc": lambda vd, a, b: a * b + vd,
+    "vfnmacc": lambda vd, a, b: -(a * b) - vd,
+    "vfmsac": lambda vd, a, b: a * b - vd,
+    "vfnmsac": lambda vd, a, b: -(a * b) + vd,
+    "vfmadd": lambda vd, a, b: a * vd + b,
+    "vfmsub": lambda vd, a, b: a * vd - b,
+    "vfnmadd": lambda vd, a, b: -(a * vd) - b,
+    "vfnmsub": lambda vd, a, b: -(a * vd) + b,
+    "vfwmacc": lambda vd, a, b: a * b + vd,  # operands pre-widened
 }
 
 #: Widening FP binary ops (operands pre-widened to 2*SEW by the engine).
 WIDENING: dict[str, Callable] = {
-    "vfwadd": _ieee(np.add),
-    "vfwmul": _ieee(np.multiply),
+    "vfwadd": np.add,
+    "vfwmul": np.multiply,
 }

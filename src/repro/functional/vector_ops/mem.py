@@ -8,21 +8,10 @@ effective LMUL is rescaled as ``EMUL = EEW/SEW * LMUL``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ...errors import IllegalInstructionError
 from ...isa.instructions import MemPattern
-
-
-@dataclass(frozen=True)
-class MemShape:
-    """Decoded shape of a vector memory instruction."""
-
-    ew_bytes: int
-    emul: int  # effective LMUL of the data register group
-    count: int  # elements moved (or bytes for mask loads)
 
 
 def eew_from_mnemonic(mnemonic: str) -> int:
@@ -33,21 +22,21 @@ def eew_from_mnemonic(mnemonic: str) -> int:
     return int(digits)
 
 
-def data_shape(mnemonic: str, pattern: MemPattern, vl: int, sew: int,
-               lmul: int) -> MemShape:
-    """Resolve EEW/EMUL/element count for a memory instruction."""
+def data_shape(eew: int | None, pattern: MemPattern, vl: int, sew: int,
+               lmul: int) -> tuple[int, int, int]:
+    """``(element bytes, EMUL of the data group, elements moved — bytes
+    for mask loads)`` of a memory instruction whose mnemonic encodes the
+    element width ``eew`` (:func:`eew_from_mnemonic`; unused for mask
+    and indexed accesses)."""
     if pattern is MemPattern.MASK:
         # vlm/vsm move ceil(vl/8) bytes into the mask layout, EMUL=1.
-        return MemShape(ew_bytes=1, emul=1, count=(vl + 7) // 8)
-    eew = eew_from_mnemonic(mnemonic)
+        return 1, 1, (vl + 7) // 8
     if pattern is MemPattern.INDEXED:
         # Indexed accesses use SEW-wide data; the mnemonic width is the
         # *index* EEW, handled separately by the engine.
-        return MemShape(ew_bytes=sew // 8, emul=lmul, count=vl)
-    emul = max(1, eew * lmul // sew)
-    if eew * lmul % sew and eew * lmul // sew == 0:
-        emul = 1  # fractional EMUL collapses to one register here
-    return MemShape(ew_bytes=eew // 8, emul=emul, count=vl)
+        return sew // 8, lmul, vl
+    # A fractional EMUL collapses to one register here.
+    return eew // 8, max(1, eew * lmul // sew), vl
 
 
 def unit_dtype(ew_bytes: int) -> np.dtype:

@@ -17,8 +17,9 @@ import numpy as np
 
 
 def _sum(values: np.ndarray, seed) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        return values.dtype.type(seed + np.add.reduce(values, dtype=values.dtype))
+    # Overflow wraps (integer) or goes to ±inf (FP) under the vector
+    # unit's IEEE error scope.
+    return values.dtype.type(seed + np.add.reduce(values, dtype=values.dtype))
 
 
 def _minmax(npfunc, reducer) -> Callable:

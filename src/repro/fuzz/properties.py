@@ -5,17 +5,22 @@ per registry machine unless noted:
 
 1. **replay-identity** — capturing the trace once and replaying it
    yields the same :class:`~repro.timing.report.TimingReport` as a
-   direct end-to-end simulation, and two independent captures pack to
+   direct end-to-end simulation, and two independent captures have
    byte-identical blobs (the golden check inside the run also compares
    the final memory against an independent reference execution);
 2. **key-stability** — ``trace_key`` is equal across machines that share
    a VLEN (the key must be insensitive to everything else in the
    machine spec);
-3. **pack-roundtrip** — ``pack_trace -> unpack_trace -> to_trace ->
-   pack_trace`` reproduces the original blob bit for bit;
+3. **pack-roundtrip** — the capture's events, materialized and packed
+   through the object path (``to_trace -> pack_trace``), reproduce the
+   blob of the executor's column writer bit for bit;
 4. **plan-vs-reference** — the vectorized ``ReplayPlan`` fast path
-   (on both the object trace and its packed form) produces a report
-   equal to the ``replay_reference`` specification loop.
+   (over the capture's columns and over its materialized events)
+   produces a report equal to ``replay_reference`` over the
+   materialized events.
+
+Each capture's events are materialized at most once per check (the
+packed trace caches them).
 
 Failures raise :class:`PropertyFailure`, which carries the case so the
 shrink loop (:mod:`repro.fuzz.shrink`) can minimize the reproducer.
@@ -23,7 +28,7 @@ shrink loop (:mod:`repro.fuzz.shrink`) can minimize the reproducer.
 
 from __future__ import annotations
 
-from ..functional.trace_pack import pack_trace, unpack_trace
+from ..functional.trace_pack import pack_trace
 from ..machine import get_machine
 from ..sim import replay_trace
 from ..timing.engine import TimingEngine
@@ -84,7 +89,7 @@ def check_case(case: FuzzCase, configs=None) -> dict:
         name = config.name
         # Property 1: capture -> replay == direct simulation (the run
         # also performs the independent golden-memory check), and an
-        # independent recapture packs byte-identically.
+        # independent recapture writes a byte-identical blob.
         direct = kernel.run(config, verify=True)
         captured = kernel.capture(config, verify=False)
         replayed = replay_trace(config, captured)
@@ -93,30 +98,31 @@ def check_case(case: FuzzCase, configs=None) -> dict:
                  f"replay of a fresh capture diverges from the direct "
                  f"run: {replayed.timing.cycles} != {direct.timing.cycles} "
                  f"cycles")
-        blob = pack_trace(captured.trace, case.program)
+        packed = captured.trace
         recaptured = kernel.capture(config, verify=False)
-        _require(pack_trace(recaptured.trace, case.program) == blob,
+        _require(recaptured.trace.blob == packed.blob,
                  "replay-identity", case, name,
-                 "two independent captures pack to different blobs")
+                 "two independent captures have different blobs")
 
-        # Property 3: pack -> unpack -> to_trace -> pack is bit-exact.
-        packed = unpack_trace(blob, case.program)
-        _require(pack_trace(packed.to_trace(), case.program) == blob,
+        # Property 3: the object path packs the materialized events to
+        # the column writer's blob.
+        events = packed.to_trace()
+        _require(pack_trace(events, case.program) == packed.blob,
                  "pack-roundtrip", case, name,
-                 "packed trace does not round-trip byte-identically")
+                 "materialized events do not pack to the capture's blob")
 
-        # Property 4: the vectorized plan equals the reference loop,
-        # from both the object trace and the packed form.
+        # Property 4: the vectorized plan, over the columns and over
+        # the materialized events, equals the reference loop.
         model = build_model(config)
-        reference = TimingEngine(model).replay_reference(captured.trace)
-        fast = TimingEngine(model).replay(captured.trace)
+        reference = TimingEngine(model).replay_reference(events)
+        fast = TimingEngine(model).replay(packed)
         _require(fast == reference, "plan-vs-reference", case, name,
                  f"vectorized replay diverges from replay_reference: "
                  f"{fast.cycles} != {reference.cycles} cycles")
-        packed_fast = TimingEngine(model).replay(packed)
-        _require(packed_fast == reference, "plan-vs-reference", case, name,
-                 f"packed-trace replay diverges from replay_reference: "
-                 f"{packed_fast.cycles} != {reference.cycles} cycles")
+        object_fast = TimingEngine(model).replay(events)
+        _require(object_fast == reference, "plan-vs-reference", case, name,
+                 f"object-trace replay diverges from replay_reference: "
+                 f"{object_fast.cycles} != {reference.cycles} cycles")
 
         stats["events"][name] = len(captured.trace)
         stats["cycles"][name] = direct.timing.cycles

@@ -4,10 +4,11 @@ Simulation is two decoupled stages:
 
 1. **Trace capture** (:meth:`Simulator.capture`) — the functional
    interpreter executes the program against the architectural state and
-   memory, emitting a machine-independent
-   :class:`~repro.functional.trace.DynamicTrace`.  The trace depends
-   only on the program, the initial data, and VLEN — never on the
-   timing model.
+   memory, writing one record per retired instruction straight into
+   the columns of a machine-independent
+   :class:`~repro.functional.trace_pack.PackedTrace`.  The trace
+   depends only on the program, the initial data, and VLEN — never on
+   the timing model.
 2. **Replay** (:meth:`Simulator.replay` / :func:`replay_trace`) — the
    :class:`~repro.timing.engine.TimingEngine` replays a captured trace
    against one machine model, producing a

@@ -198,10 +198,10 @@ def _disk_payload(er: ExecResult) -> ExecResult:
 
 def _pack_payload(er: ExecResult) -> dict:
     """v6 disk payload: pruned ``ExecResult`` fields with the trace as
-    a columnar blob.  A trace already rehydrated as a
-    :class:`~repro.functional.trace_pack.PackedTrace` contributes its
-    existing blob bytes — re-persisting a disk-served entry never
-    re-packs."""
+    a columnar blob.  A :class:`~repro.functional.trace_pack
+    .PackedTrace` — every capture and every disk-served entry —
+    contributes its own blob (a capture serializes its columns once);
+    only a trace built from event objects is packed here."""
     trace = er.trace
     blob = (bytes(trace.blob) if isinstance(trace, PackedTrace)
             else pack_trace(trace, er.program))

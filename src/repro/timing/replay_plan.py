@@ -11,10 +11,11 @@ against.
 
 Compilation runs over the v6 trace columns
 (:mod:`repro.functional.trace_pack`), never over event objects: a
-:class:`~repro.functional.trace_pack.PackedTrace` hands over its
-column views as they are, and an object trace is flattened by the same
-:func:`~repro.functional.trace_pack.build_columns` pass the disk tier
-packs with.  From there:
+:class:`~repro.functional.trace_pack.PackedTrace` — a capture, whose
+columns the functional executor wrote, or a disk blob — hands over its
+columns as they are, and a trace built from event objects by hand is
+flattened by :func:`~repro.functional.trace_pack.build_columns` first.
+From there:
 
 * **row classes** — one issue row per issued instruction (vsetvl or
   vector).  Column rows that agree on every field replay reads — the
@@ -193,7 +194,10 @@ def _cached_entry(instr, cfg_key: tuple):
     event's cached decode is always its instruction's memo entry)."""
     memos = instr.__dict__
     hit = memos.get("_tentry_by_cfg", {}).get(cfg_key)
-    if hit is not None and hit[0] is memos["_tinfo_by_cfg"].get(cfg_key):
+    # An unpickled instruction can hold a table-entry memo without the
+    # decode memo it was checked against: that is a miss, not an error.
+    if hit is not None and hit[0] is memos.get("_tinfo_by_cfg",
+                                               {}).get(cfg_key):
         return hit[1]
     return None
 
@@ -316,22 +320,19 @@ class ReplayPlan:
     @classmethod
     def from_trace(cls, trace) -> "ReplayPlan":
         """Compile ``trace`` — a :class:`PackedTrace` straight from its
-        column views, any other event sequence through
-        :func:`build_columns` — into a plan."""
+        columns, any other event sequence through :func:`build_columns`
+        — into a plan."""
         if isinstance(trace, PackedTrace):
             return cls._compile(trace.columns, trace.kinds, trace.fallback,
-                                trace.program.instructions, None)
+                                trace.program.instructions)
         events = trace.events if isinstance(trace, DynamicTrace) \
             else list(trace)
-        cols, kinds, fallback, instructions = build_columns(events)
-        return cls._compile(cols, kinds, fallback, instructions, events)
+        return cls._compile(*build_columns(events))
 
     @classmethod
     def _compile(cls, cols: dict, kinds: tuple, fallback: dict,
-                 instructions: tuple, events) -> "ReplayPlan":
-        """The column compiler.  ``events`` is the object form's event
-        list (its vector events serve as their groups' representatives,
-        keeping any decode already cached on them) or ``None``."""
+                 instructions: tuple) -> "ReplayPlan":
+        """The column compiler."""
         # Deferred import: engine.py imports this module at load time.
         from .engine import _UNIT_NAMES, TimingEngine
         unit_index = {name: uix for uix, name in enumerate(_UNIT_NAMES)}
@@ -457,23 +458,17 @@ class ReplayPlan:
         # -- one decode per class, from its first row -------------------
         # (class order is first-occurrence order, so the first offending
         # class is the first offending row)
-        vpos = None
         for c, (ii, vl, sew, lmul, slide, flags, base, stride, count, ew,
-                pat, row) in enumerate(zip(
-                    *(cols[name][first].tolist() for name in _REP_COLUMNS),
-                    first.tolist()), 1):
+                pat) in enumerate(zip(*(cols[name][first].tolist()
+                                        for name in _REP_COLUMNS)), 1):
             instr = instructions[ii]
             entry = _cached_entry(instr, (vl, sew, lmul))
-            if entry is None and events is None:
+            if entry is None:
                 entry = decode(VectorEvent(
                     instr, vl, sew, lmul, MemAccess(
                         base=base, stride=stride, count=count, ew_bytes=ew,
                         pattern=PATTERNS[pat], is_store=(flags & 2) != 0)
                     if flags & 1 else None, slide))
-            elif entry is None:
-                if vpos is None:
-                    vpos = np.flatnonzero(tags == TAG_VECTOR)
-                entry = decode(events[vpos[row]])
             table.append(entry)
             if entry[6] == cat_mem:
                 if not flags & 1:

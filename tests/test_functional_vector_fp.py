@@ -1,8 +1,14 @@
 """Floating-point vector semantics: binops, FMA family, conversions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.functional import Executor
+from repro.functional.vector_ops import arith, fp
+from repro.functional.vector_ops.arith import IntOp
+from repro.isa import Assembler
 from tests.vec_utils import VecEnv
 
 RNG = np.random.default_rng(11)
@@ -237,3 +243,84 @@ class TestMoves:
         env.state.f.write(1, 9.0)
         env.run("vfmerge_vfm", "v24", "v8", "f1")
         assert np.array_equal(env.get_v(24), [9.0, 2.0, 9.0])
+
+
+# ----------------------------------------------------------------------
+# Error scope: FP arithmetic is silent, integer conversions still warn
+# ----------------------------------------------------------------------
+#: The numpy messages CI turns into errors (``PYTHONWARNINGS``).
+_CI_MESSAGES = ("overflow encountered", "invalid value encountered",
+                "divide by zero encountered")
+
+
+@pytest.fixture
+def ci_warnings():
+    """Numpy warnings are errors, filtered like the CI tier-1 job."""
+    with warnings.catch_warnings():
+        for message in _CI_MESSAGES:
+            warnings.filterwarnings("error", message, RuntimeWarning)
+        yield
+
+
+def _program(build):
+    a = Assembler("errscope")
+    a.li("x1", 4)
+    a.vsetvli("x2", "x1", sew=64, lmul=1)
+    build(a)
+    a.halt()
+    return a.build()
+
+
+def _run_on(values, build):
+    ex = Executor(1024)
+    ex.state.v.write_elems(8, np.asarray(values, dtype=np.float64), emul=1)
+    return ex.run(_program(build))
+
+
+class TestErrorScope:
+    @pytest.mark.parametrize("mnemonic,value", [
+        ("vfcvt_x_f_v", np.nan), ("vfcvt_rtz_x_f_v", np.inf)])
+    def test_integer_conversion_warns_in_a_run(self, ci_warnings, mnemonic,
+                                               value):
+        with pytest.raises(RuntimeWarning, match="invalid value"):
+            _run_on([1.0, value, 2.0, 3.0],
+                    lambda a: getattr(a, mnemonic)("v16", "v8"))
+
+    def test_integer_conversion_warns_on_a_lone_unit(self, ci_warnings):
+        env = _env(vl=2)
+        env.set_v(8, np.array([np.nan, 1.0]))
+        with pytest.raises(RuntimeWarning, match="invalid value"):
+            env.run("vfcvt_x_f_v", "v16", "v8")
+
+    def test_fp_arithmetic_is_silent_in_a_run(self, ci_warnings):
+        def build(a):
+            a.vfsub_vv("v16", "v8", "v8")  # inf - inf: invalid
+            a.vfmul_vv("v20", "v8", "v8")  # 1e300 ** 2: overflow
+            a.vfdiv_vv("v24", "v8", "v16")  # x / 0 and x / nan
+            a.vfsqrt_v("v28", "v8")  # sqrt(-1): invalid
+        result = _run_on([np.inf, 1e300, -1.0, 0.0], build)
+        assert result.trace.vector_count == 4
+
+    def test_handlers_see_the_right_error_state(self, monkeypatch):
+        seen = {}
+
+        def int_add(vs2, op1):
+            seen["int"] = np.geterr()
+            return vs2 + op1
+
+        def fp_add(vs2, op1):
+            seen["fp"] = np.geterr()
+            return vs2 + op1
+
+        monkeypatch.setitem(arith.BINOPS, "vadd", IntOp(int_add, True))
+        monkeypatch.setitem(fp.BINOPS, "vfadd", fp_add)
+        with np.errstate(all="raise"):
+            _run_on([1.0] * 4, lambda a: (a.vadd_vv("v16", "v8", "v8"),
+                                          a.vfadd_vv("v20", "v8", "v8")))
+            assert np.geterr()["invalid"] == "raise"  # restored
+        # Integer ops keep the caller's state (wrapping aside) ...
+        assert seen["int"] == {"divide": "raise", "over": "ignore",
+                               "under": "raise", "invalid": "raise"}
+        # ... FP arithmetic runs in the IEEE scope.
+        assert seen["fp"]["over"] == seen["fp"]["invalid"] == \
+            seen["fp"]["divide"] == "ignore"

@@ -414,3 +414,19 @@ class TestFirstEventByteAccounting:
         for form in (trace, packed):
             with pytest.raises(TimingError, match="lacks a MemAccess"):
                 ReplayPlan.from_trace(form)
+
+
+def test_entry_memo_without_its_decode_memo_is_a_miss():
+    """An instruction holding a table-entry memo but not the decode memo
+    it was checked against — as unpickling can leave it — compiles by
+    decoding afresh instead of raising."""
+    program, _, _, vfadd = _mask_program()
+    trace = DynamicTrace()
+    trace.add_vsetvl(VsetvlEvent(8, 64, 1))
+    trace.add_vector(VectorEvent(vfadd, 8, 64, 1))
+    blob = pack_trace(trace, program)
+    first = ReplayPlan.from_trace(unpack_trace(blob, program))
+    del vfadd.__dict__["_tinfo_by_cfg"]
+    assert vfadd.__dict__["_tentry_by_cfg"]
+    _assert_plans_equal(ReplayPlan.from_trace(unpack_trace(blob, program)),
+                        first)
