@@ -205,12 +205,10 @@ def test_trace_reuse_cold_vs_warm(benchmark, tmp_path, trace_store):
                   if ss["disk_entries"] else 0.0)
     summary = render_table(
         ("entries", "bytes", "packed entry bytes (mean)", "oldest age",
-         "newest age", "mem hits", "disk hits", "captures", "remote puts",
-         "hits served"),
+         "newest age", "mem hits", "disk hits", "captures", "remote puts"),
         [(ss["disk_entries"], ss["disk_bytes"], f"{mean_entry:.0f}",
           f"{ss['oldest_age_s']:.0f} s", f"{ss['newest_age_s']:.0f} s",
-          ss["hits"], ss["disk_hits"], ss["misses"], ss["remote_puts"],
-          ss["hits_served"])],
+          ss["hits"], ss["disk_hits"], ss["misses"], ss["remote_puts"])],
         title=f"Shared trace store — {ss['dir']} "
               f"(budget {ss['max_bytes'] // (1024 * 1024)} MiB)")
     save_output("trace_reuse", table + "\n\n" + summary)

@@ -23,6 +23,8 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from .errors import ConfigError
+
 #: Environment variable naming the shared trace-store directory.
 ENV_STORE_DIR = "REPRO_TRACE_STORE"
 
@@ -106,6 +108,25 @@ def read_env(name: str,
             f"is generated from the registry)")
     env = os.environ if environ is None else environ
     return env.get(name)
+
+
+def read_env_count(name: str,
+                   environ: Optional[Mapping[str, str]] = None
+                   ) -> Optional[int]:
+    """Registered env var ``name`` as a non-negative integer, or
+    ``None`` when unset or empty.  Any other value raises
+    :class:`~repro.errors.ConfigError` naming the variable."""
+    text = read_env(name, environ)
+    if not text:
+        return None
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # not an integer: reported like a negative count
+    if value < 0:
+        raise ConfigError(f"${name} must be a non-negative integer, "
+                          f"got {text!r}")
+    return value
 
 
 def knob_table(section: str) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..env import ENV_FUZZ_SEEDS, ENV_STORE_DIR, read_env
+from ..env import ENV_FUZZ_SEEDS, ENV_STORE_DIR, read_env, read_env_count
 from ..errors import ConfigError
 from ..machine import get_machine, list_machines
 from ..sim.parallel import SimPool
@@ -38,6 +38,14 @@ def _workers(value: str) -> int | None:
     count = int(value)
     if count < 1:
         raise argparse.ArgumentTypeError("workers must be >= 1 or 'auto'")
+    return count
+
+
+def _store_bytes(value: str) -> int:
+    """``--store-bytes`` parser: a byte count >= 0."""
+    count = int(value)
+    if count < 0:
+        raise argparse.ArgumentTypeError("store byte budget must be >= 0")
     return count
 
 
@@ -97,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace-store", default=None, metavar="DIR",
                         help="shared trace-store directory (default: "
                              "$REPRO_TRACE_STORE, else no disk store)")
-    parser.add_argument("--store-bytes", type=int, default=None,
+    parser.add_argument("--store-bytes", type=_store_bytes, default=None,
                         metavar="BYTES",
                         help="GC byte budget for the shared store (default: "
                              "$REPRO_TRACE_STORE_BYTES, else 256 MiB)")
@@ -145,11 +153,20 @@ def main(argv: list[str] | None = None) -> int:
         except ConfigError as exc:
             parser.error(str(exc))
 
+    # A malformed $REPRO_TRACE_STORE_BYTES or $REPRO_FUZZ_SEEDS is a
+    # usage error, reported before any simulation work starts.
     store = None
-    if args.trace_store is not None or read_env(ENV_STORE_DIR):
-        store = TraceStore(disk_dir=args.trace_store,
-                           max_bytes=args.store_bytes)
-    elif args.gc or args.store_stats or args.store_bytes is not None:
+    seeds = args.seeds
+    try:
+        if args.trace_store is not None or read_env(ENV_STORE_DIR):
+            store = TraceStore(disk_dir=args.trace_store,
+                               max_bytes=args.store_bytes)
+        if run_fuzz_sweep and seeds is None:
+            seeds = read_env_count(ENV_FUZZ_SEEDS)
+    except ConfigError as exc:
+        parser.error(str(exc))
+    if store is None and (args.gc or args.store_stats
+                          or args.store_bytes is not None):
         # No store is configured and the documented default is "no disk
         # store" — don't invent one just to report on it, and say so
         # rather than silently dropping the store-related flags.
@@ -181,13 +198,9 @@ def main(argv: list[str] | None = None) -> int:
         if run_fuzz_sweep:
             from .fuzz import run_fuzz
 
-            seeds = args.seeds
-            if seeds is None:
-                env_seeds = read_env(ENV_FUZZ_SEEDS)
-                seeds = int(env_seeds) if env_seeds else 25
             text, fuzz_failures = run_fuzz(
-                seeds=seeds, size=args.fuzz_size, features=args.features,
-                machines=machines, pool=pool)
+                seeds=25 if seeds is None else seeds, size=args.fuzz_size,
+                features=args.features, machines=machines, pool=pool)
             print(text)
             print()
     finally:
@@ -200,7 +213,6 @@ def main(argv: list[str] | None = None) -> int:
               f"entries={stats['disk_entries']} "
               f"bytes={stats['disk_bytes']} "
               f"oldest_age={stats['oldest_age_s']:.0f}s "
-              f"lifetime_hits_served={stats['hits_served']} "
               f"served: mem={stats['hits']} disk={stats['disk_hits']} "
               f"captures={stats['misses']} "
               f"remote_captures={stats['remote_puts']} "

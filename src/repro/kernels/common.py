@@ -135,6 +135,13 @@ def vl_and_lmul(config: SystemConfig, bytes_per_lane: int,
     return vl, lmul
 
 
+def _checkable(captured: ExecResult) -> bool:
+    """A cached capture can serve a verified request: it was checked
+    already, or it still holds the memory image the check reads."""
+    extra = captured.extra
+    return bool(extra.get("verified")) or extra.get("mem") is not None
+
+
 @dataclass
 class KernelRun:
     """A fully-prepared benchmark: program + data + golden check."""
@@ -173,20 +180,15 @@ class KernelRun:
         """
         key = self.trace_key(config) if cache is not None else None
         if cache is not None:
-            captured = cache.get(key)
+            # A replay-only entry (e.g. disk-rehydrated) cannot satisfy a
+            # verified capture: the cache counts it as a miss, and the
+            # put() below upgrades it with a fresh, checked capture.
+            captured = cache.get(key, accept=_checkable if verify else None)
             if captured is not None:
-                if not verify or captured.extra.get("verified"):
-                    return captured
-                mem = captured.extra.get("mem")
-                if mem is not None:
-                    self.check(SimpleNamespace(mem=mem))
+                if verify and not captured.extra.get("verified"):
+                    self.check(SimpleNamespace(mem=captured.extra["mem"]))
                     captured.extra["verified"] = True
-                    return captured
-                # Replay-only entry (e.g. disk-rehydrated) cannot satisfy
-                # a verified capture: recapture fresh (the put() below
-                # upgrades the cached entry) and correct the accounting —
-                # the lookup saved no functional work.
-                cache.demote_last_hit()
+                return captured
         sim = Simulator(config)
         self.setup(sim)
         captured = sim.capture(self.program)

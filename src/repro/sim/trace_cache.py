@@ -48,15 +48,16 @@ Disk entries are written for *concurrent* readers and writers sharing one
   writer leaves at worst an orphaned ``*.tmp``.
 * **Versioned envelope** — the pickle is a dict
   ``{"format": DISK_FORMAT_VERSION, "schema": <ExecResult field names>,
-  "hits_served": <int>, "crc32": <payload checksum>, "payload": <the
-  pruned ExecResult, pickled then zlib-compressed>}``.  A stale file
-  from an older code revision (wrong version, drifted ``ExecResult``
-  fields, or a pre-envelope bare pickle) is treated as a plain miss —
-  the caller recaptures and the subsequent :meth:`TraceCache.put`
-  overwrites the stale file in place.  Nesting the payload as bytes
-  lets envelope *validation* (``__contains__`` probes, the store GC's
-  stale purge) check the tags without deserializing — or decompressing
-  — the trace itself.
+  "crc32": <payload checksum>, "payload": <the pruned ExecResult,
+  pickled then zlib-compressed>}``.  Keys beyond these are ignored, so
+  entries an older revision wrote with a ``hits_served`` field still
+  serve.  A stale file from an older code revision (wrong version,
+  drifted ``ExecResult`` fields, or a pre-envelope bare pickle) is
+  treated as a plain miss — the caller recaptures and the subsequent
+  :meth:`TraceCache.put` overwrites the stale file in place.  Nesting
+  the payload as bytes lets envelope *validation* (:meth:`TraceCache
+  .probe`, the store GC's stale purge) check the tags without
+  deserializing — or decompressing — the trace itself.
 * **Payload checksum** — ``crc32`` covers the compressed payload bytes
   and is verified on every disk read and :meth:`TraceCache.probe`.  A
   mismatch or a missing checksum means the bytes on disk are not what
@@ -71,17 +72,10 @@ Disk entries are written for *concurrent* readers and writers sharing one
   then abandoned for that entry (``put_errors``) — the in-memory layer
   still holds it, so correctness never depends on the disk write
   landing.
-* **Popularity counter** — ``hits_served`` counts how many times the
-  entry's disk layer served a whole trace; the suite store
-  (:class:`~repro.sim.trace_store.TraceStore`) bumps it on every disk
-  hit so a future GC can weight eviction by popularity, not just
-  recency.  The live count rides in a tiny ``<entry>.hits`` *sidecar*
-  file (see :func:`sidecar_path`) so a warm hit writes a few bytes,
-  never the whole envelope; the envelope's ``hits_served`` field is
-  the base the sidecar adds to (always 0 for entries this revision
-  writes).  A (re)capture unlinks the sidecar — new payload bytes, new
-  popularity life — and a plain :class:`TraceCache` (e.g. a transient
-  pool worker's cache) never bumps it.
+* **Recency stamp** — every disk serve freshens the entry's ``mtime``
+  (one :func:`os.utime` by the cache's clock, writing no bytes), so the
+  store GC's eviction order is an LRU over *use* — including serves by
+  a transient pool worker's cache.
 * **Compressed payload** — the nested payload bytes are
   zlib-compressed (v4).  Trace pickles are dominated by repetitive
   event records, so compression cuts entries by roughly an order of
@@ -92,7 +86,10 @@ Disk entries are written for *concurrent* readers and writers sharing one
 
 Statistics distinguish the layers: ``hits`` counts in-memory LRU hits
 only, ``disk_hits`` counts rehydrations from disk, and ``hit_rate`` is
-the true in-memory rate ``hits / (hits + disk_hits + misses)``.
+the true in-memory rate ``hits / (hits + disk_hits + misses)``.  Each
+:meth:`TraceCache.get` counts exactly one of the three; an entry the
+caller's ``accept`` test rejects (e.g. a replay-only entry asked for a
+verified capture) counts as a miss, since it saves no functional work.
 ``remote_puts`` counts entries adopted via :meth:`TraceCache
 .ingest_remote` — captures paid by a worker process of a
 :class:`~repro.sim.parallel.SimPool` rather than by this process —
@@ -175,16 +172,6 @@ def disk_path(disk_dir: str | Path, key: TraceKey) -> Path:
     return Path(disk_dir) / f"trace_{digest}.pkl"
 
 
-def sidecar_path(path: Path) -> Path:
-    """Hit-counter sidecar of one disk entry (``<entry>.hits``).
-
-    Kept outside the envelope so a warm serve persists its popularity
-    bump by writing a few counter bytes, not the whole entry (see
-    :meth:`~repro.sim.trace_store.TraceStore._note_disk_serve`).
-    """
-    return path.with_name(path.name + ".hits")
-
-
 def _disk_payload(er: ExecResult) -> ExecResult:
     """Replay-only pruned capture: drop the functional memory image
     (large, and only needed by golden checks, which run at capture
@@ -222,6 +209,17 @@ def _validate_envelope(obj: object) -> bool:
             and obj.get("format") == DISK_FORMAT_VERSION
             and obj.get("schema") == _payload_schema()
             and isinstance(obj.get("payload"), bytes))
+
+
+def _read_envelope(path: Path) -> object:
+    """Unpickled contents of one disk entry, not yet validated.
+
+    Raises ``OSError`` when the file cannot be read (e.g. evicted
+    concurrently) and whatever the unpickler raises on corrupt bytes;
+    each caller decides what either means.
+    """
+    with path.open("rb") as fh:
+        return pickle.load(fh)
 
 
 def _write_envelope(path: Path, envelope: dict,
@@ -271,16 +269,15 @@ def _crc_ok(obj: dict) -> bool:
                                        & 0xFFFFFFFF)
 
 
-def _unwrap_envelope(obj: object) -> Optional[ExecResult]:
-    """Payload of a disk envelope, or None for any stale/foreign shape.
+def _unwrap_envelope(obj: dict) -> Optional[ExecResult]:
+    """Payload of a validated disk envelope, or None when it does not
+    decode.
 
     Rehydrates the v6 field dict into a replay-only ``ExecResult``
     whose trace is a lazy :class:`~repro.functional.trace_pack
     .PackedTrace` over the payload's columnar blob — no per-event
     objects are built here.
     """
-    if not _validate_envelope(obj):
-        return None  # older revision, drifted schema, or foreign shape
     try:
         payload = pickle.loads(zlib.decompress(obj["payload"]))
     # repro-lint: disable=RL201  unpickling corrupt bytes can raise any type
@@ -315,8 +312,9 @@ class TraceCache:
         self.fault_plan = (fault_plan if fault_plan is not None
                            else FaultPlan.from_env())
         #: Injectable time source; every age judgement (GC orphan
-        #: reaping, manifest ages) and tempfile stamp uses this one
-        #: clock so they can never disagree.  ``None`` = wall clock.
+        #: reaping, manifest ages) and every tempfile or serve stamp
+        #: uses this one clock so they can never disagree.  ``None`` =
+        #: wall clock.
         self.clock = clock
         self._entries: OrderedDict[TraceKey, ExecResult] = OrderedDict()
         self.hits = 0
@@ -332,18 +330,13 @@ class TraceCache:
         #: Set once ``ENOSPC`` demoted this cache to memory-only.
         self.memory_only = False
         self._write_counts: dict[str, int] = {}  # fault-roll attempt nos
-        self._last_lookup: str | None = None  # "memory" | "disk" | "miss"
 
     def _now(self) -> float:
         """Current time per the injected clock (wall clock by default)."""
         # repro-lint: disable=RL101  injected-clock default: feeds only
-        # GC age judgements and manifest ages, never a rendered table
+        # mtime stamps, GC age judgements and manifest ages, never a
+        # rendered table
         return time.time() if self.clock is None else self.clock()
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def key(program: Program, vlen_bits: int, setup_id: str) -> TraceKey:
-        return trace_key(program, vlen_bits, setup_id)
 
     def _disk_path(self, key: TraceKey) -> Optional[Path]:
         if self.disk_dir is None:
@@ -351,22 +344,27 @@ class TraceCache:
         return disk_path(self.disk_dir, key)
 
     # ------------------------------------------------------------------
-    def get(self, key: TraceKey) -> Optional[ExecResult]:
-        """Captured execution for ``key``, or None (counts hit/miss)."""
+    def get(self, key: TraceKey,
+            accept: Optional[Callable[[ExecResult], bool]] = None
+            ) -> Optional[ExecResult]:
+        """Captured execution for ``key``, or None.
+
+        Counts exactly one memory hit, disk hit or miss.  An entry that
+        ``accept`` rejects is a miss: it is not returned and saves the
+        caller no functional work.
+        """
         entry = self._entries.get(key)
-        if entry is not None:
+        if entry is None:
+            entry = self._load_from_disk(key)
+            if entry is not None and (accept is None or accept(entry)):
+                self._remember(key, entry)
+                self.disk_hits += 1
+                return entry
+        elif accept is None or accept(entry):
             self._entries.move_to_end(key)
             self.hits += 1
-            self._last_lookup = "memory"
-            return entry
-        entry = self._load_from_disk(key)
-        if entry is not None:
-            self._remember(key, entry)
-            self.disk_hits += 1
-            self._last_lookup = "disk"
             return entry
         self.misses += 1
-        self._last_lookup = "miss"
         return None
 
     def _load_from_disk(self, key: TraceKey) -> Optional[ExecResult]:
@@ -374,10 +372,7 @@ class TraceCache:
         if path is None or not path.exists():
             return None
         try:
-            with path.open("rb") as fh:
-                obj = pickle.load(fh)
-        except (KeyboardInterrupt, SystemExit):
-            raise
+            obj = _read_envelope(path)
         # repro-lint: disable=RL201  unpickling foreign files raises any type
         except Exception:
             return None  # unreadable/foreign file: fall through to a miss
@@ -390,7 +385,13 @@ class TraceCache:
             # store budget or fail again on the next read.
             self._purge_corrupt(path)
             return None
-        self._note_disk_serve(path, obj)
+        # Freshen the mtime so the store GC's eviction order is an LRU
+        # over use, not a FIFO over writes.
+        stamp = self._now()
+        try:
+            os.utime(path, (stamp, stamp))
+        except OSError:
+            pass  # evicted or replaced since the read: nothing to age
         return entry
 
     def _purge_corrupt(self, path: Path) -> None:
@@ -400,25 +401,8 @@ class TraceCache:
             path.unlink()
         except OSError:
             pass  # already evicted/replaced concurrently
-        try:
-            sidecar_path(path).unlink()
-        except OSError:
-            pass  # no sidecar, or it vanished with the entry
-
-    def _note_disk_serve(self, path: Path, envelope: dict) -> None:
-        """Hook: the disk layer just served ``envelope`` whole.
-
-        A plain cache does nothing; :class:`~repro.sim.trace_store
-        .TraceStore` overrides this to persist the entry's
-        ``hits_served`` bump (which also freshens its ``mtime``, the
-        GC's LRU signal).
-        """
 
     def put(self, key: TraceKey, captured: ExecResult) -> None:
-        # A put invalidates the "last lookup" context: a demote_last_hit()
-        # issued after it must be a no-op, not a re-demotion of an older
-        # get() (which would corrupt — even negate — the counters).
-        self._last_lookup = None
         self._remember(key, captured)
         path = self._disk_path(key)
         if path is not None and not self.memory_only:
@@ -462,12 +446,7 @@ class TraceCache:
     def _write_disk(self, path: Path, captured: ExecResult) -> None:
         """Atomically (re)write one disk entry.
 
-        A (re)capture starts the entry's ``hits_served`` life over at
-        zero — the payload is new bytes, so inherited popularity would
-        claim service the new trace never rendered — which includes
-        unlinking any hit-counter sidecar a store left beside the old
-        entry.  The payload checksum is computed over the exact
-        compressed bytes handed to the envelope; an active
+        The payload checksum is computed over the exact compressed bytes handed to the envelope; an active
         :class:`~repro.sim.faults.FaultPlan` may then corrupt those
         bytes or veto the write with an ``OSError``, deliberately
         *after* the checksum, so injected corruption is exactly what
@@ -479,7 +458,6 @@ class TraceCache:
             COMPRESS_LEVEL)
         envelope = {"format": DISK_FORMAT_VERSION,
                     "schema": _payload_schema(),
-                    "hits_served": 0,
                     "crc32": zlib.crc32(payload) & 0xFFFFFFFF,
                     "payload": payload}
         plan = self.fault_plan
@@ -490,10 +468,6 @@ class TraceCache:
             plan.check_write(token, attempt)
             envelope["payload"] = plan.corrupted(token, attempt, payload)
         _write_envelope(path, envelope, clock=self.clock)
-        try:
-            sidecar_path(path).unlink()
-        except OSError:
-            pass  # no sidecar (fresh entry) or it raced away: zero either way
 
     def ingest_remote(self, key: TraceKey,
                       payload: Optional[ExecResult] = None
@@ -517,7 +491,6 @@ class TraceCache:
             return None
         self._remember(key, captured)
         self.remote_puts += 1
-        self._last_lookup = None  # see put(): no stale demotion context
         return captured
 
     def _remember(self, key: TraceKey, captured: ExecResult) -> None:
@@ -527,30 +500,8 @@ class TraceCache:
             self._entries.popitem(last=False)
 
     # ------------------------------------------------------------------
-    def demote_last_hit(self) -> None:
-        """Recount the immediately preceding :meth:`get` hit as a miss.
-
-        Used by callers that looked an entry up but could not use it —
-        e.g. a verified capture request served a replay-only disk payload
-        — so the statistics reflect that no functional work was saved.
-        A no-op unless the cache's most recent operation was a
-        :meth:`get` that hit: an intervening :meth:`put` or
-        :meth:`clear` clears the lookup context, and a second call after
-        a demotion changes nothing.
-        """
-        if self._last_lookup == "memory":
-            self.hits -= 1
-        elif self._last_lookup == "disk":
-            self.disk_hits -= 1
-        else:
-            return
-        self.misses += 1
-        self._last_lookup = None  # consumed: a repeat call must not stack
-
-    # ------------------------------------------------------------------
     def clear(self) -> None:
         self._entries.clear()
-        self._last_lookup = None  # see put(): no stale demotion context
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -558,7 +509,7 @@ class TraceCache:
     def probe(self, key: TraceKey) -> bool:
         """Cheap membership hint: tags and checksum, never the payload.
 
-        Unlike ``key in cache``, a disk probe validates the envelope's
+        Counts no lookup.  A disk probe validates the envelope's
         format/schema tags and payload CRC without decompressing or
         unpickling the trace itself, so callers that will immediately
         :meth:`get` on a positive answer (e.g. :meth:`~repro.sim
@@ -575,23 +526,11 @@ class TraceCache:
         if path is None or not path.exists():
             return False
         try:
-            with path.open("rb") as fh:
-                obj = pickle.load(fh)
-        except (KeyboardInterrupt, SystemExit):
-            raise
+            obj = _read_envelope(path)
         # repro-lint: disable=RL201  unpickling foreign files raises any type
         except Exception:
             return False
         return _validate_envelope(obj) and _crc_ok(obj)
-
-    def __contains__(self, key: TraceKey) -> bool:
-        # Membership mirrors get(): both layers count, neither is charged
-        # a hit or miss.  The disk probe validates the full envelope —
-        # a stale or truncated file that get() would refuse must not
-        # report membership — but rehydrates nothing into the LRU.
-        if key in self._entries:
-            return True
-        return self._load_from_disk(key) is not None
 
     @property
     def stats(self) -> dict:

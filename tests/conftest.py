@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.env import ENV_FUZZ_SEEDS, read_env
+from repro.env import ENV_FUZZ_SEEDS, read_env_count
 from repro.params import Ara2Config, AraXLConfig
 
 #: Tier-1 default: small, so the property tests stay fast; CI's
@@ -25,9 +25,9 @@ def fuzz_seed_count(config) -> int:
     from_cli = config.getoption("--fuzz-seeds")
     if from_cli is not None:
         return max(1, int(from_cli))
-    from_env = read_env(ENV_FUZZ_SEEDS)
-    if from_env:
-        return max(1, int(from_env))
+    from_env = read_env_count(ENV_FUZZ_SEEDS)
+    if from_env is not None:
+        return max(1, from_env)
     return DEFAULT_FUZZ_SEEDS
 
 

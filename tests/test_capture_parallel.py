@@ -317,15 +317,6 @@ class TestRemotePuts:
         assert cache.ingest_remote(("nope", 1, "x")) is None
         assert cache.stats["remote_puts"] == 0
 
-    def test_demote_after_ingest_is_a_noop(self, tmp_path):
-        key, _ = self._entry(tmp_path)
-        reader = TraceCache(disk_dir=tmp_path)
-        assert reader.get(key) is not None  # disk hit
-        assert reader.ingest_remote(key) is not None
-        before = dict(reader.stats)
-        reader.demote_last_hit()  # ingest cleared the lookup context
-        assert dict(reader.stats) == before
-
 
 # ----------------------------------------------------------------------
 # Envelope v4: zlib-compressed payloads
@@ -368,7 +359,7 @@ class TestCompressedEnvelope:
                                       protocol=pickle.HIGHEST_PROTOCOL)}
         path.write_bytes(pickle.dumps(v3))
         stale = TraceCache(disk_dir=tmp_path)
-        assert key not in stale
+        assert not stale.probe(key)
         assert stale.get(key) is None
         assert stale.stats["misses"] == 1
 
@@ -392,8 +383,8 @@ class TestCompressedEnvelope:
                "payload": b"definitely not zlib"}
         path.write_bytes(pickle.dumps(bad))
         cache = TraceCache(disk_dir=tmp_path)
-        # Membership mirrors get(): an entry whose payload cannot
-        # rehydrate must not claim to exist.
-        assert key not in cache
+        # The probe checks the payload checksum: an entry whose payload
+        # cannot rehydrate must not claim to exist.
+        assert not cache.probe(key)
         assert cache.get(key) is None
         assert cache.stats["misses"] == 1

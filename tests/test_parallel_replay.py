@@ -237,7 +237,7 @@ class TestDiskFormatVersioning:
             pickle.dump(envelope, fh)
 
         stale = TraceCache(disk_dir=tmp_path)
-        assert key not in stale  # membership validates the envelope too
+        assert not stale.probe(key)  # a probe validates the envelope too
         assert stale.get(key) is None
         assert stale.stats["misses"] == 1 and stale.stats["disk_hits"] == 0
         # The recapture path (put) overwrites the stale file in place.
@@ -267,7 +267,7 @@ class TestDiskFormatVersioning:
         path = disk_path(tmp_path, key)
         path.write_bytes(path.read_bytes()[:50])
         cache = TraceCache(disk_dir=tmp_path)
-        assert key not in cache
+        assert not cache.probe(key)
         assert cache.get(key) is None
         assert cache.stats["misses"] == 1
 
@@ -281,10 +281,10 @@ class TestCacheMembershipAndStats:
         key = run.trace_key(cfg)
 
         fresh = TraceCache(disk_dir=tmp_path)  # empty memory, warm disk
-        assert key in fresh
+        assert fresh.probe(key)
         assert fresh.stats["lookups"] == 0  # membership is not a lookup
         memory_only = TraceCache()
-        assert key not in memory_only
+        assert not memory_only.probe(key)
 
     def test_disk_hits_split_from_memory_hits(self, tmp_path):
         cfg = Ara2Config(lanes=4)
