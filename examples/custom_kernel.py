@@ -55,7 +55,11 @@ def main() -> None:
     golden = np.exp(np.clip(x, EXP_CONSTS[1], EXP_CONSTS[0]))
     finite = np.isfinite(x)
     assert np.allclose(z[finite], golden[finite], rtol=1e-5)
-    assert np.isclose(total, z.sum(), rtol=1e-9)
+    # The clamped +inf inputs saturate to ~1.8e308 each, so the sum
+    # overflows to +inf, the value the vector reduction must give too.
+    with np.errstate(over="ignore"):
+        expected = z.sum()
+    assert np.isclose(total, expected, rtol=1e-9)
 
     print(f"n = {n} elements on {config.name}")
     print(f"cycles          : {run.cycles:.0f}")

@@ -12,6 +12,16 @@ cached on the program object): dispatch is an integer tag compare, branch
 targets are pre-resolved instruction indices, and scalar handlers are
 pre-bound callables — no per-retirement string or dict lookups.
 
+Vector ops run bound to the current vtype
+(:meth:`~repro.functional.vector.VectorUnit.bind`).  The loop keeps one
+table per ``(SEW, LMUL)``, indexed by pc and filled the first time an op
+retires under that vtype; a ``vsetvli`` that changes the vtype switches
+tables.  Vtype legality is checked once, for the start state: under
+``vill`` (or a ``vl`` beyond VLMAX set from outside) the table never
+fills and every vector op raises until a ``vsetvli``.  ``vl`` only
+changes at a ``vsetvli``, which keeps it within VLMAX, so a bound op
+stays valid for the whole run.
+
 Each retired instruction is appended straight to the typed column
 buffers of :class:`~repro.functional.trace_pack.TraceBuffers` — no event
 object per instruction — and the capture's trace is the
@@ -22,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import ExecutionError
+from ..errors import ExecutionError, IllegalInstructionError
 from ..isa.program import Program
 from ..isa.vtype import vsetvl_result
 from .memory import FunctionalMemory
@@ -72,7 +82,7 @@ class Executor:
         plans = plans_for(program)
         scalar_unit = self._scalar
         vector = self._vector
-        vector_exec = vector.execute_plan
+        bind = vector.bind
         require_legal = state.require_legal_vtype
         # Bound appends of every trace buffer: the loop below writes
         # each retired instruction's record field by field.
@@ -106,6 +116,20 @@ class Executor:
         retired = 0
         halted = False
         n = len(plans)
+        # One table of bound vector ops per vtype, indexed by pc and
+        # filled as ops retire.  An illegal start state (vill, or vl
+        # beyond VLMAX) keeps sew = 0, which matches no vsetvli, and its
+        # table never fills: every vector op there raises.
+        tables: dict = {}
+        table = [None] * n
+        vl = state.vl
+        try:
+            require_legal()
+        except IllegalInstructionError:
+            sew = lmul = 0
+        else:
+            sew, lmul = state.sew_bits, state.lmul_i
+            tables[sew, lmul] = table
         with vector.ieee_errors():
             while pc < n:
                 if retired >= max_instructions:
@@ -118,11 +142,12 @@ class Executor:
                 pc += 1
                 if kind == K_VECTOR:
                     retired += 1
-                    require_legal()
-                    vl = state.vl
-                    sew = state.sew_bits
-                    lmul = state.lmul_i
-                    extra = vector_exec(p, vl, sew, lmul)
+                    fn = table[pc - 1]
+                    if fn is None:
+                        if not sew:
+                            require_legal()  # raises
+                        fn = table[pc - 1] = bind(p, sew, lmul)
+                    extra = fn(p, vl, sew, lmul)
                     total_flops += p.flops * vl
                     if extra is not None:
                         if p.vkind != "mem":  # a slide amount
@@ -168,10 +193,17 @@ class Executor:
                     n_scalar += 1
                 elif kind == K_VSETVLI:
                     retired += 1
+                    vl = self._vsetvli(p)
+                    _, vsew, vlmul = p.aux
                     tag(TAG_VSETVL)
-                    w_vl(self._vsetvli(p))
-                    w_sew(p.aux[1])
-                    w_lmul(p.aux[2])
+                    w_vl(vl)
+                    w_sew(vsew)
+                    w_lmul(vlmul)
+                    if vsew != sew or vlmul != lmul:
+                        sew, lmul = vsew, vlmul
+                        table = tables.get((sew, lmul))
+                        if table is None:
+                            table = tables[sew, lmul] = [None] * n
                 elif kind == K_HALT:
                     retired += 1
                     halted = True

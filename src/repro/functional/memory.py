@@ -22,11 +22,16 @@ class FunctionalMemory:
             raise MemoryAccessError("memory size must be positive")
         self.size = int(size_bytes)
         self._data = np.zeros(self.size, dtype=np.uint8)
-        #: float64 view of the aligned prefix: fast path for the scalar
-        #: core's fld/fsd, which dominate kernel inner loops.
-        self._f64 = self._data[:self.size & ~7].view(np.float64)
+        self._f64 = self._f64_view()
         #: Simple bump allocator cursor for test/kernel buffer placement.
         self._alloc_cursor = 0
+
+    def _f64_view(self) -> memoryview:
+        """float64 view of the aligned prefix: the fast path of the
+        scalar core's fld/fsd, which dominate kernel inner loops.  A
+        memoryview, whose items are Python floats, indexes about twice
+        as fast as the NumPy array."""
+        return memoryview(self._data[:self.size & ~7].view(np.float64))
 
     def __getstate__(self):
         # The f64 view aliases _data only in-process; rebuild on load
@@ -37,7 +42,7 @@ class FunctionalMemory:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._f64 = self._data[:self.size & ~7].view(np.float64)
+        self._f64 = self._f64_view()
 
     # ------------------------------------------------------------------
     # Allocation helper (keeps kernels free of magic addresses)
@@ -151,7 +156,7 @@ class FunctionalMemory:
 
     def load_f64(self, addr: int) -> float:
         if addr % 8 == 0 and 0 <= addr and addr + 8 <= self.size:
-            return float(self._f64[addr >> 3])
+            return self._f64[addr >> 3]
         return float(self.read_array(addr, 1, np.float64)[0])
 
     def store_f64(self, addr: int, value: float) -> None:

@@ -22,8 +22,10 @@ the (immutable) :class:`~repro.isa.program.Program` instance, and
 :func:`plan_for_instr` memoizes single-instruction decodes for direct
 ``VectorUnit.execute`` callers (unit tests).
 Only quantities that cannot depend on dynamic state (``vl``, ``vtype``)
-are pre-resolved; dtypes still resolve per-retirement from the live SEW
-through the memoized singletons in :mod:`repro.functional.state`.
+are pre-resolved here.  What depends on the vtype as well — dtypes,
+EMUL, register-group views — resolves once per binding of a plan to a
+vtype (:meth:`repro.functional.vector.VectorUnit.bind`, called by the
+executor the first time an op retires under a vtype).
 """
 
 from __future__ import annotations

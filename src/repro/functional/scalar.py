@@ -64,6 +64,8 @@ class ScalarUnit:
     def __init__(self, state: ArchState, mem: FunctionalMemory) -> None:
         self.state = state
         self.mem = mem
+        self._xregs = state.x.regs
+        self._fregs = state.f.regs
 
     # ------------------------------------------------------------------
     # Integer ALU
@@ -133,13 +135,14 @@ class ScalarUnit:
         self.mem.store_int(addr, self.state.x.read(p.rs2), nbytes)
         return addr
 
-    def _h_fload(self, p):
-        addr = self.state.x.read(p.rs1) + p.imm
-        if p.aux == 8:
-            value = self.mem.load_f64(addr)
-        else:
-            value = self.mem.load_f32(addr)
-        self.state.f.write(p.frd, value)
+    def _h_fld(self, p):
+        addr = self._xregs[p.rs1] + p.imm
+        self._fregs[p.frd] = self.mem.load_f64(addr)
+        return addr
+
+    def _h_flw(self, p):
+        addr = self._xregs[p.rs1] + p.imm
+        self._fregs[p.frd] = self.mem.load_f32(addr)
         return addr
 
     def _h_fstore(self, p):
@@ -296,7 +299,9 @@ def resolve_scalar(spec: InstrSpec) -> tuple[Callable, Any, int]:
     if fmt == "store":
         return su._h_store, su._STORE_SIZES[m], S_STORE
     if fmt == "fload":
-        return su._h_fload, 8 if m == "fld" else 4, S_LOAD
+        if m == "fld":
+            return su._h_fld, 8, S_LOAD
+        return su._h_flw, 4, S_LOAD
     if fmt == "fstore":
         return su._h_fstore, 8 if m == "fsd" else 4, S_STORE
     if fmt == "frd_frs_frs":

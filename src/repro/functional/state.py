@@ -49,44 +49,47 @@ class ScalarRegs:
     """Integer register file; x0 reads as zero and ignores writes."""
 
     def __init__(self) -> None:
-        self._regs = [0] * 32
+        #: The signed register values.  Writes to x0 are dropped, so
+        #: ``regs[i]`` equals ``read(i)`` for every ``i``; hot paths hold
+        #: the list and index it.
+        self.regs = [0] * 32
 
     def read(self, index: int) -> int:
-        return 0 if index == 0 else self._regs[index]
+        return 0 if index == 0 else self.regs[index]
 
     def write(self, index: int, value: int) -> None:
         if index:
             value &= _I64_MASK
             if value >= 1 << 63:
                 value -= 1 << 64
-            self._regs[index] = value
+            self.regs[index] = value
 
     def read_unsigned(self, index: int) -> int:
         return self.read(index) & _I64_MASK
 
     def snapshot(self) -> list[int]:
-        return list(self._regs)
+        return list(self.regs)
 
 
 class FpRegs:
     """Floating-point register file holding float64 values.
 
-    Backed by a plain Python list: the interpreter reads f-registers on
-    every scalar-operand vector instruction, and list indexing is much
-    cheaper than NumPy scalar extraction.
+    Backed by a plain Python list of floats, ``regs``: the interpreter
+    reads f-registers on every scalar-operand vector instruction, and
+    list indexing is much cheaper than NumPy scalar extraction.
     """
 
     def __init__(self) -> None:
-        self._regs = [0.0] * 32
+        self.regs = [0.0] * 32
 
     def read(self, index: int) -> float:
-        return self._regs[index]
+        return self.regs[index]
 
     def write(self, index: int, value: float) -> None:
-        self._regs[index] = float(value)
+        self.regs[index] = float(value)
 
     def snapshot(self) -> np.ndarray:
-        return np.array(self._regs, dtype=np.float64)
+        return np.array(self.regs, dtype=np.float64)
 
 
 class VectorRegFile:
@@ -132,8 +135,9 @@ class VectorRegFile:
         state["_view_cache"] = {}
         return state
 
-    def _typed_view(self, base: int, emul: int, dtype: np.dtype) -> np.ndarray:
-        """Cached zero-copy ``dtype`` view of an EMUL-register group."""
+    def typed_view(self, base: int, emul: int, dtype: np.dtype) -> np.ndarray:
+        """Cached zero-copy ``dtype`` view of an EMUL-register group
+        (``emul`` >= 1), whose legality :meth:`_group_bytes` checked."""
         key = (base, emul, dtype)
         view = self._view_cache.get(key)
         if view is None:
@@ -151,7 +155,7 @@ class VectorRegFile:
         array is then a zero-copy view of the register file and must not
         be mutated or held across a register write.
         """
-        view = self._typed_view(base, max(1, emul), np.dtype(dtype))
+        view = self.typed_view(base, max(1, emul), np.dtype(dtype))
         if vl > view.size:
             raise IllegalInstructionError(
                 f"vl={vl} exceeds group capacity {view.size} for v{base}"
@@ -166,7 +170,7 @@ class VectorRegFile:
         inactive destination elements keep their previous value.
         """
         values = np.ascontiguousarray(values)
-        view = self._typed_view(base, max(1, emul), values.dtype)
+        view = self.typed_view(base, max(1, emul), values.dtype)
         if values.size > view.size:
             raise IllegalInstructionError(
                 f"writing {values.size} elements into group capacity {view.size}"
@@ -248,8 +252,15 @@ class ArchState:
         return self.v.vlen_bits
 
     def require_legal_vtype(self) -> VType:
+        """The current vtype; raises when it is ``vill``, or when ``vl``
+        exceeds its VLMAX (only a state set outside ``vsetvli`` can), so
+        ``vl`` elements fit every register group an op may access."""
         if self._vtype.vill:
             raise IllegalInstructionError(
                 "vector instruction executed with vill set (no vsetvli yet?)"
             )
+        vlmax = self.vlen_bits * self.lmul_i // self.sew_bits
+        if self.vl > vlmax:
+            raise IllegalInstructionError(
+                f"vl={self.vl} exceeds VLMAX={vlmax}")
         return self._vtype

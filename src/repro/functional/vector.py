@@ -14,7 +14,15 @@ Hot-path notes (this module runs once per retired vector instruction):
 * dispatch, operand indices and semantic callables come pre-resolved from
   the instruction's :class:`~repro.functional.plan.InstrPlan` — no string
   splitting or operand-dict lookups here;
-* VRF reads feeding pure computations use ``copy=False`` views (every
+* what depends only on ``(instruction, SEW, LMUL)`` is resolved once per
+  binding (:meth:`VectorUnit.bind`): the kinds that dominate kernel
+  traffic — FP FMA and binary ops, memory accesses, ``slide1`` and
+  splats — become closures over their dtypes, the zero-copy views of
+  their register groups (legality checked once, when the view is made)
+  and the scalar register lists.  The executor keeps one bound table per
+  vtype, so a retirement slices views by ``vl`` and computes;
+* the remaining kinds run through :meth:`VectorUnit.execute_plan`, whose
+  VRF reads feeding pure computations use ``copy=False`` views (every
   semantic function allocates a fresh result before anything is written
   back, and register groups of equal EMUL are equal-or-disjoint);
 * the ``v0`` mask is unpacked once and cached until ``v0`` is written
@@ -36,11 +44,13 @@ from .memory import FunctionalMemory
 from .plan import (InstrPlan, OP1_F, OP1_I, OP1_V, OP1_X, plan_for_instr)
 from .state import ArchState, fp_dtype, int_dtype
 from .trace import MemAccess, VectorEvent
-from .vector_ops import mask as maskops, mem as memops, permute
+from .vector_ops import mask as maskops, permute
 
 
 _UNIT_DTYPES = {1: np.dtype("u1"), 2: np.dtype("u2"),
                 4: np.dtype("u4"), 8: np.dtype("u8")}
+_I64_MASK = (1 << 64) - 1
+_MASK, _INDEXED, _UNIT = MemPattern.MASK, MemPattern.INDEXED, MemPattern.UNIT
 
 #: NumPy error state of vector FP arithmetic: overflow to ±inf, invalid
 #: operations yielding NaN and division by zero are the defined
@@ -65,12 +75,18 @@ def vector_event(p: InstrPlan, vl: int, sew: int, lmul: int,
 class VectorUnit:
     """Executes one vector instruction against the architectural state."""
 
-    #: vkind -> handler method name; bound into a dict per instance.
+    #: vkind -> binder method name (see :meth:`bind`).
+    _BINDERS = {
+        "fp_fma": "_bind_fp_fma",
+        "fp_bin": "_bind_fp_bin",
+        "mem": "_bind_mem",
+        "slide1": "_bind_slide1",
+        "splat": "_bind_splat",
+    }
+    #: vkind -> handler method name of the kinds without a binder.
     _HANDLERS = {
-        "mem": "_h_mem",
         "red": "_h_reduction",
         "slide_updn": "_h_slide_updn",
-        "slide1": "_h_slide1",
         "rgather": "_h_rgather",
         "compress": "_h_compress",
         "mask_log": "_h_mask_log",
@@ -80,7 +96,6 @@ class VectorUnit:
         "vid": "_h_vid",
         "cmp": "_h_compare",
         "mv_vv": "_h_mv_vv",
-        "splat": "_h_splat",
         "mv_sx": "_h_mv_sx",
         "mv_xs": "_h_mv_xs",
         "fmv_sf": "_h_fmv_sf",
@@ -88,10 +103,8 @@ class VectorUnit:
         "merge": "_h_merge",
         "fp_unary": "_h_fp_unary",
         "fp_cvt": "_h_fp_cvt",
-        "fp_fma": "_h_fp_fma",
         "fp_fma_w": "_h_fp_fma_w",
         "fp_widen": "_h_fp_widen",
-        "fp_bin": "_h_fp_bin",
         "int_fma": "_h_int_fma",
         "int_widen": "_h_int_widen",
         "int_narrow": "_h_int_narrow",
@@ -103,6 +116,13 @@ class VectorUnit:
         self.mem = mem
         self._dispatch = {k: getattr(self, name)
                           for k, name in self._HANDLERS.items()}
+        self._binders = {k: getattr(self, name)
+                         for k, name in self._BINDERS.items()}
+        # Bound once: binding reads these about once per retirement.
+        self._execute_plan = self.execute_plan
+        self._group = state.v.typed_view
+        self._xregs = state.x.regs
+        self._fregs = state.f.regs
         self._v0_key = -1
         self._v0_vl = -1
         self._v0_bits: Optional[np.ndarray] = None
@@ -133,13 +153,28 @@ class VectorUnit:
         state.require_legal_vtype()
         vl, sew, lmul = state.vl, state.sew_bits, state.lmul_i
         with self.ieee_errors():
-            extra = self.execute_plan(p, vl, sew, lmul)
+            extra = self.bind(p, sew, lmul)(p, vl, sew, lmul)
         return vector_event(p, vl, sew, lmul, extra)
 
+    def bind(self, p: InstrPlan, sew: int, lmul: int):
+        """``p`` bound to the legal vtype ``(sew, lmul)``: a callable
+        with :meth:`execute_plan`'s signature, valid while the vtype
+        holds and ``vl`` <= VLMAX (which keeps every slice of a bound
+        view in range).
+
+        Binding resolves dtypes and register-group views, running the
+        group legality checks, so an illegal operand raises here.  Kinds
+        without a binder get :meth:`execute_plan` itself.
+        """
+        binder = self._binders.get(p.vkind)
+        if binder is None:
+            return self._execute_plan
+        return binder(p, sew, lmul)
+
     def execute_plan(self, p: InstrPlan, vl: int, sew: int, lmul: int):
-        """Execute ``p`` at the given configuration inside an
-        :meth:`ieee_errors` scope; returns the handler's trace fields
-        (see the module docstring)."""
+        """Execute ``p`` (of a kind without a binder) at the given
+        configuration inside an :meth:`ieee_errors` scope; returns the
+        handler's trace fields (see the module docstring)."""
         return self._dispatch[p.vkind](
             p, vl, sew, lmul, self._v0_mask(vl) if p.masked else None)
 
@@ -190,19 +225,6 @@ class VectorUnit:
         src = self.state.v.read_elems(
             p.vs2, vl, int_dtype(sew), lmul, copy=False)
         self.state.v.write_elems(p.vd, src, lmul, mask_bits)
-        return None
-
-    def _h_splat(self, p, vl, sew, lmul, mask_bits):
-        m = p.mnemonic
-        if m == "vfmv_v_f":
-            value = np.full(vl, self.state.f.read(p.frs1),
-                            dtype=fp_dtype(sew))
-        elif m == "vmv_v_x":
-            value = self._splat_int(self.state.x.read(p.rs1),
-                                    int_dtype(sew), vl)
-        else:  # vmv_v_i
-            value = self._splat_int(p.imm, int_dtype(sew), vl)
-        self.state.v.write_elems(p.vd, value, lmul, mask_bits)
         return None
 
     def _h_mv_sx(self, p, vl, sew, lmul, mask_bits):
@@ -297,15 +319,6 @@ class VectorUnit:
         self.state.v.write_elems(p.vd, p.aux(vs2), lmul, mask_bits)
         return None
 
-    def _h_fp_fma(self, p, vl, sew, lmul, mask_bits):
-        dtype = fp_dtype(sew)
-        v = self.state.v
-        vd = v.read_elems(p.vd, vl, dtype, lmul, copy=False)
-        op1 = self._fetch_op1(p, vl, dtype)
-        vs2 = v.read_elems(p.vs2, vl, dtype, lmul, copy=False)
-        v.write_elems(p.vd, p.aux(vd, op1, vs2), lmul, mask_bits)
-        return None
-
     def _h_fp_fma_w(self, p, vl, sew, lmul, mask_bits):  # vfwmacc
         wide = fp_dtype(2 * sew)
         v = self.state.v
@@ -324,14 +337,6 @@ class VectorUnit:
         op1 = np.asarray(self._fetch_op1(p, vl, fp_dtype(sew)), dtype=wide)
         result = p.aux(vs2, op1)
         self.state.v.write_elems(p.vd, result, 2 * lmul, mask_bits)
-        return None
-
-    def _h_fp_bin(self, p, vl, sew, lmul, mask_bits):
-        dtype = fp_dtype(sew)
-        vs2 = self.state.v.read_elems(p.vs2, vl, dtype, lmul, copy=False)
-        op1 = self._fetch_op1(p, vl, dtype)
-        result = np.asarray(p.aux(vs2, op1), dtype=dtype)
-        self.state.v.write_elems(p.vd, result, lmul, mask_bits)
         return None
 
     def _h_fp_cvt(self, p, vl, sew, lmul, mask_bits):
@@ -417,22 +422,6 @@ class VectorUnit:
             v.write_elems(p.vd, result, lmul, mask_bits)
         return offset
 
-    def _h_slide1(self, p, vl, sew, lmul, mask_bits):
-        is_up, from_f = p.aux
-        dtype = fp_dtype(sew) if from_f else int_dtype(sew)
-        if from_f:
-            scalar = dtype.type(self.state.f.read(p.frs1))
-        else:
-            raw = self.state.x.read(p.rs1)
-            scalar = self._splat_int(raw, int_dtype(sew), 1).view(dtype)[0]
-        vs2 = self.state.v.read_elems(p.vs2, vl, dtype, lmul, copy=False)
-        if is_up:
-            result = permute.slide1up(vs2, scalar, vl)
-        else:
-            result = permute.slide1down(vs2, scalar, vl)
-        self.state.v.write_elems(p.vd, result, lmul, mask_bits)
-        return 1
-
     def _h_rgather(self, p, vl, sew, lmul, mask_bits):
         dtype = int_dtype(sew)
         vlmax = self.state.vlen_bits * lmul // sew
@@ -494,81 +483,238 @@ class VectorUnit:
         return None
 
     # ------------------------------------------------------------------
-    # Memory
+    # Bound kinds: everything fixed by (instruction, SEW, LMUL) resolved
+    # once, in the order the operands are accessed.  Binding runs about
+    # once per retirement on short programs (fuzz), so it stays lean.
     # ------------------------------------------------------------------
-    def _h_mem(self, p, vl, sew, lmul, mask_bits):
+    def _writer(self, base: int, view: np.ndarray, masked: bool):
+        """``write(vl, values)`` into the first ``vl`` elements of
+        ``view``, the group at ``base``: mask-undisturbed under v0 when
+        ``masked``, tail-undisturbed, counting a write that hits v0."""
+        vfile = self.state.v
+        if masked:
+            v0_mask = self._v0_mask
+
+            def write(vl, values):
+                mask = v0_mask(vl)
+                if base == 0:
+                    vfile.v0_writes += 1
+                np.copyto(view[:vl], values, where=mask)
+        else:
+            def write(vl, values):
+                if base == 0:
+                    vfile.v0_writes += 1
+                view[:vl] = values
+        return write
+
+    def _bind_fp_fma(self, p, sew, lmul):
+        dtype = fp_dtype(sew)
+        group = self._group
+        vd = group(p.vd, lmul, dtype)
+        mode = p.op1_mode
+        if mode == OP1_V:
+            vs1 = group(p.vs1, lmul, dtype)
+        elif mode != OP1_F:
+            raise ExecutionError(f"cannot fetch op1 for format {p.spec.fmt}")
+        vs2 = group(p.vs2, lmul, dtype)
+        write = self._writer(p.vd, vd, p.masked)
+        fn = p.aux
+        if mode == OP1_V:
+            def run(p, vl, sew, lmul):
+                write(vl, fn(vd[:vl], vs1[:vl], vs2[:vl]))
+        else:
+            fregs, frs1, scalar = self._fregs, p.frs1, dtype.type
+
+            def run(p, vl, sew, lmul):
+                write(vl, fn(vd[:vl], scalar(fregs[frs1]), vs2[:vl]))
+        return run
+
+    def _bind_fp_bin(self, p, sew, lmul):
+        dtype = fp_dtype(sew)
+        group = self._group
+        vs2 = group(p.vs2, lmul, dtype)
+        mode = p.op1_mode
+        if mode == OP1_V:
+            vs1 = group(p.vs1, lmul, dtype)
+        elif mode != OP1_F:
+            raise ExecutionError(f"cannot fetch op1 for format {p.spec.fmt}")
+        write = self._writer(p.vd, group(p.vd, lmul, dtype), p.masked)
+        fn = p.aux
+        if mode == OP1_V:
+            def run(p, vl, sew, lmul):
+                write(vl, fn(vs2[:vl], vs1[:vl]))
+        else:
+            fregs, frs1, scalar = self._fregs, p.frs1, dtype.type
+
+            def run(p, vl, sew, lmul):
+                write(vl, fn(vs2[:vl], scalar(fregs[frs1])))
+        return run
+
+    def _bind_slide1(self, p, sew, lmul):
+        is_up, from_f = p.aux
+        dtype = fp_dtype(sew) if from_f else int_dtype(sew)
+        group = self._group
+        vs2 = group(p.vs2, lmul, dtype)
+        write = self._writer(p.vd, group(p.vd, lmul, dtype), p.masked)
+        slide = permute.slide1up if is_up else permute.slide1down
+        scalar = dtype.type
+        if from_f:
+            fregs, frs1 = self._fregs, p.frs1
+
+            def run(p, vl, sew, lmul):
+                write(vl, slide(vs2[:vl], scalar(fregs[frs1]), vl))
+                return 1
+        else:  # the x-register value wraps to SEW bits, unsigned
+            xregs, rs1, bits = self._xregs, p.rs1, (1 << sew) - 1
+
+            def run(p, vl, sew, lmul):
+                write(vl, slide(vs2[:vl], scalar(xregs[rs1] & bits), vl))
+                return 1
+        return run
+
+    def _bind_splat(self, p, sew, lmul):
+        m = p.mnemonic
+        dtype = fp_dtype(sew) if m == "vfmv_v_f" else int_dtype(sew)
+        write = self._writer(p.vd, self._group(p.vd, lmul, dtype), p.masked)
+        scalar = dtype.type
+        if m == "vfmv_v_f":
+            fregs, frs1 = self._fregs, p.frs1
+
+            def run(p, vl, sew, lmul):
+                write(vl, scalar(fregs[frs1]))
+        elif m == "vmv_v_x":  # the value wraps to SEW bits, unsigned
+            xregs, rs1, bits = self._xregs, p.rs1, (1 << sew) - 1
+
+            def run(p, vl, sew, lmul):
+                write(vl, scalar(xregs[rs1] & bits))
+        else:  # vmv_v_i
+            value = scalar(p.imm & ((1 << sew) - 1))
+
+            def run(p, vl, sew, lmul):
+                write(vl, value)
+        return run
+
+    def _bind_mem(self, p, sew, lmul):
+        """Loads and stores of all four patterns.  A bound access
+        returns its ``(base, stride, count, element bytes)``."""
         spec = p.spec
         pattern = spec.mem_pattern
-        ew_bytes, emul, count = memops.data_shape(p.aux, pattern, vl, sew,
-                                                  lmul)
-        base = self.state.x.read_unsigned(p.rs1)
-        dtype = _UNIT_DTYPES[ew_bytes]
-        vfile = self.state.v
+        mem = self.mem
+        xregs = self._xregs
+        rs1 = p.rs1
 
-        if pattern is MemPattern.MASK:
+        if pattern is _MASK:  # ceil(vl/8) bytes, EMUL=1, never masked
             if spec.is_load:
-                raw = self.mem.read_bytes(base, count)
-                view = vfile._group_bytes(p.vd, 1)
-                if p.vd == 0:
-                    vfile.v0_writes += 1
-                view[:count] = raw
-            else:
-                view = vfile._group_bytes(p.vs3, 1)
-                self.mem.write_bytes(base, view[:count])
-            return base, 1, count, 1
+                write = self._writer(
+                    p.vd, self.state.v._group_bytes(p.vd, 1), False)
 
-        if pattern is MemPattern.UNIT:
-            stride = ew_bytes
-            if spec.is_load:
-                data = self.mem.read_array(base, vl, dtype)
-                vfile.write_elems(p.vd, data, emul, mask_bits)
+                def run(p, vl, sew, lmul):
+                    base = xregs[rs1] & _I64_MASK
+                    count = (vl + 7) // 8
+                    write(count, mem.read_bytes(base, count))
+                    return base, 1, count, 1
             else:
-                data = vfile.read_elems(p.vs3, vl, dtype, emul,
-                                        copy=False)
-                if mask_bits is None:
-                    self.mem.write_array(base, data)
+                src = self.state.v._group_bytes(p.vs3, 1)
+
+                def run(p, vl, sew, lmul):
+                    base = xregs[rs1] & _I64_MASK
+                    count = (vl + 7) // 8
+                    mem.write_bytes(base, src[:count])
+                    return base, 1, count, 1
+            return run
+
+        group = self._group
+        masked = p.masked
+        if pattern is _INDEXED:
+            # The mnemonic width is the index EEW; data uses SEW.
+            index_eew = p.aux
+            index = group(p.vs2, index_eew * lmul // sew or 1,
+                          _UNIT_DTYPES[index_eew // 8])
+            ew = sew // 8
+            dtype = _UNIT_DTYPES[ew]
+            if spec.is_load:
+                dest = group(p.vd, lmul, dtype)
+                write = self._writer(p.vd, dest, False)
+                if masked:
+                    v0_mask = self._v0_mask
+
+                    def run(p, vl, sew, lmul):
+                        base = xregs[rs1] & _I64_MASK
+                        offsets = index[:vl].astype(np.int64)
+                        mask = v0_mask(vl)
+                        data = dest[:vl].copy()
+                        data[mask] = mem.read_gather(base, offsets[mask],
+                                                     dtype)
+                        write(vl, data)
+                        return base, 0, vl, ew
                 else:
-                    offsets = np.flatnonzero(mask_bits) * stride
-                    self.mem.write_scatter(base, offsets, data[mask_bits])
-            return base, stride, vl, ew_bytes
-
-        if pattern is MemPattern.STRIDED:
-            stride = self.state.x.read(p.rs2)
-            if spec.is_load:
-                data = self.mem.read_strided(base, vl, stride, dtype)
-                vfile.write_elems(p.vd, data, emul, mask_bits)
+                    def run(p, vl, sew, lmul):
+                        base = xregs[rs1] & _I64_MASK
+                        offsets = index[:vl].astype(np.int64)
+                        write(vl, mem.read_gather(base, offsets, dtype))
+                        return base, 0, vl, ew
             else:
-                data = vfile.read_elems(p.vs3, vl, dtype, emul,
-                                        copy=False)
-                if mask_bits is None:
-                    self.mem.write_strided(base, data, stride)
-                else:
-                    offsets = np.flatnonzero(mask_bits).astype(np.int64) \
-                        * stride
-                    self.mem.write_scatter(base, offsets, data[mask_bits])
-            return base, stride, vl, ew_bytes
+                src = group(p.vs3, lmul, dtype)
+                v0_mask = self._v0_mask
 
-        # Indexed: mnemonic width is the index EEW; data uses SEW.
-        index_eew = p.aux
-        index_emul = max(1, index_eew * lmul // sew)
-        offsets = vfile.read_elems(
-            p.vs2, vl, _UNIT_DTYPES[index_eew // 8], index_emul,
-            copy=False).astype(np.int64)
-        data_dtype = _UNIT_DTYPES[sew // 8]
+                def run(p, vl, sew, lmul):
+                    base = xregs[rs1] & _I64_MASK
+                    offsets = index[:vl].astype(np.int64)
+                    data = src[:vl]
+                    if masked:
+                        mask = v0_mask(vl)
+                        offsets = offsets[mask]
+                        data = data[mask]
+                    mem.write_scatter(base, offsets, data)
+                    return base, 0, vl, ew
+            return run
+
+        # Unit-stride and strided: the mnemonic width is the data EEW; a
+        # fractional EMUL collapses to one register.
+        eew = p.aux
+        ew = eew // 8
+        dtype = _UNIT_DTYPES[ew]
+        emul = eew * lmul // sew or 1
         if spec.is_load:
-            if mask_bits is None:
-                data = self.mem.read_gather(base, offsets, data_dtype)
-                vfile.write_elems(p.vd, data, lmul, None)
+            write = self._writer(p.vd, group(p.vd, emul, dtype), masked)
+            if pattern is _UNIT:
+                def run(p, vl, sew, lmul):
+                    base = xregs[rs1] & _I64_MASK
+                    write(vl, mem.read_array(base, vl, dtype))
+                    return base, ew, vl, ew
             else:
-                dest = vfile.read_elems(p.vd, vl, data_dtype, lmul)
-                active = self.mem.read_gather(
-                    base, offsets[mask_bits], data_dtype)
-                dest[mask_bits] = active
-                vfile.write_elems(p.vd, dest, lmul)
+                rs2 = p.rs2
+
+                def run(p, vl, sew, lmul):
+                    base = xregs[rs1] & _I64_MASK
+                    stride = xregs[rs2]
+                    write(vl, mem.read_strided(base, vl, stride, dtype))
+                    return base, stride, vl, ew
+            return run
+
+        src = group(p.vs3, emul, dtype)
+        v0_mask = self._v0_mask
+        if pattern is _UNIT:
+            def run(p, vl, sew, lmul):
+                base = xregs[rs1] & _I64_MASK
+                if masked:
+                    mask = v0_mask(vl)
+                    mem.write_scatter(base, np.flatnonzero(mask) * ew,
+                                      src[:vl][mask])
+                else:
+                    mem.write_array(base, src[:vl])
+                return base, ew, vl, ew
         else:
-            data = vfile.read_elems(p.vs3, vl, data_dtype, lmul, copy=False)
-            if mask_bits is not None:
-                offsets = offsets[mask_bits]
-                data = data[mask_bits]
-            self.mem.write_scatter(base, offsets, data)
-        return base, 0, vl, sew // 8
+            rs2 = p.rs2
+
+            def run(p, vl, sew, lmul):
+                base = xregs[rs1] & _I64_MASK
+                stride = xregs[rs2]
+                if masked:
+                    mask = v0_mask(vl)
+                    offsets = np.flatnonzero(mask).astype(np.int64) * stride
+                    mem.write_scatter(base, offsets, src[:vl][mask])
+                else:
+                    mem.write_strided(base, src[:vl], stride)
+                return base, stride, vl, ew
+        return run

@@ -8,6 +8,7 @@ from repro.errors import ExecutionError, IllegalInstructionError
 from repro.functional import Executor
 from repro.functional.trace import ScalarEvent, VectorEvent, VsetvlEvent
 from repro.isa import Assembler
+from repro.isa.vtype import LMUL, SEW, VType
 
 I64 = st.integers(min_value=-2**63, max_value=2**63 - 1)
 
@@ -190,6 +191,57 @@ class TestVsetvli:
         a.halt()
         with pytest.raises(IllegalInstructionError):
             Executor(2048).run(a.build())
+
+
+class TestIllegalVectorOps:
+    """An illegal vector op raises when it retires: the instructions
+    before it have run, the ones after it have not."""
+
+    @staticmethod
+    def _raise(setup, illegal):
+        a = Assembler("illegal")
+        a.li("x1", 8)
+        setup(a)
+        a.li("x7", 1)
+        illegal(a)
+        a.li("x8", 1)
+        a.halt()
+        ex = Executor(2048)
+        with pytest.raises(IllegalInstructionError) as info:
+            ex.run(a.build())
+        assert (ex.state.x.read(7), ex.state.x.read(8)) == (1, 0)
+        return str(info.value)
+
+    def test_before_any_vsetvli(self):
+        message = self._raise(
+            lambda a: None, lambda a: a.vfadd_vv("v8", "v8", "v8"))
+        assert message == ("vector instruction executed with vill set "
+                           "(no vsetvli yet?)")
+
+    def test_odd_register_at_lmul2(self):
+        def setup(a):
+            a.vsetvli("x2", "x1", sew=64, lmul=2)
+            a.vfmacc_vf("v2", "f1", "v4")  # legal at e64/m2
+
+        message = self._raise(setup, lambda a: a.vfmacc_vf("v3", "f1", "v4"))
+        assert message == "v3 not aligned to EMUL=2 register group"
+
+    def test_widening_vd_not_aligned_to_emul4(self):
+        def setup(a):
+            a.vsetvli("x2", "x1", sew=32, lmul=2)
+
+        message = self._raise(setup, lambda a: a.vfwadd_vv("v2", "v4", "v6"))
+        assert message == "v2 not aligned to EMUL=4 register group"
+
+    def test_vl_beyond_vlmax_set_outside_vsetvli(self):
+        a = Assembler("poked")
+        a.vfmacc_vf("v8", "f1", "v16")
+        a.halt()
+        ex = Executor(2048)
+        ex.state.vtype = VType(sew=SEW.E64, lmul=LMUL.M1)
+        ex.state.vl = 33  # VLMAX is 32
+        with pytest.raises(IllegalInstructionError, match="vl=33 exceeds"):
+            ex.run(a.build())
 
 
 class TestTrace:
