@@ -485,7 +485,10 @@ class VectorUnit:
     # ------------------------------------------------------------------
     # Bound kinds: everything fixed by (instruction, SEW, LMUL) resolved
     # once, in the order the operands are accessed.  Binding runs about
-    # once per retirement on short programs (fuzz), so it stays lean.
+    # once per retirement on short programs (fuzz), so it stays lean:
+    # the bound functions take what they capture as parameter defaults,
+    # not closure cells, which the cyclic GC would track one by one.
+    # Callers pass only ``(p, vl, sew, lmul)`` (or ``(vl, values)``).
     # ------------------------------------------------------------------
     def _writer(self, base: int, view: np.ndarray, masked: bool):
         """``write(vl, values)`` into the first ``vl`` elements of
@@ -495,13 +498,14 @@ class VectorUnit:
         if masked:
             v0_mask = self._v0_mask
 
-            def write(vl, values):
+            def write(vl, values, v0_mask=v0_mask, base=base, vfile=vfile,
+                      view=view):
                 mask = v0_mask(vl)
                 if base == 0:
                     vfile.v0_writes += 1
                 np.copyto(view[:vl], values, where=mask)
         else:
-            def write(vl, values):
+            def write(vl, values, base=base, vfile=vfile, view=view):
                 if base == 0:
                     vfile.v0_writes += 1
                 view[:vl] = values
@@ -520,12 +524,14 @@ class VectorUnit:
         write = self._writer(p.vd, vd, p.masked)
         fn = p.aux
         if mode == OP1_V:
-            def run(p, vl, sew, lmul):
+            def run(p, vl, sew, lmul, write=write, fn=fn, vd=vd, vs1=vs1,
+                    vs2=vs2):
                 write(vl, fn(vd[:vl], vs1[:vl], vs2[:vl]))
         else:
             fregs, frs1, scalar = self._fregs, p.frs1, dtype.type
 
-            def run(p, vl, sew, lmul):
+            def run(p, vl, sew, lmul, write=write, fn=fn, vd=vd, scalar=scalar,
+                    fregs=fregs, frs1=frs1, vs2=vs2):
                 write(vl, fn(vd[:vl], scalar(fregs[frs1]), vs2[:vl]))
         return run
 
@@ -541,12 +547,13 @@ class VectorUnit:
         write = self._writer(p.vd, group(p.vd, lmul, dtype), p.masked)
         fn = p.aux
         if mode == OP1_V:
-            def run(p, vl, sew, lmul):
+            def run(p, vl, sew, lmul, write=write, fn=fn, vs2=vs2, vs1=vs1):
                 write(vl, fn(vs2[:vl], vs1[:vl]))
         else:
             fregs, frs1, scalar = self._fregs, p.frs1, dtype.type
 
-            def run(p, vl, sew, lmul):
+            def run(p, vl, sew, lmul, write=write, fn=fn, vs2=vs2,
+                    scalar=scalar, fregs=fregs, frs1=frs1):
                 write(vl, fn(vs2[:vl], scalar(fregs[frs1])))
         return run
 
@@ -561,13 +568,15 @@ class VectorUnit:
         if from_f:
             fregs, frs1 = self._fregs, p.frs1
 
-            def run(p, vl, sew, lmul):
+            def run(p, vl, sew, lmul, write=write, slide=slide, vs2=vs2,
+                    scalar=scalar, fregs=fregs, frs1=frs1):
                 write(vl, slide(vs2[:vl], scalar(fregs[frs1]), vl))
                 return 1
         else:  # the x-register value wraps to SEW bits, unsigned
             xregs, rs1, bits = self._xregs, p.rs1, (1 << sew) - 1
 
-            def run(p, vl, sew, lmul):
+            def run(p, vl, sew, lmul, write=write, slide=slide, vs2=vs2,
+                    scalar=scalar, xregs=xregs, rs1=rs1, bits=bits):
                 write(vl, slide(vs2[:vl], scalar(xregs[rs1] & bits), vl))
                 return 1
         return run
@@ -580,17 +589,19 @@ class VectorUnit:
         if m == "vfmv_v_f":
             fregs, frs1 = self._fregs, p.frs1
 
-            def run(p, vl, sew, lmul):
+            def run(p, vl, sew, lmul, write=write, scalar=scalar, fregs=fregs,
+                    frs1=frs1):
                 write(vl, scalar(fregs[frs1]))
         elif m == "vmv_v_x":  # the value wraps to SEW bits, unsigned
             xregs, rs1, bits = self._xregs, p.rs1, (1 << sew) - 1
 
-            def run(p, vl, sew, lmul):
+            def run(p, vl, sew, lmul, write=write, scalar=scalar, xregs=xregs,
+                    rs1=rs1, bits=bits):
                 write(vl, scalar(xregs[rs1] & bits))
         else:  # vmv_v_i
             value = scalar(p.imm & ((1 << sew) - 1))
 
-            def run(p, vl, sew, lmul):
+            def run(p, vl, sew, lmul, write=write, value=value):
                 write(vl, value)
         return run
 
@@ -608,7 +619,8 @@ class VectorUnit:
                 write = self._writer(
                     p.vd, self.state.v._group_bytes(p.vd, 1), False)
 
-                def run(p, vl, sew, lmul):
+                def run(p, vl, sew, lmul, xregs=xregs, rs1=rs1, write=write,
+                        mem=mem):
                     base = xregs[rs1] & _I64_MASK
                     count = (vl + 7) // 8
                     write(count, mem.read_bytes(base, count))
@@ -616,7 +628,8 @@ class VectorUnit:
             else:
                 src = self.state.v._group_bytes(p.vs3, 1)
 
-                def run(p, vl, sew, lmul):
+                def run(p, vl, sew, lmul, xregs=xregs, rs1=rs1, mem=mem,
+                        src=src):
                     base = xregs[rs1] & _I64_MASK
                     count = (vl + 7) // 8
                     mem.write_bytes(base, src[:count])
@@ -638,7 +651,9 @@ class VectorUnit:
                 if masked:
                     v0_mask = self._v0_mask
 
-                    def run(p, vl, sew, lmul):
+                    def run(p, vl, sew, lmul, xregs=xregs, rs1=rs1,
+                            index=index, v0_mask=v0_mask, dest=dest, mem=mem,
+                            dtype=dtype, write=write, ew=ew):
                         base = xregs[rs1] & _I64_MASK
                         offsets = index[:vl].astype(np.int64)
                         mask = v0_mask(vl)
@@ -648,7 +663,9 @@ class VectorUnit:
                         write(vl, data)
                         return base, 0, vl, ew
                 else:
-                    def run(p, vl, sew, lmul):
+                    def run(p, vl, sew, lmul, xregs=xregs, rs1=rs1,
+                            index=index, write=write, mem=mem, dtype=dtype,
+                            ew=ew):
                         base = xregs[rs1] & _I64_MASK
                         offsets = index[:vl].astype(np.int64)
                         write(vl, mem.read_gather(base, offsets, dtype))
@@ -657,7 +674,9 @@ class VectorUnit:
                 src = group(p.vs3, lmul, dtype)
                 v0_mask = self._v0_mask
 
-                def run(p, vl, sew, lmul):
+                def run(p, vl, sew, lmul, xregs=xregs, rs1=rs1, index=index,
+                        src=src, masked=masked, v0_mask=v0_mask, mem=mem,
+                        ew=ew):
                     base = xregs[rs1] & _I64_MASK
                     offsets = index[:vl].astype(np.int64)
                     data = src[:vl]
@@ -678,14 +697,16 @@ class VectorUnit:
         if spec.is_load:
             write = self._writer(p.vd, group(p.vd, emul, dtype), masked)
             if pattern is _UNIT:
-                def run(p, vl, sew, lmul):
+                def run(p, vl, sew, lmul, xregs=xregs, rs1=rs1, write=write,
+                        mem=mem, dtype=dtype, ew=ew):
                     base = xregs[rs1] & _I64_MASK
                     write(vl, mem.read_array(base, vl, dtype))
                     return base, ew, vl, ew
             else:
                 rs2 = p.rs2
 
-                def run(p, vl, sew, lmul):
+                def run(p, vl, sew, lmul, xregs=xregs, rs1=rs1, rs2=rs2,
+                        write=write, mem=mem, dtype=dtype, ew=ew):
                     base = xregs[rs1] & _I64_MASK
                     stride = xregs[rs2]
                     write(vl, mem.read_strided(base, vl, stride, dtype))
@@ -695,7 +716,8 @@ class VectorUnit:
         src = group(p.vs3, emul, dtype)
         v0_mask = self._v0_mask
         if pattern is _UNIT:
-            def run(p, vl, sew, lmul):
+            def run(p, vl, sew, lmul, xregs=xregs, rs1=rs1, masked=masked,
+                    v0_mask=v0_mask, mem=mem, ew=ew, src=src):
                 base = xregs[rs1] & _I64_MASK
                 if masked:
                     mask = v0_mask(vl)
@@ -707,7 +729,8 @@ class VectorUnit:
         else:
             rs2 = p.rs2
 
-            def run(p, vl, sew, lmul):
+            def run(p, vl, sew, lmul, xregs=xregs, rs1=rs1, rs2=rs2,
+                    masked=masked, v0_mask=v0_mask, mem=mem, src=src, ew=ew):
                 base = xregs[rs1] & _I64_MASK
                 stride = xregs[rs2]
                 if masked:

@@ -214,18 +214,24 @@ PINNED = {
 #: must pack to their capture blob (below).
 FUZZ_SEEDS = np.random.default_rng(2026).integers(0, 100_000, size=6).tolist()
 PINNED_FUZZ = {
-    85185: ("e6bdb508f7d96976f5deadd1aff05eaf51fe009b69ca1d0f8feb37132a2853f8",
-            "ad1f0cc1ab6f5bd808163a13f37213c14004a2b6c727ba6ed7eb6a33e9975258"),
-    17893: ("38a48d2bc51dfb446c7ac04925e4e2d335e65544a4372a5e16fd22d811ec5595",
-            "cd79895f277ec0f8eff3edd382a8452c17312711a9d512530089a1a0b256bb2b"),
-    2641: ("62458dc34d9136edf9c58f536fd23925777a8ee369922520f378892b6fd26bfc",
-           "2e067ba7ff80d328a2ab59c87ec097d7af7e12277b859c48af5fd0e1723c5816"),
-    63991: ("93614c80dbbeb3e7c4467ccb9f1a19e7c3dc3fffa8488dd06440659b1eb8b4e8",
-            "318d3db398d23bbb84a433f0cd284bc192e800c3e795e1928bc4c2b012b09ce1"),
-    36547: ("e4ccd42446c5f88dc4ec9cfa0b7a84b428a304fdc5f6a31017bd3d7242ab105e",
-            "6b23debd4a79764a2a12fac3d901aa6a5dd909c220eef574da5e25333faf2f93"),
-    46726: ("38fb50faf177ea66d4a1a6ede4561ab079cda0bea7e9e019ce39227874138c21",
-            "83c48b2962924d7f6001301e30bcfc1b48c85a78d93919515bab3e8e0de89d94"),
+    85185: (
+        "e6bdb508f7d96976f5deadd1aff05eaf51fe009b69ca1d0f8feb37132a2853f8",
+        "ad1f0cc1ab6f5bd808163a13f37213c14004a2b6c727ba6ed7eb6a33e9975258"),
+    17893: (
+        "38a48d2bc51dfb446c7ac04925e4e2d335e65544a4372a5e16fd22d811ec5595",
+        "cd79895f277ec0f8eff3edd382a8452c17312711a9d512530089a1a0b256bb2b"),
+    2641: (
+        "62458dc34d9136edf9c58f536fd23925777a8ee369922520f378892b6fd26bfc",
+        "2e067ba7ff80d328a2ab59c87ec097d7af7e12277b859c48af5fd0e1723c5816"),
+    63991: (
+        "93614c80dbbeb3e7c4467ccb9f1a19e7c3dc3fffa8488dd06440659b1eb8b4e8",
+        "318d3db398d23bbb84a433f0cd284bc192e800c3e795e1928bc4c2b012b09ce1"),
+    36547: (
+        "e4ccd42446c5f88dc4ec9cfa0b7a84b428a304fdc5f6a31017bd3d7242ab105e",
+        "6b23debd4a79764a2a12fac3d901aa6a5dd909c220eef574da5e25333faf2f93"),
+    46726: (
+        "38fb50faf177ea66d4a1a6ede4561ab079cda0bea7e9e019ce39227874138c21",
+        "83c48b2962924d7f6001301e30bcfc1b48c85a78d93919515bab3e8e0de89d94"),
 }
 
 
