@@ -43,7 +43,7 @@ points costs, and the hit-rate column verifies the cache keying actually
 fires across the sweep.  ``replay pts/s`` divides each sweep's replay
 cross-product by its wall-clock — the headline throughput of the
 vectorized (plan-compiled) replay path — and the store summary's
-``packed entry bytes (mean)`` tracks the size of the v6 columnar disk
+``packed entry bytes (mean)`` tracks the size of the columnar disk
 envelope.  The trailing ``fallbacks`` / ``retries`` /
 ``quarantined`` columns surface each pool's
 :class:`~repro.sim.faults.FaultLog` recovery counters — asserted zero

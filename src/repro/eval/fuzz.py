@@ -10,7 +10,7 @@ machinery:
    store serves fuzz captures exactly like curated-kernel captures, and
    worker-side verification replays the independent golden check);
 2. the in-process property harness —
-   :func:`repro.fuzz.properties.check_seed` asserts the four
+   :func:`repro.fuzz.properties.check_seed` asserts the three
    differential properties per seed on every requested machine.
 
 A property failure triggers the minimizing shrink loop and the run
@@ -83,7 +83,7 @@ def run_fuzz(seeds: int = 25, size: int = FUZZ_SIZE, features: str = "all",
             replays.append((config, capture_index[point]))
     reports = run_pipeline(captures, replays, pool)
 
-    # Phase 2: the four differential properties, per seed, in-process.
+    # Phase 2: the three differential properties, per seed, in-process.
     failures: list[str] = []
     instructions = 0
     for seed in range(seeds):
@@ -101,8 +101,8 @@ def run_fuzz(seeds: int = 25, size: int = FUZZ_SIZE, features: str = "all",
         f"size={size}, features={features}, B/lane={bytes_per_lane}",
         f"  pipeline: {len(captures)} captures, {len(reports)} replays "
         f"(shared per VLEN), {instructions} generated instructions",
-        f"  properties: replay-identity, key-stability, pack-roundtrip, "
-        f"plan-vs-reference on every machine",
+        f"  properties: replay-identity, key-stability, plan-vs-reference "
+        f"on every machine",
     ]
     if failures:
         lines.append(f"  FAILURES: {len(failures)} seed(s)")

@@ -9,8 +9,7 @@ replays to obtain cycle counts.
 from .state import ArchState, VectorRegFile
 from .memory import FunctionalMemory
 from .executor import Executor, ExecResult
-from .trace import (DynamicTrace, ScalarEvent, VectorEvent, VsetvlEvent,
-                    MemAccess)
+from .trace import ScalarEvent, VectorEvent, VsetvlEvent, MemAccess
 
 __all__ = [
     "ArchState",
@@ -18,7 +17,6 @@ __all__ = [
     "FunctionalMemory",
     "Executor",
     "ExecResult",
-    "DynamicTrace",
     "ScalarEvent",
     "VectorEvent",
     "VsetvlEvent",

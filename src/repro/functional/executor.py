@@ -39,9 +39,9 @@ from .memory import FunctionalMemory
 from .plan import K_HALT, K_SCALAR, K_VECTOR, K_VSETVLI, plans_for
 from .scalar import S_LOAD, ScalarUnit
 from .state import ArchState
-from .trace_pack import (I64_MAX, PATTERN_CODE, TAG_FALLBACK, TAG_SCALAR,
-                         TAG_VECTOR, TAG_VSETVL, PackedTrace, TraceBuffers)
-from .vector import VectorUnit, vector_event
+from .trace_pack import (PATTERN_CODE, TAG_SCALAR, TAG_VECTOR, TAG_VSETVL,
+                         PackedTrace, TraceBuffers)
+from .vector import VectorUnit
 
 #: Hard cap on retired instructions so a buggy kernel cannot hang a test
 #: run; the largest paper workload retires well under this.
@@ -153,11 +153,6 @@ class Executor:
                         if p.vkind != "mem":  # a slide amount
                             slide_row(n_vector)
                             v_slide(extra)
-                        elif extra[0] > I64_MAX:  # base beyond a column
-                            buf.fallback[len(buf.tags)] = vector_event(
-                                p, vl, sew, lmul, extra)
-                            tag(TAG_FALLBACK)
-                            continue
                         else:  # (base, stride, count, element bytes)
                             spec = p.spec
                             mem_row(n_vector)

@@ -12,14 +12,14 @@ The functional executor writes the records straight into the columnar
 layout of :mod:`repro.functional.trace_pack`; the event classes below
 are the object view of the same records, built on demand
 (:attr:`~repro.functional.trace_pack.PackedTrace.events`) for the
-reference replay loop and golden checks, and by hand in tests.
+reference replay loop and golden checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..isa.instructions import Instruction, MemPattern
 
@@ -133,56 +133,3 @@ class VectorEvent:
     @property
     def result_bytes(self) -> int:
         return self.vl * (self.sew // 8)
-
-
-TraceEvent = object  # union of the three event types
-
-
-@dataclass(slots=True)
-class DynamicTrace:
-    """Ordered event stream plus cheap aggregate counters.
-
-    ``_plan`` caches the timing engine's compiled replay plan (see
-    :mod:`repro.timing.replay_plan`) so the decode survives across the
-    many machine models one capture is replayed against.  It is derived
-    state: excluded from comparison and — via the explicit pickle
-    protocol below — from serialized traces, which keeps pipe payloads
-    and disk entries free of replay-only scratch.
-    """
-
-    events: list = field(default_factory=list)
-    scalar_count: int = 0
-    vector_count: int = 0
-    total_flops: float = 0.0
-    _plan: object = field(default=None, repr=False, compare=False)
-
-    def __getstate__(self):
-        return (self.events, self.scalar_count, self.vector_count,
-                self.total_flops)
-
-    def __setstate__(self, state):
-        (self.events, self.scalar_count, self.vector_count,
-         self.total_flops) = state
-        self._plan = None
-
-    def add_scalar(self, event: ScalarEvent) -> None:
-        self.events.append(event)
-        self.scalar_count += 1
-
-    def add_vsetvl(self, event: VsetvlEvent) -> None:
-        self.events.append(event)
-        self.scalar_count += 1
-
-    def add_vector(self, event: VectorEvent) -> None:
-        self.events.append(event)
-        self.vector_count += 1
-        self.total_flops += event.flops
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def vector_events(self) -> Iterator[VectorEvent]:
-        return (e for e in self.events if isinstance(e, VectorEvent))

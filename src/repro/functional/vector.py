@@ -390,6 +390,8 @@ class VectorUnit:
         fn, is_fp, signed = p.aux
         dtype = fp_dtype(sew) if is_fp else int_dtype(sew, signed=signed)
         values = self.state.v.read_elems(p.vs2, vl, dtype, lmul, copy=False)
+        if not vl:  # RVV 1.0: no operation, vd keeps its value
+            return None
         if mask_bits is not None:
             values = values[mask_bits]
         seed = self.state.v.read_elems(p.vs1, 1, dtype, 1, copy=False)[0]

@@ -37,18 +37,22 @@ def slidedown(vs2_full: np.ndarray, vl: int, offset: int) -> np.ndarray:
 
 
 def slide1up(vs2: np.ndarray, scalar, vl: int) -> np.ndarray:
-    """Shift elements up one slot; ``scalar`` enters at index 0."""
+    """Shift elements up one slot; ``scalar`` enters at index 0 (no
+    element at ``vl`` = 0)."""
     out = np.empty(vl, dtype=vs2.dtype)
-    out[0] = scalar
-    out[1:] = vs2[: vl - 1]
+    if vl:
+        out[0] = scalar
+        out[1:] = vs2[: vl - 1]
     return out
 
 
 def slide1down(vs2: np.ndarray, scalar, vl: int) -> np.ndarray:
-    """Shift elements down one slot; ``scalar`` enters at vl-1."""
+    """Shift elements down one slot; ``scalar`` enters at vl-1 (no
+    element at ``vl`` = 0)."""
     out = np.empty(vl, dtype=vs2.dtype)
-    out[: vl - 1] = vs2[1:vl]
-    out[vl - 1] = scalar
+    if vl:
+        out[: vl - 1] = vs2[1:vl]
+        out[vl - 1] = scalar
     return out
 
 

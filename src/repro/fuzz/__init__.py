@@ -14,7 +14,7 @@ functional ISA instead of only the curated kernels:
   capture pipeline through the same skeleton/lazy-golden memo path as
   Table I kernels (``CaptureTask``/``SimPool``/``TraceStore`` handle it
   unchanged via the ``"fuzz"`` zoo entry);
-* :mod:`repro.fuzz.properties` — the four differential properties
+* :mod:`repro.fuzz.properties` — the three differential properties
   checked per generated program;
 * :mod:`repro.fuzz.shrink` — the minimizing reproducer loop.
 

@@ -11,16 +11,12 @@ per registry machine unless noted:
 2. **key-stability** — ``trace_key`` is equal across machines that share
    a VLEN (the key must be insensitive to everything else in the
    machine spec);
-3. **pack-roundtrip** — the capture's events, materialized and packed
-   through the object path (``to_trace -> pack_trace``), reproduce the
-   blob of the executor's column writer bit for bit;
-4. **plan-vs-reference** — the vectorized ``ReplayPlan`` fast path
-   (over the capture's columns and over its materialized events)
-   produces a report equal to ``replay_reference`` over the
-   materialized events.
+3. **plan-vs-reference** — the vectorized ``ReplayPlan`` fast path over
+   the capture's columns produces a report equal to
+   ``replay_reference`` over its materialized events.
 
-Each capture's events are materialized at most once per check (the
-packed trace caches them).
+Each capture's events are materialized once per check (the packed
+trace caches them).
 
 Failures raise :class:`PropertyFailure`, which carries the case so the
 shrink loop (:mod:`repro.fuzz.shrink`) can minimize the reproducer.
@@ -28,7 +24,6 @@ shrink loop (:mod:`repro.fuzz.shrink`) can minimize the reproducer.
 
 from __future__ import annotations
 
-from ..functional.trace_pack import pack_trace
 from ..machine import get_machine
 from ..sim import replay_trace
 from ..timing.engine import TimingEngine
@@ -69,7 +64,7 @@ def _require(ok: bool, prop: str, case: FuzzCase, machine: str,
 
 
 def check_case(case: FuzzCase, configs=None) -> dict:
-    """Check all four properties for ``case``; returns run statistics."""
+    """Check all three properties for ``case``; returns run statistics."""
     if configs is None:
         configs = default_configs()
     kernels = [kernel_for_case(case, config) for config in configs]
@@ -104,25 +99,14 @@ def check_case(case: FuzzCase, configs=None) -> dict:
                  "replay-identity", case, name,
                  "two independent captures have different blobs")
 
-        # Property 3: the object path packs the materialized events to
-        # the column writer's blob.
-        events = packed.to_trace()
-        _require(pack_trace(events, case.program) == packed.blob,
-                 "pack-roundtrip", case, name,
-                 "materialized events do not pack to the capture's blob")
-
-        # Property 4: the vectorized plan, over the columns and over
-        # the materialized events, equals the reference loop.
+        # Property 3: the vectorized plan over the columns equals the
+        # reference loop over the materialized events.
         model = build_model(config)
-        reference = TimingEngine(model).replay_reference(events)
+        reference = TimingEngine(model).replay_reference(packed.events)
         fast = TimingEngine(model).replay(packed)
         _require(fast == reference, "plan-vs-reference", case, name,
                  f"vectorized replay diverges from replay_reference: "
                  f"{fast.cycles} != {reference.cycles} cycles")
-        object_fast = TimingEngine(model).replay(events)
-        _require(object_fast == reference, "plan-vs-reference", case, name,
-                 f"object-trace replay diverges from replay_reference: "
-                 f"{object_fast.cycles} != {reference.cycles} cycles")
 
         stats["events"][name] = len(captured.trace)
         stats["cycles"][name] = direct.timing.cycles

@@ -31,16 +31,16 @@ Disk entries are written for *concurrent* readers and writers sharing one
   only needed by golden checks, which run at capture time) and decoded
   plan caches (which hold lambdas); a disk-rehydrated capture is
   replay-only and safe to ship across process boundaries.
-* **Columnar trace payload (v6)** — the payload is a small dict of
+* **Columnar trace payload (v7)** — the payload is a small dict of
   ``ExecResult`` fields in which the trace travels as a packed
   struct-of-arrays blob (:func:`repro.functional.trace_pack
   .pack_trace`) rather than a per-event object pickle.  Rehydration
   wraps the blob as a lazy :class:`~repro.functional.trace_pack
   .PackedTrace` — column views via ``np.frombuffer``, no per-event
   heap objects — which the timing engine's vectorized replay consumes
-  directly.  Events that do not flatten (foreign classes, out-of-range
-  fields) ride in the blob's pickled fallback map, so any trace
-  round-trips losslessly.
+  directly.  Every record the executor retires has a row (a vector
+  memory base is an unsigned 64-bit column), so the columns are the
+  whole trace.
 * **Atomic writes** — each entry is pickled to a ``tempfile`` inside
   ``disk_dir`` and moved into place with :func:`os.replace`, so a
   concurrent reader sees either the old complete file or the new
@@ -127,7 +127,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from ..functional.executor import ExecResult
-from ..functional.trace_pack import PackedTrace, pack_trace, unpack_trace
+from ..functional.trace_pack import unpack_trace
 from ..isa.program import Program
 from .faults import FaultPlan
 
@@ -151,8 +151,11 @@ DEFAULT_CAPACITY = 32
 #: :func:`~repro.functional.trace_pack.pack_trace` blob instead of a
 #: per-event object pickle; a v5 payload (a pickled ``ExecResult``)
 #: would unwrap to the wrong shape, so the bump again makes it a plain
-#: stale miss that the store GC purges.
-DISK_FORMAT_VERSION = 6
+#: stale miss that the store GC purges.  v7: the blob's ``m_base``
+#: column is unsigned and its header lost the per-event side map; a v6
+#: blob would fail the layout check and be purged as *corrupt*, so the
+#: bump makes it a stale miss instead.
+DISK_FORMAT_VERSION = 7
 
 #: zlib level for the payload bytes.  The default (6) already reaches
 #: within a few percent of level 9 on trace pickles at a fraction of the
@@ -184,17 +187,11 @@ def _disk_payload(er: ExecResult) -> ExecResult:
 
 
 def _pack_payload(er: ExecResult) -> dict:
-    """v6 disk payload: pruned ``ExecResult`` fields with the trace as
-    a columnar blob.  A :class:`~repro.functional.trace_pack
-    .PackedTrace` — every capture and every disk-served entry —
-    contributes its own blob (a capture serializes its columns once);
-    only a trace built from event objects is packed here."""
-    trace = er.trace
-    blob = (bytes(trace.blob) if isinstance(trace, PackedTrace)
-            else pack_trace(trace, er.program))
+    """Disk payload: pruned ``ExecResult`` fields with the trace as its
+    columnar blob (a capture serializes its columns once)."""
     return {"state": er.state, "program": er.program,
             "retired": er.retired, "halted": er.halted,
-            "trace_blob": blob}
+            "trace_blob": bytes(er.trace.blob)}
 
 
 def _payload_schema() -> tuple:
@@ -273,7 +270,7 @@ def _unwrap_envelope(obj: dict) -> Optional[ExecResult]:
     """Payload of a validated disk envelope, or None when it does not
     decode.
 
-    Rehydrates the v6 field dict into a replay-only ``ExecResult``
+    Rehydrates the field dict into a replay-only ``ExecResult``
     whose trace is a lazy :class:`~repro.functional.trace_pack
     .PackedTrace` over the payload's columnar blob — no per-event
     objects are built here.

@@ -22,11 +22,13 @@ length.  The mechanisms modelled, and where the paper's effects come from:
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..errors import TimingError
-from ..functional.trace import (DynamicTrace, MemAccess, ScalarEvent,
-                                VectorEvent, VsetvlEvent)
+from ..functional.trace import (MemAccess, ScalarEvent, VectorEvent,
+                                VsetvlEvent)
+from ..functional.trace_pack import PackedTrace
 from ..isa.instructions import ExecUnit, MemPattern
 from ..uarch.common import MachineModel
 from .frontend import ScalarFrontend
@@ -67,8 +69,8 @@ class TimingEngine:
         self.model = model
 
     # ------------------------------------------------------------------
-    def replay(self, trace) -> TimingReport:
-        """Replay ``trace`` (object or packed form) against the model.
+    def replay(self, trace: PackedTrace) -> TimingReport:
+        """Replay ``trace`` against the model.
 
         The vectorized fast path: compile the trace once into a
         :class:`~repro.timing.replay_plan.ReplayPlan` (cached on the
@@ -91,13 +93,9 @@ class TimingEngine:
         reference loop stays as the executable specification and the
         property-test oracle.
         """
-        plan = getattr(trace, "_plan", None)
-        if plan is None or plan.n_events != len(trace):
-            plan = ReplayPlan.from_trace(trace)
-            try:
-                trace._plan = plan
-            except (AttributeError, TypeError):
-                pass  # foreign trace container: plan lives for this call
+        plan = trace._plan
+        if plan is None:
+            plan = trace._plan = ReplayPlan.from_trace(trace)
         model = self.model
         bundle = plan.machine_rows(model)
         report = bundle.report
@@ -294,7 +292,10 @@ class TimingEngine:
         return _copy_report(report)
 
     # ------------------------------------------------------------------
-    def replay_reference(self, trace: DynamicTrace) -> TimingReport:
+    def replay_reference(self, trace: Iterable) -> TimingReport:
+        """Replay any iterable of trace events (``packed.events``) one
+        event object at a time: the executable specification that
+        :meth:`replay` must match bit for bit."""
         model = self.model
         cfg = model.config
         frontend = ScalarFrontend(cfg.scalar, cfg.memory.l2_latency_cycles)

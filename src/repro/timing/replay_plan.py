@@ -9,13 +9,11 @@ depends on the machine model — so this module hoists it into a
 ``_plan`` slot) and shared across every machine the trace is replayed
 against.
 
-Compilation runs over the v6 trace columns
+Compilation runs over the trace columns
 (:mod:`repro.functional.trace_pack`), never over event objects: a
 :class:`~repro.functional.trace_pack.PackedTrace` — a capture, whose
 columns the functional executor wrote, or a disk blob — hands over its
-columns as they are, and a trace built from event objects by hand is
-flattened by :func:`~repro.functional.trace_pack.build_columns` first.
-From there:
+columns as they are.  From there:
 
 * **row classes** — one issue row per issued instruction (vsetvl or
   vector).  Column rows that agree on every field replay reads — the
@@ -73,11 +71,6 @@ From there:
   :class:`~repro.timing.report.TimingReport` and lets its table go;
   replay-many of one trace against one model is a dict hit plus a
   defensive copy.
-
-Events the columns cannot hold (the pickled fallback map: out-of-range
-fields, foreign event classes) take a small per-event path inside the
-same compiler: each becomes a scalar entry, a vsetvl row or a vector
-row with a class of its own.
 """
 
 from __future__ import annotations
@@ -85,11 +78,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TimingError
-from ..functional.trace import (DynamicTrace, MemAccess, ScalarEvent,
-                                VectorEvent, VsetvlEvent)
-from ..functional.trace_pack import (PATTERNS, TAG_FALLBACK, TAG_SCALAR,
-                                     TAG_VECTOR, TAG_VSETVL, PackedTrace,
-                                     build_columns)
+from ..functional.trace import MemAccess, VectorEvent
+from ..functional.trace_pack import (PATTERNS, TAG_SCALAR, TAG_VECTOR,
+                                     PackedTrace)
 from ..isa.instructions import MemPattern
 from . import superblock
 from .frontend import ScalarFrontend
@@ -221,51 +212,6 @@ def _first_groups(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts[rank], inv
 
 
-def _splice(packed: np.ndarray, extra: list, is_extra: np.ndarray,
-            dtype) -> np.ndarray:
-    """Merge column values with fallback-event values by position."""
-    out = np.empty(is_extra.size, dtype=dtype)
-    out[~is_extra] = packed
-    out[is_extra] = extra
-    return out
-
-
-def _merge_fallback(fallback: dict, tags: np.ndarray, vocab: list,
-                    s_kind: np.ndarray, s_addr: np.ndarray) -> tuple:
-    """Fold the fallback events into the column stream: retag scalar
-    and vsetvl events, splice fallback scalars into the scalar columns
-    (growing ``vocab``), and return the fallback vector events (which
-    keep ``TAG_FALLBACK``) in stream order."""
-    tags = tags.copy()
-    scalars: dict = {}
-    vectors: list = []
-    for index in sorted(fallback):
-        event = fallback[index]
-        ecls = event.__class__
-        if ecls is ScalarEvent:
-            tags[index] = TAG_SCALAR
-            scalars[index] = event
-        elif ecls is VsetvlEvent:
-            tags[index] = TAG_VSETVL
-        elif ecls is VectorEvent:
-            vectors.append(event)
-        else:
-            raise TimingError(f"unknown trace event {event!r}")
-    if scalars:
-        kid_of = {kind: kid for kid, kind in enumerate(vocab)}
-        kids, addrs = [], []
-        for event in scalars.values():
-            kid = kid_of.setdefault(event.kind, len(vocab))
-            if kid == len(vocab):
-                vocab.append(event.kind)
-            kids.append(kid)
-            addrs.append(event.addr or 0)
-        is_fb = np.isin(np.flatnonzero(tags == TAG_SCALAR), list(scalars))
-        s_kind = _splice(s_kind, kids, is_fb, np.int64)
-        s_addr = _splice(s_addr, addrs, is_fb, object)
-    return tags, s_kind, s_addr, vectors
-
-
 class _MachineRows:
     """Per-(plan, machine) class table plus the replay-report memo.
 
@@ -306,7 +252,7 @@ class ReplayPlan:
     :func:`repro.timing.superblock.scan`.
     """
 
-    __slots__ = ("n_events", "scalar_count", "vector_count", "total_flops",
+    __slots__ = ("scalar_count", "vector_count", "total_flops",
                  "bytes_read", "bytes_written", "first_vec_unit",
                  "kind_vocab", "scalar_kind", "scalar_addr", "seg_end",
                  "row_class", "classes", "n_slots", "mem_keys",
@@ -318,21 +264,10 @@ class ReplayPlan:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_trace(cls, trace) -> "ReplayPlan":
-        """Compile ``trace`` — a :class:`PackedTrace` straight from its
-        columns, any other event sequence through :func:`build_columns`
-        — into a plan."""
-        if isinstance(trace, PackedTrace):
-            return cls._compile(trace.columns, trace.kinds, trace.fallback,
-                                trace.program.instructions)
-        events = trace.events if isinstance(trace, DynamicTrace) \
-            else list(trace)
-        return cls._compile(*build_columns(events))
-
-    @classmethod
-    def _compile(cls, cols: dict, kinds: tuple, fallback: dict,
-                 instructions: tuple) -> "ReplayPlan":
-        """The column compiler."""
+    def from_trace(cls, trace: PackedTrace) -> "ReplayPlan":
+        """Compile ``trace`` into a plan, straight from its columns."""
+        cols = trace.columns
+        instructions = trace.program.instructions
         # Deferred import: engine.py imports this module at load time.
         from .engine import _UNIT_NAMES, TimingEngine
         unit_index = {name: uix for uix, name in enumerate(_UNIT_NAMES)}
@@ -389,16 +324,6 @@ class ReplayPlan:
             return entry
 
         tags = cols["tags"]
-        n_events = tags.size
-        vocab = list(kinds)
-        s_kind = cols["s_kind"]
-        # -1 marks "no address"; the D$ model reads a missing one as 0.
-        s_addr = np.maximum(cols["s_addr"], 0)
-        fb_vec: list = []
-        if fallback:
-            tags, s_kind, s_addr, fb_vec = _merge_fallback(
-                fallback, tags, vocab, s_kind, s_addr)
-
         # -- issue rows and where their scalar segments end -------------
         row_pos = np.flatnonzero(tags != TAG_SCALAR)
         n_rows = row_pos.size
@@ -432,10 +357,7 @@ class ReplayPlan:
                 keys.append(cols["v_slide"])
             first, inv = _first_groups(*keys)
             row_class[vrow] = inv + 1
-        if fb_vec:
-            row_class[row_tags == TAG_FALLBACK] = np.arange(
-                first.size + 1, first.size + 1 + len(fb_vec))
-        n_classes = 1 + first.size + len(fb_vec)
+        n_classes = 1 + first.size
         mask_count: dict = {}
         mem_ix = [0] * n_classes
         align = [0.0] * n_classes
@@ -443,17 +365,6 @@ class ReplayPlan:
         slide_ix = [0] * n_classes
         mem_keys: dict = {}
         slide_pairs: dict = {}
-
-        def note_mem(c: int, pattern, ew, store, base, count) -> None:
-            """Class ``c``'s memory fields (numbered in class order,
-            which is the order of first occurrence)."""
-            if pattern is MemPattern.MASK:
-                mask_count[c] = count
-            mem_ix[c] = mem_keys.setdefault((pattern, ew, store),
-                                            len(mem_keys))
-            if pattern is MemPattern.UNIT and base % 64:
-                align[c] = 1.0
-            is_store[c] = bool(store)
 
         # -- one decode per class, from its first row -------------------
         # (class order is first-occurrence order, so the first offending
@@ -471,25 +382,22 @@ class ReplayPlan:
                     if flags & 1 else None, slide))
             table.append(entry)
             if entry[6] == cat_mem:
+                # Memory keys are numbered in class order, which is the
+                # order of first occurrence.
                 if not flags & 1:
                     raise TimingError(f"memory op {instr} lacks a MemAccess")
-                note_mem(c, PATTERNS[pat], ew, (flags & 2) != 0, base, count)
+                pattern = PATTERNS[pat]
+                if pattern is MemPattern.MASK:
+                    mask_count[c] = count
+                store = (flags & 2) != 0
+                mem_ix[c] = mem_keys.setdefault((pattern, ew, store),
+                                                len(mem_keys))
+                if pattern is MemPattern.UNIT and base % 64:
+                    align[c] = 1.0
+                is_store[c] = store
             elif entry[6] == cat_slide:
                 slide_ix[c] = slide_pairs.setdefault((slide, vl),
                                                      len(slide_pairs))
-        for c, event in enumerate(fb_vec, first.size + 1):
-            entry = decode(event)
-            table.append(entry)
-            if entry[6] == cat_mem:
-                mem = event.mem
-                if mem is None:
-                    raise TimingError(
-                        f"memory op {event.instr} lacks a MemAccess")
-                note_mem(c, mem.pattern, mem.ew_bytes, mem.is_store,
-                         mem.base, mem.count)
-            elif entry[6] == cat_slide:
-                slide_ix[c] = slide_pairs.setdefault(
-                    (event.slide_amount, event.vl), len(slide_pairs))
         (t_kind, t_unit, t_n, t_srcs, t_dest, t_dscal, t_cat, t_sewc,
          t_thr, t_fpu, t_mlog, t_flops, t_rd, t_wr) = zip(*table)
         cn = list(t_n)
@@ -522,14 +430,14 @@ class ReplayPlan:
             np.array((t_flops, t_rd, t_wr), dtype=np.float64)[:, vc],
             axis=1)[:, -1].tolist() if vc.size else [0.0, 0.0, 0.0])
         plan = cls.__new__(cls)
-        plan.n_events = n_events
         plan.vector_count = vc.size
-        plan.scalar_count = n_events - vc.size
+        plan.scalar_count = tags.size - vc.size
         plan.total_flops, plan.bytes_read, plan.bytes_written = sums
         plan.first_vec_unit = t_unit[vc[0]] if vc.size else None
-        plan.kind_vocab = tuple(vocab)
-        plan.scalar_kind = s_kind
-        plan.scalar_addr = s_addr
+        plan.kind_vocab = trace.kinds
+        plan.scalar_kind = cols["s_kind"]
+        # -1 marks "no address"; the D$ model reads a missing one as 0.
+        plan.scalar_addr = np.maximum(cols["s_addr"], 0)
         seg_end = row_pos - np.arange(n_rows)
         plan.superblocks = superblock.scan(row_class, seg_end)
         plan._segments = None

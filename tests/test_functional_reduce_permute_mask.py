@@ -74,6 +74,21 @@ class TestIntReductions:
             npop(seed[0], func(a))
 
 
+class TestReductionAtVlZero:
+    """RVV 1.0: a reduction at ``vl`` = 0 performs no operation, so vd
+    keeps its value instead of taking the vs1 seed."""
+
+    @pytest.mark.parametrize("mn,dtype,vd,seed", [
+        ("vfredusum_vs", np.float64, 7.0, 5.0),
+        ("vredsum_vs", np.int64, 7, 5)])
+    def test_vd_is_unchanged(self, mn, dtype, vd, seed):
+        env = _env(vl=0)
+        env.set_v(24, np.array([vd], dtype=dtype), emul=1)
+        env.set_v(16, np.array([seed], dtype=dtype), emul=1)
+        env.run(mn, "v24", "v8", "v16")
+        assert env.get_v(24, count=1, dtype=dtype)[0] == vd
+
+
 class TestSlides:
     def test_vslide1down(self):
         env = _env(vl=4)

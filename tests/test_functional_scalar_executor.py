@@ -7,7 +7,11 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ExecutionError, IllegalInstructionError
 from repro.functional import Executor
 from repro.functional.trace import ScalarEvent, VectorEvent, VsetvlEvent
+from repro.fuzz.properties import DEFAULT_MACHINES
 from repro.isa import Assembler
+from repro.machine import get_machine
+from repro.timing.engine import TimingEngine
+from repro.uarch import build_model
 from repro.isa.vtype import LMUL, SEW, VType
 
 I64 = st.integers(min_value=-2**63, max_value=2**63 - 1)
@@ -191,6 +195,36 @@ class TestVsetvli:
         a.halt()
         with pytest.raises(IllegalInstructionError):
             Executor(2048).run(a.build())
+
+
+class TestVlZero:
+    """RVV 1.0: at vl = 0 a slide1 performs no operation."""
+
+    @pytest.mark.parametrize("machine", DEFAULT_MACHINES)
+    def test_slide1_forms_leave_vd_unchanged(self, machine):
+        config = get_machine(machine)
+
+        def build(a, ex):
+            for reg in (1, 2, 3, 4):
+                ex.state.v.write_elems(reg, np.arange(4.0) + 10 * reg,
+                                       emul=1)
+            ex.state.f.write(1, 5.0)
+            ex.state.x.write(5, 9)
+            a.li("x1", 0)
+            a.vsetvli("x2", "x1", sew=64, lmul=1)
+            a.vfslide1up_vf("v1", "v4", "f1")
+            a.vfslide1down_vf("v2", "v4", "f1")
+            a.vslide1up_vx("v3", "v4", "x5")
+
+        ex, result = run(build, vlen=config.vlen_bits)
+        for reg in (1, 2, 3):
+            assert ex.state.v.read_elems(reg, 4, np.dtype(np.float64),
+                                         1).tolist() == \
+                (np.arange(4.0) + 10 * reg).tolist()
+        assert result.trace.vector_count == 3
+        engine = TimingEngine(build_model(config))
+        assert engine.replay(result.trace) == \
+            engine.replay_reference(result.trace.events)
 
 
 class TestIllegalVectorOps:

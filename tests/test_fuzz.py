@@ -36,7 +36,7 @@ def machine_pair():
 
 
 # ----------------------------------------------------------------------
-# The tentpole: four differential properties per generated program.
+# Three differential properties per generated program.
 # ----------------------------------------------------------------------
 class TestProperties:
     def test_seed_holds_all_properties(self, fuzz_seed, machine_pair):

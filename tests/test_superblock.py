@@ -5,7 +5,7 @@ and its exactness against the reference loop.
 generated straight-line functions.  This module pins the scan on
 synthetic streams, holds hand-built traces whose bodies exercise every
 resolved branch (vsetvl rows, zero-element masked accesses, reductions,
-dest-scalar rows, multi-slot groups, fallback rows between blocks, a
+dest-scalar rows, multi-slot groups, one-off rows between blocks, a
 trailing partial period) and random looped programs on random machine
 specs against :meth:`TimingEngine.replay_reference`, and pins the
 generated source text.  The zoo reach of the scan is pinned beside the
@@ -21,9 +21,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.functional.trace import (DynamicTrace, MemAccess, ScalarEvent,
-                                    VectorEvent, VsetvlEvent)
-from repro.functional.trace_pack import pack_trace, unpack_trace
+from repro.functional.trace import (MemAccess, ScalarEvent, VectorEvent,
+                                    VsetvlEvent)
+from repro.functional.trace_pack import unpack_trace
 from repro.fuzz.gen import ProgramGen, case_from_chunks
 from repro.fuzz.kernel import generate_case, kernel_for_case
 from repro.isa import Assembler
@@ -35,6 +35,7 @@ from repro.timing import superblock
 from repro.timing.engine import TimingEngine
 from repro.timing.replay_plan import ReplayPlan
 from repro.uarch import build_model
+from tests.trace_builder import build_trace
 
 #: Generated source of the fmatmul inner-loop body (10 rows).
 GOLDEN_FMATMUL = Path(__file__).parent / "data" / "superblock_fmatmul.txt"
@@ -115,22 +116,22 @@ def _edge_program():
     return a.build(), ins
 
 
-def _edge_trace(ins, periods: int, fallback_every: int) -> DynamicTrace:
-    """``periods`` bodies, a fallback vector row (vl beyond int64,
-    its own row class) before every ``fallback_every``-th, then the
-    first half of one more body."""
-    trace = DynamicTrace()
+def _edge_events(ins, periods: int, odd_every: int) -> list:
+    """``periods`` bodies, an ``odd`` vector row (at a vl used nowhere
+    else: a row class of its own) before every ``odd_every``-th, then
+    the first half of one more body."""
+    events = []
     body = []
 
     def scalar(kind, addr=None):
-        body.append(lambda i: trace.add_scalar(
-            ScalarEvent(kind, addr(i) if addr else None, 8)))
+        body.append(lambda i: events.append(
+            ScalarEvent(kind, addr(i), 8) if addr else ScalarEvent(kind)))
 
     def vector(name, vl, lmul=1, mem=None):
-        body.append(lambda i: trace.add_vector(VectorEvent(
+        body.append(lambda i: events.append(VectorEvent(
             ins[name], vl, 64, lmul, mem(i) if mem else None)))
 
-    body.append(lambda i: trace.add_vsetvl(VsetvlEvent(16, 64, 1)))
+    body.append(lambda i: events.append(VsetvlEvent(16, 64, 1)))
     # The loads walk memory, so the D$ costs differ per period.
     scalar("load", lambda i: 0x1000 + 40 * i)
     vector("vle", 16, mem=lambda i: MemAccess(
@@ -148,13 +149,13 @@ def _edge_trace(ins, periods: int, fallback_every: int) -> DynamicTrace:
     vector("vfmv", 16)
     scalar("store", lambda i: 0x4000 + 8 * (i % 7))
     for i in range(periods):
-        if i % fallback_every == 0:
-            trace.add_vector(VectorEvent(ins["odd"], 1 << 64, 64, 1))
+        if i % odd_every == 0:
+            events.append(VectorEvent(ins["odd"], 24, 64, 1))
         for emit in body:
             emit(i)
     for emit in body[:len(body) // 2]:
         emit(periods)
-    return trace
+    return events
 
 
 class TestEdgeBodies:
@@ -162,42 +163,42 @@ class TestEdgeBodies:
     @pytest.mark.parametrize("machine", ["8L-Ara2", "8L-AraXL"])
     def test_resolved_branches_match_reference(self, machine, depth):
         program, ins = _edge_program()
-        trace = _edge_trace(ins, periods=100, fallback_every=25)
-        blob = pack_trace(trace, program)
-        rows = [e for e in trace.events if not isinstance(e, ScalarEvent)]
-        fallback_rows = [i for i, e in enumerate(rows) if e.vl == 1 << 64]
-        assert len(fallback_rows) == 4
+        events = _edge_events(ins, periods=100, odd_every=25)
+        trace = build_trace(program, events)
+        rows = [e for e in events if not isinstance(e, ScalarEvent)]
+        odd_rows = [i for i, e in enumerate(rows) if e.vl == 24]
+        assert len(odd_rows) == 4
         config = dataclasses.replace(get_machine(machine),
                                      unit_queue_depth=depth)
         engine = TimingEngine(build_model(config))
-        for form in (trace, unpack_trace(blob, program)):
+        reference = engine.replay_reference(events)
+        for form in (trace, unpack_trace(trace.blob, program)):
             plan = ReplayPlan.from_trace(form)
-            # One block of 24-25 bodies after each fallback row (the
-            # row after a fallback row has one scalar event fewer).
+            # One block of 24-25 bodies after each odd row (the row
+            # after an odd row has one scalar event fewer).
             assert [p for _, p, _ in plan.superblocks] == [7] * 4
             assert all(r >= 24 for _, _, r in plan.superblocks)
             for start, period, reps in plan.superblocks:
                 assert all(not start <= i < start + period * reps
-                           for i in fallback_rows)
-            reference = engine.replay_reference(
-                form if form is trace else unpack_trace(blob, program))
+                           for i in odd_rows)
             assert engine.replay(form) == reference
 
     def test_scalar_cost_loops_match_reference(self, monkeypatch):
         """Periods with many scalar events add them in per-row loops."""
         monkeypatch.setattr(superblock, "_MAX_UNPACKED", 0)
         monkeypatch.setattr(superblock, "_FUNCTIONS", {})
-        _, ins = _edge_program()
-        trace = _edge_trace(ins, periods=100, fallback_every=25)
+        program, ins = _edge_program()
+        events = _edge_events(ins, periods=100, odd_every=25)
         engine = TimingEngine(build_model(get_machine("8L-AraXL")))
-        assert engine.replay(trace) == engine.replay_reference(trace)
+        assert engine.replay(build_trace(program, events)) == \
+            engine.replay_reference(events)
         (structure,) = superblock._FUNCTIONS
         assert "for x in costs[k0 + " in superblock._source(structure)
 
     def test_body_functions_share_one_structure(self):
         program, ins = _edge_program()
-        trace = _edge_trace(ins, periods=100, fallback_every=25)
-        plan = ReplayPlan.from_trace(trace)
+        plan = ReplayPlan.from_trace(build_trace(
+            program, _edge_events(ins, periods=100, odd_every=25)))
         functions = {block[0] for _, _, block in superblock.segments(plan)
                      if block is not None}
         assert len(functions) == 1

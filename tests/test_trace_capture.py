@@ -1,37 +1,44 @@
-"""The executor writes the v6 trace columns directly.
+"""The executor writes the trace columns directly.
 
 A capture is a :class:`~repro.functional.trace_pack.PackedTrace` whose
 columns the functional executor filled as it retired instructions.
-Three guarantees pin that writer, and the handlers it drives, to the
+Four guarantees pin that writer, and the handlers it drives, to the
 paths they replaced:
 
-* **Pinned bytes** — the packed blobs of a fixed set of captures
+* **Pinned columns** — the column region of the blob (the bytes after
+  the 8-aligned header) of every fixed capture below but the high-base
+  masked store has a SHA-256 digest recorded before ``m_base`` became
+  an unsigned column and the header lost its per-event side map: the
+  layout change moved no column byte;
+* **Pinned bytes** — the whole blobs of a fixed set of captures
   (reduced-scale fmatmul and fconv2d, three fuzz seeds, a scalar-only
-  program, a program that holds one instruction object twice, a record
-  that only fits the fallback map) have SHA-256 digests recorded from
-  the event-object executor, so the disk tier and every warm store stay
-  byte-compatible;
+  program, a program that holds one instruction object twice, a masked
+  store whose base is beyond the signed 64-bit range) have SHA-256
+  digests, so the disk tier and every warm store stay byte-compatible;
 * **Pinned data** — next to each blob digest sits the SHA-256 of the
   final architectural state (VRF bytes, x/f registers, memory image),
   recorded with per-retirement operand resolution.  The fuzz golden
   re-executes on the same executor, so only a recorded digest catches a
   data bug in a handler both runs share;
-* **Object path agreement** — for random fuzz seeds, packing the
-  materialized events with :func:`pack_trace` gives the capture's own
+* **Materialization agreement** — for random fuzz seeds, the
+  materialized events written back into columns
+  (:func:`tests.trace_builder.build_trace`) give the capture's own
   blob.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 
 from repro.functional import Executor
 from repro.functional.memory import FunctionalMemory
-from repro.functional.trace_pack import PackedTrace, pack_trace
+from repro.functional.trace_pack import PackedTrace
 from repro.fuzz.kernel import generate_case, kernel_for_case
+from repro.fuzz.properties import DEFAULT_MACHINES
 from repro.isa import Assembler
 from repro.isa.program import Program
 from repro.kernels import build_fconv2d, build_fmatmul
@@ -39,6 +46,7 @@ from repro.machine.registry import get_machine
 from repro.params import AraXLConfig
 from repro.timing.engine import TimingEngine
 from repro.uarch import build_model
+from tests.trace_builder import build_trace
 
 
 def _kernel_capture(build_kernel, **problem):
@@ -106,10 +114,10 @@ def _shared_instruction():
     return _execute(program)
 
 
-def _masked_store_off_the_map():
+def _masked_store_high_base():
     """A masked store with no active element never touches memory, so
-    its base register may hold any 64-bit value — here one beyond the
-    signed columns, which sends the record to the fallback map."""
+    its base register may hold any 64-bit value — here 2^64 - 8, beyond
+    the signed range, which the unsigned ``m_base`` column holds."""
     a = Assembler("off_the_map")
     a.li("x1", 4)
     a.li("x10", -8)
@@ -171,42 +179,43 @@ def _rebinding():
     return captured
 
 
-#: SHA-256 of each case's packed blob, recorded with the executor that
-#: built one event object per retired instruction, and of its final
-#: architectural state (:func:`_state_digest`), recorded with the
-#: executor that resolved every operand per retirement.
+#: SHA-256 of each case's packed blob, recorded when ``m_base`` became
+#: an unsigned column (the header changed; the columns did not, see
+#: :data:`COLUMN_DIGESTS`), and of its final architectural state
+#: (:func:`_state_digest`), recorded with the executor that resolved
+#: every operand per retirement.
 PINNED = {
     "fmatmul": (
         lambda: _kernel_capture(build_fmatmul, m=16, k=64),
-        "869486d02e34a484a7fc283b91ae819ade34111cb527c48c2231af6f880aeca6",
+        "2b9f50b62cb36860456c8318eb257f06931dc6b9ef4b90fe6f351883705f4319",
         "c8a290d41b1e4eff520bd489b42edd67e5caf5cc6e2ecfdf0d66f91eee8b498f"),
     "fconv2d": (
         lambda: _kernel_capture(build_fconv2d, rows=32),
-        "c43faf3b719fd28cc8f1c6bdf97f025ec7cadaebf1436eb8020c9225824a2f3e",
+        "36a61549a59bf436d20ca61fc37fca2654d324828269e518ab5d7675fac59ba2",
         "4252bef9bd40400ca8457c352d799d71f771388806af421788fa6a6f7ced2a0a"),
     "fuzz-3": (
         lambda: _fuzz_capture(3),
-        "40be144f65f54648d5fa534d919f5570fa9adcba458651780bbd7f92447dac14",
+        "96eb1c2bb3b58720d39e20371080374be50c2441875a88dda309e0e09783e3df",
         "31085cc4a291666b292b39ac8f7eff6002ed0d8235bc2160946212e52c7b008f"),
     "fuzz-17": (
         lambda: _fuzz_capture(17),
-        "b9eb8280ab0146b1e294fb2c75a486170f4872e06528bae9d8bea0ac243a24c3",
+        "3af08af6eb4c72cde97123e1576226994354ff4562fbe7684401294a2e4f4c32",
         "d0ea6b6fdbf1f731bc2623b6804dbf0f146ab7ec6f81dcfb2adb3a042e49a053"),
     "fuzz-101": (
         lambda: _fuzz_capture(101),
-        "621f4956c0f019f9dabf6b9681a2aef6aa3c0752029a41af3dc83eac563d557b",
+        "3d5bdcfa20cc1886fc20dec56119e867fef2ffe2430db090f6e191ca72a3e586",
         "246de328b5d16d6b33959b1643294fa63127f25b0340f6f7fc8e65f01c5fab6b"),
     "scalar-only": (
         _scalar_only,
-        "1e472c68593bc1e1764b1f94d9b969cecfe97e9ed63fd0eaacb12dbb0e8c2572",
+        "1fc52af7c851e4db9a4708c301359959893c2c96532b127f8bb40e7a5deb6054",
         "c33649ea65f37e8420deb9b61176d3f28640f99d0f2d613b429d4155aba3b266"),
     "shared-instruction": (
         _shared_instruction,
-        "ff70984b3145edd211ecad6a4035eae302f26812ed88c0fb55a4059f2e7bdd76",
+        "f0525a240125b83b02ddc71cf69eca7a2410f467bc15aa53428358f2e352289c",
         "71b973831fa28daa976b5b1a6ccf6a9d39f16be8ed21d6756e54a0553dae3141"),
-    "masked-store-fallback": (
-        _masked_store_off_the_map,
-        "1885ef316be826c4ff325f8f98a9d800df452f45380bdd54ed17c4be7698106c",
+    "masked-store-high-base": (
+        _masked_store_high_base,
+        "d1adf388d2511f41fc7a137f639fc7fceb4b6dfacf07bce1cd17e9f0e50e26a7",
         "c07e65b3009ef20956cd70e13a81374248ba7131cedc134f685b0d4cd0219cf3"),
 }
 
@@ -215,29 +224,64 @@ PINNED = {
 FUZZ_SEEDS = np.random.default_rng(2026).integers(0, 100_000, size=6).tolist()
 PINNED_FUZZ = {
     85185: (
-        "e6bdb508f7d96976f5deadd1aff05eaf51fe009b69ca1d0f8feb37132a2853f8",
+        "1616b758e92d407e6115f89dc1a3116cd6c539f315f1827d7b8acd7f764d92d3",
         "ad1f0cc1ab6f5bd808163a13f37213c14004a2b6c727ba6ed7eb6a33e9975258"),
     17893: (
-        "38a48d2bc51dfb446c7ac04925e4e2d335e65544a4372a5e16fd22d811ec5595",
+        "64ee790f8412402da8ebd3eef1d1571a82d67ce26acb62015eddfd37cfa497a2",
         "cd79895f277ec0f8eff3edd382a8452c17312711a9d512530089a1a0b256bb2b"),
     2641: (
-        "62458dc34d9136edf9c58f536fd23925777a8ee369922520f378892b6fd26bfc",
+        "026b5b8825a4d64de8c3195421e35022d7aca042fe13d0036ecb797e0cd6a446",
         "2e067ba7ff80d328a2ab59c87ec097d7af7e12277b859c48af5fd0e1723c5816"),
     63991: (
-        "93614c80dbbeb3e7c4467ccb9f1a19e7c3dc3fffa8488dd06440659b1eb8b4e8",
+        "e6f8f4d320177b147a40b2eeaff341196290c6b49d75fef8efcb67765a00b17b",
         "318d3db398d23bbb84a433f0cd284bc192e800c3e795e1928bc4c2b012b09ce1"),
     36547: (
-        "e4ccd42446c5f88dc4ec9cfa0b7a84b428a304fdc5f6a31017bd3d7242ab105e",
+        "09dd25d55c482bfa6ebddfb7080aceb8bba889972fb1fd5386fb58c161a2b4a8",
         "6b23debd4a79764a2a12fac3d901aa6a5dd909c220eef574da5e25333faf2f93"),
     46726: (
-        "38fb50faf177ea66d4a1a6ede4561ab079cda0bea7e9e019ce39227874138c21",
+        "45c731a94f00b2e050de735b4dce3f25387ecb753c199cfd70abac2d0df24958",
         "83c48b2962924d7f6001301e30bcfc1b48c85a78d93919515bab3e8e0de89d94"),
 }
 
 
+#: SHA-256 of the column region of each capture's blob (every case
+#: above but the high-base masked store, the fuzz seeds and the
+#: rebinding loop), recorded while ``m_base`` was a signed column.
+COLUMN_DIGESTS = {
+    "fconv2d":
+        "193244290510dc2cf1891382d9f9ff8fc22efeeb19f67a5c6b3f2a563600b50c",
+    "fmatmul":
+        "0d9901d67697089a40f8c5d2066ac3c3463082f74adc5a72a10f8be69917ab22",
+    "fuzz-101":
+        "dc1c022ead94e16b086c32792321a8363e7bb66966c979bf4003772296eed02a",
+    "fuzz-17":
+        "5915592792b3215b250f44cfa53014413af763f2b4e9846de4701d5b0f6ea837",
+    "fuzz-3":
+        "f079f5610b6e4736233ebe006757dc10abc4bcf7b8679847f1226461f639df21",
+    "scalar-only":
+        "11831eb96ae7f1b606198ca9b4cc05b2ff1e1d7fc97d27ed92a4a1ec0b62ba4d",
+    "shared-instruction":
+        "4b49956ef8df8a9b07f44bd0e19558c832dd1ce385c78b8643d758647c0b213c",
+    85185: "504cd76062b00d226d6a7f5dda7662d101dab44fa7bbfe105e2b13efbe66a09f",
+    17893: "fe2c8ff1178d6dca186723f1ea1a22642dbb774e80ef14a0493a2acbe89a2de0",
+    2641: "d799b5a02dd2cb678927b090208c9ea9beef06a1356f771a523debd2343ecb48",
+    63991: "72b7dd6e916e506c094ede23dd2e23fe96268724a4337b7ce7c608dac400ce93",
+    36547: "0d6713951c014c9366fec0221bfcbeea9153737f1ea7e5e05733cc1315126f74",
+    46726: "98081eed07cc22048a7d04bd9107deb0335b87578b3eef8e490a8eae8a88a6e4",
+    "rebinding":
+        "a7dc83c1f0bf19bb46ba2a905192ab7850f2e2211b1b4614178e38e91ce924c1",
+}
+
+
 def _digest(captured) -> str:
-    return hashlib.sha256(pack_trace(captured.trace,
-                                     captured.program)).hexdigest()
+    return hashlib.sha256(captured.trace.blob).hexdigest()
+
+
+def _column_digest(captured) -> str:
+    """SHA-256 of the blob's bytes after its 8-aligned header."""
+    blob = captured.trace.blob
+    (header_len,) = struct.unpack_from("<I", blob, 4)
+    return hashlib.sha256(blob[(8 + header_len + 7) & ~7:]).hexdigest()
 
 
 def _state_digest(captured) -> str:
@@ -251,6 +295,17 @@ def _state_digest(captured) -> str:
     mem = captured.extra["mem"]
     h.update(mem.read_bytes(0, mem.size).tobytes())
     return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(COLUMN_DIGESTS), ids=str)
+def test_capture_columns_match_pinned_digest(case):
+    if case == "rebinding":
+        captured = _rebinding()
+    elif isinstance(case, int):
+        captured = _fuzz_capture(case)
+    else:
+        captured = PINNED[case][0]()
+    assert _column_digest(captured) == COLUMN_DIGESTS[case]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -278,7 +333,7 @@ def test_rebinding_across_vtypes_matches_pinned_digests():
     captured = _rebinding()
     assert captured.retired == 123
     assert (_digest(captured), _state_digest(captured)) == (
-        "2c5b7b4958134a1b787aa7e1054ed6fca2c3e9930e3384255b3c19e2413f1394",
+        "0e4fe54746df8edf98d4c61bc7acbde2af975ed2d944943611461b73f2dd4e95",
         "0066ef44132d7fc3f14c798519c598e6235d23889d0d04f19d6806b26f932eaa")
 
 
@@ -287,14 +342,14 @@ def test_materialized_events_pack_to_the_capture_blob(seed):
     captured = _fuzz_capture(seed)
     trace = captured.trace
     assert isinstance(trace, PackedTrace)
-    blob = pack_trace(trace, captured.program)
-    assert pack_trace(trace.to_trace(), captured.program) == blob
+    assert build_trace(captured.program, trace.events).blob == trace.blob
 
 
-def test_fallback_record_replays_like_the_reference():
-    captured = _masked_store_off_the_map()
-    trace = captured.trace
-    assert len(trace.fallback) == 1
+@pytest.mark.parametrize("machine", DEFAULT_MACHINES)
+def test_high_base_record_replays_like_the_reference(machine):
+    trace = _masked_store_high_base().trace
     assert trace.vector_count == 1 and trace.scalar_count == 4
-    engine = TimingEngine(build_model(get_machine("8L-AraXL")))
-    assert engine.replay(trace) == engine.replay_reference(trace)
+    (store,) = trace.vector_events()
+    assert store.mem.base == (1 << 64) - 8
+    engine = TimingEngine(build_model(get_machine(machine)))
+    assert engine.replay(trace) == engine.replay_reference(trace.events)

@@ -1,21 +1,21 @@
-"""Property tests for the v6 columnar trace packing.
+"""Property tests for the columnar trace layout.
 
-Two families of guarantees:
+Three families of guarantees:
 
 * **Round-trip** — randomized traces spanning every event kind (plus
   the deliberate edge cases: empty traces, max-``vl``, mixed LMUL,
-  scalar-only streams, and events that must take the pickled-fallback
-  path) unpack to an event stream with identical contents and
-  aggregate counters.
-* **Replay identity** — replaying the packed form of a real captured
+  scalar-only streams, vector memory bases across the whole unsigned
+  64-bit range with negative strides) built on the executor's column
+  buffers unpack from their blob to an event stream with identical
+  contents and aggregate counters.
+* **Replay identity** — replaying the blob form of a real captured
   trace produces a byte-identical ``TimingReport`` to replaying the
-  object form, on every machine in the registry, for both the
-  vectorized and the reference replay loops.
-* **Columns-native plans** — the plan compiled from a ``DynamicTrace``
-  equals, field for field, the plan compiled from its ``PackedTrace``;
-  compiling the packed form never materializes event objects; and the
-  first-event byte accounting of the decode memo survives both the
-  column path and the fallback path.
+  capture and to the reference loop over its event objects, on every
+  machine in the registry.
+* **Columns-native plans** — the plan compiled from a capture equals,
+  field for field, the plan compiled from its blob; compiling never
+  materializes event objects; and the first-event byte accounting of
+  the decode memo survives the column path.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.functional.trace import (DynamicTrace, MemAccess, ScalarEvent,
-                                    VectorEvent, VsetvlEvent)
-from repro.functional.trace_pack import (MAGIC, PackedTrace, pack_trace,
-                                         unpack_trace)
+from repro.functional.trace import (MemAccess, ScalarEvent, VectorEvent,
+                                    VsetvlEvent)
+from repro.functional.trace_pack import MAGIC, PackedTrace, unpack_trace
 from repro.fuzz.kernel import generate_case, kernel_for_case
+from repro.fuzz.properties import DEFAULT_MACHINES
 from repro.isa import Assembler
 from repro.isa.instructions import MemPattern
 from repro.kernels import ZOO, build_fmatmul
@@ -38,18 +38,9 @@ from repro.params import Ara2Config
 from repro.sim.simulator import build_model
 from repro.timing.engine import TimingEngine
 from repro.timing.replay_plan import ReplayPlan
+from tests.trace_builder import build_trace
 
 _I64_MAX = (1 << 63) - 1
-
-
-class OddballEvent:
-    """A foreign event class: must survive via the fallback map."""
-
-    def __init__(self, tag):
-        self.tag = tag
-
-    def __eq__(self, other):
-        return isinstance(other, OddballEvent) and self.tag == other.tag
 
 
 @pytest.fixture(scope="module")
@@ -66,38 +57,37 @@ def _events_equal(a, b) -> bool:
         return (a.kind, a.addr, a.nbytes) == (b.kind, b.addr, b.nbytes)
     if isinstance(a, VsetvlEvent):
         return (a.vl, a.sew, a.lmul) == (b.vl, b.sew, b.lmul)
-    if isinstance(a, VectorEvent):
-        return (a.instr.mnemonic == b.instr.mnemonic
-                and (a.vl, a.sew, a.lmul, a.slide_amount)
-                == (b.vl, b.sew, b.lmul, b.slide_amount)
-                and a.mem == b.mem)
-    return a == b
+    return (a.instr.mnemonic == b.instr.mnemonic
+            and (a.vl, a.sew, a.lmul, a.slide_amount)
+            == (b.vl, b.sew, b.lmul, b.slide_amount)
+            and a.mem == b.mem)
 
 
-def _assert_round_trip(trace, program):
-    blob = pack_trace(trace, program)
+def _assert_round_trip(events, program) -> PackedTrace:
+    """Build ``events`` into columns, unpack the blob, and hold its
+    materialized events and counters against the input."""
+    built = build_trace(program, events)
+    blob = built.blob
     assert blob.startswith(MAGIC)
     packed = unpack_trace(blob, program)
-    assert len(packed) == len(trace)
-    assert packed.scalar_count == trace.scalar_count
-    assert packed.vector_count == trace.vector_count
-    assert packed.total_flops == trace.total_flops
-    for got, want in zip(packed.events, trace.events):
+    assert len(packed) == len(events)
+    assert packed.vector_count == built.vector_count == sum(
+        type(e) is VectorEvent for e in events)
+    assert packed.scalar_count == len(events) - packed.vector_count
+    assert packed.total_flops == built.total_flops
+    for got, want in zip(packed.events, events):
         assert _events_equal(got, want), (got, want)
     return packed
 
 
-def _random_trace(rng, program, kinds=("scalar", "vsetvl", "vector",
-                                       "fallback")):
-    """A randomized trace mixing the requested event kinds, with the
-    boundary values (max-vl, None addresses, every LMUL and pattern)
-    reachable by the draw."""
-    instrs = program.instructions
-    vec_instrs = [i for i in instrs if i.mnemonic.startswith("v")]
-    trace = DynamicTrace()
-    events = trace.events
-    n = int(rng.integers(0, 60))
-    for _ in range(n):
+def _random_events(rng, program, kinds=("scalar", "vsetvl", "vector")):
+    """A randomized event list mixing the requested kinds, with the
+    boundary values (max-vl, None addresses, every LMUL and pattern,
+    unsigned 64-bit bases) reachable by the draw."""
+    vec_instrs = [i for i in program.instructions
+                  if i.mnemonic.startswith("v")]
+    events = []
+    for _ in range(int(rng.integers(0, 60))):
         kind = kinds[int(rng.integers(0, len(kinds)))]
         if kind == "scalar":
             addr = (None, 0, 64, int(rng.integers(0, 1 << 40)),
@@ -105,23 +95,23 @@ def _random_trace(rng, program, kinds=("scalar", "vsetvl", "vector",
             events.append(ScalarEvent(
                 ("alu", "mul", "fp", "load", "store",
                  "branch_taken")[int(rng.integers(0, 6))],
-                addr, int(rng.integers(0, 65))))
-            trace.scalar_count += 1
+                addr, 0 if addr is None else int(rng.integers(0, 65))))
         elif kind == "vsetvl":
             vl = (0, 1, int(rng.integers(0, 1 << 16)),
                   _I64_MAX)[int(rng.integers(0, 4))]  # max-vl boundary
             events.append(VsetvlEvent(
                 vl, (8, 16, 32, 64)[int(rng.integers(0, 4))],
                 (1, 2, 4, 8)[int(rng.integers(0, 4))]))  # mixed LMUL
-            trace.scalar_count += 1
-        elif kind == "vector":
+        else:
             instr = vec_instrs[int(rng.integers(0, len(vec_instrs)))]
             mem = None
             if rng.random() < 0.5:
                 pattern = (MemPattern.UNIT, MemPattern.STRIDED,
                            MemPattern.INDEXED,
                            MemPattern.MASK)[int(rng.integers(0, 4))]
-                mem = MemAccess(base=int(rng.integers(0, 1 << 32)),
+                base = (int(rng.integers(0, 1 << 32)), 1 << 63,
+                        (1 << 64) - 8)[int(rng.integers(0, 3))]
+                mem = MemAccess(base=base,
                                 stride=int(rng.integers(-64, 65)),
                                 count=int(rng.integers(0, 1 << 20)),
                                 ew_bytes=(1, 2, 4, 8)[
@@ -133,11 +123,7 @@ def _random_trace(rng, program, kinds=("scalar", "vsetvl", "vector",
                 (8, 16, 32, 64)[int(rng.integers(0, 4))],
                 (1, 2, 4, 8)[int(rng.integers(0, 4))], mem,
                 int(rng.integers(-8, 9))))
-            trace.vector_count += 1
-            trace.total_flops += float(rng.integers(0, 1000))
-        else:
-            events.append(OddballEvent(int(rng.integers(0, 1000))))
-    return trace
+    return events
 
 
 # ----------------------------------------------------------------------
@@ -145,50 +131,34 @@ def _random_trace(rng, program, kinds=("scalar", "vsetvl", "vector",
 # ----------------------------------------------------------------------
 class TestRoundTrip:
     def test_empty_trace(self, capture):
-        packed = _assert_round_trip(DynamicTrace(), capture.program)
+        packed = _assert_round_trip([], capture.program)
         assert len(packed) == 0
         assert packed.events == []
 
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_mixed_streams(self, capture, seed):
         rng = np.random.default_rng(seed)
-        trace = _random_trace(rng, capture.program)
-        _assert_round_trip(trace, capture.program)
+        _assert_round_trip(_random_events(rng, capture.program),
+                           capture.program)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_scalar_only_streams(self, capture, seed):
         rng = np.random.default_rng(100 + seed)
-        trace = _random_trace(rng, capture.program, kinds=("scalar",))
-        assert trace.vector_count == 0
-        _assert_round_trip(trace, capture.program)
+        events = _random_events(rng, capture.program, kinds=("scalar",))
+        assert _assert_round_trip(events, capture.program).vector_count == 0
 
     def test_real_capture_round_trips(self, capture):
-        _assert_round_trip(capture.trace, capture.program)
+        packed = _assert_round_trip(capture.trace.events, capture.program)
+        assert packed.total_flops == capture.trace.total_flops
 
     def test_vector_events_relink_to_program_instructions(self, capture):
-        packed = _assert_round_trip(capture.trace, capture.program)
+        packed = _assert_round_trip(capture.trace.events, capture.program)
         for got, want in zip(packed.events, capture.trace.events):
             if isinstance(want, VectorEvent):
                 assert got.instr is want.instr  # identity, not a copy
 
-    def test_out_of_range_fields_take_the_fallback_path(self, capture):
-        trace = DynamicTrace()
-        # vl beyond i64, negative address, foreign instruction: none of
-        # these fit a column, all must survive the pickled fallback.
-        trace.events.append(VsetvlEvent(1 << 64, 8, 1))
-        trace.events.append(ScalarEvent("load", -4, 8))
-        trace.events.append(OddballEvent("x"))
-        trace.scalar_count = 2
-        blob = pack_trace(trace, capture.program)
-        packed = unpack_trace(blob, capture.program)
-        assert isinstance(packed.events[0], VsetvlEvent)
-        assert packed.events[0].vl == 1 << 64
-        assert packed.events[1].addr == -4
-        assert packed.events[2] == OddballEvent("x")
-
     def test_packed_trace_pickles_by_blob(self, capture):
-        packed = unpack_trace(pack_trace(capture.trace, capture.program),
-                              capture.program)
+        packed = unpack_trace(capture.trace.blob, capture.program)
         clone = pickle.loads(pickle.dumps(packed))
         assert isinstance(clone, PackedTrace)
         assert bytes(clone.blob) == bytes(packed.blob)
@@ -197,39 +167,74 @@ class TestRoundTrip:
             assert _events_equal(got, want)
 
     def test_malformed_blobs_raise_value_error(self, capture):
-        good = pack_trace(capture.trace, capture.program)
+        good = capture.trace.blob
         with pytest.raises(ValueError):
             unpack_trace(b"nope" + good[4:], capture.program)
         with pytest.raises(ValueError):
             unpack_trace(good[:20], capture.program)
 
-    def test_to_trace_rebuilds_equal_dynamic_trace(self, capture):
-        packed = unpack_trace(pack_trace(capture.trace, capture.program),
-                              capture.program)
-        rebuilt = packed.to_trace()
-        assert isinstance(rebuilt, DynamicTrace)
-        assert len(rebuilt) == len(capture.trace)
-        assert rebuilt.scalar_count == capture.trace.scalar_count
-        assert rebuilt.total_flops == capture.trace.total_flops
+
+def _u64_base_trace():
+    """Unit-stride and strided loads and stores at the unsigned 64-bit
+    edges of the base range, the strided ones with negative strides."""
+    a = Assembler("u64_bases")
+    vle = a.vle64_v("v8", "x5")
+    vlse = a.vlse64_v("v8", "x5", "x6")
+    vsse = a.vsse64_v("v8", "x5", "x6")
+    vse = a.vse64_v("v8", "x5")
+    a.halt()
+    unit, strided = MemPattern.UNIT, MemPattern.STRIDED
+    events = [VsetvlEvent(16, 64, 1)]
+    for base in (0, _I64_MAX, 1 << 63, (1 << 64) - 8):
+        events += [
+            ScalarEvent("alu"),
+            VectorEvent(vle, 16, 64, 1,
+                        MemAccess(base, 8, 16, 8, unit, False)),
+            VectorEvent(vlse, 16, 64, 1,
+                        MemAccess(base, -8, 16, 8, strided, False)),
+            VectorEvent(vsse, 16, 64, 1,
+                        MemAccess(base, -4096, 16, 8, strided, True)),
+            VectorEvent(vse, 16, 64, 1,
+                        MemAccess(base, 8, 16, 8, unit, True))]
+    return a.build(), events
+
+
+class TestUnsignedBase:
+    """A vector memory base is any 64-bit register value; the unsigned
+    ``m_base`` column holds each one."""
+
+    def test_blob_materializes_the_input(self):
+        program, events = _u64_base_trace()
+        packed = _assert_round_trip(events, program)
+        assert packed.columns["m_base"].dtype == np.uint64
+        assert [e.mem.base for e in packed.vector_events()] == [
+            e.mem.base for e in events if isinstance(e, VectorEvent)]
+
+    @pytest.mark.parametrize("machine", DEFAULT_MACHINES)
+    def test_replay_matches_reference(self, machine):
+        program, events = _u64_base_trace()
+        packed = unpack_trace(build_trace(program, events).blob, program)
+        engine = TimingEngine(build_model(get_machine(machine)))
+        assert engine.replay(packed) == engine.replay_reference(events)
+        assert packed._events is None
 
 
 # ----------------------------------------------------------------------
-# Replay identity: packed vs object form, every registry machine
+# Replay identity: capture vs blob form, every registry machine
 # ----------------------------------------------------------------------
 class TestReplayIdentity:
     @pytest.mark.parametrize("machine", sorted(list_machines()))
     def test_packed_replay_matches_object_replay(self, machine):
+        """The object replay is the reference loop over event objects."""
         cfg = get_machine(machine)
         run = build_fmatmul(cfg, 64, m=8, k=16)
         captured = run.capture(cfg, verify=False)
-        packed = unpack_trace(
-            pack_trace(captured.trace, captured.program), captured.program)
+        packed = unpack_trace(captured.trace.blob, captured.program)
         model = build_model(cfg)
-        reference = TimingEngine(model).replay_reference(captured.trace)
-        fast_obj = TimingEngine(model).replay(captured.trace)
-        fast_packed = TimingEngine(model).replay(packed)
-        assert fast_obj == reference
-        assert fast_packed == reference
+        reference = TimingEngine(model).replay_reference(
+            captured.trace.events)
+        assert TimingEngine(model).replay(captured.trace) == reference
+        assert TimingEngine(model).replay(packed) == reference
 
 
 # ----------------------------------------------------------------------
@@ -250,15 +255,15 @@ def _assert_plans_equal(a: ReplayPlan, b: ReplayPlan) -> None:
             assert type(x) is type(y) and x == y, name
 
 
-def _assert_plan_identity(trace, program) -> None:
-    """Object and packed plans agree; both replay like the reference on
-    every registry machine; the packed form is never materialized."""
-    packed = unpack_trace(pack_trace(trace, program), program)
+def _assert_plan_identity(trace) -> None:
+    """Capture and blob plans agree; both replay like the reference on
+    every registry machine; the blob form is never materialized."""
+    packed = unpack_trace(trace.blob, trace.program)
     _assert_plans_equal(ReplayPlan.from_trace(trace),
                         ReplayPlan.from_trace(packed))
     for machine in _MACHINES:
         engine = TimingEngine(build_model(get_machine(machine)))
-        reference = engine.replay_reference(trace)
+        reference = engine.replay_reference(trace.events)
         assert engine.replay(trace) == reference, machine
         assert engine.replay(packed) == reference, machine
     assert packed._events is None
@@ -266,20 +271,20 @@ def _assert_plan_identity(trace, program) -> None:
 
 class TestColumnsNativePlan:
     def test_fmatmul_capture(self, capture):
-        _assert_plan_identity(capture.trace, capture.program)
+        _assert_plan_identity(capture.trace)
 
     @pytest.mark.parametrize("kernel", sorted(ZOO))
     def test_zoo_kernel(self, kernel):
         cfg = Ara2Config(lanes=4)
         captured = ZOO[kernel](cfg, 64).capture(cfg, verify=False)
-        _assert_plan_identity(captured.trace, captured.program)
+        _assert_plan_identity(captured.trace)
 
     def test_fuzz_seed(self, fuzz_seed):
         config = get_machine("8L-Ara2")
         case = generate_case(fuzz_seed, size=40)
         captured = kernel_for_case(case, config).capture(config,
                                                           verify=False)
-        _assert_plan_identity(captured.trace, case.program)
+        _assert_plan_identity(captured.trace)
 
 
 class TestMachineRows:
@@ -307,8 +312,7 @@ class TestMachineRows:
                 assert len(value) == len(plan.classes), name
 
     def test_second_replay_is_equal_but_distinct(self, capture):
-        trace = unpack_trace(pack_trace(capture.trace, capture.program),
-                             capture.program)
+        trace = unpack_trace(capture.trace.blob, capture.program)
         model = build_model(get_machine("16L-AraXL"))
         engine = TimingEngine(model)
         first = engine.replay(trace)
@@ -319,7 +323,7 @@ class TestMachineRows:
         second = engine.replay(trace)
         assert second == first and second is not first
         assert second.unit_busy is not first.unit_busy
-        assert first == engine.replay_reference(capture.trace)
+        assert first == engine.replay_reference(capture.trace.events)
 
 
 def _mask_program():
@@ -338,80 +342,37 @@ def _mask(base, count, is_store=False):
                      pattern=MemPattern.MASK, is_store=is_store)
 
 
-def _replay_all_forms(trace, program, machine):
-    """``[(reference, fast), ...]`` for the object and the packed form.
-
-    Each form is held against its own reference: a fallback vector
-    event is pickled whole, so the packed form links it to an
-    unpickled copy of its instruction, whose decode memo (and hence
-    first-event byte accounting) is its own.
-    """
-    blob = pack_trace(trace, program)
-    engine = TimingEngine(build_model(get_machine(machine)))
-    reference = engine.replay_reference(trace)
-    pairs = [(reference, engine.replay(trace))]
-    packed = unpack_trace(blob, program)
-    pairs.append((engine.replay_reference(unpack_trace(blob, program)),
-                  engine.replay(packed)))
-    assert packed._events is None
-    return pairs
-
-
 class TestFirstEventByteAccounting:
     @pytest.mark.parametrize("machine", _MACHINES)
     def test_mask_counts_vary_within_one_decode_group(self, machine):
         program, vlm, vsm, _ = _mask_program()
-        trace = DynamicTrace()
-        trace.add_vsetvl(VsetvlEvent(64, 64, 1))
+        events = [VsetvlEvent(64, 64, 1)]
         for base, count in ((0x1000, 5), (0x1040, 9), (0x1081, 2)):
-            trace.add_scalar(ScalarEvent("load", base, 8))
-            trace.add_vector(VectorEvent(vlm, 64, 64, 1,
-                                         _mask(base, count)))
+            events.append(ScalarEvent("load", base, 8))
+            events.append(VectorEvent(vlm, 64, 64, 1, _mask(base, count)))
         for base, count in ((0x2000, 3), (0x2040, 7)):
-            trace.add_vector(VectorEvent(vsm, 64, 64, 1,
-                                         _mask(base, count, True)))
-        pairs = _replay_all_forms(trace, program, machine)
+            events.append(VectorEvent(vsm, 64, 64, 1,
+                                      _mask(base, count, True)))
+        built = build_trace(program, events)
+        engine = TimingEngine(build_model(get_machine(machine)))
+        reference = engine.replay_reference(events)
         # The decode memo keeps the first event's bytes for its group.
-        assert pairs[0][0].mem_bytes_read == 3 * 5.0
-        assert pairs[0][0].mem_bytes_written == 2 * 3.0
-        for reference, got in pairs:
+        assert reference.mem_bytes_read == 3 * 5.0
+        assert reference.mem_bytes_written == 2 * 3.0
+        packed = unpack_trace(built.blob, program)
+        for got in (engine.replay(built), engine.replay(packed)):
             assert got.mem_bytes_read == reference.mem_bytes_read
             assert got.mem_bytes_written == reference.mem_bytes_written
             assert got.cycles == reference.cycles
             assert got == reference
-
-    @pytest.mark.parametrize("machine", _MACHINES)
-    def test_fallback_events_replay_like_the_reference(self, machine):
-        program, vlm, _, vfadd = _mask_program()
-        trace = DynamicTrace()
-        trace.add_vsetvl(VsetvlEvent(8, 64, 1))
-        trace.add_vector(VectorEvent(vlm, 8, 64, 1, _mask(0x1000, 5)))
-        trace.add_scalar(ScalarEvent("load", -4, 8))  # negative address
-        trace.add_vector(VectorEvent(vlm, 8, 64, 1, _mask(0x1040, 9)))
-        trace.add_vsetvl(VsetvlEvent(1 << 64, 64, 1))  # vl beyond i64
-        trace.add_vector(VectorEvent(vfadd, 1 << 64, 64, 1))
-        # Same decode group as the first vlm, count beyond i64.
-        trace.add_vector(VectorEvent(vlm, 8, 64, 1,
-                                     _mask(0x1081, 1 << 64)))
-        trace.add_scalar(ScalarEvent("store", 0x1000, 8))
-        packed = unpack_trace(pack_trace(trace, program), program)
-        assert len(packed.fallback) == 4
-        pairs = _replay_all_forms(trace, program, machine)
-        assert pairs[0][0].mem_bytes_read == 3 * 5.0
-        for reference, got in pairs:
-            assert got.mem_bytes_read == reference.mem_bytes_read
-            assert got.mem_bytes_written == reference.mem_bytes_written
-            assert got.cycles == reference.cycles
-            assert got == reference
+        assert packed._events is None
 
     def test_memory_row_without_access_raises(self):
         from repro.errors import TimingError
 
         program, vlm, _, _ = _mask_program()
-        trace = DynamicTrace()
-        trace.add_vector(VectorEvent(vlm, 8, 64, 1, None))
-        packed = unpack_trace(pack_trace(trace, program), program)
-        for form in (trace, packed):
+        built = build_trace(program, [VectorEvent(vlm, 8, 64, 1, None)])
+        for form in (built, unpack_trace(built.blob, program)):
             with pytest.raises(TimingError, match="lacks a MemAccess"):
                 ReplayPlan.from_trace(form)
 
@@ -421,10 +382,8 @@ def test_entry_memo_without_its_decode_memo_is_a_miss():
     it was checked against — as unpickling can leave it — compiles by
     decoding afresh instead of raising."""
     program, _, _, vfadd = _mask_program()
-    trace = DynamicTrace()
-    trace.add_vsetvl(VsetvlEvent(8, 64, 1))
-    trace.add_vector(VectorEvent(vfadd, 8, 64, 1))
-    blob = pack_trace(trace, program)
+    blob = build_trace(program, [VsetvlEvent(8, 64, 1),
+                                 VectorEvent(vfadd, 8, 64, 1)]).blob
     first = ReplayPlan.from_trace(unpack_trace(blob, program))
     del vfadd.__dict__["_tinfo_by_cfg"]
     assert vfadd.__dict__["_tentry_by_cfg"]
