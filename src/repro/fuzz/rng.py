@@ -33,11 +33,14 @@ class FuzzRng:
         self._counter = 0
         self._queue: list[int] = []
 
+    def _digest(self, counter: int) -> bytes:
+        return hashlib.sha256(
+            self._key + b"#" + str(counter).encode()).digest()
+
     def u64(self) -> int:
         """Next 64-bit word of the stream."""
         if not self._queue:
-            digest = hashlib.sha256(
-                self._key + b"#" + str(self._counter).encode()).digest()
+            digest = self._digest(self._counter)
             self._counter += 1
             # Reversed so pop() serves digest words in byte order.
             self._queue = [int.from_bytes(digest[i:i + 8], "little")
@@ -63,9 +66,29 @@ class FuzzRng:
         return self.below(den) < num
 
     def floats(self, count: int) -> np.ndarray:
-        """``count`` float64 values uniform in ``[-1, 1)``."""
-        words = np.array([self.u64() for _ in range(count)],
-                         dtype=np.uint64)
+        """``count`` float64 values uniform in ``[-1, 1)``.
+
+        Draws exactly the words ``count`` calls of :meth:`u64` would:
+        the queued words first, then the remaining digests hashed in one
+        batch and read as little-endian words, with a partly used last
+        digest's spare words queued for the next draw.
+        """
+        count = max(int(count), 0)
+        split = max(len(self._queue) - count, 0)
+        queued = self._queue[split:][::-1]  # in pop() order
+        del self._queue[split:]
+        need = count - len(queued)
+        fresh = np.empty(0, dtype=np.uint64)
+        if need:
+            first = self._counter
+            self._counter += -(-need // 4)
+            fresh = np.frombuffer(
+                b"".join(self._digest(c)
+                         for c in range(first, self._counter)),
+                dtype="<u8")
+            self._queue = fresh[need:][::-1].tolist()
+        words = np.concatenate(
+            (np.array(queued, dtype=np.uint64), fresh[:need]))
         # 53 mantissa-width bits -> [0, 1), then stretched to [-1, 1).
         return (words >> np.uint64(11)).astype(np.float64) \
             * (2.0 ** -52) - 1.0

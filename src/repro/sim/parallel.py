@@ -796,10 +796,11 @@ class SimPool:
         warm: list[tuple[TraceKey, list[int]]] = []
         cold: "deque[tuple[TraceKey, list[int]]]" = deque()
         for key, cidxs in by_key.items():
-            # Tag-only probe (no payload deserialization, no counter);
-            # the capture() below then counts the hit — or recaptures,
-            # if the probed entry's payload turns out unreadable —
-            # exactly as a serial sweep would.
+            # Tag-and-CRC probe (no payload deserialization, no lookup
+            # counter; a checksum-failed entry is purged and counted as
+            # get() would); the capture() below then counts the hit — or
+            # recaptures, if the probed entry's payload turns out
+            # unreadable — exactly as a serial sweep would.
             (warm if self.cache.probe(key) else cold).append((key, cidxs))
 
         pooled_captures = self.capture_workers > 1 and len(captures) > 1

@@ -512,10 +512,15 @@ class TraceCache:
         :meth:`get` on a positive answer (e.g. :meth:`~repro.sim
         .parallel.SimPool.run` classifying warm keys) don't deserialize
         every entry twice.  The CRC check means byte-level corruption
-        probes False (and the pipeline recaptures cold); the residual
-        price is that an entry whose checksummed bytes decode to a
-        *foreign* object can still probe True and miss on the ``get`` —
-        callers must treat a positive probe as a hint, not a guarantee.
+        probes False (and the pipeline recaptures cold); like
+        :meth:`get`, the probe purges and counts (``corrupt_purged``) an
+        entry whose tags are current but whose checksum fails, so a
+        pooled sweep that classifies keys by probe reports the same
+        corruption as a serial sweep that reads them by ``get``.  The
+        residual price is that an entry whose checksummed bytes decode
+        to a *foreign* object can still probe True and miss on the
+        ``get`` — callers must treat a positive probe as a hint, not a
+        guarantee.
         """
         if key in self._entries:
             return True
@@ -527,7 +532,12 @@ class TraceCache:
         # repro-lint: disable=RL201  unpickling foreign files raises any type
         except Exception:
             return False
-        return _validate_envelope(obj) and _crc_ok(obj)
+        if not _validate_envelope(obj):
+            return False
+        if not _crc_ok(obj):
+            self._purge_corrupt(path)
+            return False
+        return True
 
     @property
     def stats(self) -> dict:

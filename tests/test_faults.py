@@ -16,6 +16,7 @@ serial degradation latch.
 from __future__ import annotations
 
 import pickle
+import shutil
 import warnings
 from concurrent.futures import Future
 
@@ -217,10 +218,16 @@ class TestStoreIntegrity:
         assert path.exists()
 
         reader = TraceStore(disk_dir=tmp_path)
-        assert reader.probe(key) is False  # CRC checked without decode
         assert reader.get(key) is None
         assert reader.corrupt_purged == 1
         assert reader.stats["corrupt_purged"] == 1
+        assert not path.exists()
+
+        # A probe checks the CRC without decoding, and purges alike.
+        key = _capture_one(writer, k=32)
+        path = disk_path(tmp_path, key)
+        assert reader.probe(key) is False
+        assert reader.corrupt_purged == 2
         assert not path.exists()
 
     def test_gc_purges_checksum_failures(self, tmp_path):
@@ -235,11 +242,11 @@ class TestStoreIntegrity:
         assert store.corrupt_purged == 1
         assert store.gc()["purged_corrupt"] == 0  # gone for good
 
-    @pytest.mark.parametrize("path_name", ["get", "gc"])
+    @pytest.mark.parametrize("path_name", ["probe", "get", "gc"])
     def test_missing_checksum_counts_as_corrupt(self, tmp_path, path_name):
         """Every writer stamps ``crc32``, so an envelope without one is
-        damaged: ``probe`` refuses it, ``manifest`` flags it, and both
-        ``get`` and ``gc`` purge and count it instead of serving it."""
+        damaged: ``manifest`` flags it, and ``probe``, ``get`` and ``gc``
+        each purge and count it instead of serving it."""
         key = _capture_one(TraceStore(disk_dir=tmp_path))
         path = disk_path(tmp_path, key)
         envelope = pickle.loads(path.read_bytes())
@@ -247,14 +254,41 @@ class TestStoreIntegrity:
         path.write_bytes(pickle.dumps(envelope))
 
         store = TraceStore(disk_dir=tmp_path)
-        assert store.probe(key) is False
         assert [row["corrupt"] for row in store.manifest()] == [True]
-        if path_name == "get":
+        if path_name == "probe":
+            assert store.probe(key) is False
+        elif path_name == "get":
             assert store.get(key) is None
         else:
             assert store.gc()["purged_corrupt"] == 1
         assert store.corrupt_purged == 1
         assert not path.exists()
+
+    def test_pooled_and_serial_reads_recover_corruption_alike(
+            self, tmp_path, tiny_serial):
+        """A pooled sweep classifies keys by ``probe``, a serial one
+        reads them by ``get``: over copies of one store with corrupted
+        entries both purge, count and recover the same entries."""
+        writer = TraceStore(disk_dir=tmp_path / "pooled",
+                            fault_plan=FaultPlan(seed=2, corrupt_rate=1.0))
+        assert _tiny_pipeline(SimPool(workers=1, cache=writer)) \
+            == tiny_serial
+        shutil.copytree(tmp_path / "pooled", tmp_path / "serial")
+
+        recovered = {}
+        for name, workers in (("pooled", 2), ("serial", 1)):
+            store = TraceStore(disk_dir=tmp_path / name)
+            pool = SimPool(workers=workers, capture_workers=workers,
+                           cache=store)
+            try:
+                assert _tiny_pipeline(pool) == tiny_serial
+            finally:
+                pool.shutdown()
+            recovered[name] = (
+                store.corrupt_purged,
+                pool.fault_log.recovered_total() + store.corrupt_purged
+                + store.io_retries + int(store.memory_only))
+        assert recovered["pooled"] == recovered["serial"] == (2, 2)
 
     def test_enospc_degrades_to_memory_only_with_one_warning(self,
                                                              tmp_path):

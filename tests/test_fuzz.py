@@ -7,25 +7,33 @@ the test id, so a red run names its reproducer directly.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
 from repro.errors import ConfigError
 from repro.fuzz import (FEATURES, ProgramGen, PropertyFailure, check_case,
                         check_seed, parse_features, shrink_case)
-from repro.fuzz.gen import REGIONS, canonical_features, case_from_chunks
+from repro.functional.executor import Executor
+from repro.fuzz.gen import (REGIONS, canonical_features, case_from_chunks,
+                            input_image)
 from repro.fuzz.kernel import build_fuzz, generate_case, kernel_for_case
 from repro.fuzz.properties import DEFAULT_MACHINES, default_configs
 from repro.fuzz.rng import FuzzRng
 from repro.isa import Assembler
 from repro.kernels import zoo_builder
+from repro.kernels.common import golden_builds, reset_skeleton_caches
 from repro.machine import get_machine
 from repro.sim import (CaptureTask, SimPool, TraceCache, run_pipeline,
                        trace_key)
+from repro.timing.engine import TimingEngine
+from repro.timing.replay_plan import ReplayPlan
 
 _SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -53,6 +61,113 @@ class TestProperties:
             check_seed(3, size=20, features=features, configs=machine_pair)
 
 
+# ----------------------------------------------------------------------
+# One functional run per VLEN group; timing checks on every machine.
+# ----------------------------------------------------------------------
+def _count_executor_runs(monkeypatch) -> list:
+    """Count ``Executor.run`` calls from here on (one list entry each)."""
+    calls: list = []
+    real = Executor.run
+
+    def counted(self, program, *args, **kwargs):
+        calls.append(self.state.vlen_bits)
+        return real(self, program, *args, **kwargs)
+
+    monkeypatch.setattr(Executor, "run", counted)
+    return calls
+
+
+class TestGrouping:
+    def test_mixed_vlen_configs_check_every_machine(self, monkeypatch):
+        configs = [get_machine(name)
+                   for name in ("8L-Ara2", "16L-AraXL", "8L-AraXL")]
+        reset_skeleton_caches()
+        case = generate_case(5, size=20)
+        calls = _count_executor_runs(monkeypatch)
+        stats = check_case(case, configs=configs)
+        names = {config.name for config in configs}
+        assert set(stats["events"]) == names
+        assert set(stats["cycles"]) == names
+        assert stats["events"]["8L-Ara2"] == stats["events"]["8L-AraXL"]
+        assert all(cycles > 0 for cycles in stats["cycles"].values())
+        # Two VLEN groups, each with a cold golden memo: the reference
+        # image, the direct run and the capture, once per group.
+        assert sorted(calls) == sorted([c.vlen_bits for c in configs[:2]] * 3)
+
+    def test_executor_runs_per_check(self, monkeypatch, machine_pair):
+        """The default pair shares one VLEN: a cold golden memo costs
+        the reference execution, the direct run and the capture; a warm
+        one only the last two."""
+        reset_skeleton_caches()
+        case = generate_case(9, size=20)
+        calls = _count_executor_runs(monkeypatch)
+        check_case(case, configs=machine_pair)
+        assert len(calls) == 3
+        del calls[:]
+        check_case(case, configs=machine_pair)
+        assert len(calls) == 2
+
+    def test_pipeline_and_harness_share_the_reference_image(
+            self, monkeypatch, machine_pair):
+        reset_skeleton_caches()
+        config = machine_pair[0]
+        kwargs = {"seed": 11, "size": 20, "features": "all"}
+        build_fuzz(config, 64, **kwargs).capture(config, verify=False)
+        builds = golden_builds()
+        calls = _count_executor_runs(monkeypatch)
+        check_case(generate_case(11, size=20), configs=machine_pair)
+        assert golden_builds() == builds
+        assert len(calls) == 2
+
+
+# ----------------------------------------------------------------------
+# A planted replay bug is still caught, on the machine it hits.
+# ----------------------------------------------------------------------
+class TestPlantedReplayBug:
+    def _failures(self, machine_pair) -> list:
+        found = []
+        for seed in range(8):
+            with pytest.raises(PropertyFailure) as info:
+                check_case(generate_case(seed), configs=machine_pair)
+            found.append((info.value.property, info.value.machine))
+        return found
+
+    def test_row_cost_bug_fails_plan_vs_reference(self, monkeypatch,
+                                                   machine_pair):
+        """One extra cycle on the last scalar row of every plan: the
+        plan and the reference loop disagree on the group's first
+        machine (recorded identically before VLEN grouping)."""
+        real = ReplayPlan.scalar_costs
+
+        def planted(self, scalar_cfg, l2_latency):
+            costs, hits, misses = real(self, scalar_cfg, l2_latency)
+            costs = costs.copy()
+            costs[-1] += 1.0
+            return costs, hits, misses
+
+        monkeypatch.setattr(ReplayPlan, "scalar_costs", planted)
+        assert self._failures(machine_pair) == \
+            [("plan-vs-reference", "8L-Ara2")] * 8
+
+    def test_bug_on_the_second_machine_is_caught_there(self, monkeypatch,
+                                                       machine_pair):
+        """A replay bug confined to 8L-AraXL, which shares the group's
+        capture and runs no functional work of its own, is still caught
+        on 8L-AraXL (recorded identically before VLEN grouping)."""
+        real = TimingEngine.replay
+
+        def planted(self, trace):
+            report = real(self, trace)
+            if self.model.name == "8L-AraXL":
+                report = dataclasses.replace(report,
+                                             cycles=report.cycles + 1)
+            return report
+
+        monkeypatch.setattr(TimingEngine, "replay", planted)
+        assert self._failures(machine_pair) == \
+            [("plan-vs-reference", "8L-AraXL")] * 8
+
+
 class TestGenerator:
     def test_bit_reproducible_from_seed(self):
         a = ProgramGen(7, size=35).generate()
@@ -72,6 +187,35 @@ class TestGenerator:
         first = [ops.u64() for _ in range(8)]
         assert first == [ops2.u64() for _ in range(8)]
         assert first != [data.u64() for _ in range(8)]
+
+    # SHA-256 of input_image(seed), recorded when floats() drew its
+    # words one u64() at a time.
+    INPUT_IMAGE_SHA256 = {
+        0: "26ed7535cf3fa2493fb576c834e28fa4305e405cba57ac7b1686b482c168403c",
+        1: "58ad813f46f45bc2efc5f43f13b86e4539ad4215b464f94ae48df318f2383768",
+        7: "cc72a9bcf5567d3c979a16f012dba73a878aae6ceb5d876c30a06c0775d7e88f",
+        123: "81e47d47e82c4463c862830388b532327f208310ab594b5f3c2b43e29315657d",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(INPUT_IMAGE_SHA256))
+    def test_input_image_pinned(self, seed):
+        digest = hashlib.sha256(input_image(seed)).hexdigest()
+        assert digest == self.INPUT_IMAGE_SHA256[seed]
+
+    @pytest.mark.parametrize("prior", [0, 1, 2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 3, 5, 2048])
+    def test_floats_match_word_stream(self, prior, count):
+        batched = FuzzRng(3, "data")
+        single = FuzzRng(3, "data")
+        for _ in range(prior):
+            assert batched.u64() == single.u64()
+        words = np.array([single.u64() for _ in range(count)],
+                         dtype=np.uint64)
+        expected = (words >> np.uint64(11)).astype(np.float64) \
+            * (2.0 ** -52) - 1.0
+        assert batched.floats(count).tobytes() == expected.tobytes()
+        assert [batched.u64() for _ in range(9)] == \
+            [single.u64() for _ in range(9)]
 
     def test_parse_features(self):
         assert parse_features("all") == frozenset(FEATURES)
