@@ -3,15 +3,16 @@
 Runs ``--seeds`` generated programs through **both** halves of the
 machinery:
 
-1. the standard capture pipeline — every seed becomes a
+1. the standard capture pipeline — every seed becomes an unverified
    :class:`~repro.sim.parallel.CaptureTask` for the ``"fuzz"`` zoo
    kernel, routed through :func:`~repro.sim.parallel.run_pipeline` on
    the shared :class:`~repro.sim.parallel.SimPool` (so a warm trace
-   store serves fuzz captures exactly like curated-kernel captures, and
-   worker-side verification replays the independent golden check);
-2. the in-process property harness —
-   :func:`repro.fuzz.properties.check_seed` asserts the three
-   differential properties per seed on every requested machine.
+   store serves fuzz captures exactly like curated-kernel captures);
+2. the in-process property harness — each seed's case from
+   :func:`repro.fuzz.kernel.generate_case` goes through
+   :func:`repro.fuzz.properties.check_case`, which asserts the three
+   differential properties on every requested machine.  Its direct run
+   is the checked execution: it applies the independent golden check.
 
 A property failure triggers the minimizing shrink loop and the run
 prints the minimal reproducer program plus the seed that regenerates
@@ -74,8 +75,8 @@ def run_fuzz(seeds: int = 25, size: int = FUZZ_SIZE, features: str = "all",
             if point not in capture_index:
                 capture_index[point] = len(captures)
                 # verify=False like the curated sweeps: a warm store then
-                # serves every capture from disk (replay-only entries
-                # satisfy unverified requests); the property phase below
+                # serves every capture from disk (a verified capture
+                # never reads the cache); the property phase below
                 # re-runs each seed fully verified in-process anyway.
                 captures.append(CaptureTask.for_kernel(
                     "fuzz", config, bytes_per_lane,

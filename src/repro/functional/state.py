@@ -210,15 +210,6 @@ class VectorRegFile:
         """Whole-register byte copy (for tests and reshuffle modelling)."""
         return self._group_bytes(reg, 1).copy()
 
-    def write_raw(self, reg: int, data: np.ndarray) -> None:
-        if reg == 0:
-            self.v0_writes += 1
-        view = self._group_bytes(reg, 1)
-        data = np.asarray(data, dtype=np.uint8)
-        if data.size != view.size:
-            raise ExecutionError("raw write must cover the whole register")
-        view[:] = data
-
 
 class ArchState:
     """Complete architectural state of the scalar core + vector unit."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -19,7 +18,7 @@ from ..errors import ConfigError
 from ..functional.executor import ExecResult
 from ..isa.program import Program
 from ..params import SystemConfig
-from ..sim import RunResult, Simulator, TraceCache, replay_trace, trace_key
+from ..sim import RunResult, Simulator, TraceCache, trace_key
 
 #: Process-wide memo of kernel *program skeletons*: the assembled
 #: program plus its buffer base addresses — everything a sweep planner
@@ -135,13 +134,6 @@ def vl_and_lmul(config: SystemConfig, bytes_per_lane: int,
     return vl, lmul
 
 
-def _checkable(captured: ExecResult) -> bool:
-    """A cached capture can serve a verified request: it was checked
-    already, or it still holds the memory image the check reads."""
-    extra = captured.extra
-    return bool(extra.get("verified")) or extra.get("mem") is not None
-
-
 @dataclass
 class KernelRun:
     """A fully-prepared benchmark: program + data + golden check."""
@@ -171,54 +163,33 @@ class KernelRun:
                 verify: bool = True) -> ExecResult:
         """Capture (or fetch from ``cache``) this kernel's dynamic trace.
 
-        The golden ``check()`` runs **once per captured trace** — at
-        capture time, when the functional memory holds the results — and
-        never again on replays of the same trace.  A ``verify=True``
-        request hitting a cache entry that was captured unverified still
-        gets its check: against the entry's retained memory image when
-        present, else by recapturing fresh.
+        The golden ``check()`` runs at capture time, when the functional
+        memory holds the results, and never on a cached trace.  Hence
+        ``verify=False`` may be served by ``cache.get``, while
+        ``verify=True`` never reads the cache: it executes, checks and
+        stores the trace with ``cache.put``, moving no lookup counter.
+        A cached capture returns the replay-only entry the cache holds
+        (no ``extra["mem"]``); an uncached one keeps its memory image.
         """
         key = self.trace_key(config) if cache is not None else None
-        if cache is not None:
-            # A replay-only entry (e.g. disk-rehydrated) cannot satisfy a
-            # verified capture: the cache counts it as a miss, and the
-            # put() below upgrades it with a fresh, checked capture.
-            captured = cache.get(key, accept=_checkable if verify else None)
+        if cache is not None and not verify:
+            captured = cache.get(key)
             if captured is not None:
-                if verify and not captured.extra.get("verified"):
-                    self.check(SimpleNamespace(mem=captured.extra["mem"]))
-                    captured.extra["verified"] = True
                 return captured
         sim = Simulator(config)
         self.setup(sim)
         captured = sim.capture(self.program)
         if verify:
             self.check(sim)
-            captured.extra["verified"] = True
         if cache is not None:
-            cache.put(key, captured)
+            return cache.put(key, captured)
         return captured
 
-    def run(self, config: SystemConfig, verify: bool = True,
-            sim: Simulator | None = None,
-            trace: ExecResult | None = None,
-            cache: TraceCache | None = None) -> RunResult:
-        """Execute at one operating point.
-
-        * ``trace=`` — replay-only path: time the given captured trace on
-          ``config``'s machine model (no functional run, no check).
-        * ``cache=`` — capture-or-reuse path: fetch/capture the trace via
-          the cache (check runs only on a capture miss), then replay.
-        * otherwise — classic end-to-end run on a fresh (or provided)
-          simulator.
-        """
-        if trace is not None:
-            return replay_trace(config, trace)
-        if cache is not None:
-            return replay_trace(config, self.capture(config, cache=cache,
-                                                     verify=verify))
-        if sim is None:
-            sim = Simulator(config)
+    def run(self, config: SystemConfig, verify: bool = True) -> RunResult:
+        """Execute end to end at one operating point on a fresh
+        simulator, checking the result when ``verify``.  Replay a
+        captured trace with :func:`~repro.sim.replay_trace`."""
+        sim = Simulator(config)
         self.setup(sim)
         result = sim.run(self.program)
         if verify:

@@ -210,11 +210,6 @@ class FaultPlan:
             return None
         return cls.from_spec(spec)
 
-    @property
-    def injects_jobs(self) -> bool:
-        """True when the sim tier has anything to inject."""
-        return self.crash_rate > 0.0 or self.hang_rate > 0.0
-
 
 @dataclass
 class FaultLog:

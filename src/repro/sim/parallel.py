@@ -55,9 +55,10 @@ Worker-side details shared by both job kinds:
   either way its memory layer lets keys repeated across jobs skip
   re-shipping, and a worker that captured a trace serves its own replay
   jobs from memory.
-* **One payload per trace key** — replay jobs ship the single pruned
-  disk payload (:func:`~repro.sim.trace_cache._disk_payload`, the same
-  pruning the disk cache uses) only when the key is not already in the
+* **One payload per trace key** — every capture the pool holds came
+  through a :class:`~repro.sim.trace_cache.TraceCache`, so it already
+  is the replay-only entry both cache tiers store (no memory image).
+  Replay jobs ship that entry only when the key is not already in the
   shared store; stale or vanished store entries trigger an explicit
   payload resend (the job answers with ``reports`` of None).
 * **Failure degradation** — a dead worker, or a store GC that evicts a
@@ -107,7 +108,7 @@ from ..params import SystemConfig
 from ..timing.report import TimingReport
 from .faults import FaultLog, FaultPlan, JobTimeout
 from .simulator import replay_trace
-from .trace_cache import TraceCache, TraceKey, _disk_payload, disk_path
+from .trace_cache import TraceCache, TraceKey, disk_path
 
 #: Executor rebuilds allowed before a sweep degrades to serial.
 DEFAULT_MAX_REBUILDS = 3
@@ -251,22 +252,20 @@ def _capture_job(task: "CaptureTask"):
     With a disk-backed worker cache the capture lands in the shared
     store through the normal atomic-envelope ``put`` and ``payload`` is
     None — the parent (and any concurrent replay worker) rehydrates it
-    as a disk hit.  Without shared disk the pruned payload ships back
-    over the pipe instead.
+    as a disk hit.  Without shared disk the cache's replay-only entry
+    ships back over the pipe instead.
     """
     t0 = time.perf_counter()
-    cache = _WORKER_CACHE
+    cache = _WORKER_CACHE  # set by _init_worker in every pool worker
     run = task.build()
     captured = run.capture(task.config, cache=cache, verify=task.verify)
     # A cache ENOSPC-demoted to memory-only never landed the entry on
     # disk — ship the payload over the pipe instead of pointing the
     # parent at a file that does not exist.
-    on_disk = (cache is not None and cache.disk_dir is not None
-               and not cache.memory_only)
-    payload = None if on_disk else _disk_payload(captured)
-    stats = dict(cache.stats) if cache is not None else {}
-    return (os.getpid(), run.trace_key(task.config), payload, stats,
-            time.perf_counter() - t0)
+    on_disk = cache.disk_dir is not None and not cache.memory_only
+    payload = None if on_disk else captured
+    return (os.getpid(), run.trace_key(task.config), payload,
+            dict(cache.stats), time.perf_counter() - t0)
 
 
 def _replay_job(key: Optional[TraceKey], payload: Optional[ExecResult],
@@ -678,7 +677,7 @@ class SimPool:
         if not configs:
             return
         on_disk = self._on_disk(key)
-        payload = None if on_disk else _disk_payload(captured)
+        payload = None if on_disk else captured
         chunks = self._adaptive_chunks(len(configs), on_disk, len(pending))
         size = -(-len(configs) // chunks)  # ceil division
         for start in range(0, len(configs), size):
@@ -698,7 +697,7 @@ class SimPool:
         when the key is not in the shared disk store.
         """
         job.attempts += 1
-        payload = _disk_payload(job.captured) \
+        payload = job.captured \
             if resend or not self._on_disk(job.key) else None
         return self._submit_job(pending, job,
                                 (job.key, payload, job.configs))

@@ -32,7 +32,9 @@ class RunResult:
 
     @property
     def mem(self):
-        """Functional memory after the run (for result checking)."""
+        """Functional memory after the run (for result checking); None
+        on a capture served through a ``TraceCache``, which is
+        replay-only."""
         return self.functional.extra.get("mem")
 
     def utilization(self, peak_flops_per_cycle: float) -> float:

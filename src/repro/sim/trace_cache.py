@@ -27,10 +27,12 @@ Disk format
 Disk entries are written for *concurrent* readers and writers sharing one
 ``disk_dir``:
 
-* **Payload pruning** — entries drop the functional memory image (large,
-  only needed by golden checks, which run at capture time) and decoded
-  plan caches (which hold lambdas); a disk-rehydrated capture is
-  replay-only and safe to ship across process boundaries.
+* **Payload pruning** — both tiers hold one entry form: ``put`` drops
+  the functional memory image (large, only needed by golden checks,
+  which run at capture time) before the entry enters the memory LRU or
+  the disk, and pickling drops decoded plan caches (which hold
+  lambdas).  Every entry, fresh or disk-rehydrated, is replay-only and
+  safe to ship across process boundaries.
 * **Columnar trace payload (v7)** — the payload is a small dict of
   ``ExecResult`` fields in which the trace travels as a packed
   struct-of-arrays blob (:func:`repro.functional.trace_pack
@@ -87,9 +89,7 @@ Disk entries are written for *concurrent* readers and writers sharing one
 Statistics distinguish the layers: ``hits`` counts in-memory LRU hits
 only, ``disk_hits`` counts rehydrations from disk, and ``hit_rate`` is
 the true in-memory rate ``hits / (hits + disk_hits + misses)``.  Each
-:meth:`TraceCache.get` counts exactly one of the three; an entry the
-caller's ``accept`` test rejects (e.g. a replay-only entry asked for a
-verified capture) counts as a miss, since it saves no functional work.
+:meth:`TraceCache.get` counts exactly one of the three.
 ``remote_puts`` counts entries adopted via :meth:`TraceCache
 .ingest_remote` — captures paid by a worker process of a
 :class:`~repro.sim.parallel.SimPool` rather than by this process —
@@ -178,10 +178,12 @@ def disk_path(disk_dir: str | Path, key: TraceKey) -> Path:
 def _disk_payload(er: ExecResult) -> ExecResult:
     """Replay-only pruned capture: drop the functional memory image
     (large, and only needed by golden checks, which run at capture
-    time).  Decoded plan caches (which hold lambdas) are excluded by
+    time).  This is the one entry form of both tiers: :meth:`TraceCache
+    .put` keeps it in memory, so pool workers ship it over pipes as
+    is, and the disk tier packs it further via :func:`_pack_payload`.
+    Decoded plan caches (which hold lambdas) are excluded by
     ``Program`` / ``Instruction.__getstate__`` without touching the
-    live objects.  This object form is what capture workers ship over
-    pipes; the disk tier packs it further via :func:`_pack_payload`."""
+    live objects."""
     return ExecResult(state=er.state, trace=er.trace, retired=er.retired,
                       program=er.program, halted=er.halted, extra={})
 
@@ -341,28 +343,23 @@ class TraceCache:
         return disk_path(self.disk_dir, key)
 
     # ------------------------------------------------------------------
-    def get(self, key: TraceKey,
-            accept: Optional[Callable[[ExecResult], bool]] = None
-            ) -> Optional[ExecResult]:
+    def get(self, key: TraceKey) -> Optional[ExecResult]:
         """Captured execution for ``key``, or None.
 
-        Counts exactly one memory hit, disk hit or miss.  An entry that
-        ``accept`` rejects is a miss: it is not returned and saves the
-        caller no functional work.
+        Counts exactly one memory hit, disk hit or miss.
         """
         entry = self._entries.get(key)
-        if entry is None:
-            entry = self._load_from_disk(key)
-            if entry is not None and (accept is None or accept(entry)):
-                self._remember(key, entry)
-                self.disk_hits += 1
-                return entry
-        elif accept is None or accept(entry):
+        if entry is not None:
             self._entries.move_to_end(key)
             self.hits += 1
             return entry
-        self.misses += 1
-        return None
+        entry = self._load_from_disk(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        self._remember(key, entry)
+        self.disk_hits += 1
+        return entry
 
     def _load_from_disk(self, key: TraceKey) -> Optional[ExecResult]:
         path = self._disk_path(key)
@@ -399,11 +396,16 @@ class TraceCache:
         except OSError:
             pass  # already evicted/replaced concurrently
 
-    def put(self, key: TraceKey, captured: ExecResult) -> None:
-        self._remember(key, captured)
+    def put(self, key: TraceKey, captured: ExecResult) -> ExecResult:
+        """Store the replay-only form of ``captured`` in both tiers and
+        return it: the memory tier never pins the capture's memory
+        image."""
+        entry = _disk_payload(captured)
+        self._remember(key, entry)
         path = self._disk_path(key)
         if path is not None and not self.memory_only:
-            self._put_disk(path, captured)
+            self._put_disk(path, entry)
+        return entry
 
     def _put_disk(self, path: Path, captured: ExecResult) -> None:
         """Disk half of :meth:`put`, with bounded failure handling.

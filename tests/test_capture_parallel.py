@@ -30,8 +30,8 @@ from repro.params import Ara2Config, AraXLConfig
 from repro.report import render_table
 from repro.sim import (CaptureTask, SimPool, TraceCache, TraceStore,
                        replay_trace, run_pipeline)
-from repro.sim.trace_cache import (DISK_FORMAT_VERSION, _disk_payload,
-                                   _payload_schema, disk_path)
+from repro.sim.trace_cache import (DISK_FORMAT_VERSION, _payload_schema,
+                                   disk_path)
 import repro.sim.parallel as parallel_mod
 
 
@@ -307,7 +307,7 @@ class TestRemotePuts:
     def test_ingest_with_shipped_payload(self, tmp_path):
         key, captured = self._entry(tmp_path)
         memory_only = TraceCache()
-        adopted = memory_only.ingest_remote(key, _disk_payload(captured))
+        adopted = memory_only.ingest_remote(key, captured)
         assert adopted is not None
         assert memory_only.stats["remote_puts"] == 1
         assert memory_only.get(key) is adopted
@@ -341,8 +341,7 @@ class TestCompressedEnvelope:
         inner = pickle.loads(zlib.decompress(envelope["payload"]))
         assert isinstance(inner, dict)
         assert inner["trace_blob"].startswith(MAGIC)
-        raw = pickle.dumps(_disk_payload(captured),
-                           protocol=pickle.HIGHEST_PROTOCOL)
+        raw = pickle.dumps(captured, protocol=pickle.HIGHEST_PROTOCOL)
         assert len(envelope["payload"]) < len(raw) / 2  # really compressed
         # A fresh cache rehydrates the entry and replays bit-identically.
         entry = TraceCache(disk_dir=tmp_path).get(key)
@@ -355,7 +354,7 @@ class TestCompressedEnvelope:
         _, _, captured, key = self._capture(tmp_path)
         path = disk_path(tmp_path, key)
         v3 = {"format": 3, "schema": _payload_schema(),
-              "payload": pickle.dumps(_disk_payload(captured),
+              "payload": pickle.dumps(captured,
                                       protocol=pickle.HIGHEST_PROTOCOL)}
         path.write_bytes(pickle.dumps(v3))
         stale = TraceCache(disk_dir=tmp_path)
@@ -369,7 +368,7 @@ class TestCompressedEnvelope:
         v3 = tmp_path / "trace_aaaa.pkl"
         v3.write_bytes(pickle.dumps(
             {"format": 3, "schema": _payload_schema(),
-             "payload": pickle.dumps(_disk_payload(captured))}))
+             "payload": pickle.dumps(captured)}))
         summary = store.gc()
         assert summary["purged_stale"] == 1
         assert not v3.exists()

@@ -14,7 +14,7 @@ import pytest
 from repro.kernels import KERNELS, build_fmatmul
 import repro.kernels.common as common
 from repro.params import Ara2Config, AraXLConfig
-from repro.sim import CaptureTask, Simulator, TraceCache
+from repro.sim import CaptureTask, Simulator, TraceCache, replay_trace
 
 _REDUCED_KW = {"fmatmul": {"m": 16, "k": 64},
                "fconv2d": {"rows": 32}, "jacobi2d": {"rows": 32}}
@@ -85,10 +85,10 @@ class TestGoldenMaterialization:
         """The lazy path feeds the golden check the same arrays: a
         verified capture passes, and its trace replays identically."""
         cfg = Ara2Config(lanes=4)
-        cache = TraceCache()
         run = build_fmatmul(cfg, 64, m=8, k=16)
-        captured = run.capture(cfg, cache=cache, verify=True)
-        assert captured.extra["verified"]
+        captured = run.capture(cfg, cache=TraceCache(), verify=True)
+        assert replay_trace(cfg, captured).timing == \
+            run.run(cfg, verify=True).timing
 
     def test_unverified_sweep_never_builds_reference_output(self):
         """verify=False captures still build inputs (setup needs them)

@@ -257,9 +257,8 @@ class TestDiskFormatVersioning:
     def test_pre_envelope_bare_pickle_is_a_miss(self, tmp_path):
         cfg, run, captured, key = self._capture(tmp_path)
         path = disk_path(tmp_path, key)
-        from repro.sim.trace_cache import _disk_payload
         with path.open("wb") as fh:  # old v1 format: bare ExecResult
-            pickle.dump(_disk_payload(captured), fh)
+            pickle.dump(captured, fh)
         assert TraceCache(disk_dir=tmp_path).get(key) is None
 
     def test_truncated_file_is_a_miss(self, tmp_path):

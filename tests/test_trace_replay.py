@@ -27,8 +27,8 @@ class TestReplayEqualsFreshRun:
         run = KERNELS[kernel](ara2, 64, **kw)
 
         captured = run.capture(ara2, verify=True)
-        replay_ara2 = run.run(ara2, trace=captured).timing
-        replay_araxl = run.run(araxl, trace=captured).timing
+        replay_ara2 = replay_trace(ara2, captured).timing
+        replay_araxl = replay_trace(araxl, captured).timing
 
         fresh_ara2 = run.run(ara2, verify=False).timing
         fresh_araxl = run.run(araxl, verify=False).timing
@@ -44,7 +44,7 @@ class TestReplayEqualsFreshRun:
         for knob in ({"glsu_extra_regs": 4}, {"reqi_extra_regs": 1},
                      {"ringi_extra_regs": 1}):
             cut = dataclasses.replace(base, **knob)
-            assert run.run(cut, trace=captured).timing == \
+            assert replay_trace(cut, captured).timing == \
                 run.run(cut, verify=False).timing
 
     def test_vlen_mismatch_rejected(self):
@@ -100,27 +100,37 @@ class TestTraceCacheKeying:
         run = build_fmatmul(cfg, 64, m=8, k=16)
         cache = TraceCache(disk_dir=tmp_path)
         captured = run.capture(cfg, cache=cache, verify=False)
-        fresh_report = run.run(cfg, trace=captured).timing
+        fresh_report = replay_trace(cfg, captured).timing
 
         # New process simulation: empty memory cache, same disk dir.
         cold = TraceCache(disk_dir=tmp_path)
         from_disk = cold.get(run.trace_key(cfg))
         assert from_disk is not None
         assert cold.stats["disk_hits"] == 1
-        assert run.run(cfg, trace=from_disk).timing == fresh_report
+        assert replay_trace(cfg, from_disk).timing == fresh_report
 
-    def test_check_runs_once_per_captured_trace(self):
+    def test_check_runs_once_per_captured_trace(self, monkeypatch):
+        """The check runs with each functional execution it verifies,
+        never on a cached trace or a replay."""
         cache = TraceCache()
         cfg = Ara2Config(lanes=8)
         run = build_fmatmul(cfg, 64, m=8, k=16)
-        checks = []
-        orig_check = run.check
+        checks, executions = [], []
+        orig_check, orig_exec = run.check, Executor.run
         run = dataclasses.replace(
             run, check=lambda sim: checks.append(1) or orig_check(sim))
+
+        def counting_exec(self, program, *args, **kwargs):
+            executions.append(1)
+            return orig_exec(self, program, *args, **kwargs)
+
+        monkeypatch.setattr(Executor, "run", counting_exec)
         run.capture(cfg, cache=cache, verify=True)
-        run.capture(cfg, cache=cache, verify=True)  # cache hit: no check
-        run.run(AraXLConfig(lanes=8), verify=True, cache=cache)  # hit too
-        assert checks == [1]
+        run.capture(cfg, cache=cache, verify=True)  # executes again
+        captured = run.capture(cfg, cache=cache, verify=False)  # hit
+        replay_trace(AraXLConfig(lanes=8), captured)
+        assert checks == executions == [1, 1]
+        assert cache.stats["hits"] == 1
 
 
 class TestFunctionalExecutionCounts:

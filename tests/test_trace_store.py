@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import inspect
 import multiprocessing
 import os
 import pickle
 import time
 import warnings
+import weakref
 
 import pytest
 
@@ -18,9 +20,11 @@ from repro.eval.runner import (EXPERIMENTS, SIMULATION_EXPERIMENTS,
 from repro.eval.table1_kernels import render_table1, run_table1
 from repro.env import ENV_FUZZ_SEEDS
 from repro.errors import ConfigError
+from repro.functional.executor import Executor
 from repro.kernels import build_fmatmul
 from repro.params import Ara2Config, AraXLConfig
-from repro.sim import SimPool, TraceCache, TraceStore, attach_store
+from repro.sim import (CaptureTask, SimPool, Simulator, TraceCache,
+                       TraceStore, attach_store, run_pipeline)
 from repro.sim.faults import FaultPlan
 from repro.sim.trace_cache import disk_path
 from repro.sim.trace_store import (DEFAULT_TMP_MAX_AGE_S, ENV_STORE_BYTES,
@@ -263,61 +267,117 @@ class TestStoreResolution:
 
 
 # ----------------------------------------------------------------------
-# Verified captures: an entry the request cannot use counts as a miss
+# Replay-only entries: a cached capture pins no memory image
 # ----------------------------------------------------------------------
-class TestVerifiedCaptureCounts:
-    def _counted_run(self):
-        """fmatmul run whose golden check counts its calls."""
+@pytest.fixture
+def image_refs(monkeypatch):
+    """Weak references to every memory image a capture builds."""
+    refs = []
+    capture = Simulator.capture
+
+    def recording(sim, program):
+        refs.append(weakref.ref(sim.mem))
+        return capture(sim, program)
+
+    monkeypatch.setattr(Simulator, "capture", recording)
+    return refs
+
+
+class TestReplayOnlyEntries:
+    def test_cached_capture_pins_no_memory_image(self, image_refs):
         cfg = Ara2Config(lanes=4)
         run = build_fmatmul(cfg, 64, m=8, k=16)
-        calls = []
-        check = run.check
+        cache = TraceCache()
+        captured = run.capture(cfg, cache=cache, verify=False)
+        del captured
+        gc.collect()
+        assert len(image_refs) == 1
+        assert all(ref() is None for ref in image_refs)
+        assert cache.get(run.trace_key(cfg)).extra == {}
+        assert cache.stats["hits"] == 1
 
-        def counted(sim):
-            calls.append(1)
+    def test_pooled_captures_pin_no_memory_image(self, image_refs):
+        cfg = Ara2Config(lanes=4)
+        tasks = [CaptureTask.for_kernel("fmatmul", cfg, 64,
+                                        {"m": 8, "k": k})
+                 for k in (16, 32)]
+        pool = SimPool(workers=1, cache=TraceCache())
+        run_pipeline(tasks, [(cfg, 0), (cfg, 1)], pool)
+        gc.collect()
+        assert len(image_refs) == 2
+        assert all(ref() is None for ref in image_refs)
+        for task in tasks:
+            assert pool.cache.get(task.key()).extra == {}
+        assert pool.cache.stats["hits"] == 2
+
+
+# ----------------------------------------------------------------------
+# Verified captures: execute, check and put; never a cache lookup
+# ----------------------------------------------------------------------
+class TestVerifiedCaptureCounts:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """fmatmul run counting its golden checks and the functional
+        executions (their results, in order) behind it."""
+        cfg = Ara2Config(lanes=4)
+        run = build_fmatmul(cfg, 64, m=8, k=16)
+        checks, executions = [], []
+        check, execute = run.check, Executor.run
+
+        def counted_check(sim):
+            checks.append(1)
             return check(sim)
 
-        run.check = counted
-        return cfg, run, calls
+        def counted_execute(self, program, *args, **kwargs):
+            executions.append(execute(self, program, *args, **kwargs))
+            return executions[-1]
+
+        run.check = counted_check
+        monkeypatch.setattr(Executor, "run", counted_execute)
+        return cfg, run, checks, executions
 
     def _counts(self, cache):
         stats = cache.stats
         return stats["hits"], stats["disk_hits"], stats["misses"]
 
-    def test_replay_only_memory_entry_is_a_miss(self):
-        from repro.sim.trace_cache import _disk_payload
-
-        cfg, run, calls = self._counted_run()
-        key = run.trace_key(cfg)
+    def test_warm_memory_key_recaptures_without_lookup(self, counted):
+        cfg, run, checks, executions = counted
         cache = TraceCache()
-        cache.put(key, _disk_payload(run.capture(cfg, verify=False)))
+        run.capture(cfg, cache=cache, verify=False)
+        assert self._counts(cache) == (0, 0, 1)
+        assert len(executions) == 1 and checks == []
         captured = run.capture(cfg, cache=cache, verify=True)
         assert self._counts(cache) == (0, 0, 1)
-        assert calls == [1]
-        assert captured.extra["verified"]
-        assert cache.get(key).extra["verified"]
+        assert len(executions) == 2 and checks == [1]
+        assert captured.extra == {}
+        assert cache.get(run.trace_key(cfg)) is captured
 
-    def test_replay_only_disk_entry_is_a_miss(self, tmp_path):
-        cfg, run, calls = self._counted_run()
+    def test_warm_disk_key_recaptures_without_lookup(self, counted,
+                                                      tmp_path):
+        cfg, run, checks, executions = counted
         key = run.trace_key(cfg)
         TraceCache(disk_dir=tmp_path).put(key, run.capture(cfg,
                                                            verify=False))
         reader = TraceCache(disk_dir=tmp_path)  # cold memory, warm disk
         captured = run.capture(cfg, cache=reader, verify=True)
-        assert self._counts(reader) == (0, 0, 1)
-        assert calls == [1]
-        assert captured.extra["verified"]
-        assert reader.get(key).extra["verified"]
+        assert self._counts(reader) == (0, 0, 0)
+        assert len(executions) == 2 and checks == [1]
+        assert captured.extra == {}
+        cold = TraceCache(disk_dir=tmp_path)  # the put rewrote the file
+        assert cold.get(key).extra == {}
+        assert self._counts(cold) == (0, 1, 0)
 
-    def test_entry_holding_mem_is_a_hit(self):
-        cfg, run, calls = self._counted_run()
+    def test_unverified_capture_after_verified_is_a_memory_hit(self,
+                                                               counted):
+        cfg, run, checks, executions = counted
         cache = TraceCache()
-        run.capture(cfg, cache=cache, verify=False)
-        assert self._counts(cache) == (0, 0, 1) and calls == []
         captured = run.capture(cfg, cache=cache, verify=True)
-        assert self._counts(cache) == (1, 0, 1)
-        assert calls == [1]  # checked against the retained memory image
-        assert captured.extra["verified"]
+        assert self._counts(cache) == (0, 0, 0)
+        again = run.capture(cfg, cache=cache, verify=False)
+        assert self._counts(cache) == (1, 0, 0)
+        assert again is captured
+        assert again.trace is executions[0].trace  # one plan memo
+        assert len(executions) == 1 and checks == [1]
 
 
 # ----------------------------------------------------------------------
