@@ -13,6 +13,7 @@ resolves registry names or YAML spec files through
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from ..env import ENV_FUZZ_SEEDS, ENV_STORE_DIR, read_env, read_env_count
@@ -24,10 +25,11 @@ from .runner import EXPERIMENTS, SIMULATION_EXPERIMENTS, run_experiment
 
 
 def _job_timeout(value: str) -> float:
-    """``--job-timeout`` parser: a positive number of seconds."""
+    """``--job-timeout`` parser: a finite, positive number of seconds."""
     seconds = float(value)
-    if seconds <= 0:
-        raise argparse.ArgumentTypeError("job timeout must be > 0 seconds")
+    if not 0 < seconds < math.inf:  # also rejects nan
+        raise argparse.ArgumentTypeError(
+            "job timeout must be a finite number of seconds > 0")
     return seconds
 
 
@@ -41,12 +43,17 @@ def _workers(value: str) -> int | None:
     return count
 
 
-def _store_bytes(value: str) -> int:
-    """``--store-bytes`` parser: a byte count >= 0."""
-    count = int(value)
-    if count < 0:
-        raise argparse.ArgumentTypeError("store byte budget must be >= 0")
-    return count
+def _count(what: str, minimum: int):
+    """Parser for an integer option: ``what`` must be >= ``minimum``."""
+    def parse(value: str) -> int:
+        count = int(value)
+        if count < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be >= {minimum}")
+        return count
+
+    parse.__name__ = what  # argparse names it in "invalid ... value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,10 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
                              + ", ".join(sorted(EXPERIMENTS))
                              + ", 'all' to run every one, or 'fuzz' for "
                              "the seeded differential property sweep")
-    parser.add_argument("--seeds", type=int, default=None, metavar="N",
+    parser.add_argument("--seeds", type=_count("seed count", 0),
+                        default=None, metavar="N",
                         help="seed count for the 'fuzz' sweep (default: "
                              "$REPRO_FUZZ_SEEDS, else 25)")
-    parser.add_argument("--fuzz-size", type=int, default=40, metavar="N",
+    parser.add_argument("--fuzz-size", type=_count("fuzz size", 1),
+                        default=40, metavar="N",
                         help="generated chunks per fuzz program "
                              "(default 40)")
     parser.add_argument("--features", default="all", metavar="SPEC",
@@ -105,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace-store", default=None, metavar="DIR",
                         help="shared trace-store directory (default: "
                              "$REPRO_TRACE_STORE, else no disk store)")
-    parser.add_argument("--store-bytes", type=_store_bytes, default=None,
+    parser.add_argument("--store-bytes",
+                        type=_count("store byte budget", 0), default=None,
                         metavar="BYTES",
                         help="GC byte budget for the shared store (default: "
                              "$REPRO_TRACE_STORE_BYTES, else 256 MiB)")

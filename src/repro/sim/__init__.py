@@ -12,9 +12,10 @@ benchmark suite via the disk-backed, garbage-collected
 :class:`~repro.sim.trace_store.TraceStore` — and both sweep phases fan
 out over one shared worker pool via :mod:`repro.sim.parallel`:
 :class:`~repro.sim.parallel.SimPool` executes tagged capture/replay
-jobs inside a single ``workers=`` process budget,
-:func:`~repro.sim.parallel.run_pipeline` streams each capture's replays
-into the pool as its trace lands.
+jobs inside a single ``workers=`` process budget, and its one scheduling
+pass (:meth:`~repro.sim.parallel.SimPool.run`, which
+:func:`~repro.sim.parallel.run_pipeline` calls on a default pool)
+streams each capture's replays into the pool as its trace lands.
 
 Fault tolerance lives in :mod:`repro.sim.faults`: a seeded
 :class:`~repro.sim.faults.FaultPlan` deterministically injects worker

@@ -31,22 +31,27 @@ executor at all.  Whatever the knobs, the total number of live worker
 processes never exceeds the ``workers=`` budget, and rendered sweep
 output is byte-identical: only scheduling changes, never results.
 
-:meth:`SimPool.run` (reached through :func:`run_pipeline`) is the one
-scheduling loop: each operating point's replay jobs enter the pool *as
-soon as* its trace lands, so capture and replay overlap instead of
-running as strict serial phases.  Replay submissions are **chunked
-adaptively**: a capture whose key sits in the shared disk store ships no
-payload, so its replays can split across however many pool slots are
-currently idle — a busy pool gets one job (queueing more buys nothing),
-a draining pool gets enough chunks to refill.  Payload-shipping
-submissions (no shared disk) stay whole, since every extra chunk would
-re-pipe the pruned trace pickle.
+Every sweep goes through :meth:`SimPool.run` (:func:`run_pipeline` only
+supplies a default pool), one scheduling pass for every pool size.  It
+groups the capture tasks by trace key, so tasks sharing a key run one
+capture, and the replay entries by ``(capture, machine fingerprint)``,
+so two machine definitions with one timing identity replay once.  Keys
+whose captures stay in the parent are served there in one loop; each
+point's replay jobs enter the pool *as soon as* its trace lands, so
+capture and replay overlap instead of running as strict serial phases
+(with ``workers=1`` the replays run in the parent right away).  Replay
+submissions are **chunked adaptively**: a capture whose key sits in the
+shared disk store ships no payload, so its replays can split across
+however many pool slots are currently idle — a busy pool gets one job
+(queueing more buys nothing), a draining pool gets enough chunks to
+refill.  Payload-shipping submissions (no shared disk) stay whole,
+since every extra chunk would re-pipe the pruned trace pickle.
 
 Both phases are instrumented: every job (pooled or in-process) reports
-its wall-clock, aggregated per worker and per phase in
-:class:`PipelineStats` (:attr:`SimPool.pipeline_stats`), so benchmark
-tables can report capture/replay seconds per point — pipeline
-*efficiency*, not just cache hit counts.
+its wall-clock, summed per phase in :class:`PipelineStats`
+(:attr:`SimPool.pipeline_stats`), so benchmark tables can report
+capture/replay work seconds — pipeline *efficiency*, not just cache hit
+counts.
 
 Worker-side details shared by both job kinds:
 
@@ -82,7 +87,7 @@ Fault tolerance (the full ladder lives in ``docs/robustness.md``):
   before degrading in-process.
 * **Executor rebuild** — a broken executor is retired (not reused: a
   ``BrokenProcessPool`` poisons every later submission) and the next
-  submission builds a fresh one, up to ``max_rebuilds`` times; beyond
+  submission builds a fresh one, up to :data:`MAX_REBUILDS` times; beyond
   that the whole sweep degrades to serial in-process execution and
   still completes byte-identically.
 * **Poison-job quarantine** — a job that takes workers down twice runs
@@ -95,9 +100,10 @@ Fault tolerance (the full ladder lives in ``docs/robustness.md``):
 
 from __future__ import annotations
 
+import math
 import os
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                 ProcessPoolExecutor, wait)
 from dataclasses import dataclass, field
@@ -111,14 +117,10 @@ from .simulator import replay_trace
 from .trace_cache import TraceCache, TraceKey, disk_path
 
 #: Executor rebuilds allowed before a sweep degrades to serial.
-DEFAULT_MAX_REBUILDS = 3
+MAX_REBUILDS = 3
 
 #: A pipeline replay plan entry: ``(config, capture_index)``.
 PipelineReplay = tuple
-
-#: The parent's pid slot in per-worker stats: in-process work (serial
-#: paths, warm serves, fallbacks) is attributed to worker id 0.
-PARENT_WORKER = 0
 
 
 def autodetect_workers() -> int:
@@ -132,32 +134,29 @@ def autodetect_workers() -> int:
 
 
 # ----------------------------------------------------------------------
-# Pipeline statistics: per-phase wall-clock, aggregated per worker.
+# Pipeline statistics: per-phase wall-clock.
 # ----------------------------------------------------------------------
 @dataclass
 class PipelineStats:
     """Wall-clock instrumentation of one pool's capture/replay phases.
 
     ``*_points`` counts operating points served per phase (a replay job
-    covering three configs contributes three points), ``*_seconds``
-    sums the jobs' measured wall-clock, and ``per_worker`` breaks both
-    down by worker pid (:data:`PARENT_WORKER` is the parent process:
-    serial paths, warm cache serves, and fallback captures).  Seconds
-    are *work* seconds summed across workers — with N workers busy they
-    accrue up to N times faster than the pipeline's elapsed time, which
-    is exactly what makes ``capture_seconds / capture_points`` a
-    scheduling-independent per-point cost.
+    covering three configs contributes three points; tasks sharing a
+    trace key are one capture point), and ``*_seconds`` sums the jobs'
+    measured wall-clock.  Seconds are *work* seconds summed across
+    workers — with N workers busy they accrue up to N times faster than
+    the pipeline's elapsed time, which makes ``capture_seconds /
+    capture_points`` a scheduling-independent per-point cost.
     """
 
     capture_points: int = 0
     capture_seconds: float = 0.0
     replay_points: int = 0
     replay_seconds: float = 0.0
-    per_worker: dict = field(default_factory=dict)
     #: Structured fault/recovery counters (see FaultLog).
     faults: FaultLog = field(default_factory=FaultLog)
 
-    def note(self, tag: str, pid: int, points: int, seconds: float) -> None:
+    def note(self, tag: str, points: int, seconds: float) -> None:
         """Record one finished job of ``tag`` ('capture' | 'replay')."""
         if tag == "capture":
             self.capture_points += points
@@ -165,19 +164,6 @@ class PipelineStats:
         else:
             self.replay_points += points
             self.replay_seconds += seconds
-        slot = self.per_worker.setdefault(
-            pid, {"capture_points": 0, "capture_seconds": 0.0,
-                  "replay_points": 0, "replay_seconds": 0.0})
-        slot[f"{tag}_points"] += points
-        slot[f"{tag}_seconds"] += seconds
-
-    def seconds_per_point(self, tag: str) -> float:
-        """Mean per-point wall-clock for one phase (0.0 when unused)."""
-        points = self.capture_points if tag == "capture" \
-            else self.replay_points
-        seconds = self.capture_seconds if tag == "capture" \
-            else self.replay_seconds
-        return seconds / points if points else 0.0
 
 
 @dataclass
@@ -389,15 +375,16 @@ class SimPool:
                  capture_workers: int | None = 1,
                  cache: TraceCache | None = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 job_timeout: Optional[float] = None,
-                 max_rebuilds: int = DEFAULT_MAX_REBUILDS) -> None:
+                 job_timeout: Optional[float] = None) -> None:
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1 (or None to autodetect)")
         if capture_workers is not None and capture_workers < 1:
             raise ValueError(
                 "capture_workers must be >= 1 (or None to autodetect)")
-        if job_timeout is not None and job_timeout <= 0:
-            raise ValueError("job_timeout must be > 0 seconds (or None)")
+        if job_timeout is not None and not 0 < job_timeout < math.inf:
+            raise ValueError(
+                "job_timeout must be a finite number of seconds > 0 "
+                "(or None)")
         self.workers = autodetect_workers() if workers is None \
             else int(workers)
         split = autodetect_workers() if capture_workers is None \
@@ -412,11 +399,9 @@ class SimPool:
                            else FaultPlan.from_env())
         #: Per-job wall-clock deadline in seconds (None = no deadline).
         self.job_timeout = job_timeout
-        #: Executor rebuilds allowed before degrading to serial.
-        self.max_rebuilds = int(max_rebuilds)
         self._executor: Optional[ProcessPoolExecutor] = None
         self._worker_stats: dict[int, dict] = {}
-        #: Per-phase wall-clock, aggregated per worker.
+        #: Per-phase wall-clock.
         self.pipeline_stats = PipelineStats()
         #: Structured fault/recovery counters (alias of
         #: ``pipeline_stats.faults``).
@@ -441,10 +426,6 @@ class SimPool:
                 initargs=(disk_dir, self.fault_plan))
         return self._executor
 
-    def _pool_usable(self) -> bool:
-        """Can the pool still accept submissions (possibly rebuilding)?"""
-        return not self._serial_only
-
     def _retire_broken(self) -> None:
         """Retire a broken executor so the next submission rebuilds.
 
@@ -452,7 +433,7 @@ class SimPool:
         same executor, so it is moved to the zombie list (reclaimed at
         :meth:`shutdown` — tearing it down here could block mid-sweep)
         and the slot cleared for :meth:`_ensure_executor` to rebuild.
-        After ``max_rebuilds`` breaks the pool latches serial-only:
+        After :data:`MAX_REBUILDS` rebuilds the pool latches serial-only:
         every subsequent job runs in the parent and the sweep still
         completes byte-identically.
         """
@@ -462,7 +443,7 @@ class SimPool:
         self._zombies.append(executor)
         self._executor = None
         self._breaks += 1
-        if self._breaks > self.max_rebuilds:
+        if self._breaks > MAX_REBUILDS:
             if not self._serial_only:
                 self._serial_only = True
                 self.fault_log.serial_degradations += 1
@@ -495,7 +476,7 @@ class SimPool:
         caller then serves the job in-process.  On success the job
         lands in ``pending`` with its deadline armed.
         """
-        if not self._pool_usable():
+        if self._serial_only:
             return False
         try:
             executor = self._ensure_executor()
@@ -514,15 +495,12 @@ class SimPool:
     def _wait_done(self, pending: dict) -> tuple[set, set]:
         """Wait for completions; returns ``(done, expired)`` futures.
 
-        Without a ``job_timeout`` this is a plain FIRST_COMPLETED wait.
-        With one, the wait is bounded by the earliest pending deadline;
-        jobs still running past their deadline come back in ``expired``
-        — their workers may be hung, so the futures are abandoned (and
-        the processes terminated at :meth:`shutdown`), never joined.
+        A FIRST_COMPLETED wait, bounded by the earliest pending deadline
+        (unbounded without a ``job_timeout``); jobs still running past
+        their deadline come back in ``expired`` — their workers may be
+        hung, so the futures are abandoned (and the processes terminated
+        at :meth:`shutdown`), never joined.
         """
-        if self.job_timeout is None:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            return done, set()
         while True:
             deadlines = [job.deadline for job in pending.values()
                          if job.deadline is not None]
@@ -623,7 +601,7 @@ class SimPool:
         run = task.build()
         captured = run.capture(task.config, cache=self.cache,
                                verify=task.verify)
-        self.pipeline_stats.note("capture", PARENT_WORKER, points,
+        self.pipeline_stats.note("capture", points,
                                  time.perf_counter() - t0)
         return captured
 
@@ -631,8 +609,16 @@ class SimPool:
         self.fault_log.fallbacks += 1
         return self._capture_local(task, points=points)
 
+    def _replay_in_parent(self, job: _Job, results: list) -> None:
+        """Replay one job's configs in the parent, timed."""
+        t0 = time.perf_counter()
+        for idx, config in zip(job.indices, job.configs):
+            results[idx] = replay_trace(config, job.captured).timing
+        self.pipeline_stats.note("replay", len(job.indices),
+                                 time.perf_counter() - t0)
+
     def _replay_local(self, job: _Job, results: list) -> None:
-        """Replay one job's configs in the parent, timed.
+        """Replay one job in the parent as a recovery.
 
         The degradation path when the shared executor can no longer run
         the job (a worker died, timed out, or the whole pool broke):
@@ -641,11 +627,7 @@ class SimPool:
         call site is a recovery, never a scheduling choice.
         """
         self.fault_log.fallbacks += 1
-        t0 = time.perf_counter()
-        for idx, config in zip(job.indices, job.configs):
-            results[idx] = replay_trace(config, job.captured).timing
-        self.pipeline_stats.note("replay", PARENT_WORKER, len(job.indices),
-                                 time.perf_counter() - t0)
+        self._replay_in_parent(job, results)
 
     def _adaptive_chunks(self, n_configs: int, on_disk: bool,
                          queue_depth: int) -> int:
@@ -670,9 +652,10 @@ class SimPool:
                         results: list) -> None:
         """Queue one captured trace's replays onto the shared executor.
 
-        A pool that can no longer accept work (broken by an earlier
-        worker death) degrades each chunk to an in-process replay
-        instead of failing the sweep.
+        With ``workers=1`` the replays run in the parent right away: the
+        serial schedule, not a recovery.  A pool that can no longer
+        accept work (broken by an earlier worker death) degrades each
+        chunk to an in-process replay instead of failing the sweep.
         """
         if not configs:
             return
@@ -684,8 +667,10 @@ class SimPool:
             job = _Job(tag="replay", key=key, captured=captured,
                        configs=list(configs[start:start + size]),
                        indices=list(indices[start:start + size]))
-            if not self._submit_job(pending, job,
-                                    (key, payload, job.configs)):
+            if self.workers == 1:
+                self._replay_in_parent(job, results)
+            elif not self._submit_job(pending, job,
+                                      (key, payload, job.configs)):
                 self._replay_local(job, results)
 
     def _resubmit_replay(self, pending: dict, job: _Job,
@@ -743,7 +728,7 @@ class SimPool:
             if not self._resubmit_replay(pending, job, resend=True):
                 self._replay_local(job, results)
             return
-        self.pipeline_stats.note("replay", pid, len(job.indices), seconds)
+        self.pipeline_stats.note("replay", len(job.indices), seconds)
         for idx, report in zip(job.indices, reports):
             results[idx] = report
 
@@ -754,55 +739,53 @@ class SimPool:
             replays: Sequence[PipelineReplay]) -> list[TimingReport]:
         """Capture every task, replaying each point as its trace lands.
 
-        ``captures[i]`` names one distinct operating point;
-        ``replays[j] = (config, i)`` times capture ``i`` on ``config``.
-        Returns one report per replay entry **in replay order** —
-        byte-identical for any ``workers`` / ``capture_workers``
-        combination (both phases are deterministic; only scheduling
-        changes).
+        ``captures[i]`` names one operating point; ``replays[j] =
+        (config, i)`` times capture ``i`` on ``config``.  Returns one
+        report per replay entry **in replay order** — byte-identical
+        for any ``workers`` / ``capture_workers`` combination (both
+        phases are deterministic; only scheduling changes).
+
+        Tasks sharing a trace key collapse into one capture.  Replay
+        entries naming one capture on configs with equal
+        :func:`~repro.machine.registry.machine_fingerprint` values (e.g.
+        a builtin config and a YAML spec differing only in display
+        name) replay once and share the report object.  Capture keys
+        never involve the fingerprint — traces stay machine-independent.
         """
+        from ..machine.registry import machine_fingerprint
+
         captures = list(captures)
-        replays = list(replays)
+        # One result slot per distinct (capture, machine spec).
+        configs: list[SystemConfig] = []
         plans: list[list[int]] = [[] for _ in captures]
-        for ridx, (_config, cidx) in enumerate(replays):
-            plans[cidx].append(ridx)
-        results: list[Optional[TimingReport]] = [None] * len(replays)
+        slots: dict = {}
+        expand: list[int] = []
+        for config, cidx in replays:
+            ident = (cidx, machine_fingerprint(config))
+            if ident not in slots:
+                slots[ident] = len(configs)
+                plans[cidx].append(len(configs))
+                configs.append(config)
+            expand.append(slots[ident])
+        results: list[Optional[TimingReport]] = [None] * len(configs)
 
-        if self.workers == 1:
-            # Fully in-process: the serial baseline every pooled
-            # schedule must match byte-for-byte.
-            for cidx, task in enumerate(captures):
-                captured = self._capture_local(task)
-                if not plans[cidx]:
-                    continue
-                t0 = time.perf_counter()
-                for ridx in plans[cidx]:
-                    results[ridx] = replay_trace(replays[ridx][0],
-                                                 captured).timing
-                self.pipeline_stats.note("replay", PARENT_WORKER,
-                                         len(plans[cidx]),
-                                         time.perf_counter() - t0)
-            return results  # type: ignore[return-value]
-
-        # Classify captures: keys the cache can already serve are
-        # handled in the parent with ordinary hit accounting; cold keys
-        # go to the pool (or the parent, if the split says so).  Tasks
-        # sharing a trace key collapse into one capture whose result
-        # serves every aliased task's replays.
-        by_key: "OrderedDict[TraceKey, list[int]]" = OrderedDict()
+        by_key: dict[TraceKey, list[int]] = {}
         for cidx, task in enumerate(captures):
             by_key.setdefault(task.key(), []).append(cidx)
-        warm: list[tuple[TraceKey, list[int]]] = []
+        pooled_captures = self.capture_workers > 1 and len(captures) > 1
+        # Keys are classified only when captures go to the pool: a
+        # tag-and-CRC probe (no payload deserialization, no lookup
+        # counter; a checksum-failed entry is purged and counted as
+        # get() would) keeps warm keys in the parent.  Every parent-side
+        # key is served by capture(), whose cache lookup counts the hit
+        # or recaptures — one store read per key, as a serial sweep does.
+        parent: list[tuple[TraceKey, list[int]]] = []
         cold: "deque[tuple[TraceKey, list[int]]]" = deque()
         for key, cidxs in by_key.items():
-            # Tag-and-CRC probe (no payload deserialization, no lookup
-            # counter; a checksum-failed entry is purged and counted as
-            # get() would); the capture() below then counts the hit — or
-            # recaptures, if the probed entry's payload turns out
-            # unreadable — exactly as a serial sweep would.
-            (warm if self.cache.probe(key) else cold).append((key, cidxs))
-
-        pooled_captures = self.capture_workers > 1 and len(captures) > 1
+            if pooled_captures and not self.cache.probe(key):
+                cold.append((key, cidxs))
+            else:
+                parent.append((key, cidxs))
         pending: dict = {}
 
         def in_flight(tag: str) -> int:
@@ -814,8 +797,7 @@ class SimPool:
                 else self.workers
 
         def top_up_captures() -> None:
-            while (pooled_captures and cold
-                   and in_flight("capture") < capture_allowance()):
+            while cold and in_flight("capture") < capture_allowance():
                 key, cidxs = cold.popleft()
                 job = _Job(tag="capture", key=key, indices=list(cidxs))
                 if not self._submit_job(pending, job, (captures[cidxs[0]],)):
@@ -846,7 +828,7 @@ class SimPool:
         def capture_landed(job: _Job, outcome) -> None:
             pid, _wkey, payload, stats, seconds = outcome
             _merge_snapshot(self._worker_stats, pid, stats)
-            self.pipeline_stats.note("capture", pid, 1, seconds)
+            self.pipeline_stats.note("capture", 1, seconds)
             captured = self.cache.ingest_remote(job.key, payload)
             if captured is None:
                 # The store's GC evicted the entry (or a corrupt write
@@ -859,26 +841,19 @@ class SimPool:
 
         def submit_point(cidxs: list[int], key: TraceKey,
                          captured: ExecResult) -> None:
-            indices = [ridx for cidx in cidxs for ridx in plans[cidx]]
+            indices = [slot for cidx in cidxs for slot in plans[cidx]]
             self._submit_replays(pending, captured,
-                                 key, [replays[r][0] for r in indices],
+                                 key, [configs[i] for i in indices],
                                  indices, results)
 
         try:
-            # Cold keys enter the pool first, so the warm serving below
-            # overlaps with captures already in flight.
+            # Cold keys enter the pool first, so serving the parent's
+            # keys below overlaps with captures already in flight, and
+            # submitted replays drain in the pool behind it.
             top_up_captures()
-            for key, cidxs in warm:
+            for key, cidxs in parent:
                 submit_point(cidxs, key,
                              self._capture_local(captures[cidxs[0]]))
-            if not pooled_captures:
-                # capture_workers == 1: the capture phase stays in the
-                # parent while submitted replays drain in the pool
-                # behind it.
-                while cold:
-                    key, cidxs = cold.popleft()
-                    submit_point(cidxs, key,
-                                 self._capture_local(captures[cidxs[0]]))
             while pending:
                 done, expired = self._wait_done(pending)
                 for fut in (done or expired):
@@ -896,7 +871,7 @@ class SimPool:
                     top_up_captures()
         finally:
             self.shutdown()
-        return results  # type: ignore[return-value]
+        return [results[slot] for slot in expand]
 
     # ------------------------------------------------------------------
     @property
@@ -915,39 +890,13 @@ class SimPool:
 def run_pipeline(captures: Sequence[CaptureTask],
                  replays: Sequence[PipelineReplay],
                  pool: SimPool | None = None) -> list[TimingReport]:
-    """Cold-sweep pipeline over one shared :class:`SimPool`.
+    """Run one sweep's captures and replays through :meth:`SimPool.run`.
 
-    ``captures[i]`` names one distinct operating point;
-    ``replays[j] = (config, i)`` times capture ``i`` on ``config``.
-    Captures fan out over the pool's tagged jobs and each point's replay
-    tasks are submitted the moment its trace lands, so a sweep's replay
-    phase overlaps the remainder of its capture phase — all inside the
-    single ``workers=`` process budget.  Returns one report per replay
-    entry **in replay order**, byte-identical for any pool sizing.
-    Per-phase wall-clock lands in ``pool.pipeline_stats``.  Without a
-    ``pool`` the pipeline runs in-process on a private :class:`SimPool`
-    with its own in-memory cache.
-
-    Replays are deduplicated by **machine-spec identity**: two entries
-    naming the same capture and configs with equal
-    :func:`~repro.machine.registry.machine_fingerprint` values (e.g. a
-    builtin config and a YAML spec differing only in display name) run
-    once and share the report object.  Capture keys never involve the
-    fingerprint — traces stay machine-independent.
+    ``captures[i]`` names one operating point; ``replays[j] = (config,
+    i)`` times capture ``i`` on ``config``.  Returns one report per
+    replay entry **in replay order**, byte-identical for any pool
+    sizing; per-phase wall-clock lands in ``pool.pipeline_stats``.
+    Without a ``pool`` the sweep runs in-process on a private
+    :class:`SimPool` with its own in-memory cache.
     """
-    from ..machine.registry import machine_fingerprint
-
-    unique: dict = {}
-    order: list[PipelineReplay] = []
-    expand: list[int] = []
-    for config, cidx in replays:
-        key = (cidx, machine_fingerprint(config))
-        slot = unique.get(key)
-        if slot is None:
-            slot = unique[key] = len(order)
-            order.append((config, cidx))
-        expand.append(slot)
-    if pool is None:
-        pool = SimPool()
-    reports = pool.run(captures, order)
-    return [reports[i] for i in expand]
+    return (pool if pool is not None else SimPool()).run(captures, replays)

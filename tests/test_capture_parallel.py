@@ -168,8 +168,37 @@ class TestCapturePool:
         assert _timed([task, task], pool) == [_direct_timing(task)] * 2
         assert fresh.stats["disk_hits"] == 1
         assert fresh.stats["remote_puts"] == 0
-        assert pool.pipeline_stats.per_worker[
-            parallel_mod.PARENT_WORKER]["capture_points"] == 1
+        assert pool.pipeline_stats.capture_points == 1
+
+    def test_serial_warm_pipeline_reads_each_key_once(self, tmp_path,
+                                                       monkeypatch):
+        """A workers=1 rerun on a warm store serves every key from one
+        disk read: no probe ahead of the capture's own lookup, no
+        executor."""
+        tasks = [_task(lanes=4), _task(lanes=8), _task(lanes=4, k=32)]
+        expected = _timed(tasks, SimPool(
+            workers=1, cache=TraceStore(disk_dir=tmp_path)))
+        probes = []
+        original_probe = TraceCache.probe
+        monkeypatch.setattr(TraceCache, "probe", lambda self, key: (
+            probes.append(key), original_probe(self, key))[1])
+        _no_executor(monkeypatch, "workers=1 must not build a pool")
+        warm = TraceStore(disk_dir=tmp_path)
+        assert _timed(tasks, SimPool(workers=1, cache=warm)) == expected
+        assert probes == []
+        assert warm.stats["disk_hits"] == len(tasks)
+        assert warm.stats["misses"] == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_aliased_tasks_count_one_capture_point(self, workers):
+        """Tasks sharing a key are one capture point in every schedule."""
+        tasks = [_task(k=16), _task(k=16), _task(k=32)]
+        pool = SimPool(workers=workers, capture_workers=workers,
+                       cache=TraceCache())
+        assert _timed(tasks, pool) == [_direct_timing(t) for t in tasks]
+        assert pool.pipeline_stats.capture_points == 2
+        assert pool.cache.stats["misses"] + pool.cache.stats[
+            "remote_puts"] == 2
 
     def test_autodetect_and_validation(self):
         assert SimPool().capture_workers == 1  # the default stays serial

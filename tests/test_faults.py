@@ -28,6 +28,7 @@ from repro.sim import (CaptureTask, SimPool, TraceCache, TraceStore,
 from repro.sim.faults import (ENV_FAULT_PLAN, FaultLog, FaultPlan,
                               JobTimeout)
 from repro.sim.trace_cache import disk_path
+import repro.sim.parallel as parallel_mod
 
 from test_capture_parallel import SWEEPS
 
@@ -122,14 +123,15 @@ class TestPoolRecoveryLadder:
         assert pool.fault_log.retries + pool.fault_log.fallbacks >= 1
 
     def test_crashed_worker_rebuilds_pool_and_retry_succeeds(
-            self, tmp_path, tiny_serial):
+            self, tmp_path, tiny_serial, monkeypatch):
         """A worker crash breaks the whole executor; the pool retires
         it, rebuilds, and the once-retried jobs succeed (the crash only
         fires on each job's first attempt)."""
+        monkeypatch.setattr(parallel_mod, "MAX_REBUILDS", 10)
         plan = FaultPlan(seed=5, crash_rate=1.0, crash_attempts=1)
         pool = SimPool(workers=2, capture_workers=2,
                        cache=TraceStore(disk_dir=tmp_path),
-                       fault_plan=plan, max_rebuilds=10)
+                       fault_plan=plan)
         assert _tiny_pipeline(pool) == tiny_serial
         assert pool.fault_log.worker_crashes >= 1
         assert pool.fault_log.pool_rebuilds >= 1
@@ -137,36 +139,50 @@ class TestPoolRecoveryLadder:
         assert pool.fault_log.error_types  # classified, not just counted
 
     def test_poison_job_is_quarantined_in_process(self, tmp_path,
-                                                  tiny_serial):
+                                                  tiny_serial, monkeypatch):
         """A job that kills its worker on *every* attempt gets exactly
         one pooled retry, then runs in the parent with its key flagged."""
+        monkeypatch.setattr(parallel_mod, "MAX_REBUILDS", 50)
         plan = FaultPlan(seed=5, crash_rate=1.0)  # no attempt cap
         pool = SimPool(workers=2, capture_workers=2,
                        cache=TraceStore(disk_dir=tmp_path),
-                       fault_plan=plan, max_rebuilds=50)
+                       fault_plan=plan)
         assert _tiny_pipeline(pool) == tiny_serial
         assert pool.fault_log.quarantined >= 1
         assert pool.fault_log.quarantined_keys
         assert pool.fault_log.fallbacks >= 1
 
-    def test_rebuild_budget_exhaustion_degrades_to_serial(self, tmp_path,
-                                                          tiny_serial):
+    def test_rebuild_budget_exhaustion_degrades_to_serial(
+            self, tmp_path, tiny_serial, monkeypatch):
         """With no rebuilds allowed, the first break latches the pool
         serial-only — the sweep completes in-process, counted once."""
+        monkeypatch.setattr(parallel_mod, "MAX_REBUILDS", 0)
         plan = FaultPlan(seed=5, crash_rate=1.0)
         pool = SimPool(workers=2, capture_workers=2,
                        cache=TraceStore(disk_dir=tmp_path),
-                       fault_plan=plan, max_rebuilds=0)
+                       fault_plan=plan)
         assert _tiny_pipeline(pool) == tiny_serial
         assert pool.fault_log.serial_degradations == 1
         assert pool.fault_log.pool_rebuilds == 0
-        assert not pool._pool_usable()
+        assert pool._serial_only
 
     def test_job_timeout_validation(self):
-        with pytest.raises(ValueError):
-            SimPool(job_timeout=0)
-        with pytest.raises(ValueError):
-            SimPool(job_timeout=-1.5)
+        """A deadline must be a finite positive number: ``inf``
+        overflowed the executor wait, ``nan`` never expired."""
+        for seconds in (0, -1.5, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                SimPool(job_timeout=seconds)
+
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+    def test_cli_rejects_bad_job_timeout(self, value, capsys):
+        from repro.eval.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--scale", "reduced", "--workers", "2",
+                  "--job-timeout", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--job-timeout" in err and "Traceback" not in err
 
 
 class TestInterruptsPropagate:

@@ -364,6 +364,23 @@ class TestCli:
         assert "fuzz: 2 seeds x 2 machines" in out
         assert "all 2 seeds hold" in out
 
+    @pytest.mark.parametrize("argv", [["--seeds", "-3"],
+                                      ["--fuzz-size", "-2"],
+                                      ["--fuzz-size", "0"]])
+    def test_eval_fuzz_rejects_bad_counts(self, argv, capsys):
+        from repro.eval.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz"] + argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert argv[0] in err and "Traceback" not in err
+
+    def test_eval_fuzz_accepts_zero_seeds(self, capsys):
+        from repro.eval.__main__ import main
+
+        assert main(["fuzz", "--seeds", "0"]) == 0
+
     def test_eval_fuzz_honours_machine_flag(self, capsys):
         from repro.eval.__main__ import main
 

@@ -13,7 +13,7 @@ Pins the tentpole invariants of the shared capture/replay pool:
   (pure-function determinism), and results stay in replay order under
   any schedule.
 * **PipelineStats** — per-phase points/seconds aggregate correctly,
-  per worker, pooled or in-process.
+  pooled or in-process.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from repro.eval import (run_experiment, run_fig7, run_knob_sweep,
 from repro.eval.fig6_scaling import render_fig6, run_fig6
 from repro.eval.fuzz import run_fuzz
 from repro.params import Ara2Config, AraXLConfig
-from repro.sim import SimPool, TraceCache, TraceStore
-from repro.sim.parallel import PARENT_WORKER, PipelineStats
+from repro.sim import CaptureTask, SimPool, TraceCache, TraceStore
 import repro.sim.parallel as parallel_mod
 
 from test_capture_parallel import SWEEPS
@@ -209,7 +208,18 @@ class TestPipelineStats:
         assert self._counts(pool) == (4, 6)
         assert pool.pipeline_stats.capture_seconds > 0.0
         assert pool.pipeline_stats.replay_seconds > 0.0
-        assert set(pool.pipeline_stats.per_worker) == {PARENT_WORKER}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_replays_each_machine_identity_once(self, workers):
+        """Configs differing only in display name share one replay."""
+        task = CaptureTask.for_kernel("fdotproduct", AraXLConfig(lanes=8),
+                                      64)
+        alias = AraXLConfig(lanes=8, label="alias-8L")
+        pool = SimPool(workers=workers, cache=TraceCache())
+        reports = pool.run([task], [(task.config, 0), (alias, 0),
+                                    (AraXLConfig(lanes=8), 0)])
+        assert reports[0] is reports[1] is reports[2]
+        assert self._counts(pool) == (1, 1)
 
     def test_pooled_pipeline_counts_match_serial(self, tmp_path):
         pool = SimPool(workers=2, capture_workers=2,
@@ -217,38 +227,17 @@ class TestPipelineStats:
         _small_fig6(pool)
         assert self._counts(pool) == (4, 6)
 
-    def test_per_worker_breakdown_sums_to_totals(self, tmp_path):
-        pool = SimPool(workers=2, capture_workers=2,
-                       cache=TraceStore(disk_dir=tmp_path))
-        _small_fig6(pool)
-        ps = pool.pipeline_stats
-        for tag in ("capture", "replay"):
-            assert sum(w[f"{tag}_points"]
-                       for w in ps.per_worker.values()) \
-                == getattr(ps, f"{tag}_points")
-            assert sum(w[f"{tag}_seconds"]
-                       for w in ps.per_worker.values()) \
-                == pytest.approx(getattr(ps, f"{tag}_seconds"))
-
     def test_warm_pipeline_serves_captures_in_parent(self, tmp_path):
         store_dir = tmp_path / "warm"
         _small_fig6(SimPool(workers=1, cache=TraceStore(disk_dir=store_dir)))
         pool = SimPool(workers=2, capture_workers=2,
                        cache=TraceStore(disk_dir=store_dir))
         _small_fig6(pool)
-        ps = pool.pipeline_stats
-        # Warm keys never reach the workers' capture path.
-        parent = ps.per_worker[PARENT_WORKER]
-        assert parent["capture_points"] == ps.capture_points == 4
-
-    def test_seconds_per_point(self):
-        stats = PipelineStats()
-        assert stats.seconds_per_point("capture") == 0.0
-        stats.note("capture", 0, 2, 1.0)
-        stats.note("replay", 7, 4, 2.0)
-        assert stats.seconds_per_point("capture") == pytest.approx(0.5)
-        assert stats.seconds_per_point("replay") == pytest.approx(0.5)
-        assert stats.per_worker[7]["replay_points"] == 4
+        # Warm keys never reach the workers' capture path: the parent
+        # reads each of them from disk and adopts no worker capture.
+        assert pool.pipeline_stats.capture_points == 4
+        assert pool.cache.stats["disk_hits"] == 4
+        assert pool.cache.stats["remote_puts"] == 0
 
 
 # ----------------------------------------------------------------------
