@@ -226,7 +226,9 @@ def main(argv: list[str] | None = None) -> int:
               f"served: mem={stats['hits']} disk={stats['disk_hits']} "
               f"captures={stats['misses']} "
               f"remote_captures={stats['remote_puts']} "
-              f"corrupt_purged={stats['corrupt_purged']}")
+              f"corrupt_purged={stats['corrupt_purged']} "
+              f"plan_loads={stats['plan_loads']} "
+              f"plan_stale={stats['plan_stale']}")
     if args.store_stats and pool is not None:
         fl = pool.fault_log
         cache = pool.cache

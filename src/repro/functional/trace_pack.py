@@ -37,12 +37,24 @@ event object — the replay plan (:mod:`repro.timing.replay_plan`)
 compiles straight from the views — and :attr:`PackedTrace.events`
 builds the plain event list on first use for consumers that genuinely
 need objects (the reference replay loop, golden checks).
+
+A blob splits at a column boundary into its *head* (magic, header, the
+event tags and the scalar columns) and its *vector section* (the
+``w_*``/``v_*``/``m_*`` columns); :func:`split_blob` cuts it and the two
+parts concatenated are the blob.  The disk tier stores the parts as two
+zlib streams, and :func:`unpack_sections` wraps a head plus a still
+compressed vector section: counters and the scalar columns
+(:meth:`PackedTrace.column`) are there at once, and the vector section
+is inflated on the first read of :attr:`~PackedTrace.columns`,
+:attr:`~PackedTrace.events` or :attr:`~PackedTrace.blob` — a replay
+from a stored plan reads none of them.
 """
 
 from __future__ import annotations
 
 import pickle
 import struct
+import zlib
 from array import array
 from typing import Iterator
 
@@ -54,7 +66,7 @@ from .trace import (SCALAR_KINDS, MemAccess, ScalarEvent, VectorEvent,
                     VsetvlEvent)
 
 __all__ = ["PACK_VERSION", "PackedTrace", "TraceBuffers", "pack_trace",
-           "unpack_trace"]
+           "split_blob", "unpack_sections", "unpack_trace"]
 
 #: Version of the column layout inside the blob (independent of the
 #: envelope's ``DISK_FORMAT_VERSION``, which gates the file as a whole).
@@ -107,6 +119,11 @@ _COLUMNS = (
     ("m_ew", "u1", "v", False),
     ("m_pattern", "u1", "v", False),
 )
+
+
+#: First column of the vector section: the head holds every column
+#: before it (tags and scalar columns), the vector section the rest.
+_VECTOR_FIRST = "w_vl"
 
 
 def _align8(offset: int) -> int:
@@ -222,8 +239,10 @@ class TraceBuffers:
                     column[index] = np.frombuffer(getattr(self, name), dtype)
             columns[name] = column
         packed = PackedTrace.__new__(PackedTrace)
-        _fill(packed, None, program, columns, tuple(self.kinds),
-              counts["t"] - counts["v"], counts["v"], total_flops)
+        _fill(packed, None, program, columns, {
+            "kinds": tuple(self.kinds),
+            "scalar_count": counts["t"] - counts["v"],
+            "vector_count": counts["v"], "total_flops": total_flops})
         return packed
 
 
@@ -286,7 +305,37 @@ def unpack_trace(blob: bytes, program: Program) -> "PackedTrace":
     return PackedTrace(blob, program)
 
 
-def _parse_into(packed: "PackedTrace", blob, program: Program) -> None:
+def split_blob(blob) -> tuple[bytes, bytes]:
+    """``(head, vector section)`` of a blob, cut where its first vector
+    column starts; ``head + vector section`` is the blob."""
+    _, region, table, _ = _read_header(blob)
+    cut = region + table[_VECTOR_FIRST][1]
+    return bytes(blob[:cut]), bytes(blob[cut:])
+
+
+def unpack_sections(head: bytes, vector_z: bytes,
+                    program: Program) -> "PackedTrace":
+    """A :class:`PackedTrace` over a blob's head and its zlib-compressed
+    vector section (:func:`split_blob`), which stays compressed until
+    something reads the vector columns, the events or the blob.
+
+    Raises ``ValueError`` when ``head`` is not the head of a blob of
+    this layout version.
+    """
+    header, region, table, _ = _read_header(head)
+    if region + table[_VECTOR_FIRST][1] != len(head):
+        raise ValueError("packed-trace head does not end at the vector "
+                         "columns")
+    packed = PackedTrace.__new__(PackedTrace)
+    columns = _columns_of(head, region, table, head=True)
+    _fill(packed, None, program, columns, header)
+    packed._vector = (head, vector_z)
+    return packed
+
+
+def _read_header(blob) -> tuple[dict, int, dict, int]:
+    """``(header, column region offset, column table, column bytes)`` of
+    a blob whose header is whole (the columns may be missing)."""
     if bytes(blob[:4]) != MAGIC:
         raise ValueError("not a packed-trace blob (bad magic)")
     (header_len,) = struct.unpack_from("<I", blob, 4)
@@ -295,41 +344,51 @@ def _parse_into(packed: "PackedTrace", blob, program: Program) -> None:
     header = pickle.loads(bytes(blob[8:8 + header_len]))
     if not isinstance(header, dict) or header.get("pack") != PACK_VERSION:
         raise ValueError("unsupported packed-trace layout version")
-    region = _align8(8 + header_len)
     raw_counts = header.get("counts")
     if (not isinstance(raw_counts, tuple) or len(raw_counts) != 4
             or any((not isinstance(c, int)) or c < 0 for c in raw_counts)):
         raise ValueError("packed-trace header has malformed counts")
-    counts = dict(zip("tswv", raw_counts))
-    table, total = _layout(counts)
-    if region + total > len(blob):
-        raise ValueError("packed-trace columns overrun the blob")
+    table, total = _layout(dict(zip("tswv", raw_counts)))
+    return header, _align8(8 + header_len), table, total
+
+
+def _columns_of(blob, region: int, table: dict,
+                head: bool = False) -> dict:
+    """Column views over ``blob`` (only the head's columns when
+    ``head``), delta-coded columns decoded."""
     columns: dict[str, np.ndarray] = {}
     for name, _, _, delta in _COLUMNS:
+        if head and name == _VECTOR_FIRST:
+            break
         dt, off, count = table[name]
         arr = np.frombuffer(blob, dtype=dt, count=count,
                             offset=region + off)
         if delta and count > 1:
             arr = _delta_decode(arr)
         columns[name] = arr
-    _fill(packed, blob, program, columns, header["kinds"],
-          int(header["scalar_count"]), int(header["vector_count"]),
-          header["total_flops"])
+    return columns
+
+
+def _parse_into(packed: "PackedTrace", blob, program: Program) -> None:
+    header, region, table, total = _read_header(blob)
+    if region + total > len(blob):
+        raise ValueError("packed-trace columns overrun the blob")
+    _fill(packed, blob, program, _columns_of(blob, region, table), header)
 
 
 def _fill(packed: "PackedTrace", blob, program: Program, columns: dict,
-          kinds: tuple, scalar_count: int, vector_count: int,
-          total_flops: float) -> None:
-    """Set every slot of ``packed`` (``blob`` may be ``None``: built on
-    first use)."""
+          header: dict) -> None:
+    """Set every slot of ``packed`` from its columns and blob header
+    (``blob`` may be ``None``: built on first use)."""
     packed._blob = blob
+    packed._vector = None
     packed.program = program
     packed.n_events = len(columns["tags"])
-    packed.scalar_count = scalar_count
-    packed.vector_count = vector_count
-    packed.total_flops = total_flops
-    packed.kinds = kinds
-    packed.columns = columns
+    packed.scalar_count = int(header["scalar_count"])
+    packed.vector_count = int(header["vector_count"])
+    packed.total_flops = header["total_flops"]
+    packed.kinds = header["kinds"]
+    packed._columns = columns
     packed._events = None
     packed._plan = None
 
@@ -342,11 +401,14 @@ class PackedTrace:
     buffers, or views over the blob bytes — until someone genuinely
     needs event objects.  ``_plan`` caches the timing engine's compiled
     replay plan, so the decode survives across the many machine models
-    one capture is replayed against.
+    one capture is replayed against.  ``_vector`` holds ``(head,
+    compressed vector section)`` of a trace read from the disk tier
+    until the vector columns are first needed (:meth:`column` reads a
+    head column without them).
     """
 
-    __slots__ = ("_blob", "program", "n_events", "scalar_count",
-                 "vector_count", "total_flops", "kinds", "columns",
+    __slots__ = ("_blob", "_vector", "program", "n_events", "scalar_count",
+                 "vector_count", "total_flops", "kinds", "_columns",
                  "_events", "_plan")
 
     def __init__(self, blob: bytes, program: Program) -> None:
@@ -371,6 +433,26 @@ class PackedTrace:
         return (e for e in self.events if isinstance(e, VectorEvent))
 
     @property
+    def columns(self) -> dict:
+        """Every column by name (inflates a compressed vector section)."""
+        if self._vector is not None:
+            self._inflate()
+        return self._columns
+
+    def column(self, name: str) -> np.ndarray:
+        """One column; a head column never inflates the vector section."""
+        column = self._columns.get(name)
+        return column if column is not None else self.columns[name]
+
+    def _inflate(self) -> None:
+        """Decompress the vector section and view every column over the
+        whole blob; the compiled plan stays."""
+        head, vector_z = self._vector
+        plan = self._plan
+        _parse_into(self, head + zlib.decompress(vector_z), self.program)
+        self._plan = plan
+
+    @property
     def events(self) -> list:
         """Materialized event objects (built on first access, cached)."""
         events = self._events
@@ -381,6 +463,8 @@ class PackedTrace:
     @property
     def blob(self) -> bytes:
         """The packed blob (serialized from the columns on first use)."""
+        if self._vector is not None:
+            self._inflate()
         blob = self._blob
         if blob is None:
             blob = self._blob = pack_trace(self)

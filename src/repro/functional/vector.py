@@ -44,7 +44,7 @@ from .memory import FunctionalMemory
 from .plan import (InstrPlan, OP1_F, OP1_I, OP1_V, OP1_X, plan_for_instr)
 from .state import ArchState, fp_dtype, int_dtype
 from .trace import MemAccess, VectorEvent
-from .vector_ops import mask as maskops, permute
+from .vector_ops import fp, mask as maskops, permute
 
 
 _UNIT_DTYPES = {1: np.dtype("u1"), 2: np.dtype("u2"),
@@ -523,7 +523,10 @@ class VectorUnit:
         elif mode != OP1_F:
             raise ExecutionError(f"cannot fetch op1 for format {p.spec.fmt}")
         vs2 = group(p.vs2, lmul, dtype)
-        write = self._writer(p.vd, vd, p.masked)
+        if not p.masked:
+            return self._fma_in_place(p, dtype, vd,
+                                      vs1 if mode == OP1_V else None, vs2)
+        write = self._writer(p.vd, vd, True)
         fn = p.aux
         if mode == OP1_V:
             def run(p, vl, sew, lmul, write=write, fn=fn, vd=vd, vs1=vs1,
@@ -535,6 +538,46 @@ class VectorUnit:
             def run(p, vl, sew, lmul, write=write, fn=fn, vd=vd, scalar=scalar,
                     fregs=fregs, frs1=frs1, vs2=vs2):
                 write(vl, fn(vd[:vl], scalar(fregs[frs1]), vs2[:vl]))
+        return run
+
+    def _fma_in_place(self, p, dtype, vd, vs1, vs2):
+        """Unmasked FMA run: the :data:`~repro.functional.vector_ops.fp
+        .FMA_IN_PLACE` steps of ``p``'s function, the product into a
+        per-binding VLMAX scratch and the result straight into vd
+        (``vs1`` is None for a scalar op1).  A write to v0 bumps
+        ``v0_writes`` like any other."""
+        on_vd, negate, combine = fp.FMA_IN_PLACE[p.base]
+        prod = np.empty(vd.size, dtype)
+        vfile = self.state.v
+        bump = p.vd == 0
+        if vs1 is not None:
+            def run(p, vl, sew, lmul, vd=vd, vs1=vs1, vs2=vs2, prod=prod,
+                    on_vd=on_vd, negate=negate, combine=combine,
+                    vfile=vfile, bump=bump):
+                d = vd[:vl]
+                t = prod[:vl]
+                b = vs2[:vl]
+                np.multiply(vs1[:vl], d if on_vd else b, out=t)
+                if negate:
+                    np.negative(t, out=t)
+                combine(t, b if on_vd else d, out=d)
+                if bump:
+                    vfile.v0_writes += 1
+        else:
+            fregs, frs1, scalar = self._fregs, p.frs1, dtype.type
+
+            def run(p, vl, sew, lmul, vd=vd, scalar=scalar, fregs=fregs,
+                    frs1=frs1, vs2=vs2, prod=prod, on_vd=on_vd,
+                    negate=negate, combine=combine, vfile=vfile, bump=bump):
+                d = vd[:vl]
+                t = prod[:vl]
+                b = vs2[:vl]
+                np.multiply(scalar(fregs[frs1]), d if on_vd else b, out=t)
+                if negate:
+                    np.negative(t, out=t)
+                combine(t, b if on_vd else d, out=d)
+                if bump:
+                    vfile.v0_writes += 1
         return run
 
     def _bind_fp_bin(self, p, sew, lmul):

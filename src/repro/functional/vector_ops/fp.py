@@ -89,6 +89,22 @@ FMA: dict[str, Callable] = {
     "vfwmacc": lambda vd, a, b: a * b + vd,  # operands pre-widened
 }
 
+#: The single-width :data:`FMA` functions as in-place steps ``(product
+#: takes vd, negate the product, combine)``: ``t = a * (vd if product
+#: takes vd else b)``, ``t = -t`` when negating, then ``vd = combine(t,
+#: b if product takes vd else vd)`` — the same operations on the same
+#: operands in the same order, written into vd without temporaries.
+FMA_IN_PLACE: dict[str, tuple] = {
+    "vfmacc": (False, False, np.add),
+    "vfnmacc": (False, True, np.subtract),
+    "vfmsac": (False, False, np.subtract),
+    "vfnmsac": (False, True, np.add),
+    "vfmadd": (True, False, np.add),
+    "vfmsub": (True, False, np.subtract),
+    "vfnmadd": (True, True, np.subtract),
+    "vfnmsub": (True, True, np.add),
+}
+
 #: Widening FP binary ops (operands pre-widened to 2*SEW by the engine).
 WIDENING: dict[str, Callable] = {
     "vfwadd": np.add,

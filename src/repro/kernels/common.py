@@ -181,9 +181,13 @@ class KernelRun:
         captured = sim.capture(self.program)
         if verify:
             self.check(sim)
-        if cache is not None:
-            return cache.put(key, captured)
-        return captured
+        if cache is None:
+            return captured
+        # The cache keeps the replay-only entry: let the memory image go
+        # before the put compiles and packs it.
+        del sim
+        captured.extra.clear()
+        return cache.put(key, captured)
 
     def run(self, config: SystemConfig, verify: bool = True) -> RunResult:
         """Execute end to end at one operating point on a fresh

@@ -33,16 +33,29 @@ Disk entries are written for *concurrent* readers and writers sharing one
   the disk, and pickling drops decoded plan caches (which hold
   lambdas).  Every entry, fresh or disk-rehydrated, is replay-only and
   safe to ship across process boundaries.
-* **Columnar trace payload (v7)** — the payload is a small dict of
-  ``ExecResult`` fields in which the trace travels as a packed
+* **Sectioned payload (v8)** — an entry is five zlib-compressed
+  sections: ``payload``, a small dict of the other ``ExecResult``
+  fields; ``vrf``, the bytes of the final vector register file, which
+  the state inflates on first use (:meth:`~repro.functional.state
+  .VectorRegFile.attach_bytes`); ``scalar`` and ``vector``, the packed
   struct-of-arrays blob (:func:`repro.functional.trace_pack
-  .pack_trace`) rather than a per-event object pickle.  Rehydration
-  wraps the blob as a lazy :class:`~repro.functional.trace_pack
-  .PackedTrace` — column views via ``np.frombuffer``, no per-event
-  heap objects — which the timing engine's vectorized replay consumes
-  directly.  Every record the executor retires has a row (a vector
-  memory base is an unsigned 64-bit column), so the columns are the
-  whole trace.
+  .pack_trace`) cut at its first vector column (:func:`~repro
+  .functional.trace_pack.split_blob`: concatenated, they are the blob
+  byte for byte); and ``plan``, the trace's compiled
+  :class:`~repro.timing.replay_plan.ReplayPlan` (:meth:`~repro.timing
+  .replay_plan.ReplayPlan.section`) behind the 32-byte
+  :func:`~repro.timing.replay_plan.compiler_digest` of the compiler
+  that wrote it.  A read decompresses the payload, the scalar section
+  and the plan, nothing else: the trace is a lazy
+  :class:`~repro.functional.trace_pack.PackedTrace` whose vector
+  section stays compressed until something reads its vector columns,
+  events or blob, and its plan is loaded, never compiled
+  (``plan_loads``).  A plan whose digest is not this process's
+  compiler's is *stale*: the read still serves the trace, which
+  compiles afresh from its inflated columns on first replay
+  (``plan_stale``) — not a miss, not corruption.  :meth:`put` compiles
+  the plan for the section when the trace has none and leaves it on
+  the trace, so the replay that follows a put compiles nothing.
 * **Atomic writes** — each entry is pickled to a ``tempfile`` inside
   ``disk_dir`` and moved into place with :func:`os.replace`, so a
   concurrent reader sees either the old complete file or the new
@@ -50,23 +63,23 @@ Disk entries are written for *concurrent* readers and writers sharing one
   writer leaves at worst an orphaned ``*.tmp``.
 * **Versioned envelope** — the pickle is a dict
   ``{"format": DISK_FORMAT_VERSION, "schema": <ExecResult field names>,
-  "crc32": <payload checksum>, "payload": <the pruned ExecResult,
-  pickled then zlib-compressed>}``.  Keys beyond these are ignored, so
-  entries an older revision wrote with a ``hits_served`` field still
-  serve.  A stale file from an older code revision (wrong version,
-  drifted ``ExecResult`` fields, or a pre-envelope bare pickle) is
-  treated as a plain miss — the caller recaptures and the subsequent
-  :meth:`TraceCache.put` overwrites the stale file in place.  Nesting
-  the payload as bytes lets envelope *validation* (:meth:`TraceCache
-  .probe`, the store GC's stale purge) check the tags without
-  deserializing — or decompressing — the trace itself.
-* **Payload checksum** — ``crc32`` covers the compressed payload bytes
-  and is verified on every disk read and :meth:`TraceCache.probe`.  A
-  mismatch or a missing checksum means the bytes on disk are not what
-  the writer produced (bit rot, a partial foreign write, injected
-  corruption); the entry is unlinked and counted in ``corrupt_purged``
-  rather than left to shadow the budget, and the caller sees a plain
-  miss.
+  "crc32": <checksum of every section>, "payload": ..., "vrf": ...,
+  "scalar": ..., "vector": ..., "plan": ...}``.  Keys beyond these are
+  ignored, so entries an older revision wrote with a ``hits_served``
+  field still serve.  A stale file from an older code revision (wrong
+  version, drifted ``ExecResult`` fields, or a pre-envelope bare
+  pickle) is treated as a plain miss — the caller recaptures and the
+  subsequent :meth:`TraceCache.put` overwrites the stale file in
+  place.  Nesting the sections as bytes lets envelope *validation*
+  (:meth:`TraceCache.probe`, the store GC's stale purge) check the tags
+  without deserializing — or decompressing — the trace itself.
+* **Payload checksum** — ``crc32`` covers the compressed bytes of all
+  five sections, in order, and is verified on every disk read and
+  :meth:`TraceCache.probe`.  A mismatch or a missing checksum means the
+  bytes on disk are not what the writer produced (bit rot, a partial
+  foreign write, injected corruption); the entry is unlinked and
+  counted in ``corrupt_purged`` rather than left to shadow the budget,
+  and the caller sees a plain miss.
 * **Write-failure degradation** — a ``put`` whose disk write raises
   ``ENOSPC`` flips the cache to memory-only (one-shot
   ``RuntimeWarning``; later puts skip the disk layer entirely); any
@@ -94,7 +107,9 @@ the true in-memory rate ``hits / (hits + disk_hits + misses)``.  Each
 .ingest_remote` — captures paid by a worker process of a
 :class:`~repro.sim.parallel.SimPool` rather than by this process —
 so warm disk hits served by an *earlier* run stay distinguishable from
-captures this very sweep fanned out.
+captures this very sweep fanned out.  Of the disk reads (both kinds),
+``plan_loads`` counts those that took their replay plan from the plan
+section and ``plan_stale`` those whose section another compiler wrote.
 
 Shared store layout and lifecycle
 ---------------------------------
@@ -113,6 +128,7 @@ variables, and the suite default ``benchmarks/out/trace_cache``.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import errno
 import hashlib
@@ -126,9 +142,11 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Optional
 
+from ..errors import TimingError
 from ..functional.executor import ExecResult
-from ..functional.trace_pack import unpack_trace
+from ..functional.trace_pack import split_blob, unpack_sections
 from ..isa.program import Program
+from ..timing.replay_plan import ReplayPlan, compiler_digest
 from .faults import FaultPlan
 
 TraceKey = tuple
@@ -154,14 +172,23 @@ DEFAULT_CAPACITY = 32
 #: stale miss that the store GC purges.  v7: the blob's ``m_base``
 #: column is unsigned and its header lost the per-event side map; a v6
 #: blob would fail the layout check and be purged as *corrupt*, so the
-#: bump makes it a stale miss instead.
-DISK_FORMAT_VERSION = 7
+#: bump makes it a stale miss instead.  v8: the payload splits into
+#: five sections — the other fields, the register file's bytes, the
+#: blob's head and vector columns as two zlib streams, and the compiled
+#: replay plan behind its compiler digest — under one CRC over all of
+#: them; a v7 file has no sections, so the bump makes it a stale miss
+#: that the GC purges.
+DISK_FORMAT_VERSION = 8
 
 #: zlib level for the payload bytes.  The default (6) already reaches
 #: within a few percent of level 9 on trace pickles at a fraction of the
 #: CPU; level 1 would halve the ratio for little time saved relative to
 #: the pickling itself.
 COMPRESS_LEVEL = 6
+
+
+#: Envelope sections, in checksum order.
+SECTIONS = ("payload", "vrf", "scalar", "vector", "plan")
 
 
 def trace_key(program: Program, vlen_bits: int, setup_id: str) -> TraceKey:
@@ -180,7 +207,7 @@ def _disk_payload(er: ExecResult) -> ExecResult:
     (large, and only needed by golden checks, which run at capture
     time).  This is the one entry form of both tiers: :meth:`TraceCache
     .put` keeps it in memory, so pool workers ship it over pipes as
-    is, and the disk tier packs it further via :func:`_pack_payload`.
+    is, and the disk tier packs it further via :func:`_pack_sections`.
     Decoded plan caches (which hold lambdas) are excluded by
     ``Program`` / ``Instruction.__getstate__`` without touching the
     live objects."""
@@ -188,12 +215,43 @@ def _disk_payload(er: ExecResult) -> ExecResult:
                       program=er.program, halted=er.halted, extra={})
 
 
-def _pack_payload(er: ExecResult) -> dict:
-    """Disk payload: pruned ``ExecResult`` fields with the trace as its
-    columnar blob (a capture serializes its columns once)."""
-    return {"state": er.state, "program": er.program,
-            "retired": er.retired, "halted": er.halted,
-            "trace_blob": bytes(er.trace.blob)}
+def _pack_sections(er: ExecResult) -> tuple:
+    """The five envelope sections of a replay-only entry, in
+    :data:`SECTIONS` order, each compressed.
+
+    Compiles the trace's replay plan when it has none and leaves it on
+    the trace.  A trace the compiler rejects gets an empty plan section
+    (its replay raises as it would have).
+    """
+    trace = er.trace
+    state = copy.copy(er.state)
+    state.v, vrf = er.state.v.detach_bytes(COMPRESS_LEVEL)
+    fields = {"state": state, "program": er.program,
+              "retired": er.retired, "halted": er.halted}
+    head, vector = split_blob(trace.blob)
+    plan = b""
+    try:
+        compiled = trace._plan
+        if compiled is None:
+            compiled = trace._plan = ReplayPlan.from_trace(trace)
+    except TimingError:
+        pass
+    else:
+        plan = compiler_digest() + _compress(compiled.section())
+    return (_compress(fields), vrf, zlib.compress(head, COMPRESS_LEVEL),
+            zlib.compress(vector, COMPRESS_LEVEL), plan)
+
+
+def _compress(obj) -> bytes:
+    return zlib.compress(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL),
+                         COMPRESS_LEVEL)
+
+
+def _checksum(parts) -> int:
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return crc & 0xFFFFFFFF
 
 
 def _payload_schema() -> tuple:
@@ -207,7 +265,7 @@ def _validate_envelope(obj: object) -> bool:
     return (isinstance(obj, dict)
             and obj.get("format") == DISK_FORMAT_VERSION
             and obj.get("schema") == _payload_schema()
-            and isinstance(obj.get("payload"), bytes))
+            and all(isinstance(obj.get(name), bytes) for name in SECTIONS))
 
 
 def _read_envelope(path: Path) -> object:
@@ -257,25 +315,26 @@ def _write_envelope(path: Path, envelope: dict,
 
 
 def _crc_ok(obj: dict) -> bool:
-    """Payload bytes match the envelope's checksum (absent = corrupt).
+    """Section bytes match the envelope's checksum (absent = corrupt).
 
     Cheap relative to decompression — a CRC32 pass over compressed
     bytes — so reads and probes can verify integrity without paying
     for a decode attempt on garbage.
     """
     crc = obj.get("crc32")
-    return crc is not None and crc == (zlib.crc32(obj["payload"])
-                                       & 0xFFFFFFFF)
+    return crc is not None and crc == _checksum(obj[name]
+                                                for name in SECTIONS)
 
 
-def _unwrap_envelope(obj: dict) -> Optional[ExecResult]:
-    """Payload of a validated disk envelope, or None when it does not
-    decode.
+def _unwrap_envelope(obj: dict) -> Optional[tuple[ExecResult, bool]]:
+    """``(entry, plan section stale)`` of a validated disk envelope, or
+    None when it does not decode.
 
-    Rehydrates the field dict into a replay-only ``ExecResult``
-    whose trace is a lazy :class:`~repro.functional.trace_pack
-    .PackedTrace` over the payload's columnar blob — no per-event
-    objects are built here.
+    Rehydrates the field dict into a replay-only ``ExecResult`` whose
+    trace is a lazy :class:`~repro.functional.trace_pack.PackedTrace`
+    over the scalar section, its vector section still compressed, and
+    whose plan comes from a current plan section — no per-event objects
+    and no vector column are built here.
     """
     try:
         payload = pickle.loads(zlib.decompress(obj["payload"]))
@@ -285,11 +344,19 @@ def _unwrap_envelope(obj: dict) -> Optional[ExecResult]:
     if not isinstance(payload, dict):
         return None  # foreign checksummed object: a miss
     try:
-        trace = unpack_trace(payload["trace_blob"], payload["program"])
+        payload["state"].v.attach_bytes(obj["vrf"])
+        trace = unpack_sections(zlib.decompress(obj["scalar"]),
+                                obj["vector"], payload["program"])
+        plan = obj["plan"]
+        digest = compiler_digest()
+        stale = bool(plan) and not plan.startswith(digest)
+        if plan and not stale:
+            trace._plan = ReplayPlan.from_section(
+                pickle.loads(zlib.decompress(plan[len(digest):])), trace)
         return ExecResult(state=payload["state"], trace=trace,
                           retired=payload["retired"],
                           program=payload["program"],
-                          halted=payload["halted"], extra={})
+                          halted=payload["halted"], extra={}), stale
     # repro-lint: disable=RL201  a foreign checksummed dict can carry an
     # arbitrarily malformed blob; any parse failure is just a miss
     except Exception:
@@ -328,6 +395,11 @@ class TraceCache:
         self.put_errors = 0
         #: Set once ``ENOSPC`` demoted this cache to memory-only.
         self.memory_only = False
+        #: Disk reads whose replay plan came from the plan section.
+        self.plan_loads = 0
+        #: Disk reads whose plan section another compiler wrote (the
+        #: trace compiles afresh on replay).
+        self.plan_stale = 0
         self._write_counts: dict[str, int] = {}  # fault-roll attempt nos
 
     def _now(self) -> float:
@@ -372,13 +444,18 @@ class TraceCache:
             return None  # unreadable/foreign file: fall through to a miss
         if not _validate_envelope(obj):
             return None  # stale tags (old format/schema): a plain miss
-        entry = _unwrap_envelope(obj) if _crc_ok(obj) else None
-        if entry is None:
+        unwrapped = _unwrap_envelope(obj) if _crc_ok(obj) else None
+        if unwrapped is None:
             # Tags are current but the payload is not what the writer
             # produced: purge it so the broken bytes can't shadow the
             # store budget or fail again on the next read.
             self._purge_corrupt(path)
             return None
+        entry, stale = unwrapped
+        if stale:
+            self.plan_stale += 1
+        elif entry.trace._plan is not None:
+            self.plan_loads += 1
         # Freshen the mtime so the store GC's eviction order is an LRU
         # over use, not a FIFO over writes.
         stamp = self._now()
@@ -399,7 +476,8 @@ class TraceCache:
     def put(self, key: TraceKey, captured: ExecResult) -> ExecResult:
         """Store the replay-only form of ``captured`` in both tiers and
         return it: the memory tier never pins the capture's memory
-        image."""
+        image.  A disk write compiles the trace's replay plan for the
+        plan section and leaves it on the trace."""
         entry = _disk_payload(captured)
         self._remember(key, entry)
         path = self._disk_path(key)
@@ -445,27 +523,30 @@ class TraceCache:
     def _write_disk(self, path: Path, captured: ExecResult) -> None:
         """Atomically (re)write one disk entry.
 
-        The payload checksum is computed over the exact compressed bytes handed to the envelope; an active
+        The checksum is computed over the exact compressed section
+        bytes handed to the envelope; an active
         :class:`~repro.sim.faults.FaultPlan` may then corrupt those
-        bytes or veto the write with an ``OSError``, deliberately
-        *after* the checksum, so injected corruption is exactly what
-        the read-side CRC check catches.
+        bytes (the sections joined, so a flip lands in whichever
+        section holds the middle byte) or veto the write with an
+        ``OSError``, deliberately *after* the checksum, so injected
+        corruption is exactly what the read-side CRC check catches.
         """
-        payload = zlib.compress(
-            pickle.dumps(_pack_payload(captured),
-                         protocol=pickle.HIGHEST_PROTOCOL),
-            COMPRESS_LEVEL)
+        parts = _pack_sections(captured)
         envelope = {"format": DISK_FORMAT_VERSION,
                     "schema": _payload_schema(),
-                    "crc32": zlib.crc32(payload) & 0xFFFFFFFF,
-                    "payload": payload}
+                    "crc32": _checksum(parts)}
+        envelope.update(zip(SECTIONS, parts))
         plan = self.fault_plan
         if plan is not None:
             token = path.name
             attempt = self._write_counts.get(token, 0)
             self._write_counts[token] = attempt + 1
             plan.check_write(token, attempt)
-            envelope["payload"] = plan.corrupted(token, attempt, payload)
+            joined = plan.corrupted(token, attempt, b"".join(parts))
+            at = 0
+            for name, part in zip(SECTIONS, parts):
+                envelope[name] = joined[at:at + len(part)]
+                at += len(part)
         _write_envelope(path, envelope, clock=self.clock)
 
     def ingest_remote(self, key: TraceKey,
@@ -556,4 +637,6 @@ class TraceCache:
             "io_retries": self.io_retries,
             "put_errors": self.put_errors,
             "memory_only": self.memory_only,
+            "plan_loads": self.plan_loads,
+            "plan_stale": self.plan_stale,
         }

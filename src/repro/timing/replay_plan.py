@@ -70,10 +70,24 @@ columns as they are.  From there:
   per-machine bundle remembers the finished
   :class:`~repro.timing.report.TimingReport` and lets its table go;
   replay-many of one trace against one model is a dict hit plus a
-  defensive copy.
+  defensive copy;
+* **stored plans** — everything above the per-machine step is a pure
+  function of the trace, so :meth:`ReplayPlan.section` exports it (the
+  class table and per-class arrays as they are, ``row_class`` and
+  ``seg_end`` as narrow columns, the latter delta-coded, and the
+  superblock structures of :func:`repro.timing.superblock.bodies`) and
+  :meth:`ReplayPlan.from_section` rebuilds an equal plan from it plus
+  the trace's scalar columns, without reading a vector column.  The
+  disk tier (:mod:`repro.sim.trace_cache`) stores the section beside
+  the trace, keyed by :func:`compiler_digest`, so a warm replay never
+  compiles.
 """
 
 from __future__ import annotations
+
+import hashlib
+import importlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,7 +100,7 @@ from . import superblock
 from .frontend import ScalarFrontend
 from .stream import batch_stream_params
 
-__all__ = ["CLASS_FIELDS", "ReplayPlan"]
+__all__ = ["CLASS_FIELDS", "ReplayPlan", "compiler_digest"]
 
 #: Row kinds in the fused issue stream.
 ROW_VSETVL, ROW_VECTOR, ROW_REDUCTION = 0, 1, 2
@@ -118,6 +132,43 @@ _VSETVL_ENTRY = (ROW_VSETVL, 0, 1, (), -1, False, -1, 0, 1.0, False,
 #: Vector-event columns a class's first row is read from.
 _REP_COLUMNS = ("v_instr", "v_vl", "v_sew", "v_lmul", "v_slide", "v_flags",
                 "m_base", "m_stride", "m_count", "m_ew", "m_pattern")
+
+
+#: Modules whose source a compiled plan depends on: the compiler, the
+#: decode it reuses, the superblock scan and structures, and the
+#: instruction and event definitions the decode reads.
+_COMPILER_MODULES = ("repro.timing.replay_plan", "repro.timing.engine",
+                     "repro.timing.superblock", "repro.isa.instructions",
+                     "repro.functional.trace")
+
+#: Plan slots a :meth:`ReplayPlan.section` carries as they are.
+_SECTION_SLOTS = ("scalar_count", "vector_count", "total_flops",
+                  "bytes_read", "bytes_written", "first_vec_unit",
+                  "classes", "n_slots", "mem_keys", "slide_pairs",
+                  "superblocks", "_cnt_f", "_sew_code", "_thr", "_is_fpu",
+                  "_mlog", "_mem_ix", "_align", "_is_store", "_slide_ix",
+                  "_ix_mem", "_ix_red", "_ix_slide", "_ix_masku",
+                  "_ix_arith")
+
+
+@lru_cache(maxsize=None)
+def compiler_digest() -> bytes:
+    """SHA-256 of the source of :data:`_COMPILER_MODULES`, once per
+    process: a stored plan section is current only under the compiler
+    that wrote it, so any edit to it makes every section stale."""
+    digest = hashlib.sha256()
+    for name in _COMPILER_MODULES:
+        with open(importlib.import_module(name).__file__, "rb") as fh:
+            digest.update(fh.read())
+    return digest.digest()
+
+
+def _narrow(values) -> np.ndarray:
+    """Non-negative integers in the narrowest unsigned dtype holding
+    them."""
+    arr = np.asarray(values, dtype=np.int64)
+    top = int(arr.max()) if arr.size else 0
+    return arr.astype(np.min_scalar_type(top))
 
 
 def _group(base: int, emul: int) -> int:
@@ -249,14 +300,16 @@ class ReplayPlan:
     :data:`CLASS_FIELDS` tuple per class (empty for the vsetvl class
     0), whose scoreboard slots run ``0 .. n_slots - 1``;
     ``superblocks`` the ``(first row, period, reps)`` periodic runs of
-    :func:`repro.timing.superblock.scan`.
+    :func:`repro.timing.superblock.scan`.  A plan is compiled by
+    :meth:`from_trace`, or rebuilt by :meth:`from_section` from what
+    :meth:`section` exported.
     """
 
     __slots__ = ("scalar_count", "vector_count", "total_flops",
                  "bytes_read", "bytes_written", "first_vec_unit",
                  "kind_vocab", "scalar_kind", "scalar_addr", "seg_end",
                  "row_class", "classes", "n_slots", "mem_keys",
-                 "slide_pairs", "superblocks", "_segments",
+                 "slide_pairs", "superblocks", "_bodies", "_segments",
                  "_cnt_f", "_sew_code", "_thr", "_is_fpu", "_mlog",
                  "_mem_ix", "_align", "_is_store", "_slide_ix",
                  "_ix_mem", "_ix_red", "_ix_slide", "_ix_masku",
@@ -434,13 +487,9 @@ class ReplayPlan:
         plan.scalar_count = tags.size - vc.size
         plan.total_flops, plan.bytes_read, plan.bytes_written = sums
         plan.first_vec_unit = t_unit[vc[0]] if vc.size else None
-        plan.kind_vocab = trace.kinds
-        plan.scalar_kind = cols["s_kind"]
-        # -1 marks "no address"; the D$ model reads a missing one as 0.
-        plan.scalar_addr = np.maximum(cols["s_addr"], 0)
         seg_end = row_pos - np.arange(n_rows)
         plan.superblocks = superblock.scan(row_class, seg_end)
-        plan._segments = None
+        plan._bodies = None
         plan.seg_end = seg_end.tolist()
         plan.row_class = row_class.tolist()
         plan.classes = classes
@@ -458,8 +507,41 @@ class ReplayPlan:
         plan._ix_slide = np.flatnonzero(cats == cat_slide)
         plan._ix_masku = np.flatnonzero(cats == cat_masku)
         plan._ix_arith = np.flatnonzero(cats == cat_arith)
-        plan._cost_memo = {}
-        plan._machine_memo = {}
+        plan._attach(trace)
+        return plan
+
+    def _attach(self, trace: PackedTrace) -> None:
+        """Take the scalar columns of ``trace`` and start empty memos."""
+        self.kind_vocab = trace.kinds
+        self.scalar_kind = trace.column("s_kind")
+        # -1 marks "no address"; the D$ model reads a missing one as 0.
+        self.scalar_addr = np.maximum(trace.column("s_addr"), 0)
+        self._segments = None
+        self._cost_memo = {}
+        self._machine_memo = {}
+
+    # ------------------------------------------------------------------
+    def section(self) -> dict:
+        """The trace-derived part of the plan as plain picklable data:
+        the scalar columns are the trace's own and are left out."""
+        out = {name: getattr(self, name) for name in _SECTION_SLOTS}
+        out["row_class"] = _narrow(self.row_class)
+        out["seg_end"] = _narrow(np.diff(self.seg_end, prepend=0))
+        out["bodies"] = superblock.bodies(self)
+        return out
+
+    @classmethod
+    def from_section(cls, section: dict, trace: PackedTrace) -> "ReplayPlan":
+        """The plan :meth:`section` exported, over ``trace``'s scalar
+        columns; reads no vector column of ``trace``."""
+        plan = cls.__new__(cls)
+        for name in _SECTION_SLOTS:
+            setattr(plan, name, section[name])
+        plan.row_class = section["row_class"].tolist()
+        plan.seg_end = np.cumsum(section["seg_end"],
+                                 dtype=np.int64).tolist()
+        plan._bodies = section["bodies"]
+        plan._attach(trace)
         return plan
 
     # ------------------------------------------------------------------

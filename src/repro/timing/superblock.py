@@ -37,7 +37,8 @@ instead of the generic row loop of :meth:`repro.timing.engine
   once per call from the per-machine class table.  Scalar costs are
   still added one at a time, in stream order.  Functions are compiled
   once per process and cached under their structure
-  (:data:`_FUNCTIONS`).
+  (:data:`_FUNCTIONS`).  The structures themselves (:func:`bodies`) are
+  part of a plan, so the disk tier stores them with it.
 
 **Exactness.**  A generated row performs the arithmetic of the generic
 loop's row — the same IEEE-754 operations on the same operands in the
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MIN_REPS", "MIN_ROWS", "scan", "segments"]
+__all__ = ["MIN_REPS", "MIN_ROWS", "bodies", "scan", "segments"]
 
 #: Plans with fewer issue rows are not scanned (fuzz plans have ~60).
 MIN_ROWS = 512
@@ -371,6 +372,19 @@ def _function(structure: tuple):
     return fn
 
 
+def bodies(plan) -> tuple:
+    """``((structure, class ids, slot ids), ...)`` of ``plan``'s
+    superblocks in row order (:func:`_structure`), memoized on the plan;
+    a plan loaded from the disk tier brings them along."""
+    found = plan._bodies
+    if found is None:
+        found = plan._bodies = tuple(
+            _structure(plan.classes, plan.row_class, plan.seg_end, start,
+                       period)
+            for start, period, _ in plan.superblocks)
+    return found
+
+
 def segments(plan) -> tuple:
     """``((gap start, gap stop, block), ...)`` covering ``plan``'s issue
     rows in order, memoized on the plan: rows ``gap start .. gap stop -
@@ -380,9 +394,8 @@ def segments(plan) -> tuple:
     if segs is None:
         segs = []
         at = 0
-        for start, period, reps in plan.superblocks:
-            structure, cids, slots = _structure(
-                plan.classes, plan.row_class, plan.seg_end, start, period)
+        for (start, period, reps), (structure, cids, slots) in zip(
+                plan.superblocks, bodies(plan)):
             segs.append((at, start, (_function(structure), reps, cids,
                                      slots)))
             at = start + period * reps

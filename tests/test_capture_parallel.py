@@ -365,13 +365,19 @@ class TestCompressedEnvelope:
         path = disk_path(tmp_path, key)
         with path.open("rb") as fh:
             envelope = pickle.load(fh)
-        # v6 payload: pruned fields with the trace as a columnar blob —
-        # both smaller than the object pickle and cheaper to rehydrate.
+        # v8 sections: pruned fields, then the columnar blob as two zlib
+        # streams that concatenate to the capture's blob byte for byte —
+        # all smaller than the object pickle and cheaper to rehydrate.
         inner = pickle.loads(zlib.decompress(envelope["payload"]))
         assert isinstance(inner, dict)
-        assert inner["trace_blob"].startswith(MAGIC)
+        blob = (zlib.decompress(envelope["scalar"])
+                + zlib.decompress(envelope["vector"]))
+        assert blob.startswith(MAGIC)
+        assert blob == captured.trace.blob
         raw = pickle.dumps(captured, protocol=pickle.HIGHEST_PROTOCOL)
-        assert len(envelope["payload"]) < len(raw) / 2  # really compressed
+        packed = sum(len(envelope[name])
+                     for name in ("payload", "scalar", "vector"))
+        assert packed < len(raw) / 2  # really compressed
         # A fresh cache rehydrates the entry and replays bit-identically.
         entry = TraceCache(disk_dir=tmp_path).get(key)
         assert entry is not None

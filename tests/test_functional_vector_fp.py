@@ -137,6 +137,32 @@ class TestFmaFamily:
         env.run("vfmacc_vf", "v24", "f1", "v16")
         assert np.array_equal(env.get_v(24), 1.5 * b + c)
 
+    @pytest.mark.parametrize("base", sorted(fp.FMA_IN_PLACE))
+    @pytest.mark.parametrize("alias", ["vs1", "vs2"])
+    def test_vd_aliasing_a_source(self, base, alias):
+        """The unmasked in-place path reads every operand before it
+        writes vd, as the reference function does, and leaves the tail
+        past ``vl`` alone."""
+        env = _env(vl=13)
+        a = env.rand_f64(RNG)
+        b = env.rand_f64(RNG)
+        env.set_v(8, a)
+        env.set_v(16, b)
+        vd = "v8" if alias == "vs1" else "v16"
+        tail = env.get_v(int(vd[1:]), count=32)[13:]
+        env.run(f"{base}_vv", vd, "v8", "v16")
+        want = fp.FMA[base](a if alias == "vs1" else b, a, b)
+        assert np.array_equal(env.get_v(int(vd[1:])), want)
+        assert np.array_equal(env.get_v(int(vd[1:]), count=32)[13:], tail)
+
+    def test_unmasked_write_to_v0_counts(self):
+        env = _env()
+        env.set_v(8, env.rand_f64(RNG))
+        env.set_v(16, env.rand_f64(RNG))
+        before = env.state.v.v0_writes
+        env.run("vfmacc_vv", "v0", "v8", "v16")
+        assert env.state.v.v0_writes == before + 1
+
 
 class TestUnaryAndConversions:
     def test_vfsqrt(self):

@@ -120,6 +120,42 @@ class TestGrouping:
         assert len(calls) == 2
 
 
+class TestOracleSubject:
+    def test_plan_vs_reference_subject_is_compiled_from_columns(
+            self, monkeypatch, tmp_path, machine_pair):
+        """The oracle's captures are uncached, so the plan it holds
+        against ``replay_reference`` is compiled from the capture's own
+        columns — never a plan loaded from a store, even when a store
+        holding the case is configured."""
+        case = generate_case(0)
+        config = machine_pair[0]
+        store = TraceCache(disk_dir=tmp_path)
+        kernel_for_case(case, config).capture(config, cache=store,
+                                              verify=False)
+        assert list(tmp_path.glob("trace_*.pkl"))
+        monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the fuzz oracle read a stored plan")
+
+        monkeypatch.setattr(ReplayPlan, "from_section",
+                            classmethod(forbidden))
+        monkeypatch.setattr(TraceCache, "get", forbidden)
+        compiled = []
+        real = ReplayPlan.from_trace.__func__
+
+        def counting(cls, trace):
+            compiled.append(trace)
+            return real(cls, trace)
+
+        monkeypatch.setattr(ReplayPlan, "from_trace", classmethod(counting))
+        check_case(case, configs=machine_pair)
+        # One VLEN group: the direct run and the fresh capture (the
+        # subject) each compile once, from columns the executor wrote.
+        assert len(compiled) == 2
+        assert all(trace._vector is None for trace in compiled)
+
+
 # ----------------------------------------------------------------------
 # A planted replay bug is still caught, on the machine it hits.
 # ----------------------------------------------------------------------

@@ -38,6 +38,7 @@ from repro.params import Ara2Config
 from repro.sim.simulator import build_model
 from repro.timing.engine import TimingEngine
 from repro.timing.replay_plan import ReplayPlan
+from tests.plan_checks import assert_plans_equal
 from tests.trace_builder import build_trace
 
 _I64_MAX = (1 << 63) - 1
@@ -243,23 +244,11 @@ class TestReplayIdentity:
 _MACHINES = sorted(list_machines())
 
 
-def _assert_plans_equal(a: ReplayPlan, b: ReplayPlan) -> None:
-    for name in ReplayPlan.__slots__:
-        if name in ("_cost_memo", "_machine_memo"):
-            continue
-        x, y = getattr(a, name), getattr(b, name)
-        if isinstance(x, np.ndarray):
-            assert isinstance(y, np.ndarray), name
-            assert x.dtype == y.dtype and np.array_equal(x, y), name
-        else:
-            assert type(x) is type(y) and x == y, name
-
-
 def _assert_plan_identity(trace) -> None:
     """Capture and blob plans agree; both replay like the reference on
     every registry machine; the blob form is never materialized."""
     packed = unpack_trace(trace.blob, trace.program)
-    _assert_plans_equal(ReplayPlan.from_trace(trace),
+    assert_plans_equal(ReplayPlan.from_trace(trace),
                         ReplayPlan.from_trace(packed))
     for machine in _MACHINES:
         engine = TimingEngine(build_model(get_machine(machine)))
@@ -387,5 +376,5 @@ def test_entry_memo_without_its_decode_memo_is_a_miss():
     first = ReplayPlan.from_trace(unpack_trace(blob, program))
     del vfadd.__dict__["_tinfo_by_cfg"]
     assert vfadd.__dict__["_tentry_by_cfg"]
-    _assert_plans_equal(ReplayPlan.from_trace(unpack_trace(blob, program)),
+    assert_plans_equal(ReplayPlan.from_trace(unpack_trace(blob, program)),
                         first)
