@@ -8,8 +8,6 @@ views over groups are zero-copy NumPy views.
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 
 from ..errors import ExecutionError, IllegalInstructionError
@@ -136,35 +134,6 @@ class VectorRegFile:
         state = self.__dict__.copy()
         state["_view_cache"] = {}
         return state
-
-    def __getattr__(self, name: str):
-        # Reached only for an unset attribute: a register file given its
-        # bytes by attach_bytes() inflates them on first use.
-        packed = self.__dict__.get("_packed")
-        if name != "_data" or packed is None:
-            raise AttributeError(name)
-        data = np.frombuffer(bytearray(zlib.decompress(packed)),
-                             dtype=np.uint8)
-        self._data = data
-        del self._packed
-        return data
-
-    def detach_bytes(self, level: int) -> tuple["VectorRegFile", bytes]:
-        """``(a copy without the register bytes, the bytes as a zlib
-        stream at ``level``)``: the disk tier stores the two apart, and
-        :meth:`attach_bytes` joins them again."""
-        state = self.__getstate__()
-        packed = state.pop("_packed", None)
-        if packed is None:
-            packed = zlib.compress(state.pop("_data"), level)
-        clone = object.__new__(VectorRegFile)
-        clone.__dict__.update(state)
-        return clone, packed
-
-    def attach_bytes(self, packed: bytes) -> None:
-        """Take the register bytes as the zlib stream ``packed`` of
-        :meth:`detach_bytes`; they are inflated on first use."""
-        self._packed = packed
 
     def typed_view(self, base: int, emul: int, dtype: np.dtype) -> np.ndarray:
         """Cached zero-copy ``dtype`` view of an EMUL-register group

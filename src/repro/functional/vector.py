@@ -550,34 +550,27 @@ class VectorUnit:
         prod = np.empty(vd.size, dtype)
         vfile = self.state.v
         bump = p.vd == 0
+
+        def fma(a, vl):
+            d = vd[:vl]
+            t = prod[:vl]
+            b = vs2[:vl]
+            np.multiply(a, d if on_vd else b, out=t)
+            if negate:
+                np.negative(t, out=t)
+            combine(t, b if on_vd else d, out=d)
+            if bump:
+                vfile.v0_writes += 1
+
         if vs1 is not None:
-            def run(p, vl, sew, lmul, vd=vd, vs1=vs1, vs2=vs2, prod=prod,
-                    on_vd=on_vd, negate=negate, combine=combine,
-                    vfile=vfile, bump=bump):
-                d = vd[:vl]
-                t = prod[:vl]
-                b = vs2[:vl]
-                np.multiply(vs1[:vl], d if on_vd else b, out=t)
-                if negate:
-                    np.negative(t, out=t)
-                combine(t, b if on_vd else d, out=d)
-                if bump:
-                    vfile.v0_writes += 1
+            def run(p, vl, sew, lmul, fma=fma, vs1=vs1):
+                fma(vs1[:vl], vl)
         else:
             fregs, frs1, scalar = self._fregs, p.frs1, dtype.type
 
-            def run(p, vl, sew, lmul, vd=vd, scalar=scalar, fregs=fregs,
-                    frs1=frs1, vs2=vs2, prod=prod, on_vd=on_vd,
-                    negate=negate, combine=combine, vfile=vfile, bump=bump):
-                d = vd[:vl]
-                t = prod[:vl]
-                b = vs2[:vl]
-                np.multiply(scalar(fregs[frs1]), d if on_vd else b, out=t)
-                if negate:
-                    np.negative(t, out=t)
-                combine(t, b if on_vd else d, out=d)
-                if bump:
-                    vfile.v0_writes += 1
+            def run(p, vl, sew, lmul, fma=fma, scalar=scalar, fregs=fregs,
+                    frs1=frs1):
+                fma(scalar(fregs[frs1]), vl)
         return run
 
     def _bind_fp_bin(self, p, sew, lmul):

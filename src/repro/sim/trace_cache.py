@@ -33,29 +33,29 @@ Disk entries are written for *concurrent* readers and writers sharing one
   the disk, and pickling drops decoded plan caches (which hold
   lambdas).  Every entry, fresh or disk-rehydrated, is replay-only and
   safe to ship across process boundaries.
-* **Sectioned payload (v8)** — an entry is five zlib-compressed
-  sections: ``payload``, a small dict of the other ``ExecResult``
-  fields; ``vrf``, the bytes of the final vector register file, which
-  the state inflates on first use (:meth:`~repro.functional.state
-  .VectorRegFile.attach_bytes`); ``scalar`` and ``vector``, the packed
-  struct-of-arrays blob (:func:`repro.functional.trace_pack
-  .pack_trace`) cut at its first vector column (:func:`~repro
-  .functional.trace_pack.split_blob`: concatenated, they are the blob
-  byte for byte); and ``plan``, the trace's compiled
+* **Sectioned payload (v8)** — an entry is four zlib-compressed
+  sections: ``payload``, a dict of the other ``ExecResult`` fields
+  (the final state, register file included); ``scalar`` and
+  ``vector``, the packed struct-of-arrays blob (:func:`repro
+  .functional.trace_pack.pack_trace`) cut at its first vector column
+  (:func:`~repro.functional.trace_pack.split_blob`: concatenated, they
+  are the blob byte for byte); and ``plan``, the trace's compiled
   :class:`~repro.timing.replay_plan.ReplayPlan` (:meth:`~repro.timing
   .replay_plan.ReplayPlan.section`) behind the 32-byte
   :func:`~repro.timing.replay_plan.compiler_digest` of the compiler
-  that wrote it.  A read decompresses the payload, the scalar section
-  and the plan, nothing else: the trace is a lazy
-  :class:`~repro.functional.trace_pack.PackedTrace` whose vector
+  that wrote it, or empty for a plan below
+  :data:`PLAN_SECTION_MIN_ROWS` rows.  A read decompresses the
+  payload, the scalar section and the plan, nothing else: the trace is
+  a lazy :class:`~repro.functional.trace_pack.PackedTrace` whose vector
   section stays compressed until something reads its vector columns,
-  events or blob, and its plan is loaded, never compiled
+  events or blob, and a stored plan is loaded, never compiled
   (``plan_loads``).  A plan whose digest is not this process's
   compiler's is *stale*: the read still serves the trace, which
   compiles afresh from its inflated columns on first replay
-  (``plan_stale``) — not a miss, not corruption.  :meth:`put` compiles
-  the plan for the section when the trace has none and leaves it on
-  the trace, so the replay that follows a put compiles nothing.
+  (``plan_stale``) — not a miss, not corruption; so does a trace with
+  an empty plan section.  :meth:`put` compiles the plan when the trace
+  has none and leaves it on the trace, so the replay that follows a
+  put compiles nothing.
 * **Atomic writes** — each entry is pickled to a ``tempfile`` inside
   ``disk_dir`` and moved into place with :func:`os.replace`, so a
   concurrent reader sees either the old complete file or the new
@@ -63,8 +63,8 @@ Disk entries are written for *concurrent* readers and writers sharing one
   writer leaves at worst an orphaned ``*.tmp``.
 * **Versioned envelope** — the pickle is a dict
   ``{"format": DISK_FORMAT_VERSION, "schema": <ExecResult field names>,
-  "crc32": <checksum of every section>, "payload": ..., "vrf": ...,
-  "scalar": ..., "vector": ..., "plan": ...}``.  Keys beyond these are
+  "crc32": <checksum of every section>, "payload": ..., "scalar": ...,
+  "vector": ..., "plan": ...}``.  Keys beyond these are
   ignored, so entries an older revision wrote with a ``hits_served``
   field still serve.  A stale file from an older code revision (wrong
   version, drifted ``ExecResult`` fields, or a pre-envelope bare
@@ -74,7 +74,7 @@ Disk entries are written for *concurrent* readers and writers sharing one
   (:meth:`TraceCache.probe`, the store GC's stale purge) check the tags
   without deserializing — or decompressing — the trace itself.
 * **Payload checksum** — ``crc32`` covers the compressed bytes of all
-  five sections, in order, and is verified on every disk read and
+  four sections, in order, and is verified on every disk read and
   :meth:`TraceCache.probe`.  A mismatch or a missing checksum means the
   bytes on disk are not what the writer produced (bit rot, a partial
   foreign write, injected corruption); the entry is unlinked and
@@ -128,7 +128,6 @@ variables, and the suite default ``benchmarks/out/trace_cache``.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import errno
 import hashlib
@@ -146,6 +145,7 @@ from ..errors import TimingError
 from ..functional.executor import ExecResult
 from ..functional.trace_pack import split_blob, unpack_sections
 from ..isa.program import Program
+from ..timing import superblock
 from ..timing.replay_plan import ReplayPlan, compiler_digest
 from .faults import FaultPlan
 
@@ -173,11 +173,10 @@ DEFAULT_CAPACITY = 32
 #: column is unsigned and its header lost the per-event side map; a v6
 #: blob would fail the layout check and be purged as *corrupt*, so the
 #: bump makes it a stale miss instead.  v8: the payload splits into
-#: five sections — the other fields, the register file's bytes, the
-#: blob's head and vector columns as two zlib streams, and the compiled
-#: replay plan behind its compiler digest — under one CRC over all of
-#: them; a v7 file has no sections, so the bump makes it a stale miss
-#: that the GC purges.
+#: four sections — the other fields, the blob's head and vector columns
+#: as two zlib streams, and the compiled replay plan behind its
+#: compiler digest — under one CRC over all of them; a v7 file has no
+#: sections, so the bump makes it a stale miss that the GC purges.
 DISK_FORMAT_VERSION = 8
 
 #: zlib level for the payload bytes.  The default (6) already reaches
@@ -188,7 +187,13 @@ COMPRESS_LEVEL = 6
 
 
 #: Envelope sections, in checksum order.
-SECTIONS = ("payload", "vrf", "scalar", "vector", "plan")
+SECTIONS = ("payload", "scalar", "vector", "plan")
+
+#: Plans below this many issue rows are not stored: they have no
+#: superblocks and compile in about a millisecond, while their section
+#: would add over a third to the entry's bytes.  The superblock
+#: threshold is the same line between short traces and long ones.
+PLAN_SECTION_MIN_ROWS = superblock.MIN_ROWS
 
 
 def trace_key(program: Program, vlen_bits: int, setup_id: str) -> TraceKey:
@@ -216,17 +221,16 @@ def _disk_payload(er: ExecResult) -> ExecResult:
 
 
 def _pack_sections(er: ExecResult) -> tuple:
-    """The five envelope sections of a replay-only entry, in
+    """The four envelope sections of a replay-only entry, in
     :data:`SECTIONS` order, each compressed.
 
     Compiles the trace's replay plan when it has none and leaves it on
-    the trace.  A trace the compiler rejects gets an empty plan section
-    (its replay raises as it would have).
+    the trace.  The plan section is empty for a trace the compiler
+    rejects (its replay raises as it would have) and for a plan below
+    :data:`PLAN_SECTION_MIN_ROWS` rows, which a read compiles afresh.
     """
     trace = er.trace
-    state = copy.copy(er.state)
-    state.v, vrf = er.state.v.detach_bytes(COMPRESS_LEVEL)
-    fields = {"state": state, "program": er.program,
+    fields = {"state": er.state, "program": er.program,
               "retired": er.retired, "halted": er.halted}
     head, vector = split_blob(trace.blob)
     plan = b""
@@ -237,8 +241,9 @@ def _pack_sections(er: ExecResult) -> tuple:
     except TimingError:
         pass
     else:
-        plan = compiler_digest() + _compress(compiled.section())
-    return (_compress(fields), vrf, zlib.compress(head, COMPRESS_LEVEL),
+        if len(compiled.row_class) >= PLAN_SECTION_MIN_ROWS:
+            plan = compiler_digest() + _compress(compiled.section())
+    return (_compress(fields), zlib.compress(head, COMPRESS_LEVEL),
             zlib.compress(vector, COMPRESS_LEVEL), plan)
 
 
@@ -344,7 +349,6 @@ def _unwrap_envelope(obj: dict) -> Optional[tuple[ExecResult, bool]]:
     if not isinstance(payload, dict):
         return None  # foreign checksummed object: a miss
     try:
-        payload["state"].v.attach_bytes(obj["vrf"])
         trace = unpack_sections(zlib.decompress(obj["scalar"]),
                                 obj["vector"], payload["program"])
         plan = obj["plan"]

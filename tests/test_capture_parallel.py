@@ -30,8 +30,8 @@ from repro.params import Ara2Config, AraXLConfig
 from repro.report import render_table
 from repro.sim import (CaptureTask, SimPool, TraceCache, TraceStore,
                        replay_trace, run_pipeline)
-from repro.sim.trace_cache import (DISK_FORMAT_VERSION, _payload_schema,
-                                   disk_path)
+from repro.sim.trace_cache import (DISK_FORMAT_VERSION, SECTIONS,
+                                   _payload_schema, disk_path)
 import repro.sim.parallel as parallel_mod
 
 
@@ -365,9 +365,10 @@ class TestCompressedEnvelope:
         path = disk_path(tmp_path, key)
         with path.open("rb") as fh:
             envelope = pickle.load(fh)
-        # v8 sections: pruned fields, then the columnar blob as two zlib
-        # streams that concatenate to the capture's blob byte for byte —
-        # all smaller than the object pickle and cheaper to rehydrate.
+        # v8 sections: pruned fields, the columnar blob as two zlib
+        # streams that concatenate to the capture's blob byte for byte,
+        # and the plan — together smaller than the object pickle and
+        # cheaper to rehydrate.
         inner = pickle.loads(zlib.decompress(envelope["payload"]))
         assert isinstance(inner, dict)
         blob = (zlib.decompress(envelope["scalar"])
@@ -375,8 +376,7 @@ class TestCompressedEnvelope:
         assert blob.startswith(MAGIC)
         assert blob == captured.trace.blob
         raw = pickle.dumps(captured, protocol=pickle.HIGHEST_PROTOCOL)
-        packed = sum(len(envelope[name])
-                     for name in ("payload", "scalar", "vector"))
+        packed = sum(len(envelope[name]) for name in SECTIONS)
         assert packed < len(raw) / 2  # really compressed
         # A fresh cache rehydrates the entry and replays bit-identically.
         entry = TraceCache(disk_dir=tmp_path).get(key)

@@ -3,9 +3,13 @@
 * **Equal plans** — the plan a disk read loads from the plan section
   equals, field for field and superblock structure for superblock
   structure, a fresh compile of the capture: for every pinned capture
-  of :mod:`tests.test_trace_capture` and for a looped kernel well above
+  of :mod:`tests.test_trace_capture` (stored with the row threshold
+  lifted) and for a looped kernel well above
   :data:`repro.timing.superblock.MIN_ROWS` issue rows.  The read never
   inflates the vector section.
+* **Short plans** — below :data:`~repro.sim.trace_cache
+  .PLAN_SECTION_MIN_ROWS` rows the plan section is empty; a read
+  compiles the plan from the columns, neither loaded nor stale.
 * **Equal replays** — a replay from a loaded plan equals
   ``replay_reference`` on every registry machine.
 * **Stale, corrupt and old entries** — a plan section another compiler
@@ -29,6 +33,7 @@ from repro.kernels import build_fmatmul
 from repro.machine.registry import get_machine, list_machines
 from repro.params import AraXLConfig
 from repro.sim import replay_trace
+from repro.sim import trace_cache
 from repro.sim.faults import FaultPlan
 from repro.sim.trace_cache import (SECTIONS, TraceCache, _checksum,
                                    _payload_schema, disk_path)
@@ -58,6 +63,12 @@ def _capture(case):
     return PINNED[case][0]()
 
 
+@pytest.fixture
+def every_plan(monkeypatch):
+    """Store the plan section of every trace, however short."""
+    monkeypatch.setattr(trace_cache, "PLAN_SECTION_MIN_ROWS", 0)
+
+
 def _store_and_read(tmp_path, captured):
     """Put ``captured`` through a disk cache and read it back in a
     fresh one: ``(reader, entry)``."""
@@ -78,7 +89,7 @@ def _rewrite(path, **sections) -> None:
 
 @pytest.mark.parametrize("case", [*sorted(PINNED), "rebinding", *FUZZ_SEEDS,
                                   "looped"], ids=str)
-def test_loaded_plan_equals_a_fresh_compile(tmp_path, case):
+def test_loaded_plan_equals_a_fresh_compile(tmp_path, every_plan, case):
     captured = _capture(case)
     reader, entry = _store_and_read(tmp_path, captured)
     assert (reader.stats["plan_loads"], reader.stats["plan_stale"]) == (1, 0)
@@ -93,7 +104,7 @@ def test_loaded_plan_equals_a_fresh_compile(tmp_path, case):
 
 @pytest.mark.parametrize("case", ["fmatmul", "fconv2d", "rebinding",
                                   "looped"])
-def test_loaded_plan_replays_like_the_reference(tmp_path, case):
+def test_loaded_plan_replays_like_the_reference(tmp_path, every_plan, case):
     captured = _capture(case)
     _, entry = _store_and_read(tmp_path, captured)
     engines = [TimingEngine(build_model(get_machine(m))) for m in _MACHINES]
@@ -102,6 +113,35 @@ def test_loaded_plan_replays_like_the_reference(tmp_path, case):
     for machine, engine, report in zip(_MACHINES, engines, reports):
         assert report == engine.replay_reference(captured.trace.events), \
             machine
+
+
+def test_short_plan_is_not_stored(tmp_path, monkeypatch):
+    """A plan below the row threshold leaves its section empty; the
+    read serves the trace, whose first replay compiles it once."""
+    captured = _capture("rebinding")
+    assert len(ReplayPlan.from_trace(captured.trace).row_class) \
+        < trace_cache.PLAN_SECTION_MIN_ROWS
+    TraceCache(disk_dir=tmp_path).put(_KEY, captured)
+    assert pickle.loads(disk_path(tmp_path, _KEY).read_bytes())["plan"] == b""
+
+    compiled = []
+    real = ReplayPlan.from_trace.__func__
+
+    def counting(cls, trace):
+        compiled.append(trace)
+        return real(cls, trace)
+
+    monkeypatch.setattr(ReplayPlan, "from_trace", classmethod(counting))
+    reader = TraceCache(disk_dir=tmp_path)
+    entry = reader.get(_KEY)
+    assert entry is not None and entry.trace._plan is None
+    stats = reader.stats
+    assert (stats["disk_hits"], stats["plan_loads"], stats["plan_stale"],
+            stats["corrupt_purged"]) == (1, 0, 0, 0)
+    for machine in _MACHINES:
+        engine = TimingEngine(build_model(get_machine(machine)))
+        assert engine.replay(entry.trace) == engine.replay(captured.trace)
+    assert compiled == [entry.trace]
 
 
 def test_stale_plan_section_recompiles(tmp_path, monkeypatch):
@@ -187,7 +227,7 @@ def test_warm_read_blob_and_pool_payload(tmp_path):
     assert shipped.trace.blob == captured.trace.blob
     assert replay_trace(_LOOPED_CONFIG, shipped).timing == want
     assert replay_trace(_LOOPED_CONFIG, entry).timing == want
-    # The register file's bytes come back from their own section.
+    # The final register file comes back with the payload section.
     for form in (entry, shipped):
         for reg in range(32):
             assert np.array_equal(form.state.v.raw_register(reg),
