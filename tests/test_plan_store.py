@@ -115,15 +115,10 @@ def test_loaded_plan_replays_like_the_reference(tmp_path, every_plan, case):
             machine
 
 
-def test_short_plan_is_not_stored(tmp_path, monkeypatch):
-    """A plan below the row threshold leaves its section empty; the
-    read serves the trace, whose first replay compiles it once."""
-    captured = _capture("rebinding")
-    assert len(ReplayPlan.from_trace(captured.trace).row_class) \
-        < trace_cache.PLAN_SECTION_MIN_ROWS
-    TraceCache(disk_dir=tmp_path).put(_KEY, captured)
-    assert pickle.loads(disk_path(tmp_path, _KEY).read_bytes())["plan"] == b""
-
+def _compiles_once_on_replay(tmp_path, monkeypatch, captured) -> dict:
+    """Read the entry of ``captured`` in a fresh cache: it serves with
+    no plan, replays like the capture on every machine, and compiles
+    exactly once.  Returns the reader's stats."""
     compiled = []
     real = ReplayPlan.from_trace.__func__
 
@@ -135,13 +130,25 @@ def test_short_plan_is_not_stored(tmp_path, monkeypatch):
     reader = TraceCache(disk_dir=tmp_path)
     entry = reader.get(_KEY)
     assert entry is not None and entry.trace._plan is None
-    stats = reader.stats
-    assert (stats["disk_hits"], stats["plan_loads"], stats["plan_stale"],
-            stats["corrupt_purged"]) == (1, 0, 0, 0)
     for machine in _MACHINES:
         engine = TimingEngine(build_model(get_machine(machine)))
         assert engine.replay(entry.trace) == engine.replay(captured.trace)
     assert compiled == [entry.trace]
+    return reader.stats
+
+
+def test_short_plan_is_not_stored(tmp_path, monkeypatch):
+    """A plan below the row threshold leaves its section empty; the
+    read serves the trace, whose first replay compiles it once."""
+    captured = _capture("rebinding")
+    assert len(ReplayPlan.from_trace(captured.trace).row_class) \
+        < trace_cache.PLAN_SECTION_MIN_ROWS
+    TraceCache(disk_dir=tmp_path).put(_KEY, captured)
+    assert pickle.loads(disk_path(tmp_path, _KEY).read_bytes())["plan"] == b""
+
+    stats = _compiles_once_on_replay(tmp_path, monkeypatch, captured)
+    assert (stats["disk_hits"], stats["plan_loads"], stats["plan_stale"],
+            stats["corrupt_purged"]) == (1, 0, 0, 0)
 
 
 def test_stale_plan_section_recompiles(tmp_path, monkeypatch):
@@ -155,24 +162,9 @@ def test_stale_plan_section_recompiles(tmp_path, monkeypatch):
     assert plan.startswith(digest)
     _rewrite(path, plan=bytes(b ^ 0xFF for b in digest) + plan[len(digest):])
 
-    compiled = []
-    real = ReplayPlan.from_trace.__func__
-
-    def counting(cls, trace):
-        compiled.append(trace)
-        return real(cls, trace)
-
-    monkeypatch.setattr(ReplayPlan, "from_trace", classmethod(counting))
-    reader = TraceCache(disk_dir=tmp_path)
-    entry = reader.get(_KEY)
-    assert entry is not None and entry.trace._plan is None
-    stats = reader.stats
-    assert (stats["disk_hits"], stats["plan_stale"], stats["plan_loads"],
-            stats["corrupt_purged"]) == (1, 1, 0, 0)
-    for machine in _MACHINES:
-        engine = TimingEngine(build_model(get_machine(machine)))
-        assert engine.replay(entry.trace) == engine.replay(captured.trace)
-    assert compiled == [entry.trace]
+    stats = _compiles_once_on_replay(tmp_path, monkeypatch, captured)
+    assert (stats["disk_hits"], stats["plan_loads"], stats["plan_stale"],
+            stats["corrupt_purged"]) == (1, 0, 1, 0)
     assert path.exists()
 
 
