@@ -50,10 +50,12 @@ Disk entries are written for *concurrent* readers and writers sharing one
   section stays compressed until something reads its vector columns,
   events or blob, and a stored plan is loaded, never compiled
   (``plan_loads``).  A plan whose digest is not this process's
-  compiler's is *stale*: the read still serves the trace, which
-  compiles afresh from its inflated columns on first replay
-  (``plan_stale``) — not a miss, not corruption; so does a trace with
-  an empty plan section.  :meth:`put` compiles the plan when the trace
+  compiler's is *stale*: the read still serves the trace, compiles its
+  plan afresh from the inflated columns (``plan_stale``) — not a miss,
+  not corruption — and rewrites the entry with the new plan section
+  through the atomic write path, so a compiler change costs one compile
+  per entry, not one per read.  A trace with an empty plan section
+  compiles on first replay.  :meth:`put` compiles the plan when the trace
   has none and leaves it on the trace, so the replay that follows a
   put compiles nothing.
 * **Atomic writes** — each entry is pickled to a ``tempfile`` inside
@@ -222,29 +224,30 @@ def _disk_payload(er: ExecResult) -> ExecResult:
 
 def _pack_sections(er: ExecResult) -> tuple:
     """The four envelope sections of a replay-only entry, in
-    :data:`SECTIONS` order, each compressed.
-
-    Compiles the trace's replay plan when it has none and leaves it on
-    the trace.  The plan section is empty for a trace the compiler
-    rejects (its replay raises as it would have) and for a plan below
-    :data:`PLAN_SECTION_MIN_ROWS` rows, which a read compiles afresh.
-    """
+    :data:`SECTIONS` order, each compressed (:func:`_plan_section`)."""
     trace = er.trace
     fields = {"state": er.state, "program": er.program,
               "retired": er.retired, "halted": er.halted}
     head, vector = split_blob(trace.blob)
-    plan = b""
+    return (_compress(fields), zlib.compress(head, COMPRESS_LEVEL),
+            zlib.compress(vector, COMPRESS_LEVEL), _plan_section(trace))
+
+
+def _plan_section(trace) -> bytes:
+    """The plan section of ``trace``: its replay plan (compiled now and
+    left on the trace when it has none) behind the compiler digest, or
+    empty for a trace the compiler rejects (its replay raises as it
+    would have) and for a plan below :data:`PLAN_SECTION_MIN_ROWS`
+    rows, which a read compiles afresh."""
     try:
         compiled = trace._plan
         if compiled is None:
             compiled = trace._plan = ReplayPlan.from_trace(trace)
     except TimingError:
-        pass
-    else:
-        if len(compiled.row_class) >= PLAN_SECTION_MIN_ROWS:
-            plan = compiler_digest() + _compress(compiled.section())
-    return (_compress(fields), zlib.compress(head, COMPRESS_LEVEL),
-            zlib.compress(vector, COMPRESS_LEVEL), plan)
+        return b""
+    if len(compiled.row_class) < PLAN_SECTION_MIN_ROWS:
+        return b""
+    return compiler_digest() + _compress(compiled.section())
 
 
 def _compress(obj) -> bytes:
@@ -402,7 +405,7 @@ class TraceCache:
         #: Disk reads whose replay plan came from the plan section.
         self.plan_loads = 0
         #: Disk reads whose plan section another compiler wrote (the
-        #: trace compiles afresh on replay).
+        #: read compiles the plan and rewrites the section).
         self.plan_stale = 0
         self._write_counts: dict[str, int] = {}  # fault-roll attempt nos
 
@@ -458,6 +461,7 @@ class TraceCache:
         entry, stale = unwrapped
         if stale:
             self.plan_stale += 1
+            self._refresh_plan(path, obj, entry.trace)
         elif entry.trace._plan is not None:
             self.plan_loads += 1
         # Freshen the mtime so the store GC's eviction order is an LRU
@@ -468,6 +472,26 @@ class TraceCache:
         except OSError:
             pass  # evicted or replaced since the read: nothing to age
         return entry
+
+    def _refresh_plan(self, path: Path, obj: dict, trace) -> None:
+        """Compile the plan of a stale read now and rewrite the entry
+        with it as its plan section, its other sections as read, so the
+        next read loads the plan instead of compiling it again.
+
+        A write failure is a serve-path failure: ``ENOSPC`` demotes the
+        cache to memory-only, and any other ``OSError`` (the entry or
+        its directory raced away) drops the refresh, leaving the entry
+        stale for a later read to refresh.
+        """
+        plan = _plan_section(trace)
+        if not plan or self.memory_only:
+            return
+        try:
+            self._write_sections(path, [obj[name] for name in SECTIONS[:-1]]
+                                 + [plan])
+        except OSError as exc:
+            if getattr(exc, "errno", None) == errno.ENOSPC:
+                self._degrade_memory_only(exc)
 
     def _purge_corrupt(self, path: Path) -> None:
         """Unlink (and count) an entry whose payload failed integrity."""
@@ -535,7 +559,12 @@ class TraceCache:
         ``OSError``, deliberately *after* the checksum, so injected
         corruption is exactly what the read-side CRC check catches.
         """
-        parts = _pack_sections(captured)
+        self._write_sections(path, _pack_sections(captured))
+
+    def _write_sections(self, path: Path, parts) -> None:
+        """Atomically write an entry of compressed ``parts`` in
+        :data:`SECTIONS` order, checksummed and fault-rolled as
+        :meth:`_write_disk` describes."""
         envelope = {"format": DISK_FORMAT_VERSION,
                     "schema": _payload_schema(),
                     "crc32": _checksum(parts)}

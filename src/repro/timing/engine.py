@@ -127,6 +127,7 @@ class TimingEngine:
 
         table = bundle.table
         costs = bundle.seg_costs
+        ff = bundle.cost_periods if superblock.FAST_FORWARD else None
         k = 0
         seg_end = plan.seg_end
         row_class = plan.row_class
@@ -261,7 +262,7 @@ class TimingEngine:
                     costs, table, cids, slots, first, last,
                     write_end, read_end, rings, uready, ubusy, uops,
                     depth, vsetvli_cycles, issue_gap, issue_to_arrive,
-                    scalar_result_latency)
+                    scalar_result_latency, ff)
 
         for c in costs[k:]:
             t_scalar += c

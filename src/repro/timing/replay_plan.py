@@ -87,6 +87,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -277,20 +278,41 @@ class _MachineRows:
     """
 
     __slots__ = ("seg_costs", "table", "dcache_hits", "dcache_misses",
-                 "report")
+                 "report", "_cost_array", "_breaks")
 
-    def __init__(self, seg_costs: list, table: list,
+    def __init__(self, cost_array: np.ndarray, table: list,
                  dcache_hits: int, dcache_misses: int) -> None:
-        self.seg_costs = seg_costs
+        self.seg_costs = cost_array.tolist()
         self.table = table
         self.dcache_hits = dcache_hits
         self.dcache_misses = dcache_misses
         self.report = None
+        self._cost_array = cost_array
+        self._breaks: dict = {}
+
+    def cost_periods(self, k: int, p: int) -> int:
+        """Whole periods of ``p`` scalar costs from index ``k`` on that
+        repeat the period before them: the largest ``n`` such that
+        ``costs[x] == costs[x + p]`` and ``costs[x] >= 0`` for every
+        ``x`` in ``k .. k + n * p - 1``.  One numpy compare per ``p``,
+        memoized on the bundle."""
+        breaks = self._breaks.get(p)
+        if breaks is None:
+            costs = self._cost_array
+            m = max(costs.size - p, 0)
+            head = costs[:m]
+            breaks = np.flatnonzero((costs[p:p + m] != head)
+                                    | ~(head >= 0.0)).tolist()
+            breaks.append(m)
+            self._breaks[p] = breaks
+        i = bisect_left(breaks, k)
+        return (breaks[i] - k) // p if i < len(breaks) else 0
 
     def finish(self, report) -> None:
-        """Remember ``report``; the cost list and table are done with."""
+        """Remember ``report``; the costs and table are done with."""
         self.report = report
-        self.seg_costs = self.table = None
+        self.seg_costs = self.table = self._cost_array = None
+        self._breaks = {}
 
 
 class ReplayPlan:
@@ -637,7 +659,7 @@ class ReplayPlan:
                 cfg.scalar, cfg.memory.l2_latency_cycles)
             table = list(map(tuple.__add__, self.classes,
                              self._columns_for(model)))
-            bundle = _MachineRows(costs.tolist(), table, dcache_hits,
+            bundle = _MachineRows(costs, table, dcache_hits,
                                   dcache_misses)
             if key is not None:
                 self._machine_memo[key] = bundle

@@ -53,6 +53,8 @@ stays the oracle.
 
 from __future__ import annotations
 
+from math import frexp, ldexp
+
 import numpy as np
 
 __all__ = ["MIN_REPS", "MIN_ROWS", "bodies", "scan", "segments"]
@@ -79,6 +81,24 @@ _MAX_UNPACKED = 1024
 #: Table-entry indices of the float constants a generated body binds.
 _FIELDS = {"L1": 8, "NM1": 9, "CM1": 10, "CNF": 11, "LAT": 12,
            "RINV": 13, "Q1": 14, "BUSY": 15, "TAIL": 16}
+
+#: Steady-state fast-forward; tests switch it off to compare.
+FAST_FORWARD = True
+
+#: Calls of fewer reps are not probed.
+MIN_PROBE_REPS = 16
+
+#: A probe window gives up after this many rep boundaries without a
+#: jump; the next window opens this many reps later, twice as many
+#: after each further failure.
+PROBE_WINDOW = 8
+
+#: Hyper-periods a probe tries, in reps, shortest first.
+_HYPER = (1, 2, 4)
+
+#: Fewest rows a jump skips, unless it reaches the end of the call: a
+#: shorter one would restart the probe window for little gain.
+_MIN_JUMP_ROWS = 64
 
 
 def scan(row_class: np.ndarray, seg_end: np.ndarray) -> tuple:
@@ -182,9 +202,12 @@ def _source(structure: tuple) -> str:
 
     ``_body(reps, k, t, nv, st, costs, table, cids, slots, first, last,
     write_end, read_end, rings, uready, ubusy, uops, depth, vsc, gap,
-    ita, srl)`` replays ``reps`` periods from scalar index ``k`` with
-    the scalar clock ``t``, the next vector issue time ``nv`` and the
-    issue-stall sum ``st``, and returns the four updated.
+    ita, srl, ff)`` replays ``reps`` periods from scalar index ``k``
+    with the scalar clock ``t``, the next vector issue time ``nv`` and
+    the issue-stall sum ``st``, and returns the four updated.  ``ff``
+    is the bundle's cost-repetition query
+    (:meth:`~repro.timing.replay_plan._MachineRows.cost_periods`), or
+    None to run every rep.
     """
     rows, shapes = structure
     lines: list[str] = []
@@ -194,8 +217,9 @@ def _source(structure: tuple) -> str:
 
     out(0, "def _body(reps, k, t, nv, st, costs, table, cids, slots, "
            "first, last, write_end, read_end, rings, uready, ubusy, uops, "
-           "depth, vsc, gap, ita, srl):")
+           "depth, vsc, gap, ita, srl, ff):")
     # -- constants: the float fields each class's rows read -----------
+    bound = []
     for j, (_, red, ones, multi, _, _, _, zero, one, l1) in \
             enumerate(shapes):
         if zero:
@@ -209,6 +233,7 @@ def _source(structure: tuple) -> str:
         out(1, f"e = table[cids[{j}]]")
         for name in names:
             out(1, f"{name}_{j} = e[{_FIELDS[name]}]")
+            bound.append(f"{name}_{j}")
     # -- state into locals ----------------------------------------------
     n_slots = 1 + max((s for shape in shapes
                        for s in (*shape[4], *shape[5])), default=-1)
@@ -223,16 +248,59 @@ def _source(structure: tuple) -> str:
                f"w{s} = write_end[s]; r{s} = read_end[s]")
     units = list(dict.fromkeys(shape[0] for shape in shapes))
     per_rep = {u: 0 for u in units}
+    busy: dict = {u: [] for u in units}
     for _, j in rows:
         if j >= 0:
-            per_rep[shapes[j][0]] += 1
+            u = shapes[j][0]
+            per_rep[u] += 1
+            busy[u].append("0.0" if shapes[j][7] else f"BUSY_{j}")
     for u in units:
         out(1, f"R{u} = uready[{u}]; B{u} = ubusy[{u}]; Q{u} = rings[{u}]; "
                f"I{u} = uops[{u}] % depth")
-    # -- the body --------------------------------------------------------
+    # -- fast-forward: per-rep busy terms, probe state --------------------
     n_costs = sum(count for count, _ in rows)
+    times = ", ".join(["t", "nv"]
+                      + [f"{c}{s}" for s in range(n_slots) for c in "flr"]
+                      + [f"w{s}" for s in written]
+                      + [f"R{u}" for u in units])
+    fifos = "".join(f", *Q{u}[I{u}:], *Q{u}[:I{u}]" for u in units)
+    for u in units:
+        out(1, f"BS{u} = ({', '.join(busy[u])},)")
+    out(1, "SL = []")
+    out(1, "sa = SL.append")
+    out(1, "P = []")
+    out(1, f"nxt = _start(ff, reps, depth, "
+           f"({', '.join(['vsc', 'gap', 'ita', 'srl', *bound])}), "
+           f"({''.join(f'Q{u}, ' for u in units)}))")
+    out(1, f"wait = {PROBE_WINDOW}")
+    out(1, "r = 0")
+    # -- the body --------------------------------------------------------
+    out(1, "while r < reps:")
+    out(2, "if r >= nxt:")
+    out(3, f"P.append((({times}{fifos}), k, len(SL)))")
+    least = -(-_MIN_JUMP_ROWS // len(rows))
+    out(3, f"j = _probe(P, ff, {n_costs}, reps - r, {least})")
+    out(3, "if j is not None:")
+    out(4, "n, h, D, s0, s1 = j")
+    out(4, "r += n * h")
+    if n_costs:
+        out(4, f"k += n * h * {n_costs}")
+    out(4, "st = _repeat(st, SL[s0:s1], n)")
+    out(4, "D *= n")
+    out(4, f"{times} = [x + D if x else x for x in ({times})]")
+    for u in units:
+        out(4, f"B{u} = _repeat(B{u}, BS{u}, n * h)")
+        out(4, f"I{u} = _shift_ring(Q{u}, I{u}, n * h * {per_rep[u]}, D, "
+               f"depth)")
+    out(4, "P.clear()")
+    out(4, "SL.clear()")
+    out(4, "continue")
+    out(3, f"if len(P) > {PROBE_WINDOW}:")
+    out(4, "P.clear()")
+    out(4, "SL.clear()")
+    out(4, "nxt = r + wait")
+    out(4, "wait += wait")
     unpacked = n_costs <= _MAX_UNPACKED
-    out(1, "for _ in range(reps):")
     if not n_costs:
         pass
     elif unpacked:  # one name per scalar cost of the period
@@ -256,6 +324,7 @@ def _source(structure: tuple) -> str:
             out(2, "if x > nv: nv = x")
             continue
         _vector_row(out, j, shapes[j])
+    out(2, "r += 1")
     # -- state back out ---------------------------------------------------
     for s in written:
         out(1, f"s = slots[{s}]")
@@ -279,7 +348,10 @@ def _vector_row(out, j: int, shape: tuple) -> None:
     out(2, "tr = t if t > nv else nv")
     out(2, f"x = Q{u}[I{u}]")
     out(2, "ta = x if x > tr else tr")
-    out(2, "st += ta - tr")
+    out(2, "x = ta - tr")
+    out(2, "if x:")  # a zero stall leaves the sum of stalls as it is
+    out(3, "st += x")
+    out(3, "sa(x)")
     out(2, "t = ta")
     out(2, "nv = ta + gap")
     # --- hazards: WAW/WAR on the destination slots
@@ -358,11 +430,110 @@ def _vector_row(out, j: int, shape: tuple) -> None:
         out(2, "if x > t: t = x")
 
 
+def _start(ff, reps: int, depth: int, durations: tuple,
+           rings: tuple) -> int:
+    """Rep at which a body call starts probing: 0, or ``reps`` (never)
+    when fast-forward is off (``ff`` is None), the call is short, a
+    duration the body adds to a time is negative or NaN, or a unit's
+    ring is shorter than ``depth``."""
+    if (ff is None or reps < MIN_PROBE_REPS
+            or not all(d >= 0.0 for d in durations)
+            or any(len(ring) != depth for ring in rings)):
+        return reps
+    return 0
+
+
+def _translation(a: tuple, b: tuple):
+    """``(delta, n)`` when the times ``b`` are the times ``a`` moved by
+    one common ``delta`` > 0 and ``n`` further moves keep every time in
+    the binade of the smallest nonzero time of ``a``; None otherwise.
+
+    A time that is 0.0 in both is a never-written entry, which the body
+    only compares against positive times, so it stays put.  The binade
+    ``[2^(e-1), 2^e)`` has the spacing ``u = 2^(e-53)``; ``delta`` must
+    be a multiple of ``2u`` so that a tie rounds to even on both sides
+    of the move.  The top keeps a margin of ``2^13 u`` for the few ulps
+    a discarded intermediate may round above the largest kept time.
+    """
+    delta = b[0] - a[0]
+    if not delta > 0.0:
+        return None
+    for x, y in zip(a, b):
+        if y - x != delta and (x or y):
+            return None
+    if a.count(0.0) != b.count(0.0):
+        return None  # a 0.0 moved to delta: not a time in a
+    lo = min(filter(None, a))
+    mant, e = frexp(lo)
+    if not (mant > 0.5 and e > 0) or delta % ldexp(1.0, e - 52):
+        return None
+    top = ldexp(1.0, e) - ldexp(1.0, e - 40)
+    hi = max(b)
+    n = int((top - hi) // delta)
+    if hi + n * delta >= top:
+        n -= 1
+    return delta, n
+
+
+def _probe(snapshots: list, ff, n_costs: int, left: int, least: int):
+    """``(n, h, delta, s0, s1)`` when a body at the last of its
+    rep-boundary ``snapshots`` may skip ``n`` hyper-periods of ``h``
+    reps by moving every time by ``n * delta``, or None.
+
+    A snapshot is ``(times, k, stall terms recorded)``.  Each ``h``
+    whose last hyper-period was a translation allows as many
+    hyper-periods as the ``left`` reps of the call, the binade
+    (:func:`_translation`) and the repetition of the scalar costs
+    (``ff``) do, if that is at least ``least`` reps or the rest of the
+    call; the ``h`` that skips the most reps wins, the shortest on a
+    tie.  The stall terms of that hyper-period are ``SL[s0:s1]``.
+    """
+    best = None
+    b, _, s1 = snapshots[-1]
+    for h in _HYPER:
+        if h >= len(snapshots) or h > left:
+            break
+        a, k, s0 = snapshots[-1 - h]
+        found = _translation(a, b)
+        if found is None:
+            continue
+        delta, n = found
+        most = left // h
+        n = min(n, most)
+        if n_costs:
+            n = min(n, ff(k, h * n_costs))
+        if (n * h >= least or n == most) and n > 0 and (
+                best is None or n * h > best[0] * best[1]):
+            best = n, h, delta, s0, s1
+    return best
+
+
+def _repeat(acc: float, terms, n: int) -> float:
+    """``acc`` plus ``n`` rounds of ``terms``, one addition at a time in
+    order, as the skipped rows would have added them."""
+    for _ in range(n):
+        for x in terms:
+            acc += x
+    return acc
+
+
+def _shift_ring(ring: list, at: int, ops: int, delta: float,
+                depth: int) -> int:
+    """Move the nonzero end times of a unit's ring by ``delta`` and its
+    write index ``at`` on by ``ops`` issues, keeping the order of the
+    queue; returns the new index."""
+    fifo = [x + delta if x else x for x in ring[at:] + ring[:at]]
+    at = (at + ops) % depth
+    ring[:] = fifo[depth - at:] + fifo[:depth - at]
+    return at
+
+
 def _function(structure: tuple):
     """The compiled body function of ``structure``, cached per process."""
     fn = _FUNCTIONS.get(structure)
     if fn is None:
-        namespace: dict = {}
+        namespace = {"_start": _start, "_probe": _probe,
+                     "_repeat": _repeat, "_shift_ring": _shift_ring}
         exec(compile(_source(structure), "<superblock>", "exec"),
              namespace)
         fn = namespace["_body"]

@@ -13,7 +13,8 @@
 * **Equal replays** — a replay from a loaded plan equals
   ``replay_reference`` on every registry machine.
 * **Stale, corrupt and old entries** — a plan section another compiler
-  wrote is recompiled (``plan_stale``), not purged; a flipped byte in the
+  wrote is recompiled by the read (``plan_stale``), not purged, and
+  rewritten so the next read loads it; a flipped byte in the
   plan or vector section fails the CRC and is purged as corrupt; a v7
   file is a stale miss that ``--gc`` purges as stale.
 * **Pipes** — a warm-read trace's blob is the captured blob, and the
@@ -22,7 +23,10 @@
 
 from __future__ import annotations
 
+import errno
+import os
 import pickle
+import warnings
 import zlib
 
 import numpy as np
@@ -115,10 +119,11 @@ def test_loaded_plan_replays_like_the_reference(tmp_path, every_plan, case):
             machine
 
 
-def _compiles_once_on_replay(tmp_path, monkeypatch, captured) -> dict:
-    """Read the entry of ``captured`` in a fresh cache: it serves with
-    no plan, replays like the capture on every machine, and compiles
-    exactly once.  Returns the reader's stats."""
+def _compiles_once(tmp_path, monkeypatch, captured) -> tuple:
+    """Read the entry of ``captured`` in a fresh cache: it serves,
+    replays like the capture on every machine, and compiles exactly
+    once, in the read or on first replay.  Returns the reader's stats
+    and whether the plan was compiled by the read."""
     compiled = []
     real = ReplayPlan.from_trace.__func__
 
@@ -129,12 +134,13 @@ def _compiles_once_on_replay(tmp_path, monkeypatch, captured) -> dict:
     monkeypatch.setattr(ReplayPlan, "from_trace", classmethod(counting))
     reader = TraceCache(disk_dir=tmp_path)
     entry = reader.get(_KEY)
-    assert entry is not None and entry.trace._plan is None
+    assert entry is not None
+    in_read = entry.trace._plan is not None
     for machine in _MACHINES:
         engine = TimingEngine(build_model(get_machine(machine)))
         assert engine.replay(entry.trace) == engine.replay(captured.trace)
     assert compiled == [entry.trace]
-    return reader.stats
+    return reader.stats, in_read
 
 
 def test_short_plan_is_not_stored(tmp_path, monkeypatch):
@@ -146,14 +152,15 @@ def test_short_plan_is_not_stored(tmp_path, monkeypatch):
     TraceCache(disk_dir=tmp_path).put(_KEY, captured)
     assert pickle.loads(disk_path(tmp_path, _KEY).read_bytes())["plan"] == b""
 
-    stats = _compiles_once_on_replay(tmp_path, monkeypatch, captured)
+    stats, in_read = _compiles_once(tmp_path, monkeypatch, captured)
+    assert not in_read
     assert (stats["disk_hits"], stats["plan_loads"], stats["plan_stale"],
             stats["corrupt_purged"]) == (1, 0, 0, 0)
 
 
 def test_stale_plan_section_recompiles(tmp_path, monkeypatch):
     """A section another compiler wrote is not a miss and not
-    corruption: the trace serves and compiles once on replay."""
+    corruption: the trace serves and its read compiles the plan once."""
     captured = _capture("fmatmul")
     TraceCache(disk_dir=tmp_path).put(_KEY, captured)
     path = disk_path(tmp_path, _KEY)
@@ -162,10 +169,61 @@ def test_stale_plan_section_recompiles(tmp_path, monkeypatch):
     assert plan.startswith(digest)
     _rewrite(path, plan=bytes(b ^ 0xFF for b in digest) + plan[len(digest):])
 
-    stats = _compiles_once_on_replay(tmp_path, monkeypatch, captured)
+    stats, in_read = _compiles_once(tmp_path, monkeypatch, captured)
+    assert in_read
     assert (stats["disk_hits"], stats["plan_loads"], stats["plan_stale"],
             stats["corrupt_purged"]) == (1, 0, 1, 0)
     assert path.exists()
+
+
+def _after_a_compiler_change(tmp_path, monkeypatch):
+    """Warm a store with the fmatmul capture, then give this process's
+    compiler another digest: ``(capture, entry path, new digest)``."""
+    captured = _capture("fmatmul")
+    TraceCache(disk_dir=tmp_path).put(_KEY, captured)
+    digest = bytes(b ^ 0xFF for b in compiler_digest())
+    monkeypatch.setattr(trace_cache, "compiler_digest", lambda: digest)
+    return captured, disk_path(tmp_path, _KEY), digest
+
+
+def test_stale_plan_section_is_refreshed_once(tmp_path, monkeypatch):
+    """The first read after a compiler change compiles the plan and
+    rewrites the section; the next fresh cache loads it."""
+    captured, path, digest = _after_a_compiler_change(tmp_path, monkeypatch)
+    first = TraceCache(disk_dir=tmp_path)
+    assert first.get(_KEY) is not None
+    assert (first.stats["plan_stale"], first.stats["plan_loads"]) == (1, 0)
+    assert pickle.loads(path.read_bytes())["plan"].startswith(digest)
+
+    second = TraceCache(disk_dir=tmp_path)
+    entry = second.get(_KEY)
+    stats = second.stats
+    assert (stats["plan_loads"], stats["plan_stale"],
+            stats["corrupt_purged"]) == (1, 0, 0)
+    assert entry.trace._vector is not None  # loaded, not compiled
+    assert_plans_equal(entry.trace._plan,
+                       ReplayPlan.from_trace(captured.trace))
+
+
+@pytest.mark.parametrize("code", [errno.ENOSPC, errno.EACCES])
+def test_failed_refresh_still_serves(tmp_path, monkeypatch, code):
+    """A refresh that cannot write is a serve-path failure: the read
+    serves its compiled plan, ``ENOSPC`` demotes the cache to
+    memory-only, and the entry stays stale for a later read."""
+    _, path, digest = _after_a_compiler_change(tmp_path, monkeypatch)
+
+    def full(self, path, parts):
+        raise OSError(code, os.strerror(code))
+
+    monkeypatch.setattr(TraceCache, "_write_sections", full)
+    reader = TraceCache(disk_dir=tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        entry = reader.get(_KEY)
+    assert entry is not None and entry.trace._plan is not None
+    assert reader.memory_only == (code == errno.ENOSPC)
+    assert len(caught) == (code == errno.ENOSPC)
+    assert not pickle.loads(path.read_bytes())["plan"].startswith(digest)
 
 
 @pytest.mark.parametrize("section", ["plan", "vector"])

@@ -1,5 +1,6 @@
 """Superblock replay: the periodic-body scan, the generated body code,
-and its exactness against the reference loop.
+its steady-state fast-forward, and its exactness against the reference
+loop.
 
 :mod:`repro.timing.superblock` replays periodic runs of issue rows with
 generated straight-line functions.  This module pins the scan on
@@ -7,14 +8,20 @@ synthetic streams, holds hand-built traces whose bodies exercise every
 resolved branch (vsetvl rows, zero-element masked accesses, reductions,
 dest-scalar rows, multi-slot groups, one-off rows between blocks, a
 trailing partial period) and random looped programs on random machine
-specs against :meth:`TimingEngine.replay_reference`, and pins the
-generated source text.  The zoo reach of the scan is pinned beside the
-queue-depth tests in ``tests/test_replay_hazards.py``.
+specs against :meth:`TimingEngine.replay_reference`, checks that a
+replay with fast-forward on, one with it off and the reference loop
+agree to the bit (``float.hex``) on looped programs, binade crossings,
+costs that do not repeat, non-dyadic sums and every pinned capture on
+every registry machine, and pins the generated source text.  The zoo
+reach of the scan is pinned beside the queue-depth tests in
+``tests/test_replay_hazards.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
+from math import frexp
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +36,13 @@ from repro.fuzz.kernel import generate_case, kernel_for_case
 from repro.isa import Assembler
 from repro.isa.instructions import MemPattern
 from repro.kernels import ZOO
-from repro.machine import get_machine
+from repro.machine import get_machine, list_machines
 from repro.machine.spec import MachineSpec
 from repro.timing import superblock
 from repro.timing.engine import TimingEngine
-from repro.timing.replay_plan import ReplayPlan
+from repro.timing.replay_plan import ReplayPlan, _MachineRows
 from repro.uarch import build_model
+from tests.test_trace_capture import PINNED
 from tests.trace_builder import build_trace
 
 #: Generated source of the fmatmul inner-loop body (10 rows).
@@ -265,27 +273,204 @@ class TestLoopedPrograms:
     @settings(max_examples=12, deadline=None)
     @given(case=looped_cases(), config=machine_specs())
     def test_replay_matches_reference(self, case, config):
-        trace = _capture(case)
-        engine = TimingEngine(build_model(config))
-        assert engine.replay(trace) == engine.replay_reference(trace)
+        """Fast-forward on, off and the reference loop agree."""
+        on, off, reference = _on_off_reference(_capture(case), config)
+        assert on == off == reference
 
 
-def _fixed_looped_case():
+_LOOP_BODY = (("vfadd_vv", ("v8", "v8", "v9"), {}),
+              ("addi", ("x10", "x10", 1), {}),
+              ("vfmacc_vv", ("v10", "v8", "v9"), {}))
+
+
+def _fixed_looped_case(body=_LOOP_BODY, trips=40, passes=8, avl=16):
     """One looped case built the way :func:`looped_cases` builds them."""
     gen = ProgramGen(7, size=1)
     pre = gen._preamble()
-    body = [("vfadd_vv", ("v8", "v8", "v9"), {}),
-            ("addi", ("x10", "x10", 1), {}),
-            ("vfmacc_vv", ("v10", "v8", "v9"), {})]
-    loop = [("li", ("x1", 16), {}),
+    loop = [("li", ("x1", avl), {}),
             ("vsetvli", ("x2", "x1"), {"sew": 64, "lmul": 1}),
-            ("li", ("x29", 8), {}), ("label", ("outer",), {}),
-            ("li", ("x28", 40), {}), ("label", ("inner",), {}),
+            ("li", ("x29", passes), {}), ("label", ("outer",), {}),
+            ("li", ("x28", trips), {}), ("label", ("inner",), {}),
             *body,
             ("addi", ("x28", "x28", -1), {}), ("bnez", ("x28", "inner"), {}),
             ("addi", ("x29", "x29", -1), {}), ("bnez", ("x29", "outer"), {})]
     return case_from_chunks(generate_case(7, size=1),
                             (pre, ("op", tuple(loop)), gen._epilogue()))
+
+
+# ----------------------------------------------------------------------
+# Steady-state fast-forward: on == off == reference, to the bit.
+# ----------------------------------------------------------------------
+def _bits(report) -> dict:
+    """The fields of ``report``, every float as ``float.hex``."""
+    def exact(value):
+        return value.hex() if isinstance(value, float) else value
+
+    return {name: ({k: exact(v) for k, v in value.items()}
+                   if isinstance(value, dict) else exact(value))
+            for name, value in dataclasses.asdict(report).items()}
+
+
+def _on_off_reference(trace, config) -> list:
+    """:func:`_bits` of ``trace`` replayed on ``config`` with
+    fast-forward on, with it off, and by the reference loop; each
+    replay compiles a fresh plan, so no report memo is shared."""
+    engine = TimingEngine(build_model(config))
+    views = []
+    for on in (True, False):
+        trace._plan = None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(superblock, "FAST_FORWARD", on)
+            views.append(_bits(engine.replay(trace)))
+    views.append(_bits(engine.replay_reference(trace)))
+    return views
+
+
+@pytest.fixture
+def jumps(monkeypatch) -> list:
+    """``(t, (n, h, delta, s0, s1))`` of every jump made by the body
+    functions compiled in the test, ``t`` the scalar clock it left."""
+    made = []
+    real = superblock._probe
+
+    def probe(snapshots, *args):
+        found = real(snapshots, *args)
+        if found is not None:
+            made.append((snapshots[-1][0][0], found))
+        return found
+
+    monkeypatch.setattr(superblock, "_probe", probe)
+    monkeypatch.setattr(superblock, "_FUNCTIONS", {})
+    return made
+
+
+class TestTranslation:
+    def test_a_common_move_in_one_binade_is_a_translation(self):
+        a = (1000.0, 1001.5, 0.0, 1010.25)
+        b = (1008.0, 1009.5, 0.0, 1018.25)
+        delta, n = superblock._translation(a, b)
+        assert delta == 8.0
+        # 1018.25 + 0.75 * 8 stays below 1024 less the top margin.
+        assert n == 0
+
+    def test_the_jump_count_stops_below_the_binade_top(self):
+        a = (600.0, 610.0)
+        b = (601.0, 611.0)
+        delta, n = superblock._translation(a, b)
+        assert (delta, n) == (1.0, 412)
+        assert 611.0 + n < 1024.0 <= 611.0 + n + 1
+
+    @pytest.mark.parametrize("b", [
+        (1008.0, 1009.5, 8.0, 1018.25),   # a never-written 0.0 moved
+        (1008.0, 1009.5, 0.0, 1018.5),    # one time moved further
+        (1008.0, 1009.5, 0.0, 1030.25),   # left the binade of 1000.0
+    ])
+    def test_other_moves_are_not(self, b):
+        assert superblock._translation((1000.0, 1001.5, 0.0, 1010.25),
+                                       b) is None
+
+    def test_delta_is_an_even_multiple_of_the_spacing(self):
+        """In ``[1024, 2048)`` the spacing is ``u = 2^-42``.  A move by
+        an odd multiple of ``u`` would flip which neighbour a tie rounds
+        to (ties go to the even one), so it is no translation."""
+        u = 2.0 ** -42
+        assert 1025.0 + 2 ** -43 == 1025.0  # a tie, rounded to even
+        assert (1025.0 + u) + 2 ** -43 == 1025.0 + 2 * u  # not + u
+        a = (1025.0, 1030.0)
+        assert superblock._translation(a, (1025.0 + u, 1030.0 + u)) is None
+        assert superblock._translation(a, (1025.0 + 2 * u,
+                                           1030.0 + 2 * u)) is not None
+
+
+class TestFastForward:
+    def test_jumps_on_both_sides_of_a_binade_crossing(self, jumps):
+        """One long inner loop: the clocks cross several binades inside
+        the block, and jumps land in more than one of them."""
+        trace = _capture(_fixed_looped_case(trips=1500, passes=1))
+        plan = ReplayPlan.from_trace(trace)
+        assert [reps for _, _, reps in plan.superblocks] == [1500]
+        on, off, reference = _on_off_reference(trace,
+                                               get_machine("8L-Ara2"))
+        assert on == off == reference
+        assert len({frexp(t)[1] for t, _ in jumps}) > 1
+        skipped = sum(n * h for _, (n, h, *_) in jumps)
+        assert skipped > 1500 // 2
+
+    def test_costs_that_do_not_repeat_refuse_every_jump(self, jumps,
+                                                         monkeypatch):
+        """A scalar load walks memory 40 bytes a trip, so D$ misses fall
+        every 8 trips at uneven gaps: states translate, but over no
+        hyper-period of 1, 2 or 4 trips do the costs repeat long
+        enough for a jump."""
+        asked = []
+        periods = _MachineRows.cost_periods
+
+        def cost_periods(self, k, p):
+            asked.append(periods(self, k, p))
+            return asked[-1]
+
+        monkeypatch.setattr(_MachineRows, "cost_periods", cost_periods)
+        body = (("fld", ("f1", "x5", 0), {}),
+                ("addi", ("x5", "x5", 40), {}),
+                ("vfmacc_vv", ("v10", "v8", "v9"), {}),
+                ("vfadd_vv", ("v12", "v10", "v9"), {}))
+        trace = _capture(_fixed_looped_case(body, trips=300, passes=1,
+                                            avl=128))
+        assert [reps for _, _, reps in
+                ReplayPlan.from_trace(trace).superblocks] == [300]
+        on, off, reference = _on_off_reference(trace,
+                                               get_machine("8L-Ara2"))
+        assert on == off == reference
+        assert asked and not jumps
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_captures_on_every_machine(self, name, jumps):
+        trace = PINNED[name][0]().trace
+        for machine in list_machines():
+            config = get_machine(machine)
+            for depth in (1, 2, config.unit_queue_depth):
+                config = dataclasses.replace(config, unit_queue_depth=depth)
+                on, off, reference = _on_off_reference(trace, config)
+                assert on == off == reference, (machine, depth)
+        probed = any(reps >= superblock.MIN_PROBE_REPS for _, _, reps in
+                     ReplayPlan.from_trace(trace).superblocks)
+        assert bool(jumps) == probed
+
+    def test_sums_are_added_term_by_term(self, jumps):
+        """Load busy cycles of 16 / 3 and the issue stalls behind them
+        are not dyadic, so ``B + n * d`` is not what ``n`` additions of
+        ``d`` give: a jump must add the skipped rows' terms one by
+        one."""
+        a = Assembler("non_dyadic")
+        vle = a.vle64_v("v8", "x5")
+        vfmacc = a.vfmacc_vv("v12", "v8", "v10")
+        a.halt()
+        program = a.build()
+        events = [VsetvlEvent(16, 64, 1)]
+        for i in range(3000):
+            events += [ScalarEvent("alu"),
+                       VectorEvent(vle, 16, 64, 1, MemAccess(
+                           base=0x2000 + 128 * (i % 8), stride=8,
+                           count=16, ew_bytes=8, pattern=MemPattern.UNIT,
+                           is_store=False)),
+                       VectorEvent(vfmacc, 16, 64, 1)]
+        trace = build_trace(program, events)
+        config = dataclasses.replace(
+            get_machine("8L-Ara2"), unit_queue_depth=2,
+            memory=dataclasses.replace(get_machine("8L-Ara2").memory,
+                                       read_bytes_per_cycle_per_lane=3.0))
+        on, off, reference = _on_off_reference(trace, config)
+        assert on == off == reference
+        skipped = sum(n * h for _, (n, h, *_) in jumps)
+        assert skipped > 2000
+        for value in (on["unit_busy"]["vlsu_load"],
+                      on["issue_stall_cycles"]):
+            assert Fraction(float.fromhex(value)).denominator > 2 ** 30
+        busy = 16 / 3  # 8 lanes x 3 B/cycle over 8-byte elements
+        total = 0.0
+        for _ in range(skipped):
+            total += busy
+        assert total != skipped * busy
 
 
 # ----------------------------------------------------------------------
