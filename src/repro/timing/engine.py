@@ -81,7 +81,9 @@ class TimingEngine:
         superblocks (:func:`repro.timing.superblock.segments`).  A gap
         is one branch-light pass zipping ``seg_end`` with ``row_class``
         and unpacking each row's class entry; a superblock is one call
-        of the generated straight-line function of its periodic body.
+        of the generated straight-line function of its periodic body,
+        which skips whole hyper-periods of its steady state by an exact
+        move in time (:mod:`repro.timing.superblock`, "Fast-forward").
         Before each row both add the flat scalar costs up to the row's
         ``seg_end``, one at a time as the reference loop does.  The
         scoreboard is indexed by the plan's shared slots and each
@@ -127,7 +129,7 @@ class TimingEngine:
 
         table = bundle.table
         costs = bundle.seg_costs
-        ff = bundle.cost_periods if superblock.FAST_FORWARD else None
+        ff = bundle if superblock.FAST_FORWARD else None
         k = 0
         seg_end = plan.seg_end
         row_class = plan.row_class

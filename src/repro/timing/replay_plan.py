@@ -308,6 +308,14 @@ class _MachineRows:
         i = bisect_left(breaks, k)
         return (breaks[i] - k) // p if i < len(breaks) else 0
 
+    def cost_repeats(self, k: int, p: int, like: int) -> int:
+        """Whole periods of ``p`` scalar costs from index ``k`` on equal
+        to the ``p`` costs from index ``like``."""
+        costs = self.seg_costs
+        if costs[k:k + p] != costs[like:like + p]:
+            return 0
+        return 1 + self.cost_periods(k, p)
+
     def finish(self, report) -> None:
         """Remember ``report``; the costs and table are done with."""
         self.report = report

@@ -39,16 +39,66 @@ instead of the generic row loop of :meth:`repro.timing.engine
   once per process and cached under their structure
   (:data:`_FUNCTIONS`).  The structures themselves (:func:`bodies`) are
   part of a plan, so the disk tier stores them with it.
+* **Fast-forward** (:func:`_probe`, generated into every body) — a
+  body's steady state repeats up to a move in time.  At rep boundaries
+  a body snapshots its *times*: ``t``, ``nv``, each slot's first, last
+  and read-end times (write-end too for destination slots), each
+  unit's ready time and its ring of queued end times in queue order.
+  When the snapshot ``h`` reps back (``h`` in 1, 2, 4) is this one
+  moved by one common ``delta``, and the scalar costs ahead repeat the
+  costs of those ``h`` reps (:meth:`~repro.timing.replay_plan
+  ._MachineRows.cost_periods`, one numpy compare per period and
+  machine), the body skips ``n`` hyper-periods at once: every time
+  moves by ``n * delta``, ``k``, the ring indices and the op counts
+  advance, and the stall sum and busy sums add the skipped rows' terms
+  one addition at a time, in order.  The jump stops at the binade top,
+  at the first cost that differs and at the end of the call; the body
+  then runs normally and probes again (after a failed window of
+  :data:`PROBE_WINDOW` boundaries it waits, twice as long each time).
+  :data:`FAST_FORWARD` switches it off.  On warm ``all --scale
+  paper`` (250 replays, 1,784,720 superblock rows) it skips 1,429,562
+  rows, 80.1%.
 
 **Exactness.**  A generated row performs the arithmetic of the generic
 loop's row — the same IEEE-754 operations on the same operands in the
 same order (``t0 + lat + rinv`` stays ``(t0 + lat) + rinv``); only
-comparisons are rearranged, and those are exact.  The structural flags
-it resolves are the very tests the generic loop makes per row, and
-they are constant within a class.  State leaves the locals through the
-same lists the generic loop uses, so gaps and superblocks interleave
-freely.  :meth:`~repro.timing.engine.TimingEngine.replay_reference`
-stays the oracle.
+comparisons are rearranged, and those are exact.  Each row's issue
+stall goes to a list that is added to ``st`` later, term by term in
+order: the same additions, as no row reads ``st``.  The structural flags it resolves are the very tests the
+generic loop makes per row, and they are constant within a class.
+State leaves the locals through the same lists the generic loop uses,
+so gaps and superblocks interleave freely.  A jump is exact because:
+
+* a row combines times only with *durations* (constants, costs, and
+  differences or quotients of durations), compares times with times
+  or with 0.0, and compares a duration with ``1e-12``.  If every time
+  in ``[2^(e-1), 2^e)`` moves by ``D``, a multiple of twice the
+  binade's spacing ``u = 2^(e-53)``, then ``fl(x + D + d) = fl(x + d)
+  + D`` whenever both sums stay in the binade: the rounding grid
+  shifts by an even number of steps, so even a tie rounds to the
+  same neighbour.  Durations computed from moved times are unchanged,
+  and so are all comparisons while every time is positive;
+* with non-negative durations (checked once per call) every time a
+  row computes lies between the smallest time of the hyper-period's
+  first snapshot and, within a few ulps, the largest of its last one.
+  So a jump keeps that smallest time above ``2^(e-1)`` and the largest
+  time after the jump a margin below ``2^e``: each skipped rep is the
+  observed hyper-period moved, operation by operation.  A 0.0 in both
+  snapshots is a never-written entry and stays 0.0;
+* the stall sum and the busy sums are sums, not times: ``B + n * d``
+  can differ from ``n`` additions of ``d``.  So a jump adds the
+  recorded stall terms of one hyper-period ``n`` times over, and each
+  unit's per-rep busy terms ``n * h`` times over, one addition at a
+  time;
+* after a jump, the last skipped hyper-period is kept: a later state
+  that is its start moved within the same binade, facing the same
+  costs, jumps by it without a new probe (a cost that broke the jump
+  often leaves the state a moved copy of the steady one).
+
+Calls shorter than :data:`MIN_PROBE_REPS`, machines with a negative or
+NaN duration and rings shorter than the queue depth never jump.
+:meth:`~repro.timing.engine.TimingEngine.replay_reference` stays the
+oracle.
 """
 
 from __future__ import annotations
@@ -82,7 +132,8 @@ _MAX_UNPACKED = 1024
 _FIELDS = {"L1": 8, "NM1": 9, "CM1": 10, "CNF": 11, "LAT": 12,
            "RINV": 13, "Q1": 14, "BUSY": 15, "TAIL": 16}
 
-#: Steady-state fast-forward; tests switch it off to compare.
+#: Steady-state fast-forward of the bodies; tests and
+#: ``tools/fast_forward_check.py`` switch it off to compare.
 FAST_FORWARD = True
 
 #: Calls of fewer reps are not probed.
@@ -205,9 +256,9 @@ def _source(structure: tuple) -> str:
     ita, srl, ff)`` replays ``reps`` periods from scalar index ``k``
     with the scalar clock ``t``, the next vector issue time ``nv`` and
     the issue-stall sum ``st``, and returns the four updated.  ``ff``
-    is the bundle's cost-repetition query
-    (:meth:`~repro.timing.replay_plan._MachineRows.cost_periods`), or
-    None to run every rep.
+    is the machine bundle whose costs ``costs`` are
+    (:class:`~repro.timing.replay_plan._MachineRows`), for the
+    fast-forward's cost-repetition queries, or None to run every rep.
     """
     rows, shapes = structure
     lines: list[str] = []
@@ -269,6 +320,7 @@ def _source(structure: tuple) -> str:
     out(1, "SL = []")
     out(1, "sa = SL.append")
     out(1, "P = []")
+    out(1, "ref = None")
     out(1, f"nxt = _start(ff, reps, depth, "
            f"({', '.join(['vsc', 'gap', 'ita', 'srl', *bound])}), "
            f"({''.join(f'Q{u}, ' for u in units)}))")
@@ -279,13 +331,13 @@ def _source(structure: tuple) -> str:
     out(2, "if r >= nxt:")
     out(3, f"P.append((({times}{fifos}), k, len(SL)))")
     least = -(-_MIN_JUMP_ROWS // len(rows))
-    out(3, f"j = _probe(P, ff, {n_costs}, reps - r, {least})")
-    out(3, "if j is not None:")
-    out(4, "n, h, D, s0, s1 = j")
+    out(3, f"j = _probe(P, SL, ff, {n_costs}, reps - r, {least}, ref)")
+    out(3, "if j.__class__ is tuple:")
+    out(4, "n, h, D, terms, ref = j")
     out(4, "r += n * h")
     if n_costs:
         out(4, f"k += n * h * {n_costs}")
-    out(4, "st = _repeat(st, SL[s0:s1], n)")
+    out(4, "st = _repeat(_repeat(st, SL, 1), terms, n)")
     out(4, "D *= n")
     out(4, f"{times} = [x + D if x else x for x in ({times})]")
     for u in units:
@@ -295,11 +347,14 @@ def _source(structure: tuple) -> str:
     out(4, "P.clear()")
     out(4, "SL.clear()")
     out(4, "continue")
-    out(3, f"if len(P) > {PROBE_WINDOW}:")
+    out(3, f"if j is not None or len(P) > {PROBE_WINDOW}:")
+    out(4, "st = _repeat(st, SL, 1)")
     out(4, "P.clear()")
     out(4, "SL.clear()")
-    out(4, "nxt = r + wait")
-    out(4, "wait += wait")
+    out(4, "if j is None:")
+    out(5, "j = wait")
+    out(5, "wait += wait")
+    out(4, "nxt = r + j")
     unpacked = n_costs <= _MAX_UNPACKED
     if not n_costs:
         pass
@@ -335,7 +390,7 @@ def _source(structure: tuple) -> str:
     for u in units:
         out(1, f"uready[{u}] = R{u}; ubusy[{u}] = B{u}; "
                f"uops[{u}] += {per_rep[u]} * reps")
-    out(1, "return k, t, nv, st")
+    out(1, "return k, t, nv, _repeat(st, SL, 1)")
     return "\n".join(lines) + "\n"
 
 
@@ -348,10 +403,7 @@ def _vector_row(out, j: int, shape: tuple) -> None:
     out(2, "tr = t if t > nv else nv")
     out(2, f"x = Q{u}[I{u}]")
     out(2, "ta = x if x > tr else tr")
-    out(2, "x = ta - tr")
-    out(2, "if x:")  # a zero stall leaves the sum of stalls as it is
-    out(3, "st += x")
-    out(3, "sa(x)")
+    out(2, "sa(ta - tr)")  # added to st in order at a jump or the end
     out(2, "t = ta")
     out(2, "nv = ta + gap")
     # --- hazards: WAW/WAR on the destination slots
@@ -443,18 +495,11 @@ def _start(ff, reps: int, depth: int, durations: tuple,
     return 0
 
 
-def _translation(a: tuple, b: tuple):
-    """``(delta, n)`` when the times ``b`` are the times ``a`` moved by
-    one common ``delta`` > 0 and ``n`` further moves keep every time in
-    the binade of the smallest nonzero time of ``a``; None otherwise.
-
-    A time that is 0.0 in both is a never-written entry, which the body
-    only compares against positive times, so it stays put.  The binade
-    ``[2^(e-1), 2^e)`` has the spacing ``u = 2^(e-53)``; ``delta`` must
-    be a multiple of ``2u`` so that a tie rounds to even on both sides
-    of the move.  The top keeps a margin of ``2^13 u`` for the few ulps
-    a discarded intermediate may round above the largest kept time.
-    """
+def _shift(a: tuple, b: tuple):
+    """The common move ``delta > 0`` that takes the times ``a`` to the
+    times ``b``, or None.  A time that is 0.0 in both is a never-written
+    entry, which the body only compares against positive times, so it
+    stays put."""
     delta = b[0] - a[0]
     if not delta > 0.0:
         return None
@@ -463,49 +508,103 @@ def _translation(a: tuple, b: tuple):
             return None
     if a.count(0.0) != b.count(0.0):
         return None  # a 0.0 moved to delta: not a time in a
+    return delta
+
+
+def _room(a: tuple, c: tuple, delta: float, move: float):
+    """``(n, m)`` for a run known to take the times ``a`` to ``a +
+    delta``, replayed from the times ``c = a + move``: ``n`` moves of
+    ``delta`` keep every time of ``c`` in the binade of the smallest
+    nonzero time of ``a``, and ``m`` moves take that time past the
+    binade's top.  None when the moves are off the binade's grid.
+
+    The binade ``[2^(e-1), 2^e)`` has the spacing ``u = 2^(e-53)``;
+    ``delta`` and ``move`` must be multiples of ``2u`` so that a tie
+    rounds to even on both sides of a move.  The top keeps a margin of
+    ``2^13 u`` for the few ulps a discarded intermediate may round
+    above the largest kept time.
+    """
     lo = min(filter(None, a))
     mant, e = frexp(lo)
-    if not (mant > 0.5 and e > 0) or delta % ldexp(1.0, e - 52):
+    if not (mant > 0.5 and e > 0):
         return None
-    top = ldexp(1.0, e) - ldexp(1.0, e - 40)
-    hi = max(b)
-    n = int((top - hi) // delta)
-    if hi + n * delta >= top:
+    grid = ldexp(1.0, e - 52)
+    if delta % grid or move % grid:
+        return None
+    top = ldexp(1.0, e)
+    limit = top - ldexp(1.0, e - 40)
+    hi = max(c)
+    n = int((limit - hi) // delta)
+    if hi + n * delta >= limit:
         n -= 1
-    return delta, n
+    return n, int((top - lo) // delta) + 1
 
 
-def _probe(snapshots: list, ff, n_costs: int, left: int, least: int):
-    """``(n, h, delta, s0, s1)`` when a body at the last of its
-    rep-boundary ``snapshots`` may skip ``n`` hyper-periods of ``h``
-    reps by moving every time by ``n * delta``, or None.
+def _probe(snapshots: list, stalls: list, ff, n_costs: int, left: int,
+           least: int, ref):
+    """A jump ``(n, h, delta, terms, ref)`` for a body at the last of
+    its rep-boundary ``snapshots``: skip ``n`` hyper-periods of ``h``
+    reps by moving every time by ``n * delta`` and adding the stall
+    ``terms`` of one hyper-period ``n`` times.  Else the reps to run
+    before probing again when only the binade stood in the way, or None.
 
-    A snapshot is ``(times, k, stall terms recorded)``.  Each ``h``
-    whose last hyper-period was a translation allows as many
-    hyper-periods as the ``left`` reps of the call, the binade
-    (:func:`_translation`) and the repetition of the scalar costs
-    (``ff``) do, if that is at least ``least`` reps or the rest of the
-    call; the ``h`` that skips the most reps wins, the shortest on a
-    tie.  The stall terms of that hyper-period are ``SL[s0:s1]``.
+    A snapshot is ``(times, k, len(stalls))``.  Each ``h`` whose last
+    hyper-period was a translation allows as many hyper-periods as the
+    ``left`` reps of the call, the binade (:func:`_room`) and the
+    repetition of the scalar costs (``ff``) do, if that is at least
+    ``least`` reps or the rest of the call; the ``h`` that skips the
+    most reps wins, the shortest on a tie.  A translation the binade
+    cut short gives the reps until its oldest snapshot's smallest time
+    is past the binade's top.
+
+    ``ref`` is the last hyper-period of the previous jump, ``(times, k,
+    h, delta, terms)``: the run from those times with the costs from
+    ``k`` moves them by ``delta``.  When no ``h`` allows a jump but the
+    last snapshot is those times moved in one binade, and the costs
+    ahead repeat ``ref``'s, the jump goes by ``ref`` — typically one
+    rep after a cost that broke the last jump.
     """
     best = None
-    b, _, s1 = snapshots[-1]
+    wait = None
+    c, kc, s1 = snapshots[-1]
     for h in _HYPER:
         if h >= len(snapshots) or h > left:
             break
         a, k, s0 = snapshots[-1 - h]
-        found = _translation(a, b)
-        if found is None:
+        delta = _shift(a, c)
+        room = delta and _room(a, c, delta, delta)
+        if not room:
             continue
-        delta, n = found
+        n, m = room
         most = left // h
-        n = min(n, most)
         if n_costs:
-            n = min(n, ff(k, h * n_costs))
-        if (n * h >= least or n == most) and n > 0 and (
+            most = min(most, ff.cost_periods(k, h * n_costs))
+        if n >= most:
+            n = most
+        elif n * h < least:  # too close to the binade's top
+            hint = max(1, (m - 1) * h)
+            wait = hint if wait is None else min(wait, hint)
+            continue
+        if (n * h >= least or n == left // h) and n > 0 and (
                 best is None or n * h > best[0] * best[1]):
-            best = n, h, delta, s0, s1
-    return best
+            best = n, h, delta, k, stalls[s0:s1]
+    if best is None and ref is not None and ref[2] <= left:
+        a, k, h, delta, terms = ref
+        move = _shift(a, c)
+        room = move and _room(a, c, delta, move)
+        if room:
+            n = min(room[0], left // h)
+            if n_costs:
+                n = min(n, ff.cost_repeats(kc, h * n_costs, k))
+            if n * h >= least or n == left // h > 0:
+                best = n, h, delta, kc - h * n_costs, terms
+    if best is None:
+        return wait
+    n, h, delta, k, terms = best
+    move = (n - 1) * delta
+    return n, h, delta, terms, (
+        tuple([x + move if x else x for x in c]),
+        k + n * h * n_costs, h, delta, terms)
 
 
 def _repeat(acc: float, terms, n: int) -> float:

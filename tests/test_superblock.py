@@ -335,7 +335,7 @@ def jumps(monkeypatch) -> list:
 
     def probe(snapshots, *args):
         found = real(snapshots, *args)
-        if found is not None:
+        if found.__class__ is tuple:
             made.append((snapshots[-1][0][0], found))
         return found
 
@@ -345,41 +345,79 @@ def jumps(monkeypatch) -> list:
 
 
 class TestTranslation:
-    def test_a_common_move_in_one_binade_is_a_translation(self):
-        a = (1000.0, 1001.5, 0.0, 1010.25)
-        b = (1008.0, 1009.5, 0.0, 1018.25)
-        delta, n = superblock._translation(a, b)
-        assert delta == 8.0
-        # 1018.25 + 0.75 * 8 stays below 1024 less the top margin.
-        assert n == 0
+    A = (1000.0, 1001.5, 0.0, 1010.25)
 
-    def test_the_jump_count_stops_below_the_binade_top(self):
-        a = (600.0, 610.0)
-        b = (601.0, 611.0)
-        delta, n = superblock._translation(a, b)
-        assert (delta, n) == (1.0, 412)
-        assert 611.0 + n < 1024.0 <= 611.0 + n + 1
+    def test_a_common_move_is_a_shift(self):
+        assert superblock._shift(self.A, (1008.0, 1009.5, 0.0,
+                                          1018.25)) == 8.0
 
     @pytest.mark.parametrize("b", [
         (1008.0, 1009.5, 8.0, 1018.25),   # a never-written 0.0 moved
         (1008.0, 1009.5, 0.0, 1018.5),    # one time moved further
-        (1008.0, 1009.5, 0.0, 1030.25),   # left the binade of 1000.0
+        (1000.0, 1001.5, 0.0, 1010.25),   # no move
     ])
     def test_other_moves_are_not(self, b):
-        assert superblock._translation((1000.0, 1001.5, 0.0, 1010.25),
-                                       b) is None
+        assert superblock._shift(self.A, b) is None
 
-    def test_delta_is_an_even_multiple_of_the_spacing(self):
+    def test_room_ends_below_the_binade_top(self):
+        n, m = superblock._room((600.0, 610.0), (601.0, 611.0), 1.0, 1.0)
+        assert 611.0 + n < 1024.0 <= 611.0 + n + 1
+        assert 600.0 + (m - 1) <= 1024.0 < 600.0 + m
+
+    def test_a_window_across_the_binade_top_has_none(self):
+        n, _ = superblock._room(self.A, (1008.0, 1009.5, 0.0, 1030.25),
+                                8.0, 8.0)
+        assert n < 0
+
+    def test_moves_are_even_multiples_of_the_spacing(self):
         """In ``[1024, 2048)`` the spacing is ``u = 2^-42``.  A move by
         an odd multiple of ``u`` would flip which neighbour a tie rounds
-        to (ties go to the even one), so it is no translation."""
+        to (ties go to the even one), so it leaves no room."""
         u = 2.0 ** -42
         assert 1025.0 + 2 ** -43 == 1025.0  # a tie, rounded to even
         assert (1025.0 + u) + 2 ** -43 == 1025.0 + 2 * u  # not + u
         a = (1025.0, 1030.0)
-        assert superblock._translation(a, (1025.0 + u, 1030.0 + u)) is None
-        assert superblock._translation(a, (1025.0 + 2 * u,
-                                           1030.0 + 2 * u)) is not None
+        for move, room in ((u, False), (2 * u, True)):
+            c = (1025.0 + move, 1030.0 + move)
+            assert bool(superblock._room(a, c, move, move)) == room
+            assert bool(superblock._room(a, c, 2 * u, move)) == room
+
+
+class _Repeating:
+    """A cost-repetition source under which every cost repeats."""
+
+    def cost_periods(self, k, p):
+        return 1 << 30
+
+    def cost_repeats(self, k, p, like):
+        return 1 << 30
+
+
+class TestProbe:
+    def test_a_translation_jumps_to_the_binade_top(self):
+        snapshots = [((1100.0, 1105.0), 10, 0), ((1103.0, 1108.0), 14, 1)]
+        n, h, delta, terms, ref = superblock._probe(
+            snapshots, [0.5], _Repeating(), 4, 1000, 8, None)
+        assert (h, delta, terms) == (1, 3.0, [0.5])
+        assert 1108.0 + n * 3.0 < 2048.0 <= 1108.0 + (n + 1) * 3.0
+        # The last skipped hyper-period, starting n - 1 moves on.
+        move = (n - 1) * 3.0
+        assert ref == ((1103.0 + move, 1108.0 + move), 14 + (n - 1) * 4,
+                       1, 3.0, [0.5])
+
+    def test_the_last_jump_carries_a_moved_state(self):
+        """No snapshot pair translates, but the state is the last
+        jump's hyper-period moved within its binade."""
+        ref = ((1100.0, 1105.0), 10, 1, 3.0, (0.5,))
+        n, h, delta, terms, _ = superblock._probe(
+            [((1200.0, 1205.0), 40, 0)], [], _Repeating(), 4, 1000, 8, ref)
+        assert (h, delta, terms) == (1, 3.0, (0.5,))
+        assert 1205.0 + n * 3.0 < 2048.0 <= 1205.0 + (n + 1) * 3.0
+
+    def test_a_moved_state_in_another_binade_does_not(self):
+        ref = ((1000.0, 1005.0), 10, 1, 3.0, (0.5,))
+        assert superblock._probe([((1100.0, 1105.0), 40, 0)], [],
+                                 _Repeating(), 4, 1000, 8, ref) is None
 
 
 class TestFastForward:
