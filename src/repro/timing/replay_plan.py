@@ -273,8 +273,10 @@ class _MachineRows:
     :data:`CLASS_FIELDS` (none for the vsetvl class 0) followed by its
     machine fields ``(lat, 1/rate, (cn-1)/rate, busy, reduction
     tail)``.
-    :meth:`finish` memoizes the report and drops both lists, which are
-    never read again.
+    :meth:`cost_periods` and :meth:`cost_repeats` answer the superblock
+    fast-forward's question whether the costs ahead repeat.
+    :meth:`finish` memoizes the report and drops the costs and table,
+    which are never read again.
     """
 
     __slots__ = ("seg_costs", "table", "dcache_hits", "dcache_misses",
