@@ -87,7 +87,6 @@ from __future__ import annotations
 
 import hashlib
 import importlib
-from bisect import bisect_left
 from functools import lru_cache
 
 import numpy as np
@@ -273,14 +272,14 @@ class _MachineRows:
     :data:`CLASS_FIELDS` (none for the vsetvl class 0) followed by its
     machine fields ``(lat, 1/rate, (cn-1)/rate, busy, reduction
     tail)``.
-    :meth:`cost_periods` and :meth:`cost_repeats` answer the superblock
-    fast-forward's question whether the costs ahead repeat.
+    :meth:`cost_periods`, :meth:`cost_repeats` and :meth:`durations_ok`
+    answer the superblock fast-forward's questions.
     :meth:`finish` memoizes the report and drops the costs and table,
     which are never read again.
     """
 
     __slots__ = ("seg_costs", "table", "dcache_hits", "dcache_misses",
-                 "report", "_cost_array", "_breaks")
+                 "report", "_cost_array", "_breaks", "_durations_ok")
 
     def __init__(self, cost_array: np.ndarray, table: list,
                  dcache_hits: int, dcache_misses: int) -> None:
@@ -291,6 +290,7 @@ class _MachineRows:
         self.report = None
         self._cost_array = cost_array
         self._breaks: dict = {}
+        self._durations_ok = None
 
     def cost_periods(self, k: int, p: int) -> int:
         """Whole periods of ``p`` scalar costs from index ``k`` on that
@@ -303,12 +303,10 @@ class _MachineRows:
             costs = self._cost_array
             m = max(costs.size - p, 0)
             head = costs[:m]
-            breaks = np.flatnonzero((costs[p:p + m] != head)
-                                    | ~(head >= 0.0)).tolist()
-            breaks.append(m)
-            self._breaks[p] = breaks
-        i = bisect_left(breaks, k)
-        return (breaks[i] - k) // p if i < len(breaks) else 0
+            breaks = self._breaks[p] = np.append(np.flatnonzero(
+                (costs[p:p + m] != head) | ~(head >= 0.0)), m)
+        i = int(breaks.searchsorted(k))
+        return (int(breaks[i]) - k) // p if i < breaks.size else 0
 
     def cost_repeats(self, k: int, p: int, like: int) -> int:
         """Whole periods of ``p`` scalar costs from index ``k`` on equal
@@ -317,6 +315,19 @@ class _MachineRows:
         if costs[k:k + p] != costs[like:like + p]:
             return 0
         return 1 + self.cost_periods(k, p)
+
+    def durations_ok(self) -> bool:
+        """No class adds a negative or NaN duration to a time: the
+        latency of a zero-element class, every machine field and float
+        constant of the others (``cn >= 1`` keeps ``last1``, ``nm1``
+        and ``cm1`` non-negative).  Memoized."""
+        ok = self._durations_ok
+        if ok is None:
+            ok = self._durations_ok = all(
+                all(x >= 0.0 for x in entry[8:])
+                if entry[7] else entry[12] >= 0.0
+                for entry in self.table[1:])
+        return ok
 
     def finish(self, report) -> None:
         """Remember ``report``; the costs and table are done with."""

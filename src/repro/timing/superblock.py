@@ -64,10 +64,11 @@ loop's row — the same IEEE-754 operations on the same operands in the
 same order (``t0 + lat + rinv`` stays ``(t0 + lat) + rinv``); only
 comparisons are rearranged, and those are exact.  Each row's issue
 stall goes to a list that is added to ``st`` later, term by term in
-order: the same additions, as no row reads ``st``.  The structural flags it resolves are the very tests the
-generic loop makes per row, and they are constant within a class.
-State leaves the locals through the same lists the generic loop uses,
-so gaps and superblocks interleave freely.  A jump is exact because:
+order: the same additions, as no row reads ``st``.  The structural
+flags it resolves are the very tests the generic loop makes per row,
+and they are constant within a class.  State leaves the locals through
+the same lists the generic loop uses, so gaps and superblocks
+interleave freely.  A jump is exact because:
 
 * a row combines times only with *durations* (constants, costs, and
   differences or quotients of durations), compares times with times
@@ -104,6 +105,7 @@ oracle.
 from __future__ import annotations
 
 from math import frexp, ldexp
+from operator import itemgetter
 
 import numpy as np
 
@@ -270,7 +272,6 @@ def _source(structure: tuple) -> str:
            "first, last, write_end, read_end, rings, uready, ubusy, uops, "
            "depth, vsc, gap, ita, srl, ff):")
     # -- constants: the float fields each class's rows read -----------
-    bound = []
     for j, (_, red, ones, multi, _, _, _, zero, one, l1) in \
             enumerate(shapes):
         if zero:
@@ -281,10 +282,12 @@ def _source(structure: tuple) -> str:
                 names += ["L1", "NM1"]
             names += ["TAIL"] if red else ["LAT"] if one \
                 else ["LAT", "CM1", "CNF"]
-        out(1, f"e = table[cids[{j}]]")
-        for name in names:
-            out(1, f"{name}_{j} = e[{_FIELDS[name]}]")
-            bound.append(f"{name}_{j}")
+        bound = ", ".join(f"{name}_{j}" for name in names)
+        fields = ", ".join(str(_FIELDS[name]) for name in names)
+        if len(names) == 1:
+            out(1, f"{bound} = table[cids[{j}]][{fields}]")
+        else:  # one statement per class keeps the compile small
+            out(1, f"{bound} = _fields({fields})(table[cids[{j}]])")
     # -- state into locals ----------------------------------------------
     n_slots = 1 + max((s for shape in shapes
                        for s in (*shape[4], *shape[5])), default=-1)
@@ -321,8 +324,7 @@ def _source(structure: tuple) -> str:
     out(1, "sa = SL.append")
     out(1, "P = []")
     out(1, "ref = None")
-    out(1, f"nxt = _start(ff, reps, depth, "
-           f"({', '.join(['vsc', 'gap', 'ita', 'srl', *bound])}), "
+    out(1, f"nxt = _start(ff, reps, depth, (vsc, gap, ita, srl), "
            f"({''.join(f'Q{u}, ' for u in units)}))")
     out(1, f"wait = {PROBE_WINDOW}")
     out(1, "r = 0")
@@ -355,6 +357,9 @@ def _source(structure: tuple) -> str:
     out(5, "j = wait")
     out(5, "wait += wait")
     out(4, "nxt = r + j")
+    out(2, "elif SL:")  # not probing: no snapshot refers to SL
+    out(3, "st = _repeat(st, SL, 1)")
+    out(3, "SL.clear()")
     unpacked = n_costs <= _MAX_UNPACKED
     if not n_costs:
         pass
@@ -486,10 +491,12 @@ def _start(ff, reps: int, depth: int, durations: tuple,
            rings: tuple) -> int:
     """Rep at which a body call starts probing: 0, or ``reps`` (never)
     when fast-forward is off (``ff`` is None), the call is short, a
-    duration the body adds to a time is negative or NaN, or a unit's
-    ring is shorter than ``depth``."""
+    duration the body adds to a time (``durations`` or a class's, see
+    :meth:`~repro.timing.replay_plan._MachineRows.durations_ok`) is
+    negative or NaN, or a unit's ring is shorter than ``depth``."""
     if (ff is None or reps < MIN_PROBE_REPS
             or not all(d >= 0.0 for d in durations)
+            or not ff.durations_ok()
             or any(len(ring) != depth for ring in rings)):
         return reps
     return 0
@@ -631,8 +638,9 @@ def _function(structure: tuple):
     """The compiled body function of ``structure``, cached per process."""
     fn = _FUNCTIONS.get(structure)
     if fn is None:
-        namespace = {"_start": _start, "_probe": _probe,
-                     "_repeat": _repeat, "_shift_ring": _shift_ring}
+        namespace = {"_fields": itemgetter, "_start": _start,
+                     "_probe": _probe, "_repeat": _repeat,
+                     "_shift_ring": _shift_ring}
         exec(compile(_source(structure), "<superblock>", "exec"),
              namespace)
         fn = namespace["_body"]
