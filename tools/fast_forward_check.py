@@ -46,19 +46,17 @@ def run(argv: list[str]) -> int:
     replay = TimingEngine.replay
     function = superblock._function
     probe = superblock._probe
-    rows = {"body": 0, "skipped": 0}
-    period = [0]
+    counts = {"reports": 0, "rows": 0, "skipped": 0, "period": 0}
     diffs: list = []
-    count = [0]
 
     def counted_function(structure):
         body = function(structure)
         length = len(structure[0])
 
         def counted(reps, *args):
-            period[0] = length
+            counts["period"] = length
             if superblock.FAST_FORWARD:
-                rows["body"] += reps * length
+                counts["rows"] += reps * length
             return body(reps, *args)
 
         return counted
@@ -66,7 +64,7 @@ def run(argv: list[str]) -> int:
     def counted_probe(*args):
         found = probe(*args)
         if found.__class__ is tuple:
-            rows["skipped"] += found[0] * found[1] * period[0]
+            counts["skipped"] += found[0] * found[1] * counts["period"]
         return found
 
     def checked(engine, trace):
@@ -79,7 +77,7 @@ def run(argv: list[str]) -> int:
         finally:
             superblock.FAST_FORWARD = True
             trace._plan = plan
-        count[0] += 1
+        counts["reports"] += 1
         on_bits, off_bits = _bits(report), _bits(off)
         if on_bits != off_bits:
             diffs.append((engine.model.name, {
@@ -100,15 +98,15 @@ def run(argv: list[str]) -> int:
         superblock._function = function
         superblock._probe = probe
         superblock._FUNCTIONS.clear()
-    share = rows["skipped"] / rows["body"] if rows["body"] else 0.0
-    print(f"[fast-forward check] reports={count[0]} differ={len(diffs)} "
-          f"superblock_rows={rows['body']} skipped={rows['skipped']} "
-          f"({share:.1%})")
+    rows, skipped = counts["rows"], counts["skipped"]
+    print(f"[fast-forward check] reports={counts['reports']} "
+          f"differ={len(diffs)} superblock_rows={rows} skipped={skipped} "
+          f"({skipped / rows if rows else 0.0:.1%})")
     for machine, fields in diffs[:10]:
         print(f"  {machine}: {fields}")
     if status:
         return status
-    return 1 if diffs or not count[0] else 0
+    return 1 if diffs or not counts["reports"] else 0
 
 
 if __name__ == "__main__":
