@@ -228,7 +228,8 @@ def main(argv: list[str] | None = None) -> int:
               f"remote_captures={stats['remote_puts']} "
               f"corrupt_purged={stats['corrupt_purged']} "
               f"plan_loads={stats['plan_loads']} "
-              f"plan_stale={stats['plan_stale']}")
+              f"plan_stale={stats['plan_stale']} "
+              f"code_loads={stats['code_loads']}")
     if args.store_stats and pool is not None:
         fl = pool.fault_log
         cache = pool.cache

@@ -44,13 +44,20 @@ Disk entries are written for *concurrent* readers and writers sharing one
   .replay_plan.ReplayPlan.section`) behind the 32-byte
   :func:`~repro.timing.replay_plan.compiler_digest` of the compiler
   that wrote it, or empty for a plan below
-  :data:`PLAN_SECTION_MIN_ROWS` rows.  A read decompresses the
+  :data:`PLAN_SECTION_MIN_ROWS` rows.  The plan section carries the
+  compiled code of the plan's superblock bodies (:func:`repro.timing
+  .superblock.code`), so a body is compiled once per store and loaded
+  per process.  A read decompresses the
   payload, the scalar section and the plan, nothing else: the trace is
   a lazy :class:`~repro.functional.trace_pack.PackedTrace` whose vector
   section stays compressed until something reads its vector columns,
   events or blob, and a stored plan is loaded, never compiled
-  (``plan_loads``).  A plan whose digest is not this process's
-  compiler's is *stale*: the read still serves the trace, compiles its
+  (``plan_loads``); its first replay loads each body's function from
+  the stored code unless this process already has it (``code_loads``).
+  The digest covers the interpreter's bytecode magic number, so a
+  section another CPython wrote is stale like one another compiler
+  wrote, and its code never runs.  A plan whose digest is not this
+  process's compiler's is *stale*: the read still serves the trace, compiles its
   plan afresh from the inflated columns (``plan_stale``) — not a miss,
   not corruption — and rewrites the entry with the new plan section
   through the atomic write path, so a compiler change costs one compile
@@ -111,7 +118,9 @@ the true in-memory rate ``hits / (hits + disk_hits + misses)``.  Each
 so warm disk hits served by an *earlier* run stay distinguishable from
 captures this very sweep fanned out.  Of the disk reads (both kinds),
 ``plan_loads`` counts those that took their replay plan from the plan
-section and ``plan_stale`` those whose section another compiler wrote.
+section and ``plan_stale`` those whose section another compiler wrote;
+``code_loads`` counts the superblock bodies the replays of those loaded
+plans took from the section's code instead of compiling them.
 
 Shared store layout and lifecycle
 ---------------------------------
@@ -334,7 +343,8 @@ def _crc_ok(obj: dict) -> bool:
                                                 for name in SECTIONS)
 
 
-def _unwrap_envelope(obj: dict) -> Optional[tuple[ExecResult, bool]]:
+def _unwrap_envelope(obj: dict, tally=None
+                     ) -> Optional[tuple[ExecResult, bool]]:
     """``(entry, plan section stale)`` of a validated disk envelope, or
     None when it does not decode.
 
@@ -342,7 +352,9 @@ def _unwrap_envelope(obj: dict) -> Optional[tuple[ExecResult, bool]]:
     trace is a lazy :class:`~repro.functional.trace_pack.PackedTrace`
     over the scalar section, its vector section still compressed, and
     whose plan comes from a current plan section — no per-event objects
-    and no vector column are built here.
+    and no vector column are built here.  The plan calls ``tally`` with
+    the bodies its first replay loads from the section's code
+    (:meth:`~repro.timing.replay_plan.ReplayPlan.from_section`).
     """
     try:
         payload = pickle.loads(zlib.decompress(obj["payload"]))
@@ -359,7 +371,8 @@ def _unwrap_envelope(obj: dict) -> Optional[tuple[ExecResult, bool]]:
         stale = bool(plan) and not plan.startswith(digest)
         if plan and not stale:
             trace._plan = ReplayPlan.from_section(
-                pickle.loads(zlib.decompress(plan[len(digest):])), trace)
+                pickle.loads(zlib.decompress(plan[len(digest):])), trace,
+                tally)
         return ExecResult(state=payload["state"], trace=trace,
                           retired=payload["retired"],
                           program=payload["program"],
@@ -407,6 +420,9 @@ class TraceCache:
         #: Disk reads whose plan section another compiler wrote (the
         #: read compiles the plan and rewrites the section).
         self.plan_stale = 0
+        #: Superblock bodies whose function a replay loaded from the
+        #: code in a plan section this cache read, not compiled.
+        self.code_loads = 0
         self._write_counts: dict[str, int] = {}  # fault-roll attempt nos
 
     def _now(self) -> float:
@@ -451,7 +467,8 @@ class TraceCache:
             return None  # unreadable/foreign file: fall through to a miss
         if not _validate_envelope(obj):
             return None  # stale tags (old format/schema): a plain miss
-        unwrapped = _unwrap_envelope(obj) if _crc_ok(obj) else None
+        unwrapped = (_unwrap_envelope(obj, self._count_code_loads)
+                     if _crc_ok(obj) else None)
         if unwrapped is None:
             # Tags are current but the payload is not what the writer
             # produced: purge it so the broken bytes can't shadow the
@@ -472,6 +489,9 @@ class TraceCache:
         except OSError:
             pass  # evicted or replaced since the read: nothing to age
         return entry
+
+    def _count_code_loads(self, bodies: int) -> None:
+        self.code_loads += bodies
 
     def _refresh_plan(self, path: Path, obj: dict, trace) -> None:
         """Compile the plan of a stale read now and rewrite the entry
@@ -672,4 +692,5 @@ class TraceCache:
             "memory_only": self.memory_only,
             "plan_loads": self.plan_loads,
             "plan_stale": self.plan_stale,
+            "code_loads": self.code_loads,
         }

@@ -74,19 +74,21 @@ columns as they are.  From there:
 * **stored plans** — everything above the per-machine step is a pure
   function of the trace, so :meth:`ReplayPlan.section` exports it (the
   class table and per-class arrays as they are, ``row_class`` and
-  ``seg_end`` as narrow columns, the latter delta-coded, and the
-  superblock structures of :func:`repro.timing.superblock.bodies`) and
+  ``seg_end`` as narrow columns, the latter delta-coded, the
+  superblock structures of :func:`repro.timing.superblock.bodies` and
+  their compiled code, :func:`repro.timing.superblock.code`) and
   :meth:`ReplayPlan.from_section` rebuilds an equal plan from it plus
   the trace's scalar columns, without reading a vector column.  The
   disk tier (:mod:`repro.sim.trace_cache`) stores the section beside
-  the trace, keyed by :func:`compiler_digest`, so a warm replay never
-  compiles.
+  the trace, keyed by :func:`compiler_digest`, so a warm replay
+  compiles neither the plan nor its superblock bodies.
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib
+import importlib.util
 from functools import lru_cache
 
 import numpy as np
@@ -153,10 +155,13 @@ _SECTION_SLOTS = ("scalar_count", "vector_count", "total_flops",
 
 @lru_cache(maxsize=None)
 def compiler_digest() -> bytes:
-    """SHA-256 of the source of :data:`_COMPILER_MODULES`, once per
-    process: a stored plan section is current only under the compiler
-    that wrote it, so any edit to it makes every section stale."""
-    digest = hashlib.sha256()
+    """SHA-256 of the source of :data:`_COMPILER_MODULES` and of the
+    interpreter's bytecode magic number, once per process: a stored
+    plan section is current only under the compiler and the interpreter
+    that wrote it, so an edit to the compiler, or a CPython whose
+    bytecode differs, makes every section stale (and its superblock
+    code is never run)."""
+    digest = hashlib.sha256(importlib.util.MAGIC_NUMBER)
     for name in _COMPILER_MODULES:
         with open(importlib.import_module(name).__file__, "rb") as fh:
             digest.update(fh.read())
@@ -352,9 +357,9 @@ class ReplayPlan:
                  "bytes_read", "bytes_written", "first_vec_unit",
                  "kind_vocab", "scalar_kind", "scalar_addr", "seg_end",
                  "row_class", "classes", "n_slots", "mem_keys",
-                 "slide_pairs", "superblocks", "_bodies", "_segments",
-                 "_cnt_f", "_sew_code", "_thr", "_is_fpu", "_mlog",
-                 "_mem_ix", "_align", "_is_store", "_slide_ix",
+                 "slide_pairs", "superblocks", "_bodies", "_code",
+                 "_segments", "_cnt_f", "_sew_code", "_thr", "_is_fpu",
+                 "_mlog", "_mem_ix", "_align", "_is_store", "_slide_ix",
                  "_ix_mem", "_ix_red", "_ix_slide", "_ix_masku",
                  "_ix_arith", "_cost_memo", "_machine_memo")
 
@@ -532,7 +537,7 @@ class ReplayPlan:
         plan.first_vec_unit = t_unit[vc[0]] if vc.size else None
         seg_end = row_pos - np.arange(n_rows)
         plan.superblocks = superblock.scan(row_class, seg_end)
-        plan._bodies = None
+        plan._bodies = plan._code = None
         plan.seg_end = seg_end.tolist()
         plan.row_class = row_class.tolist()
         plan.classes = classes
@@ -565,18 +570,24 @@ class ReplayPlan:
 
     # ------------------------------------------------------------------
     def section(self) -> dict:
-        """The trace-derived part of the plan as plain picklable data:
-        the scalar columns are the trace's own and are left out."""
+        """The trace-derived part of the plan as plain picklable data,
+        superblock bodies with their compiled code: the scalar columns
+        are the trace's own and are left out."""
         out = {name: getattr(self, name) for name in _SECTION_SLOTS}
         out["row_class"] = _narrow(self.row_class)
         out["seg_end"] = _narrow(np.diff(self.seg_end, prepend=0))
         out["bodies"] = superblock.bodies(self)
+        out["code"] = superblock.code(self)
         return out
 
     @classmethod
-    def from_section(cls, section: dict, trace: PackedTrace) -> "ReplayPlan":
+    def from_section(cls, section: dict, trace: PackedTrace,
+                     tally=None) -> "ReplayPlan":
         """The plan :meth:`section` exported, over ``trace``'s scalar
-        columns; reads no vector column of ``trace``."""
+        columns; reads no vector column of ``trace``.  Its superblock
+        functions come from the section's code on first replay, which
+        calls ``tally`` (when given) with the number of bodies it
+        loaded (:func:`repro.timing.superblock.segments`)."""
         plan = cls.__new__(cls)
         for name in _SECTION_SLOTS:
             setattr(plan, name, section[name])
@@ -584,6 +595,7 @@ class ReplayPlan:
         plan.seg_end = np.cumsum(section["seg_end"],
                                  dtype=np.int64).tolist()
         plan._bodies = section["bodies"]
+        plan._code = section["code"], tally
         plan._attach(trace)
         return plan
 

@@ -35,10 +35,19 @@ instead of the generic row loop of :meth:`repro.timing.engine
   for the whole superblock, every branch on a structural flag is
   resolved in the generated text, and the float constants are bound
   once per call from the per-machine class table.  Scalar costs are
-  still added one at a time, in stream order.  Functions are compiled
-  once per process and cached under their structure
-  (:data:`_FUNCTIONS`).  The structures themselves (:func:`bodies`) are
-  part of a plan, so the disk tier stores them with it.
+  still added one at a time, in stream order.
+* **Compiled once per store, loaded per process** — the structures
+  (:func:`bodies`) are part of a plan, and so is their compiled code
+  (:func:`code`: the :mod:`marshal` bytes of each body's compiled
+  source, zlib-compressed), so the disk tier stores both in the plan
+  section.  A process compiles a structure at most once, and caches
+  the function and the code bytes under it (:data:`_FUNCTIONS`).  On a
+  plan the disk tier loaded, :func:`segments` takes each function the
+  cache lacks from the section's bytes instead: no :func:`_source`, no
+  ``compile``.  The bytes are interpreter-specific; the plan section's
+  :func:`~repro.timing.replay_plan.compiler_digest` covers the
+  interpreter's bytecode magic number, so a section another CPython
+  wrote reads as stale and its code never runs.
 * **Fast-forward** (:func:`_probe`, generated into every body) — a
   body's steady state repeats up to a move in time.  At rep boundaries
   a body snapshots its *times*: ``t``, ``nv``, each slot's first, last
@@ -104,12 +113,14 @@ oracle.
 
 from __future__ import annotations
 
+import marshal
+import zlib
 from math import frexp, ldexp
 from operator import itemgetter
 
 import numpy as np
 
-__all__ = ["MIN_REPS", "MIN_ROWS", "bodies", "scan", "segments"]
+__all__ = ["MIN_REPS", "MIN_ROWS", "bodies", "code", "scan", "segments"]
 
 #: Plans with fewer issue rows are not scanned (fuzz plans have ~60).
 MIN_ROWS = 512
@@ -120,7 +131,8 @@ MIN_REPS = 4
 #: Longest body period considered; bounds the generated code's size.
 MAX_PERIOD = 1024
 
-#: Structure -> compiled body function, per process.
+#: Structure -> ``(body function, its code)``, per process; the code is
+#: the zlib-compressed :mod:`marshal` bytes a plan section stores.
 _FUNCTIONS: dict = {}
 
 #: Most structures :data:`_FUNCTIONS` keeps (oldest dropped first).
@@ -634,20 +646,29 @@ def _shift_ring(ring: list, at: int, ops: int, delta: float,
     return at
 
 
-def _function(structure: tuple):
-    """The compiled body function of ``structure``, cached per process."""
-    fn = _FUNCTIONS.get(structure)
-    if fn is None:
+def _compiled(structure: tuple, stored: bytes | None = None) -> tuple:
+    """``(body function, code)`` of ``structure``, cached per process.
+
+    A miss takes the code from ``stored`` (code a plan section holds)
+    when given, and otherwise compiles :func:`_source` and marshals the
+    result once, so every section that stores the structure shares the
+    bytes."""
+    found = _FUNCTIONS.get(structure)
+    if found is None:
+        if stored is None:
+            code = compile(_source(structure), "<superblock>", "exec")
+            stored = zlib.compress(marshal.dumps(code))
+        else:
+            code = marshal.loads(zlib.decompress(stored))
         namespace = {"_fields": itemgetter, "_start": _start,
                      "_probe": _probe, "_repeat": _repeat,
                      "_shift_ring": _shift_ring}
-        exec(compile(_source(structure), "<superblock>", "exec"),
-             namespace)
-        fn = namespace["_body"]
+        exec(code, namespace)
+        found = namespace["_body"], stored
         if len(_FUNCTIONS) >= _MAX_FUNCTIONS:
             del _FUNCTIONS[next(iter(_FUNCTIONS))]
-        _FUNCTIONS[structure] = fn
-    return fn
+        _FUNCTIONS[structure] = found
+    return found
 
 
 def bodies(plan) -> tuple:
@@ -663,20 +684,40 @@ def bodies(plan) -> tuple:
     return found
 
 
+def code(plan) -> tuple:
+    """The code of each of ``plan``'s superblock bodies, in the order of
+    :func:`bodies`, as this process compiled or loaded it once per
+    structure (:func:`_compiled`)."""
+    return tuple(_compiled(structure)[1] for structure, _, _ in bodies(plan))
+
+
 def segments(plan) -> tuple:
     """``((gap start, gap stop, block), ...)`` covering ``plan``'s issue
     rows in order, memoized on the plan: rows ``gap start .. gap stop -
     1`` run through the generic loop, then ``block`` — ``(function,
-    reps, class ids, slot ids)`` or ``None`` after the last gap."""
+    reps, class ids, slot ids)`` or ``None`` after the last gap.
+
+    On a plan loaded with its code (``plan._code``, ``(code per body,
+    tally)``), a function missing from :data:`_FUNCTIONS` is loaded
+    from its body's code, and ``tally`` is called with the number of
+    bodies loaded; the plan lets the code go either way."""
     segs = plan._segments
     if segs is None:
+        stored, tally = plan._code or ((), None)
+        plan._code = None
+        loads = 0
         segs = []
         at = 0
-        for (start, period, reps), (structure, cids, slots) in zip(
-                plan.superblocks, bodies(plan)):
-            segs.append((at, start, (_function(structure), reps, cids,
-                                     slots)))
+        for i, ((start, period, reps), (structure, cids, slots)) in \
+                enumerate(zip(plan.superblocks, bodies(plan))):
+            load = (stored[i] if stored and structure not in _FUNCTIONS
+                    else None)
+            loads += load is not None
+            segs.append((at, start, (_compiled(structure, load)[0], reps,
+                                     cids, slots)))
             at = start + period * reps
         segs.append((at, len(plan.row_class), None))
         segs = plan._segments = tuple(segs)
+        if loads and tally is not None:
+            tally(loads)
     return segs

@@ -14,9 +14,11 @@ import numpy as np
 from repro.timing import superblock
 from repro.timing.replay_plan import ReplayPlan
 
-#: Memo slots: per-machine results, and the superblock structures and
-#: generated functions (compared through ``superblock.bodies`` instead).
-_MEMO_SLOTS = ("_cost_memo", "_machine_memo", "_bodies", "_segments")
+#: Memo slots: per-machine results, and the superblock structures,
+#: their stored code and generated functions (compared through
+#: ``superblock.bodies`` instead).
+_MEMO_SLOTS = ("_cost_memo", "_machine_memo", "_bodies", "_code",
+               "_segments")
 
 
 def assert_plans_equal(a: ReplayPlan, b: ReplayPlan) -> None:

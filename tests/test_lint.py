@@ -163,6 +163,37 @@ def test_dynamic_code_allowed_in_the_generator(tmp_path):
     assert findings == []
 
 
+def test_code_loading_flagged_outside_the_generator(tmp_path):
+    """Loading bytecode or building functions from code objects
+    elsewhere in src/ is RL104; marshalling out is not."""
+    findings = lint_source(
+        tmp_path, "src/repro/sim/store.py", """\
+        import marshal
+        import types
+        from marshal import loads as unmarshal
+        def load(data, fh, namespace):
+            code = marshal.loads(data) or marshal.load(fh)
+            func = types.FunctionType(code, namespace)
+            return types.CodeType, func, marshal.dumps(code), unmarshal
+        """, [DynamicCodeChecker()])
+    assert codes_of(findings) == ["RL104"]
+    assert sorted(f.line for f in findings) == [3, 5, 5, 6]
+
+
+def test_code_loading_allowed_in_the_generator(tmp_path):
+    """The superblock module loads the code a plan section stores."""
+    findings = lint_source(
+        tmp_path, "src/repro/timing/superblock.py", """\
+        import marshal
+        import types
+        import zlib
+        def load(stored, namespace):
+            code = marshal.loads(zlib.decompress(stored))
+            return types.FunctionType(code.co_consts[0], namespace)
+        """, [DynamicCodeChecker()])
+    assert findings == []
+
+
 # ----------------------------------------------------------------------
 # Exception hygiene (RL201)
 # ----------------------------------------------------------------------

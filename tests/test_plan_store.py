@@ -14,7 +14,8 @@
   ``replay_reference`` on every registry machine.
 * **Stale, corrupt and old entries** — a plan section another compiler
   wrote is recompiled by the read (``plan_stale``), not purged, and
-  rewritten so the next read loads it; a flipped byte in the
+  rewritten so the next read loads it; so is one another interpreter
+  wrote, whose superblock code never runs; a flipped byte in the
   plan or vector section fails the CRC and is purged as corrupt; a v7
   file is a stale miss that ``--gc`` purges as stale.
 * **Pipes** — a warm-read trace's blob is the captured blob, and the
@@ -24,10 +25,13 @@
 from __future__ import annotations
 
 import errno
+import importlib.util
+import marshal
 import os
 import pickle
 import warnings
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -203,6 +207,55 @@ def test_stale_plan_section_is_refreshed_once(tmp_path, monkeypatch):
     assert entry.trace._vector is not None  # loaded, not compiled
     assert_plans_equal(entry.trace._plan,
                        ReplayPlan.from_trace(captured.trace))
+
+
+@pytest.fixture
+def digest_cache():
+    """Recompute the compiler digest under this test's patches, and
+    under the real interpreter after it."""
+    compiler_digest.cache_clear()
+    yield
+    compiler_digest.cache_clear()
+
+
+def test_section_from_another_interpreter_is_stale(tmp_path, monkeypatch,
+                                                   digest_cache):
+    """Stored superblock code is bytecode: under another magic number the
+    plan section reads as stale, the read recompiles plan and bodies
+    without running the stored code, and rewrites the section once."""
+    captured = _capture("looped")
+    want = replay_trace(_LOOPED_CONFIG, captured).timing
+    TraceCache(disk_dir=tmp_path).put(_KEY, captured)
+    magic = importlib.util.MAGIC_NUMBER
+    monkeypatch.setattr(importlib.util, "MAGIC_NUMBER",
+                        bytes([magic[0] ^ 1]) + magic[1:])
+    compiler_digest.cache_clear()
+    loaded = []
+
+    def loads(data):
+        loaded.append(data)
+        return marshal.loads(data)
+
+    monkeypatch.setattr(superblock, "marshal", SimpleNamespace(
+        loads=loads, dumps=marshal.dumps))
+    monkeypatch.setattr(superblock, "_FUNCTIONS", {})
+
+    first = TraceCache(disk_dir=tmp_path)
+    entry = first.get(_KEY)
+    assert replay_trace(_LOOPED_CONFIG, entry).timing == want
+    stats = first.stats
+    assert (stats["plan_stale"], stats["plan_loads"], stats["code_loads"],
+            stats["corrupt_purged"]) == (1, 0, 0, 0)
+    assert loaded == []  # the foreign code never ran
+
+    monkeypatch.setattr(superblock, "_FUNCTIONS", {})
+    second = TraceCache(disk_dir=tmp_path)
+    entry = second.get(_KEY)
+    assert replay_trace(_LOOPED_CONFIG, entry).timing == want
+    stats = second.stats
+    assert (stats["plan_loads"], stats["plan_stale"],
+            stats["corrupt_purged"]) == (1, 0, 0)
+    assert stats["code_loads"] == len(loaded) > 0
 
 
 @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EACCES])

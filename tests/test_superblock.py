@@ -12,7 +12,9 @@ specs against :meth:`TimingEngine.replay_reference`, checks that a
 replay with fast-forward on, one with it off and the reference loop
 agree to the bit (``float.hex``) on looped programs, binade crossings,
 costs that do not repeat, non-dyadic sums and every pinned capture on
-every registry machine, and pins the generated source text.  The zoo
+every registry machine, and pins the generated source text.  The code
+a plan section stores is a fresh compile of that text, and a warm read
+replays from it without generating or compiling anything.  The zoo
 reach of the scan is pinned beside the queue-depth tests in
 ``tests/test_replay_hazards.py``.
 """
@@ -20,6 +22,9 @@ reach of the scan is pinned beside the queue-depth tests in
 from __future__ import annotations
 
 import dataclasses
+import marshal
+import pickle
+import zlib
 from fractions import Fraction
 from math import frexp
 from pathlib import Path
@@ -38,9 +43,11 @@ from repro.isa.instructions import MemPattern
 from repro.kernels import ZOO
 from repro.machine import get_machine, list_machines
 from repro.machine.spec import MachineSpec
+from repro.sim.trace_cache import TraceCache, disk_path
 from repro.timing import superblock
 from repro.timing.engine import TimingEngine
-from repro.timing.replay_plan import ReplayPlan, _MachineRows
+from repro.timing.replay_plan import (ReplayPlan, _MachineRows,
+                                      compiler_digest)
 from repro.uarch import build_model
 from tests.test_trace_capture import PINNED
 from tests.trace_builder import build_trace
@@ -540,3 +547,73 @@ class TestGeneratedCode:
                 engine.replay(ZOO[name](config, 64).capture(
                     config, verify=False).trace)
         assert len(superblock._FUNCTIONS) == 3
+
+
+# ----------------------------------------------------------------------
+# Stored code: compiled once per store, loaded per process.
+# ----------------------------------------------------------------------
+_KEY = ("superblock-code", 8192, "case")
+_PAPER_CONFIG = get_machine("8L-Ara2")
+_SAME_VLEN = [m for m in sorted(list_machines())
+              if get_machine(m).lanes == _PAPER_CONFIG.lanes]
+
+
+def _paper_capture(name: str):
+    return ZOO[name](_PAPER_CONFIG, 64).capture(_PAPER_CONFIG, verify=False)
+
+
+def _stored_section(tmp_path, captured) -> dict:
+    """The plan section a disk cache writes for ``captured``."""
+    TraceCache(disk_dir=tmp_path).put(_KEY, captured)
+    plan = pickle.loads(disk_path(tmp_path, _KEY).read_bytes())["plan"]
+    digest = compiler_digest()
+    assert plan.startswith(digest)
+    return pickle.loads(zlib.decompress(plan[len(digest):]))
+
+
+class TestStoredCode:
+    @pytest.mark.parametrize("name", ["fconv2d", "fmatmul", "jacobi2d"])
+    def test_stored_code_is_a_fresh_compile(self, tmp_path, monkeypatch,
+                                            name):
+        """Code objects, not marshal bytes, are compared: marshal output
+        depends on reference counts."""
+        monkeypatch.setattr(superblock, "_FUNCTIONS", {})
+        section = _stored_section(tmp_path, _paper_capture(name))
+        assert len(section["code"]) == len(section["bodies"]) > 0
+        stored = [marshal.loads(zlib.decompress(code))
+                  for code in section["code"]]
+        for (structure, _, _), code in zip(section["bodies"], stored):
+            assert code == compile(superblock._source(structure),
+                                   "<superblock>", "exec")
+        if name == "fmatmul":
+            assert compile(GOLDEN_FMATMUL.read_text(), "<superblock>",
+                           "exec") in stored
+
+    @pytest.mark.parametrize("name", ["fconv2d", "fmatmul", "jacobi2d"])
+    def test_warm_read_replays_without_codegen(self, tmp_path, monkeypatch,
+                                               name):
+        """With no function in the process and code generation made to
+        raise, a warm read replays from the stored code, to the bit."""
+        captured = _paper_capture(name)
+        engines = [TimingEngine(build_model(get_machine(m)))
+                   for m in _SAME_VLEN]
+        want = [_bits(engine.replay(captured.trace)) for engine in engines]
+        TraceCache(disk_dir=tmp_path).put(_KEY, captured)
+
+        def codegen(*args):
+            raise AssertionError("a warm read generated a superblock body")
+
+        monkeypatch.setattr(superblock, "_FUNCTIONS", {})
+        monkeypatch.setattr(superblock, "_source", codegen)
+        monkeypatch.setattr(superblock, "compile", codegen, raising=False)
+        reader = TraceCache(disk_dir=tmp_path)
+        entry = reader.get(_KEY)
+        engines = [TimingEngine(build_model(get_machine(m)))
+                   for m in _SAME_VLEN]
+        assert [_bits(engine.replay(entry.trace))
+                for engine in engines] == want
+        stats = reader.stats
+        assert (stats["plan_loads"], stats["code_loads"]) == \
+            (1, len(superblock._FUNCTIONS))
+        assert stats["code_loads"] > 0
+        assert entry.trace._plan._code is None  # let go once loaded

@@ -44,13 +44,13 @@ def run(argv: list[str]) -> int:
     """Run ``python -m repro.eval argv`` with every replay checked;
     returns the exit status."""
     replay = TimingEngine.replay
-    function = superblock._function
+    compiled = superblock._compiled
     probe = superblock._probe
     counts = {"reports": 0, "rows": 0, "skipped": 0, "period": 0}
     diffs: list = []
 
-    def counted_function(structure):
-        body = function(structure)
+    def counted_compiled(structure, *stored):
+        body, code = compiled(structure, *stored)
         length = len(structure[0])
 
         def counted(reps, *args):
@@ -59,7 +59,7 @@ def run(argv: list[str]) -> int:
                 counts["rows"] += reps * length
             return body(reps, *args)
 
-        return counted
+        return counted, code
 
     def counted_probe(*args):
         found = probe(*args)
@@ -87,7 +87,7 @@ def run(argv: list[str]) -> int:
         return report
 
     TimingEngine.replay = checked
-    superblock._function = counted_function
+    superblock._compiled = counted_compiled
     superblock._probe = counted_probe
     superblock._FUNCTIONS.clear()
     try:
@@ -95,7 +95,7 @@ def run(argv: list[str]) -> int:
             status = eval_main([*argv, "--workers", "1"])
     finally:
         TimingEngine.replay = replay
-        superblock._function = function
+        superblock._compiled = compiled
         superblock._probe = probe
         superblock._FUNCTIONS.clear()
     rows, skipped = counts["rows"], counts["skipped"]

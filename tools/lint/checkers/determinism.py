@@ -16,11 +16,14 @@ scope: its ``time.perf_counter`` feeds ``PipelineStats`` telemetry,
 never a render.  The injected-clock default in ``trace_cache._now``
 carries the one sanctioned pragma.
 
-These rules read source, so code built from strings at run time is
-invisible to them.  RL104 keeps that blind spot to one audited module:
-the ``exec``/``eval``/``compile`` builtins may appear in ``src/`` only
+These rules read source, so code built from strings at run time, or
+loaded as bytecode, is invisible to them.  RL104 keeps that blind spot
+to one audited module: the ``exec``/``eval``/``compile`` builtins,
+``marshal.load``/``marshal.loads`` and constructing
+``types.FunctionType``/``types.CodeType`` may appear in ``src/`` only
 in ``repro/timing/superblock.py``, whose generator iterates only
-ordered containers and whose output a test pins verbatim.
+ordered containers, whose output a test pins verbatim, and whose
+stored bytecode a test holds equal to a fresh compile of that output.
 """
 
 from __future__ import annotations
@@ -110,24 +113,43 @@ class DeterminismChecker(Checker):
                 code="RL103")
 
 
+#: Module -> names that load or build code objects or functions.
+CODE_LOADERS = {"marshal": ("load", "loads"),
+                "types": ("FunctionType", "CodeType")}
+
+
 class DynamicCodeChecker(Checker):
-    """Confine run-time code generation to the superblock generator."""
+    """Confine run-time code generation and loading to the superblock
+    generator."""
 
     code = "RL104"
     codes = ("RL104",)
     name = "dynamic-code"
-    description = ("the exec/eval/compile builtins appear in src/ only "
-                   "in repro/timing/superblock.py")
+    description = ("the exec/eval/compile builtins, marshal.load(s) and "
+                   "types.FunctionType/CodeType appear in src/ only in "
+                   "repro/timing/superblock.py")
     scope = ("src/",)
     exclude = ("src/repro/timing/superblock.py",)
 
     def check(self, ctx: FileContext):
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Name) \
-                    and node.func.id in ("exec", "eval", "compile"):
-                yield self.finding(
-                    ctx, node.lineno,
-                    f"`{node.func.id}` builds code the determinism rules "
-                    f"cannot read; generate code only in "
-                    f"repro/timing/superblock.py")
+            if isinstance(node, ast.Call):
+                dotted = dotted_name(node.func)
+                if dotted in ("exec", "eval", "compile") or any(
+                        dotted == f"{module}.{name}"
+                        for module, names in CODE_LOADERS.items()
+                        for name in names):
+                    yield self._finding(ctx, node.lineno, dotted)
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module in CODE_LOADERS:
+                for alias in node.names:
+                    if alias.name in CODE_LOADERS[node.module]:
+                        yield self._finding(
+                            ctx, node.lineno, f"{node.module}.{alias.name}")
+
+    def _finding(self, ctx: FileContext, line: int, what: str):
+        return self.finding(
+            ctx, line,
+            f"`{what}` builds or loads code the determinism rules cannot "
+            f"read; generate and load code only in "
+            f"repro/timing/superblock.py")
