@@ -50,12 +50,13 @@ DEFAULT_MAX_INSTRUCTIONS = 50_000_000
 
 @dataclass
 class ExecResult:
-    """Outcome of a functional run."""
+    """Outcome of a functional run (``state`` is None on a cached one)."""
 
-    state: ArchState
+    state: ArchState | None
     trace: PackedTrace
     retired: int
     program: Program
+    vlen_bits: int
     halted: bool = True
     extra: dict = field(default_factory=dict)
 
@@ -204,7 +205,7 @@ class Executor:
                     halted = True
                     break
         return ExecResult(state, buf.finish(program, total_flops), retired,
-                          program, halted=halted)
+                          program, state.vlen_bits, halted=halted)
 
     # ------------------------------------------------------------------
     def _vsetvli(self, p) -> int:

@@ -71,12 +71,6 @@ class ScalarEvent:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ScalarEvent({self.kind!r}, addr={self.addr})"
 
-    def __getstate__(self):
-        return (self.kind, self.addr, self.nbytes)
-
-    def __setstate__(self, state):
-        self.kind, self.addr, self.nbytes = state
-
 
 class VsetvlEvent:
     """A vsetvli: costs a scalar cycle and reconfigures the vector unit."""
@@ -90,12 +84,6 @@ class VsetvlEvent:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VsetvlEvent(vl={self.vl}, sew={self.sew}, lmul={self.lmul})"
-
-    def __getstate__(self):
-        return (self.vl, self.sew, self.lmul)
-
-    def __setstate__(self, state):
-        self.vl, self.sew, self.lmul = state
 
 
 # repro-lint: disable=RL401  needs __dict__: cached_property + the

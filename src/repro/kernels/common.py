@@ -169,7 +169,7 @@ class KernelRun:
         ``verify=True`` never reads the cache: it executes, checks and
         stores the trace with ``cache.put``, moving no lookup counter.
         A cached capture returns the replay-only entry the cache holds
-        (no ``extra["mem"]``); an uncached one keeps its memory image.
+        (no state, no ``extra["mem"]``); an uncached one keeps both.
         """
         key = self.trace_key(config) if cache is not None else None
         if cache is not None and not verify:

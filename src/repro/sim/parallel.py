@@ -62,10 +62,11 @@ Worker-side details shared by both job kinds:
   jobs from memory.
 * **One payload per trace key** — every capture the pool holds came
   through a :class:`~repro.sim.trace_cache.TraceCache`, so it already
-  is the replay-only entry both cache tiers store (no memory image).
-  Replay jobs ship that entry only when the key is not already in the
-  shared store; stale or vanished store entries trigger an explicit
-  payload resend (the job answers with ``reports`` of None).
+  is the replay-only entry both cache tiers store (no final state or
+  memory image).  Replay jobs ship that entry only when the key is not
+  already in the shared store; stale or vanished store entries trigger
+  an explicit payload resend (the job answers with ``reports`` of
+  None).
 * **Failure degradation** — a dead worker, or a store GC that evicts a
   fresh entry before the parent adopts it, degrades to in-process work
   (counted in ``FaultLog.fallbacks``) rather than failing the sweep.

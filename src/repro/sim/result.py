@@ -28,6 +28,8 @@ class RunResult:
 
     @property
     def state(self):
+        """Final architectural state; None on a capture served through
+        a ``TraceCache``, as :attr:`mem` is."""
         return self.functional.state
 
     @property

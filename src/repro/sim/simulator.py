@@ -127,12 +127,11 @@ def replay_trace(config: SystemConfig, captured: ExecResult) -> RunResult:
     The capture's VLEN must match ``config`` (enforced so a cache misuse
     cannot silently produce wrong-VLEN timing).
     """
-    vlen = captured.state.vlen_bits if captured.state is not None else None
-    if vlen is not None and vlen != config.vlen_bits:
+    if captured.vlen_bits != config.vlen_bits:
         from ..errors import ConfigError
 
         raise ConfigError(
-            f"trace captured at VLEN={vlen} cannot replay on "
+            f"trace captured at VLEN={captured.vlen_bits} cannot replay on "
             f"{config.name} (VLEN={config.vlen_bits})"
         )
     timing = TimingEngine(build_model(config)).replay(captured.trace)

@@ -28,14 +28,14 @@ Disk entries are written for *concurrent* readers and writers sharing one
 ``disk_dir``:
 
 * **Payload pruning** — both tiers hold one entry form: ``put`` drops
-  the functional memory image (large, only needed by golden checks,
-  which run at capture time) before the entry enters the memory LRU or
-  the disk, and pickling drops decoded plan caches (which hold
-  lambdas).  Every entry, fresh or disk-rehydrated, is replay-only and
-  safe to ship across process boundaries.
-* **Sectioned payload (v8)** — an entry is four zlib-compressed
-  sections: ``payload``, a dict of the other ``ExecResult`` fields
-  (the final state, register file included); ``scalar`` and
+  the final state and the functional memory image (large, only needed
+  by golden checks, which run at capture time) before the entry enters
+  the memory LRU or the disk, and pickling drops decoded plan caches
+  (which hold lambdas).  Every entry, fresh or disk-rehydrated, is
+  replay-only and safe to ship across process boundaries.
+* **Sectioned payload (v9)** — an entry is four zlib-compressed
+  sections: ``payload``, a dict of the fields replay reads besides the
+  trace (program, retired count, halt flag, VLEN); ``scalar`` and
   ``vector``, the packed struct-of-arrays blob (:func:`repro
   .functional.trace_pack.pack_trace`) cut at its first vector column
   (:func:`~repro.functional.trace_pack.split_blob`: concatenated, they
@@ -187,8 +187,12 @@ DEFAULT_CAPACITY = 32
 #: four sections — the other fields, the blob's head and vector columns
 #: as two zlib streams, and the compiled replay plan behind its
 #: compiler digest — under one CRC over all of them; a v7 file has no
-#: sections, so the bump makes it a stale miss that the GC purges.
-DISK_FORMAT_VERSION = 8
+#: sections, so the bump makes it a stale miss that the GC purges.  v9:
+#: the payload section holds the VLEN instead of the final state (its
+#: register file is most of a v8 entry, and no replay reads it); a v8
+#: file would unwrap to the wrong fields, so the bump makes it a stale
+#: miss that the GC purges.
+DISK_FORMAT_VERSION = 9
 
 #: zlib level for the payload bytes.  The default (6) already reaches
 #: within a few percent of level 9 on trace pickles at a fraction of the
@@ -219,24 +223,26 @@ def disk_path(disk_dir: str | Path, key: TraceKey) -> Path:
 
 
 def _disk_payload(er: ExecResult) -> ExecResult:
-    """Replay-only pruned capture: drop the functional memory image
-    (large, and only needed by golden checks, which run at capture
-    time).  This is the one entry form of both tiers: :meth:`TraceCache
+    """Replay-only pruned capture: drop the final state and the
+    functional memory image (large, and only needed by golden checks,
+    which run at capture time), keeping the VLEN replay checks.  This
+    is the one entry form of both tiers: :meth:`TraceCache
     .put` keeps it in memory, so pool workers ship it over pipes as
     is, and the disk tier packs it further via :func:`_pack_sections`.
     Decoded plan caches (which hold lambdas) are excluded by
     ``Program`` / ``Instruction.__getstate__`` without touching the
     live objects."""
-    return ExecResult(state=er.state, trace=er.trace, retired=er.retired,
-                      program=er.program, halted=er.halted, extra={})
+    return ExecResult(state=None, trace=er.trace, retired=er.retired,
+                      program=er.program, vlen_bits=er.vlen_bits,
+                      halted=er.halted, extra={})
 
 
 def _pack_sections(er: ExecResult) -> tuple:
     """The four envelope sections of a replay-only entry, in
     :data:`SECTIONS` order, each compressed (:func:`_plan_section`)."""
     trace = er.trace
-    fields = {"state": er.state, "program": er.program,
-              "retired": er.retired, "halted": er.halted}
+    fields = {"program": er.program, "retired": er.retired,
+              "halted": er.halted, "vlen_bits": er.vlen_bits}
     head, vector = split_blob(trace.blob)
     return (_compress(fields), zlib.compress(head, COMPRESS_LEVEL),
             zlib.compress(vector, COMPRESS_LEVEL), _plan_section(trace))
@@ -373,10 +379,8 @@ def _unwrap_envelope(obj: dict, tally=None
             trace._plan = ReplayPlan.from_section(
                 pickle.loads(zlib.decompress(plan[len(digest):])), trace,
                 tally)
-        return ExecResult(state=payload["state"], trace=trace,
-                          retired=payload["retired"],
-                          program=payload["program"],
-                          halted=payload["halted"], extra={}), stale
+        return ExecResult(state=None, trace=trace, extra={},
+                          **payload), stale
     # repro-lint: disable=RL201  a foreign checksummed dict can carry an
     # arbitrarily malformed blob; any parse failure is just a miss
     except Exception:

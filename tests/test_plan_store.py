@@ -1,4 +1,4 @@
-"""Replay plans stored beside their traces in the disk tier (envelope v8).
+"""Replay plans stored beside their traces in the disk tier (envelope v9).
 
 * **Equal plans** — the plan a disk read loads from the plan section
   equals, field for field and superblock structure for superblock
@@ -17,9 +17,10 @@
   rewritten so the next read loads it; so is one another interpreter
   wrote, whose superblock code never runs; a flipped byte in the
   plan or vector section fails the CRC and is purged as corrupt; a v7
-  file is a stale miss that ``--gc`` purges as stale.
+  or v8 file is a stale miss that ``--gc`` purges as stale.
 * **Pipes** — a warm-read trace's blob is the captured blob, and the
-  entry pickles to a pool payload that replays identically.
+  entry pickles to a pool payload that replays identically; neither
+  holds the final state, and no entry form replays at another VLEN.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ import warnings
 import zlib
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
+from repro.errors import ConfigError
 from repro.eval.__main__ import main
 from repro.kernels import build_fmatmul
 from repro.machine.registry import get_machine, list_machines
@@ -297,16 +298,11 @@ def test_flipped_section_is_purged_as_corrupt(tmp_path, section):
     assert not path.exists()
 
 
-def test_v7_entry_is_a_stale_miss_and_gc_purges_it(tmp_path, capsys):
-    captured = _capture("fmatmul")
-    payload = zlib.compress(pickle.dumps(
-        {"state": captured.state, "program": captured.program,
-         "retired": captured.retired, "halted": captured.halted,
-         "trace_blob": captured.trace.blob}))
+def _assert_stale_miss(tmp_path, capsys, envelope) -> None:
+    """An old-format entry probes False, reads as a plain miss (not
+    corruption) and is purged as stale by ``--gc``."""
     path = disk_path(tmp_path, _KEY)
-    path.write_bytes(pickle.dumps(
-        {"format": 7, "schema": _payload_schema(),
-         "crc32": zlib.crc32(payload), "payload": payload}))
+    path.write_bytes(pickle.dumps(envelope))
 
     cache = TraceCache(disk_dir=tmp_path)
     assert not cache.probe(_KEY)
@@ -321,6 +317,31 @@ def test_v7_entry_is_a_stale_miss_and_gc_purges_it(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_v7_entry_is_a_stale_miss_and_gc_purges_it(tmp_path, capsys):
+    captured = _capture("fmatmul")
+    payload = zlib.compress(pickle.dumps(
+        {"state": captured.state, "program": captured.program,
+         "retired": captured.retired, "halted": captured.halted,
+         "trace_blob": captured.trace.blob}))
+    _assert_stale_miss(tmp_path, capsys, {
+        "format": 7, "schema": _payload_schema(),
+        "crc32": zlib.crc32(payload), "payload": payload})
+
+
+def test_v8_entry_is_a_stale_miss_and_gc_purges_it(tmp_path, capsys):
+    # The four sections of a current write under a valid CRC, but a
+    # payload that holds the final state, register file included.
+    captured = _capture("fmatmul")
+    TraceCache(disk_dir=tmp_path).put(_KEY, captured)
+    envelope = pickle.loads(disk_path(tmp_path, _KEY).read_bytes())
+    envelope["format"] = 8
+    envelope["payload"] = zlib.compress(pickle.dumps(
+        {"state": captured.state, "program": captured.program,
+         "retired": captured.retired, "halted": captured.halted}))
+    envelope["crc32"] = _checksum(envelope[name] for name in SECTIONS)
+    _assert_stale_miss(tmp_path, capsys, envelope)
+
+
 def test_warm_read_blob_and_pool_payload(tmp_path):
     captured = _capture("looped")
     _, entry = _store_and_read(tmp_path, captured)
@@ -330,8 +351,19 @@ def test_warm_read_blob_and_pool_payload(tmp_path):
     assert shipped.trace.blob == captured.trace.blob
     assert replay_trace(_LOOPED_CONFIG, shipped).timing == want
     assert replay_trace(_LOOPED_CONFIG, entry).timing == want
-    # The final register file comes back with the payload section.
+    # Replay reads no final state: only its VLEN is stored and shipped.
     for form in (entry, shipped):
-        for reg in range(32):
-            assert np.array_equal(form.state.v.raw_register(reg),
-                                  captured.state.v.raw_register(reg))
+        assert form.state is None
+        assert form.vlen_bits == captured.vlen_bits
+
+
+def test_every_entry_form_refuses_another_vlen(tmp_path):
+    captured = _capture("fmatmul")
+    other = AraXLConfig(lanes=2 * captured.vlen_bits // 1024)
+    memory = TraceCache().put(_KEY, captured)
+    _, read = _store_and_read(tmp_path, captured)
+    shipped = pickle.loads(pickle.dumps(read))
+    for form in (captured, memory, read, shipped):
+        assert form.vlen_bits == captured.vlen_bits != other.vlen_bits
+        with pytest.raises(ConfigError, match="VLEN"):
+            replay_trace(other, form)
