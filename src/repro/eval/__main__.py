@@ -188,8 +188,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[trace store gc] {summary}")
 
     # One shared SimPool carries every simulation sweep, so its fault
-    # log aggregates recoveries across the whole invocation (and its
-    # executor — including any rebuilt replacement — is reused).
+    # log and stats aggregate across the whole invocation.  Its process
+    # executor is not kept between sweeps: SimPool.run shuts it down
+    # when a sweep ends, and the next pooled sweep forks fresh workers.
     pool = None
     if run_fuzz_sweep or any(name in SIMULATION_EXPERIMENTS
                              for name in names):

@@ -1,46 +1,65 @@
 """Functional interpreter: runs a program to completion, writing a trace.
 
-The executor walks the instruction list with a program counter, delegating
-scalar semantics to :class:`~repro.functional.scalar.ScalarUnit` and vector
+The executor walks the program by basic block, delegating scalar
+semantics to :class:`~repro.functional.scalar.ScalarUnit` and vector
 semantics to :class:`~repro.functional.vector.VectorUnit`.  It owns the
 ``vsetvli`` behaviour because that instruction couples scalar state (rd,
 rs1) with vector configuration state (vl, vtype).
 
-The hot loop runs over the program's pre-decoded
-:class:`~repro.functional.plan.InstrPlan` tuple (built once per program,
-cached on the program object): dispatch is an integer tag compare, branch
-targets are pre-resolved instruction indices, and scalar handlers are
-pre-bound callables — no per-retirement string or dict lookups.
-
-Vector ops run bound to the current vtype
-(:meth:`~repro.functional.vector.VectorUnit.bind`).  The loop keeps one
-table per ``(SEW, LMUL)``, indexed by pc and filled the first time an op
-retires under that vtype; a ``vsetvli`` that changes the vtype switches
-tables.  Vtype legality is checked once, for the start state: under
-``vill`` (or a ``vl`` beyond VLMAX set from outside) the table never
-fills and every vector op raises until a ``vsetvli``.  ``vl`` only
-changes at a ``vsetvli``, which keeps it within VLMAX, so a bound op
-stays valid for the whole run.
-
-Each retired instruction is appended straight to the typed column
-buffers of :class:`~repro.functional.trace_pack.TraceBuffers` — no event
-object per instruction — and the capture's trace is the
+Each step of the loop retires one :class:`~repro.functional.plan.Block`:
+the straight-line run from the current pc to the next branch or jump,
+``vsetvli`` or ``halt``, labels skipped.  Every instruction of a block
+retires once it is entered (its end is the only control transfer, and
+``vl`` and the vtype only change there), so a step extends the trace
+columns of :class:`~repro.functional.trace_pack.TraceBuffers` by the
+block's static chunks — event tags, vector instruction indices, the
+``v_vl``/``v_sew``/``v_lmul`` rows of its vector ops, the codes of its
+body scalars and the sizes of its scalar accesses — and adds the
+block's FLOPs times ``vl`` once (FLOP counts are integral, so the sum
+is exact).  Only what is dynamic is appended row by row: memory
+fields, slide amounts, scalar addresses and the branch outcome.  The capture's trace is the
 :class:`~repro.functional.trace_pack.PackedTrace` over those columns.
+
+What is memoized where:
+
+* on the program (:func:`~repro.functional.plan.blocks_for`, beside
+  its pre-decoded :class:`~repro.functional.plan.InstrPlan` tuple):
+  the static shape of each block, built the first time a run steps
+  from its start pc;
+* per run: the vector ops bound to a vtype
+  (:meth:`~repro.functional.vector.VectorUnit.bind`), one table per
+  ``(SEW, LMUL)`` indexed by pc and filled as ops first retire, and the
+  trace codes of the scalar kinds, assigned in first-use order.  A
+  bound op belongs to one register file and VLEN, and the kind codes
+  to one trace, so neither may outlive the run.
+
+Vtype legality is checked once, for the start state: under ``vill`` (or
+a ``vl`` beyond VLMAX set from outside) the table never fills and every
+vector op raises until a ``vsetvli``.  ``vl`` only changes at a
+``vsetvli``, which keeps it within VLMAX, so a bound op stays valid for
+the whole run.  An op that raises (an illegal vector op, a memory
+access out of range) raises when it retires: the ops of its block
+before it have executed, the ones after it have not.
+
+``max_instructions`` is checked a block at a time: before a block
+steps, the run raises if retiring the whole block would exceed the
+cap.  A run therefore raises exactly when it would retire more than
+``max_instructions`` instructions, before the excess block executes.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from ..errors import ExecutionError, IllegalInstructionError
 from ..isa.program import Program
 from ..isa.vtype import vsetvl_result
 from .memory import FunctionalMemory
-from .plan import K_HALT, K_SCALAR, K_VECTOR, K_VSETVLI, plans_for
-from .scalar import S_LOAD, ScalarUnit
+from .plan import B_SCALAR, B_VECTOR, K_SCALAR, K_VSETVLI, blocks_for
+from .scalar import ScalarUnit
 from .state import ArchState
-from .trace_pack import (PATTERN_CODE, TAG_SCALAR, TAG_VECTOR, TAG_VSETVL,
-                         PackedTrace, TraceBuffers)
+from .trace_pack import PATTERN_CODE, PackedTrace, TraceBuffers
 from .vector import VectorUnit
 
 #: Hard cap on retired instructions so a buggy kernel cannot hang a test
@@ -80,27 +99,26 @@ class Executor:
             max_instructions: int = DEFAULT_MAX_INSTRUCTIONS) -> ExecResult:
         """Execute until ``halt`` or the end of the program."""
         state = self.state
-        plans = plans_for(program)
+        blocks = blocks_for(program)
         scalar_unit = self._scalar
         vector = self._vector
         bind = vector.bind
         require_legal = state.require_legal_vtype
-        # Bound appends of every trace buffer: the loop below writes
-        # each retired instruction's record field by field.
         buf = TraceBuffers()
-        tag = buf.tags.append
+        tags = buf.tags
         kind_code = buf.kind_code
-        s_kind = buf.s_kind.append
+        new_kind = buf.new_kind
+        s_kind = buf.s_kind
         s_mem_row = buf.s_mem_row.append
         s_addr = buf.s_addr.append
-        s_nbytes = buf.s_nbytes.append
+        s_nbytes = buf.s_nbytes
         w_vl = buf.w_vl.append
         w_sew = buf.w_sew.append
         w_lmul = buf.w_lmul.append
-        v_instr = buf.v_instr.append
-        v_vl = buf.v_vl.append
-        v_sew = buf.v_sew.append
-        v_lmul = buf.v_lmul.append
+        v_instr = buf.v_instr
+        v_vl = buf.v_vl
+        v_sew = buf.v_sew
+        v_lmul = buf.v_lmul
         slide_row = buf.slide_row.append
         v_slide = buf.v_slide.append
         mem_row = buf.mem_row.append
@@ -116,7 +134,9 @@ class Executor:
         pc = 0
         retired = 0
         halted = False
-        n = len(plans)
+        n = len(blocks.plans)
+        # This run's trace codes of each block's body scalars, by start pc.
+        local_codes: dict = {}
         # One table of bound vector ops per vtype, indexed by pc and
         # filled as ops retire.  An illegal start state (vill, or vl
         # beyond VLMAX) keeps sew = 0, which matches no vsetvli, and its
@@ -131,77 +151,91 @@ class Executor:
         else:
             sew, lmul = state.sew_bits, state.lmul_i
             tables[sew, lmul] = table
+        # The v_vl/v_sew/v_lmul rows of a block's vector ops under the
+        # current (vl, sew, lmul), by vector op count.
+        config_rows: dict = {}
         with vector.ieee_errors():
             while pc < n:
-                if retired >= max_instructions:
+                block = blocks[pc]
+                if retired + block.retired > max_instructions:
                     raise ExecutionError(
                         f"exceeded {max_instructions} retired instructions "
                         f"(runaway loop in {program.name}?)"
                     )
-                p = plans[pc]
+                codes = local_codes.get(pc)
+                if codes is None:  # kinds take trace codes in first use
+                    codes = local_codes[pc] = bytes(
+                        kind_code[c] if kind_code[c] >= 0 else new_kind(c)
+                        for c in block.codes)
+                retired += block.retired
+                tags += block.tags
+                s_kind += codes
+                s_nbytes += block.nbytes
+                count = block.n_vector
+                if count:
+                    v_instr += block.v_instr
+                    rows = config_rows.get(count)
+                    if rows is None:
+                        rows = config_rows[count] = (
+                            array("q", (vl,)) * count, bytes((sew,)) * count,
+                            bytes((lmul,)) * count)
+                    v_vl += rows[0]
+                    v_sew += rows[1]
+                    v_lmul += rows[2]
+                    total_flops += block.flops * vl
+                for i, p, row, mode in block.body:
+                    if mode == B_VECTOR:
+                        fn = table[i]
+                        if fn is None:
+                            if not sew:
+                                require_legal()  # raises
+                            fn = table[i] = bind(p, sew, lmul)
+                        extra = fn(p, vl, sew, lmul)
+                        if extra is not None:
+                            if p.vkind != "mem":  # a slide amount
+                                slide_row(n_vector + row)
+                                v_slide(extra)
+                            else:  # (base, stride, count, element bytes)
+                                spec = p.spec
+                                mem_row(n_vector + row)
+                                v_flags(3 if spec.is_store else 1)
+                                m_base(extra[0])
+                                m_stride(extra[1])
+                                m_count(extra[2])
+                                m_ew(extra[3])
+                                m_pattern(PATTERN_CODE[spec.mem_pattern])
+                    elif mode == B_SCALAR:
+                        p.scalar_fn(scalar_unit, p)
+                    else:  # a load or store: returns the address
+                        s_mem_row(n_scalar + row)
+                        s_addr(p.scalar_fn(scalar_unit, p))
+                n_scalar += block.n_scalar
+                n_vector += count
+                pc = block.next_pc
+                p = block.end
+                if p is None:
+                    continue
                 kind = p.kind
-                pc += 1
-                if kind == K_VECTOR:
-                    retired += 1
-                    fn = table[pc - 1]
-                    if fn is None:
-                        if not sew:
-                            require_legal()  # raises
-                        fn = table[pc - 1] = bind(p, sew, lmul)
-                    extra = fn(p, vl, sew, lmul)
-                    total_flops += p.flops * vl
-                    if extra is not None:
-                        if p.vkind != "mem":  # a slide amount
-                            slide_row(n_vector)
-                            v_slide(extra)
-                        else:  # (base, stride, count, element bytes)
-                            spec = p.spec
-                            mem_row(n_vector)
-                            v_flags(3 if spec.is_store else 1)
-                            m_base(extra[0])
-                            m_stride(extra[1])
-                            m_count(extra[2])
-                            m_ew(extra[3])
-                            m_pattern(PATTERN_CODE[spec.mem_pattern])
-                    tag(TAG_VECTOR)
-                    v_instr(p.trace_index)
-                    v_vl(vl)
-                    v_sew(sew)
-                    v_lmul(lmul)
-                    n_vector += 1
-                elif kind == K_SCALAR:
-                    retired += 1
-                    out = p.scalar_fn(scalar_unit, p)
-                    code = p.skind
-                    if code >= S_LOAD:  # a load or store: out = address
-                        s_mem_row(n_scalar)
-                        s_addr(out)
-                        s_nbytes(p.aux)
-                    else:  # out = taken; a taken branch's code is one up
-                        code += out
-                        if out:
-                            pc = p.target_idx
+                if kind == K_SCALAR:  # a branch or jump
+                    taken = p.scalar_fn(scalar_unit, p)
+                    code = p.skind + taken  # a taken branch's is one up
                     local = kind_code[code]
-                    if local < 0:
-                        local = buf.new_kind(code)
-                    tag(TAG_SCALAR)
-                    s_kind(local)
-                    n_scalar += 1
+                    s_kind.append(local if local >= 0 else new_kind(code))
+                    if taken:
+                        pc = p.target_idx
                 elif kind == K_VSETVLI:
-                    retired += 1
                     vl = self._vsetvli(p)
                     _, vsew, vlmul = p.aux
-                    tag(TAG_VSETVL)
                     w_vl(vl)
                     w_sew(vsew)
                     w_lmul(vlmul)
+                    config_rows = {}
                     if vsew != sew or vlmul != lmul:
                         sew, lmul = vsew, vlmul
                         table = tables.get((sew, lmul))
                         if table is None:
                             table = tables[sew, lmul] = [None] * n
-                elif kind == K_HALT:
-                    retired += 1
+                else:  # halt
                     halted = True
                     break
         return ExecResult(state, buf.finish(program, total_flops), retired,

@@ -90,6 +90,14 @@ class FunctionalMemory:
         self._check(addr, nbytes)
         return self._data[addr:addr + nbytes].view(dtype).copy()
 
+    def read_into(self, addr: int, out: np.ndarray) -> None:
+        """Copy the ``out.size`` bytes at ``addr`` into ``out``, a 1-D
+        ``uint8`` array (one copy, where :meth:`read_array` makes one
+        its caller then copies again)."""
+        nbytes = out.size
+        self._check(addr, nbytes)
+        np.copyto(out, self._data[addr:addr + nbytes])
+
     def write_array(self, addr: int, values: np.ndarray) -> None:
         values = np.ascontiguousarray(values)
         nbytes = values.nbytes

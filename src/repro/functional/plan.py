@@ -20,7 +20,9 @@ dictionary lookups (``instr.op("vd").index``) and handler resolution
 Plans are cached: :func:`plans_for` memoizes the full decoded program on
 the (immutable) :class:`~repro.isa.program.Program` instance, and
 :func:`plan_for_instr` memoizes single-instruction decodes for direct
-``VectorUnit.execute`` callers (unit tests).
+``VectorUnit.execute`` callers (unit tests).  :func:`blocks_for`
+memoizes, beside the plans, the :class:`Block` that starts at each pc
+the executor has stepped from: the static shape of a basic block.
 Only quantities that cannot depend on dynamic state (``vl``, ``vtype``)
 are pre-resolved here.  What depends on the vtype as well — dtypes,
 EMUL, register-group views — resolves once per binding of a plan to a
@@ -30,12 +32,14 @@ executor the first time an op retires under a vtype).
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Optional
 
 from ..errors import AssemblerError, ExecutionError
 from ..isa.instructions import ExecUnit, Instruction, MemPattern
 from ..isa.vtype import VType
 from . import scalar as _scalar
+from .trace_pack import TAG_SCALAR, TAG_VECTOR, TAG_VSETVL
 from .vector_ops import arith, fp, mask as maskops, mem as memops
 from .vector_ops.reduce import REDUCTIONS
 
@@ -285,3 +289,116 @@ def plans_for(program) -> tuple[InstrPlan, ...]:
             p.trace_index = last[id(p.instr)]
         program.__dict__["_plans"] = plans
     return plans
+
+
+class Block:
+    """Static shape of the basic block that starts at one pc.
+
+    A block is the straight-line run of plans from its start to the
+    first branch or jump, ``vsetvli`` or ``halt`` (its ``end``, None
+    when the run reaches the end of the program), with labels skipped.
+    Each retirement of a block retires every instruction in it, so the
+    executor steps a whole block at once: it extends the trace columns
+    by the block's static chunks and executes ``body``, then ``end``.
+
+    * ``body`` -- ``(pc, plan, row, mode)`` per instruction before
+      ``end``: ``mode`` is :data:`B_VECTOR`, :data:`B_SCALAR` or
+      :data:`B_ACCESS` (a scalar load or store), ``row`` the
+      instruction's vector (or scalar) row within the block;
+    * ``tags`` -- the trace tag of every record the block writes, the
+      end's included;
+    * ``v_instr`` -- the ``trace_index`` of each vector instruction;
+    * ``codes`` -- the :data:`~repro.functional.trace.SCALAR_KINDS`
+      code of each body scalar, in order (the end's depends on whether
+      a branch is taken);
+    * ``nbytes`` -- the access size of each scalar load or store;
+    * ``retired``, ``n_scalar``, ``n_vector`` -- instructions retired,
+      scalar (``s_kind``) rows and vector rows, the end's included;
+    * ``flops`` -- DP-FLOP per element of ``vl`` over the vector body;
+      ``flops`` are integral, so ``flops * vl`` summed per block equals
+      the per-instruction sum exactly;
+    * ``next_pc`` -- the pc after ``end`` (the fall-through).
+    """
+
+    __slots__ = ("body", "end", "tags", "v_instr", "codes", "nbytes",
+                 "retired", "n_scalar", "n_vector", "flops", "next_pc")
+
+
+#: Body modes of a :class:`Block` instruction.
+B_VECTOR, B_SCALAR, B_ACCESS = range(3)
+
+
+def _build_block(plans: tuple, start: int) -> Block:
+    body = []
+    tags = bytearray()
+    v_instr = array("i")
+    codes = bytearray()
+    nbytes = array("q")
+    flops = 0.0
+    end = None
+    pc = start
+    n = len(plans)
+    while pc < n:
+        p = plans[pc]
+        kind = p.kind
+        pc += 1
+        if kind == K_VECTOR:
+            body.append((pc - 1, p, len(v_instr), B_VECTOR))
+            tags.append(TAG_VECTOR)
+            v_instr.append(p.trace_index)
+            flops += p.flops
+        elif kind == K_SCALAR:
+            if p.skind == _scalar.S_BRANCH:
+                tags.append(TAG_SCALAR)
+                end = p
+                break
+            mode = B_SCALAR
+            if p.skind >= _scalar.S_LOAD:
+                mode = B_ACCESS
+                nbytes.append(p.aux)
+            body.append((pc - 1, p, len(codes), mode))
+            tags.append(TAG_SCALAR)
+            codes.append(p.skind)
+        elif kind == K_VSETVLI:
+            tags.append(TAG_VSETVL)
+            end = p
+            break
+        elif kind == K_HALT:
+            end = p
+            break
+    block = Block()
+    block.body = tuple(body)
+    block.end = end
+    block.tags = bytes(tags)
+    block.v_instr = v_instr
+    block.codes = bytes(codes)
+    block.nbytes = nbytes
+    block.retired = len(body) + (end is not None)
+    block.n_scalar = len(codes) + (end is not None and end.kind == K_SCALAR)
+    block.n_vector = len(v_instr)
+    block.flops = flops
+    block.next_pc = pc
+    return block
+
+
+class _Blocks(dict):
+    """Start pc -> :class:`Block`, built on first lookup."""
+
+    __slots__ = ("plans",)
+
+    def __missing__(self, start: int) -> Block:
+        block = self[start] = _build_block(self.plans, start)
+        return block
+
+
+def blocks_for(program) -> dict:
+    """The program's block memo: indexing it by a start pc returns the
+    :class:`Block` from there, built on first use and kept on the
+    program beside its plans.  Blocks hold only static shape; what a
+    run binds (vector ops, local kind codes) stays with the run."""
+    blocks = program.__dict__.get("_blocks")
+    if blocks is None:
+        blocks = _Blocks()
+        blocks.plans = plans_for(program)
+        program.__dict__["_blocks"] = blocks
+    return blocks

@@ -95,14 +95,18 @@ class ScalarUnit:
     _MUL_KINDS = frozenset({"mul", "mulh"})
     _DIV_KINDS = frozenset({"div", "rem"})
 
+    # The ALU handlers index the register list directly: x0 holds 0
+    # there (writes to it are dropped), so regs[i] reads as x.read(i).
     def _h_alu_rr(self, p):
-        x = self.state.x
-        x.write(p.rd, _wrap(p.aux(x.read(p.rs1), x.read(p.rs2))))
+        if p.rd:
+            xregs = self._xregs
+            xregs[p.rd] = _wrap(p.aux(xregs[p.rs1], xregs[p.rs2]))
         return False
 
     def _h_alu_ri(self, p):
-        x = self.state.x
-        x.write(p.rd, _wrap(p.aux(x.read(p.rs1), p.imm)))
+        if p.rd:
+            xregs = self._xregs
+            xregs[p.rd] = _wrap(p.aux(xregs[p.rs1], p.imm))
         return False
 
     def _h_li(self, p):

@@ -20,7 +20,9 @@ Hot-path notes (this module runs once per retired vector instruction):
   splats — become closures over their dtypes, the zero-copy views of
   their register groups (legality checked once, when the view is made)
   and the scalar register lists.  The executor keeps one bound table per
-  vtype, so a retirement slices views by ``vl`` and computes;
+  vtype and run, and a bound op keeps its views sliced per ``vl``, so a
+  retirement looks its operands up and computes (into the destination
+  view, where it can);
 * the remaining kinds run through :meth:`VectorUnit.execute_plan`, whose
   VRF reads feeding pure computations use ``copy=False`` views (every
   semantic function allocates a fresh result before anything is written
@@ -56,6 +58,21 @@ _MASK, _INDEXED, _UNIT = MemPattern.MASK, MemPattern.INDEXED, MemPattern.UNIT
 #: operations yielding NaN and division by zero are the defined
 #: IEEE-754 results, not errors.
 IEEE_ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
+def _cuts(*views: np.ndarray):
+    """``(at, cut)`` over ``views`` sliced per ``vl``: ``at(vl)`` is the
+    tuple of their first ``vl`` elements once ``cut(vl)`` has made it
+    (None before), so ``at(vl) or cut(vl)`` slices each ``vl`` once.
+    Bound ops never see a ``vl`` beyond VLMAX, so the memo holds at most
+    VLMAX + 1 entries."""
+    sliced: dict = {}
+
+    def cut(vl, sliced=sliced, views=views):
+        cuts = sliced[vl] = tuple(view[:vl] for view in views)
+        return cuts
+
+    return sliced.get, cut
 
 
 def vector_event(p: InstrPlan, vl: int, sew: int, lmul: int,
@@ -486,31 +503,41 @@ class VectorUnit:
 
     # ------------------------------------------------------------------
     # Bound kinds: everything fixed by (instruction, SEW, LMUL) resolved
-    # once, in the order the operands are accessed.  Binding runs about
-    # once per retirement on short programs (fuzz), so it stays lean:
-    # the bound functions take what they capture as parameter defaults,
-    # not closure cells, which the cyclic GC would track one by one.
-    # Callers pass only ``(p, vl, sew, lmul)`` (or ``(vl, values)``).
+    # once, in the order the operands are accessed.  ``vl`` changes only
+    # at a ``vsetvli``, so a bound op also slices its register-group
+    # views (and scratch) once per ``vl``: each binding keeps a dict
+    # from ``vl`` to its sliced views (:func:`_cuts`), at most VLMAX + 1
+    # entries, and a retirement looks them up instead of slicing.  Where
+    # the semantic function is a ufunc and no mask intervenes, the op
+    # writes straight into the destination view through a positional
+    # ``out``; an unmasked unit-stride load copies memory into it.
+    # Binding runs about once per retirement on short programs (fuzz),
+    # so it stays lean: the bound functions take what they capture as
+    # parameter defaults, not closure cells, which the cyclic GC would
+    # track one by one.  Callers pass only ``(p, vl, sew, lmul)`` (or
+    # ``(vl, values)``).
     # ------------------------------------------------------------------
     def _writer(self, base: int, view: np.ndarray, masked: bool):
         """``write(vl, values)`` into the first ``vl`` elements of
         ``view``, the group at ``base``: mask-undisturbed under v0 when
         ``masked``, tail-undisturbed, counting a write that hits v0."""
         vfile = self.state.v
+        at, cut = _cuts(view)
         if masked:
             v0_mask = self._v0_mask
 
             def write(vl, values, v0_mask=v0_mask, base=base, vfile=vfile,
-                      view=view):
+                      at=at, cut=cut, copyto=np.copyto):
                 mask = v0_mask(vl)
                 if base == 0:
                     vfile.v0_writes += 1
-                np.copyto(view[:vl], values, where=mask)
+                copyto((at(vl) or cut(vl))[0], values, where=mask)
         else:
-            def write(vl, values, base=base, vfile=vfile, view=view):
+            def write(vl, values, base=base, vfile=vfile, at=at, cut=cut,
+                      copyto=np.copyto):
                 if base == 0:
                     vfile.v0_writes += 1
-                view[:vl] = values
+                copyto((at(vl) or cut(vl))[0], values)
         return write
 
     def _bind_fp_fma(self, p, sew, lmul):
@@ -547,30 +574,38 @@ class VectorUnit:
         (``vs1`` is None for a scalar op1).  A write to v0 bumps
         ``v0_writes`` like any other."""
         on_vd, negate, combine = fp.FMA_IN_PLACE[p.base]
-        prod = np.empty(vd.size, dtype)
+        # Per vl: (product operand, combine operand, vd, scratch[, vs1]).
+        views = (vd if on_vd else vs2, vs2 if on_vd else vd, vd,
+                 np.empty(vd.size, dtype))
+        if vs1 is not None:
+            views += (vs1,)
+        at, cut = _cuts(*views)
         vfile = self.state.v
         bump = p.vd == 0
 
-        def fma(a, vl):
-            d = vd[:vl]
-            t = prod[:vl]
-            b = vs2[:vl]
-            np.multiply(a, d if on_vd else b, out=t)
-            if negate:
-                np.negative(t, out=t)
-            combine(t, b if on_vd else d, out=d)
-            if bump:
-                vfile.v0_writes += 1
-
         if vs1 is not None:
-            def run(p, vl, sew, lmul, fma=fma, vs1=vs1):
-                fma(vs1[:vl], vl)
+            def run(p, vl, sew, lmul, at=at, cut=cut, multiply=np.multiply,
+                    negate=negate, combine=combine, bump=bump, vfile=vfile):
+                x, y, d, t, a = at(vl) or cut(vl)
+                multiply(a, x, t)
+                if negate:
+                    np.negative(t, t)
+                combine(t, y, d)
+                if bump:
+                    vfile.v0_writes += 1
         else:
             fregs, frs1, scalar = self._fregs, p.frs1, dtype.type
 
-            def run(p, vl, sew, lmul, fma=fma, scalar=scalar, fregs=fregs,
-                    frs1=frs1):
-                fma(scalar(fregs[frs1]), vl)
+            def run(p, vl, sew, lmul, at=at, cut=cut, multiply=np.multiply,
+                    negate=negate, combine=combine, bump=bump, vfile=vfile,
+                    scalar=scalar, fregs=fregs, frs1=frs1):
+                x, y, d, t = at(vl) or cut(vl)
+                multiply(scalar(fregs[frs1]), x, t)
+                if negate:
+                    np.negative(t, t)
+                combine(t, y, d)
+                if bump:
+                    vfile.v0_writes += 1
         return run
 
     def _bind_fp_bin(self, p, sew, lmul):
@@ -582,14 +617,34 @@ class VectorUnit:
             vs1 = group(p.vs1, lmul, dtype)
         elif mode != OP1_F:
             raise ExecutionError(f"cannot fetch op1 for format {p.spec.fmt}")
-        write = self._writer(p.vd, group(p.vd, lmul, dtype), p.masked)
+        vd = group(p.vd, lmul, dtype)
         fn = p.aux
+        fregs, frs1, scalar = self._fregs, p.frs1, dtype.type
+        if not p.masked and isinstance(fn, np.ufunc):
+            # Straight into vd: (vs2, vd[, vs1]) per vl.
+            at, cut = _cuts(vs2, vd, *((vs1,) if mode == OP1_V else ()))
+            vfile = self.state.v
+            bump = p.vd == 0
+            if mode == OP1_V:
+                def run(p, vl, sew, lmul, at=at, cut=cut, fn=fn, bump=bump,
+                        vfile=vfile):
+                    b, d, a = at(vl) or cut(vl)
+                    fn(b, a, d)
+                    if bump:
+                        vfile.v0_writes += 1
+            else:
+                def run(p, vl, sew, lmul, at=at, cut=cut, fn=fn, bump=bump,
+                        vfile=vfile, scalar=scalar, fregs=fregs, frs1=frs1):
+                    b, d = at(vl) or cut(vl)
+                    fn(b, scalar(fregs[frs1]), d)
+                    if bump:
+                        vfile.v0_writes += 1
+            return run
+        write = self._writer(p.vd, vd, p.masked)
         if mode == OP1_V:
             def run(p, vl, sew, lmul, write=write, fn=fn, vs2=vs2, vs1=vs1):
                 write(vl, fn(vs2[:vl], vs1[:vl]))
         else:
-            fregs, frs1, scalar = self._fregs, p.frs1, dtype.type
-
             def run(p, vl, sew, lmul, write=write, fn=fn, vs2=vs2,
                     scalar=scalar, fregs=fregs, frs1=frs1):
                 write(vl, fn(vs2[:vl], scalar(fregs[frs1])))
@@ -600,23 +655,45 @@ class VectorUnit:
         dtype = fp_dtype(sew) if from_f else int_dtype(sew)
         group = self._group
         vs2 = group(p.vs2, lmul, dtype)
-        write = self._writer(p.vd, group(p.vd, lmul, dtype), p.masked)
-        slide = permute.slide1up if is_up else permute.slide1down
+        vd = group(p.vd, lmul, dtype)
         scalar = dtype.type
         if from_f:
-            fregs, frs1 = self._fregs, p.frs1
-
-            def run(p, vl, sew, lmul, write=write, slide=slide, vs2=vs2,
-                    scalar=scalar, fregs=fregs, frs1=frs1):
-                write(vl, slide(vs2[:vl], scalar(fregs[frs1]), vl))
-                return 1
+            regs, index, bits = self._fregs, p.frs1, None
         else:  # the x-register value wraps to SEW bits, unsigned
-            xregs, rs1, bits = self._xregs, p.rs1, (1 << sew) - 1
+            regs, index, bits = self._xregs, p.rs1, (1 << sew) - 1
+        if p.masked:
+            write = self._writer(p.vd, vd, True)
+            slide = permute.slide1up if is_up else permute.slide1down
 
             def run(p, vl, sew, lmul, write=write, slide=slide, vs2=vs2,
-                    scalar=scalar, xregs=xregs, rs1=rs1, bits=bits):
-                write(vl, slide(vs2[:vl], scalar(xregs[rs1] & bits), vl))
+                    scalar=scalar, regs=regs, index=index, bits=bits):
+                value = regs[index] if bits is None else regs[index] & bits
+                write(vl, slide(vs2[:vl], scalar(value), vl))
                 return 1
+            return run
+        # In place: per vl, the part of vd the shift writes, the part of
+        # vs2 it reads and the slot the scalar enters (vl = 0 moves no
+        # element).
+        views: dict = {}
+        vfile = self.state.v
+        bump = p.vd == 0
+
+        def run(p, vl, sew, lmul, views=views, vd=vd, vs2=vs2, is_up=is_up,
+                scalar=scalar, regs=regs, index=index, bits=bits, bump=bump,
+                vfile=vfile):
+            value = regs[index] if bits is None else regs[index] & bits
+            if vl:
+                cut = views.get(vl)
+                if cut is None:
+                    cut = views[vl] = (
+                        (vd[1:vl], vs2[:vl - 1], 0) if is_up
+                        else (vd[:vl - 1], vs2[1:vl], vl - 1))
+                dest, src, slot = cut
+                dest[...] = src
+                vd[slot] = scalar(value)
+            if bump:
+                vfile.v0_writes += 1
+            return 1
         return run
 
     def _bind_splat(self, p, sew, lmul):
@@ -733,7 +810,28 @@ class VectorUnit:
         dtype = _UNIT_DTYPES[ew]
         emul = eew * lmul // sew or 1
         if spec.is_load:
-            write = self._writer(p.vd, group(p.vd, emul, dtype), masked)
+            dest = group(p.vd, emul, dtype)
+            if pattern is _UNIT and not masked:
+                # One copy, memory to vd: the bytes of vd's first vl
+                # elements, per vl.
+                views: dict = {}
+                read_into = mem.read_into
+                vfile = self.state.v
+                bump = p.vd == 0
+
+                def run(p, vl, sew, lmul, xregs=xregs, rs1=rs1, views=views,
+                        dest=dest, read_into=read_into, bump=bump,
+                        vfile=vfile, ew=ew):
+                    base = xregs[rs1] & _I64_MASK
+                    out = views.get(vl)
+                    if out is None:
+                        out = views[vl] = dest[:vl].view(np.uint8)
+                    read_into(base, out)
+                    if bump:
+                        vfile.v0_writes += 1
+                    return base, ew, vl, ew
+                return run
+            write = self._writer(p.vd, dest, masked)
             if pattern is _UNIT:
                 def run(p, vl, sew, lmul, xregs=xregs, rs1=rs1, write=write,
                         mem=mem, dtype=dtype, ew=ew):

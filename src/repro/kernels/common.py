@@ -33,7 +33,8 @@ _PROGRAM_CACHE: OrderedDict = OrderedDict()
 _PROGRAM_CACHE_ENTRIES = 512
 
 #: Process-wide memo of *golden data*: the input arrays and reference
-#: outputs a kernel's ``setup``/``check`` closures consume.  Built
+#: outputs a kernel's ``setup``/``check`` closures consume (a reference
+#: under a key of its own: :func:`lazy_reference`).  Built
 #: **lazily** on first use — planning a sweep (building every
 #: :class:`KernelRun` for trace keys and peak bounds) never touches
 #: this cache, so parent RSS and planning time scale with assembly, not
@@ -106,6 +107,22 @@ def lazy_golden(key: tuple, build: Callable[[], tuple]
     share one entry.
     """
     return lambda: memo_golden(key, build)
+
+
+def lazy_reference(key: tuple, inputs: Callable[[], tuple],
+                   build: Callable[..., np.ndarray]
+                   ) -> Callable[[], np.ndarray]:
+    """A zero-argument handle on the reference output of the golden
+    problem ``key``, whose inputs the :func:`lazy_golden` handle
+    ``inputs`` holds.
+
+    Only a kernel's ``check`` calls it: the first call computes
+    ``build(*inputs())`` and memoizes it under ``key + ("reference",)``,
+    apart from the inputs, so a capture that is not verified (setup
+    only, as every curated sweep runs) never computes the reference.
+    """
+    return lambda: memo_golden(key + ("reference",),
+                               lambda: (build(*inputs()),))[0]
 
 
 def golden_builds() -> int:

@@ -27,7 +27,7 @@ import numpy as np
 from ..isa.asm import Assembler
 from ..params import SystemConfig
 from .common import (KernelRun, Layout, check_array, lazy_golden,
-                     memo_program, rng_for, vl_and_lmul)
+                     lazy_reference, memo_program, rng_for, vl_and_lmul)
 
 FILTER = 7
 DEFAULT_ROWS = 256
@@ -92,17 +92,23 @@ def _fconv2d_program(rows: int, n: int, lmul: int) -> tuple:
     return asm.build(), a_base, f_base, o_base
 
 
-def _fconv2d_golden(rows: int, n: int) -> tuple:
-    """Golden data: image, filter, reference output (built on first use)."""
+def _fconv2d_inputs(rows: int, n: int) -> tuple:
+    """Golden inputs: image and filter (built on first use)."""
     halo = FILTER - 1
     rng = rng_for("fconv2d", rows, n)
     a_img = rng.uniform(-1.0, 1.0, size=(rows + halo, n + halo))
     filt = rng.uniform(-1.0, 1.0, size=(FILTER, FILTER))
+    return a_img, filt
+
+
+def _fconv2d_reference(a_img: np.ndarray, filt: np.ndarray) -> np.ndarray:
+    """Reference output of the ``rows`` x ``n`` convolution."""
+    rows, n = a_img.shape[0] - FILTER + 1, a_img.shape[1] - FILTER + 1
     golden = np.zeros((rows, n))
     for r in range(FILTER):
         for c in range(FILTER):
             golden += filt[r, c] * a_img[r:r + rows, c:c + n]
-    return a_img, filt, golden
+    return golden
 
 
 def build_fconv2d(config: SystemConfig, bytes_per_lane: int,
@@ -117,15 +123,17 @@ def build_fconv2d(config: SystemConfig, bytes_per_lane: int,
         ("fconv2d", rows, n, lmul),
         lambda: _fconv2d_program(rows, n, lmul))
     golden = lazy_golden(("fconv2d", rows, n),
-                         lambda: _fconv2d_golden(rows, n))
+                         lambda: _fconv2d_inputs(rows, n))
+    reference = lazy_reference(("fconv2d", rows, n), golden,
+                               _fconv2d_reference)
 
     def setup(sim) -> None:
-        a_img, filt, _ = golden()
+        a_img, filt = golden()
         sim.mem.write_array(a_base, a_img.reshape(-1))
         sim.mem.write_array(f_base, filt.reshape(-1))
 
     def check(sim) -> float:
-        return check_array(sim, o_base, golden()[2], "fconv2d O",
+        return check_array(sim, o_base, reference(), "fconv2d O",
                            rtol=1e-9, atol=1e-9 * FILTER * FILTER)
 
     return KernelRun(

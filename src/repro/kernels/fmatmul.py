@@ -20,7 +20,7 @@ from __future__ import annotations
 from ..isa.asm import Assembler
 from ..params import SystemConfig
 from .common import (KernelRun, Layout, check_array, lazy_golden,
-                     memo_program, rng_for, vl_and_lmul)
+                     lazy_reference, memo_program, rng_for, vl_and_lmul)
 
 #: Rows of A processed per accumulator block (register-budget bound:
 #: ROW_BLOCK accumulator groups + one B-row group must fit 32 registers
@@ -84,12 +84,12 @@ def _fmatmul_program(m: int, k: int, n: int, lmul: int) -> tuple:
     return asm.build(), a_base, b_base, c_base
 
 
-def _fmatmul_golden(m: int, k: int, n: int) -> tuple:
-    """Golden data: inputs and reference product (built on first use)."""
+def _fmatmul_inputs(m: int, k: int, n: int) -> tuple:
+    """Golden inputs A and B (built on first use)."""
     rng = rng_for("fmatmul", m, k, n)
     a_mat = rng.uniform(-1.0, 1.0, size=(m, k))
     b_mat = rng.uniform(-1.0, 1.0, size=(k, n))
-    return a_mat, b_mat, a_mat @ b_mat
+    return a_mat, b_mat
 
 
 def build_fmatmul(config: SystemConfig, bytes_per_lane: int,
@@ -106,17 +106,19 @@ def build_fmatmul(config: SystemConfig, bytes_per_lane: int,
         ("fmatmul", m, k, n, lmul),
         lambda: _fmatmul_program(m, k, n, lmul))
     golden = lazy_golden(("fmatmul", m, k, n),
-                         lambda: _fmatmul_golden(m, k, n))
+                         lambda: _fmatmul_inputs(m, k, n))
+    reference = lazy_reference(("fmatmul", m, k, n), golden,
+                               lambda a_mat, b_mat: a_mat @ b_mat)
 
     def setup(sim) -> None:
-        a_mat, b_mat, _ = golden()
+        a_mat, b_mat = golden()
         sim.mem.write_array(a_base, a_mat.reshape(-1))
         sim.mem.write_array(b_base, b_mat.reshape(-1))
 
     def check(sim) -> float:
         # The simulator FMA is not fused and accumulates in a different
         # association order than BLAS; tolerance covers K=256 partials.
-        return check_array(sim, c_base, golden()[2], "fmatmul C",
+        return check_array(sim, c_base, reference(), "fmatmul C",
                            rtol=1e-9, atol=1e-7 * k)
 
     return KernelRun(

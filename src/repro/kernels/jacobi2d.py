@@ -11,10 +11,12 @@ Columns are vectorized; the east/west neighbours come from
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..isa.asm import Assembler
 from ..params import SystemConfig
 from .common import (KernelRun, Layout, check_array, lazy_golden,
-                     memo_program, rng_for, vl_and_lmul)
+                     lazy_reference, memo_program, rng_for, vl_and_lmul)
 
 DEFAULT_ROWS = 256
 
@@ -70,13 +72,16 @@ def _jacobi2d_program(rows: int, n: int, lmul: int) -> tuple:
     return asm.build(), a_base, o_base, const_base
 
 
-def _jacobi2d_golden(rows: int, n: int) -> tuple:
-    """Golden data: grid and reference update (built on first use)."""
+def _jacobi2d_inputs(rows: int, n: int) -> tuple:
+    """Golden input: the grid (built on first use)."""
     rng = rng_for("jacobi2d", rows, n)
-    grid = rng.uniform(-1.0, 1.0, size=(rows + 2, n + 2))
-    golden = 0.25 * (grid[:-2, 1:-1] + grid[2:, 1:-1]
-                     + grid[1:-1, :-2] + grid[1:-1, 2:])
-    return grid, golden
+    return (rng.uniform(-1.0, 1.0, size=(rows + 2, n + 2)),)
+
+
+def _jacobi2d_reference(grid: np.ndarray) -> np.ndarray:
+    """Reference update of the grid's interior."""
+    return 0.25 * (grid[:-2, 1:-1] + grid[2:, 1:-1]
+                   + grid[1:-1, :-2] + grid[1:-1, 2:])
 
 
 def build_jacobi2d(config: SystemConfig, bytes_per_lane: int,
@@ -89,14 +94,16 @@ def build_jacobi2d(config: SystemConfig, bytes_per_lane: int,
         ("jacobi2d", rows, n, lmul),
         lambda: _jacobi2d_program(rows, n, lmul))
     golden = lazy_golden(("jacobi2d", rows, n),
-                         lambda: _jacobi2d_golden(rows, n))
+                         lambda: _jacobi2d_inputs(rows, n))
+    reference = lazy_reference(("jacobi2d", rows, n), golden,
+                               _jacobi2d_reference)
 
     def setup(sim) -> None:
         sim.mem.write_array(a_base, golden()[0].reshape(-1))
         sim.mem.store_f64(const_base, 0.25)
 
     def check(sim) -> float:
-        return check_array(sim, o_base, golden()[1], "jacobi2d O")
+        return check_array(sim, o_base, reference(), "jacobi2d O")
 
     return KernelRun(
         name="jacobi2d",

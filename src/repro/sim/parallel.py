@@ -10,9 +10,12 @@ replays of one capture are independent of each other, and captures of
 distinct ``(program fingerprint, vlen_bits, setup)`` keys are
 independent of everything.
 
-:class:`SimPool` owns a single
-:class:`~concurrent.futures.ProcessPoolExecutor` sized by one
-``workers=`` budget and executes *tagged* jobs on it:
+:class:`SimPool` owns one
+:class:`~concurrent.futures.ProcessPoolExecutor` at a time, sized by
+one ``workers=`` budget, and executes *tagged* jobs on it.  The
+executor lives for one :meth:`SimPool.run`: it spawns on the run's
+first pooled submission and is shut down when the run ends, so every
+pooled sweep of an invocation forks its own workers.  Job kinds:
 
 * ``capture`` jobs run one functional capture per distinct trace key
   (workers rebuild the kernel from its picklable :class:`CaptureTask`
@@ -369,7 +372,8 @@ class SimPool:
 
     The pool is lazy: the executor spawns on first pooled submission
     and is torn down at the end of each :meth:`run` (or explicitly via
-    :meth:`shutdown` / ``with pool:``).
+    :meth:`shutdown` / ``with pool:``), so each sweep forks its own
+    workers; only the cache, stats and fault log outlive a run.
     """
 
     def __init__(self, workers: int | None = 1,

@@ -20,6 +20,11 @@ _REDUCED_KW = {"fmatmul": {"m": 16, "k": 64},
                "fconv2d": {"rows": 32}, "jacobi2d": {"rows": 32}}
 
 
+def _reference_keys() -> list:
+    """Keys of the reference outputs the golden memo holds."""
+    return [key for key in common._GOLDEN_CACHE if key[-1] == "reference"]
+
+
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     """Each test counts builds from a cold memo."""
@@ -74,12 +79,18 @@ class TestGoldenMaterialization:
         assert common.golden_builds() == before + 1
 
     def test_check_uses_the_same_entry_as_setup(self):
+        """check reads setup's input entry and builds the reference
+        output once, under a key of its own."""
         cfg = Ara2Config(lanes=4)
         run = build_fmatmul(cfg, 64, m=8, k=16)
         before = common.golden_builds()
         result = run.run(cfg, verify=True)  # setup + execute + check
         assert result.timing.cycles > 0
-        assert common.golden_builds() == before + 1  # one build total
+        assert common.golden_builds() == before + 2  # inputs + reference
+        assert _reference_keys() == [("fmatmul", 8, 16, run.problem["n"],
+                                      "reference")]
+        run.run(cfg, verify=True)
+        assert common.golden_builds() == before + 2
 
     def test_verified_capture_still_checks_correctly(self):
         """The lazy path feeds the golden check the same arrays: a
@@ -91,15 +102,20 @@ class TestGoldenMaterialization:
             run.run(cfg, verify=True).timing
 
     def test_unverified_sweep_never_builds_reference_output(self):
-        """verify=False captures still build inputs (setup needs them)
-        but exactly once per problem, not per operating point."""
+        """verify=False captures build inputs (setup needs them) once
+        per problem, not per operating point, and no reference output."""
         cfg_small, cfg_big = Ara2Config(lanes=4), Ara2Config(lanes=8)
         before = common.golden_builds()
+        input_bytes = 0
         for cfg in (cfg_small, cfg_big):
             run = build_fmatmul(cfg, 64, m=8, k=16)
             run.capture(cfg, verify=False)
+            input_bytes += 8 * (8 * 16 + 16 * run.problem["n"])  # A, B
         # Different VLEN -> different vl -> two problems, two builds.
         assert common.golden_builds() == before + 2
+        # The memo pins the inputs and nothing else: no product C.
+        assert _reference_keys() == []
+        assert common._golden_cache_used == input_bytes
 
 
 class TestProgramSkeletonSharing:
