@@ -13,11 +13,13 @@ retires once it is entered (its end is the only control transfer, and
 ``vl`` and the vtype only change there), so a step extends the trace
 columns of :class:`~repro.functional.trace_pack.TraceBuffers` by the
 block's static chunks — event tags, vector instruction indices, the
-``v_vl``/``v_sew``/``v_lmul`` rows of its vector ops, the codes of its
-body scalars and the sizes of its scalar accesses — and adds the
-block's FLOPs times ``vl`` once (FLOP counts are integral, so the sum
-is exact).  Only what is dynamic is appended row by row: memory
-fields, slide amounts, scalar addresses and the branch outcome.  The capture's trace is the
+``v_vl``/``v_sew``/``v_lmul`` rows of its vector ops, the flags and
+pattern codes of its vector memory rows, the codes of its body scalars
+and the sizes of its scalar accesses — and adds the block's FLOPs
+times ``vl`` once (FLOP counts are integral, so the sum is exact).
+Only what is dynamic is appended row by row: the memory fields that
+depend on registers or the vtype, slide amounts, scalar addresses and
+the branch outcome.  The capture's trace is the
 :class:`~repro.functional.trace_pack.PackedTrace` over those columns.
 
 What is memoized where:
@@ -59,7 +61,7 @@ from .memory import FunctionalMemory
 from .plan import B_SCALAR, B_VECTOR, K_SCALAR, K_VSETVLI, blocks_for
 from .scalar import ScalarUnit
 from .state import ArchState
-from .trace_pack import PATTERN_CODE, PackedTrace, TraceBuffers
+from .trace_pack import PackedTrace, TraceBuffers
 from .vector import VectorUnit
 
 #: Hard cap on retired instructions so a buggy kernel cannot hang a test
@@ -122,12 +124,12 @@ class Executor:
         slide_row = buf.slide_row.append
         v_slide = buf.v_slide.append
         mem_row = buf.mem_row.append
-        v_flags = buf.v_flags.append
+        v_flags = buf.v_flags
         m_base = buf.m_base.append
         m_stride = buf.m_stride.append
         m_count = buf.m_count.append
         m_ew = buf.m_ew.append
-        m_pattern = buf.m_pattern.append
+        m_pattern = buf.m_pattern
         n_scalar = 0
         n_vector = 0
         total_flops = 0.0
@@ -182,8 +184,11 @@ class Executor:
                     v_vl += rows[0]
                     v_sew += rows[1]
                     v_lmul += rows[2]
+                    v_flags += block.v_flags
+                    m_pattern += block.m_pattern
                     total_flops += block.flops * vl
-                for i, p, row, mode in block.body:
+                for p, i, row, mode in zip(block.plans, block.pcs, block.rows,
+                                           block.modes):
                     if mode == B_VECTOR:
                         fn = table[i]
                         if fn is None:
@@ -196,14 +201,11 @@ class Executor:
                                 slide_row(n_vector + row)
                                 v_slide(extra)
                             else:  # (base, stride, count, element bytes)
-                                spec = p.spec
                                 mem_row(n_vector + row)
-                                v_flags(3 if spec.is_store else 1)
                                 m_base(extra[0])
                                 m_stride(extra[1])
                                 m_count(extra[2])
                                 m_ew(extra[3])
-                                m_pattern(PATTERN_CODE[spec.mem_pattern])
                     elif mode == B_SCALAR:
                         p.scalar_fn(scalar_unit, p)
                     else:  # a load or store: returns the address

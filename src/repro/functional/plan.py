@@ -39,7 +39,7 @@ from ..errors import AssemblerError, ExecutionError
 from ..isa.instructions import ExecUnit, Instruction, MemPattern
 from ..isa.vtype import VType
 from . import scalar as _scalar
-from .trace_pack import TAG_SCALAR, TAG_VECTOR, TAG_VSETVL
+from .trace_pack import PATTERN_CODE, TAG_SCALAR, TAG_VECTOR, TAG_VSETVL
 from .vector_ops import arith, fp, mask as maskops, mem as memops
 from .vector_ops.reduce import REDUCTIONS
 
@@ -299,12 +299,15 @@ class Block:
     when the run reaches the end of the program), with labels skipped.
     Each retirement of a block retires every instruction in it, so the
     executor steps a whole block at once: it extends the trace columns
-    by the block's static chunks and executes ``body``, then ``end``.
+    by the block's static chunks and executes the body, then ``end``.
 
-    * ``body`` -- ``(pc, plan, row, mode)`` per instruction before
-      ``end``: ``mode`` is :data:`B_VECTOR`, :data:`B_SCALAR` or
-      :data:`B_ACCESS` (a scalar load or store), ``row`` the
-      instruction's vector (or scalar) row within the block;
+    * the body, the instructions before ``end``, in four parallel
+      sequences: ``plans``, their ``pcs``, each one's vector (or
+      scalar) ``rows`` within the block and its ``modes`` (
+      :data:`B_VECTOR`, :data:`B_SCALAR` or :data:`B_ACCESS`, a scalar
+      load or store).  Programs stay memoized with their blocks, so a
+      block holds two objects the cyclic GC tracks (itself and
+      ``plans``), not one per instruction;
     * ``tags`` -- the trace tag of every record the block writes, the
       end's included;
     * ``v_instr`` -- the ``trace_index`` of each vector instruction;
@@ -312,6 +315,9 @@ class Block:
       code of each body scalar, in order (the end's depends on whether
       a branch is taken);
     * ``nbytes`` -- the access size of each scalar load or store;
+    * ``v_flags``, ``m_pattern`` -- the memory-row flags and pattern
+      code of each vector load or store (every execution of one has a
+      memory row);
     * ``retired``, ``n_scalar``, ``n_vector`` -- instructions retired,
       scalar (``s_kind``) rows and vector rows, the end's included;
     * ``flops`` -- DP-FLOP per element of ``vl`` over the vector body;
@@ -320,8 +326,9 @@ class Block:
     * ``next_pc`` -- the pc after ``end`` (the fall-through).
     """
 
-    __slots__ = ("body", "end", "tags", "v_instr", "codes", "nbytes",
-                 "retired", "n_scalar", "n_vector", "flops", "next_pc")
+    __slots__ = ("plans", "pcs", "rows", "modes", "end", "tags", "v_instr",
+                 "codes", "nbytes", "v_flags", "m_pattern", "retired",
+                 "n_scalar", "n_vector", "flops", "next_pc")
 
 
 #: Body modes of a :class:`Block` instruction.
@@ -330,10 +337,15 @@ B_VECTOR, B_SCALAR, B_ACCESS = range(3)
 
 def _build_block(plans: tuple, start: int) -> Block:
     body = []
+    pcs = array("i")
+    rows = array("i")
+    modes = bytearray()
     tags = bytearray()
     v_instr = array("i")
     codes = bytearray()
     nbytes = array("q")
+    v_flags = bytearray()
+    m_pattern = bytearray()
     flops = 0.0
     end = None
     pc = start
@@ -343,10 +355,16 @@ def _build_block(plans: tuple, start: int) -> Block:
         kind = p.kind
         pc += 1
         if kind == K_VECTOR:
-            body.append((pc - 1, p, len(v_instr), B_VECTOR))
+            body.append(p)
+            pcs.append(pc - 1)
+            rows.append(len(v_instr))
+            modes.append(B_VECTOR)
             tags.append(TAG_VECTOR)
             v_instr.append(p.trace_index)
             flops += p.flops
+            if p.vkind == "mem":
+                v_flags.append(3 if p.spec.is_store else 1)
+                m_pattern.append(PATTERN_CODE[p.spec.mem_pattern])
         elif kind == K_SCALAR:
             if p.skind == _scalar.S_BRANCH:
                 tags.append(TAG_SCALAR)
@@ -356,7 +374,10 @@ def _build_block(plans: tuple, start: int) -> Block:
             if p.skind >= _scalar.S_LOAD:
                 mode = B_ACCESS
                 nbytes.append(p.aux)
-            body.append((pc - 1, p, len(codes), mode))
+            body.append(p)
+            pcs.append(pc - 1)
+            rows.append(len(codes))
+            modes.append(mode)
             tags.append(TAG_SCALAR)
             codes.append(p.skind)
         elif kind == K_VSETVLI:
@@ -367,12 +388,17 @@ def _build_block(plans: tuple, start: int) -> Block:
             end = p
             break
     block = Block()
-    block.body = tuple(body)
+    block.plans = tuple(body)
+    block.pcs = pcs
+    block.rows = rows
+    block.modes = bytes(modes)
     block.end = end
     block.tags = bytes(tags)
     block.v_instr = v_instr
     block.codes = bytes(codes)
     block.nbytes = nbytes
+    block.v_flags = bytes(v_flags)
+    block.m_pattern = bytes(m_pattern)
     block.retired = len(body) + (end is not None)
     block.n_scalar = len(codes) + (end is not None and end.kind == K_SCALAR)
     block.n_vector = len(v_instr)
