@@ -44,6 +44,3 @@ class MemoryAccessError(ExecutionError):
 class TimingError(ReproError):
     """The timing engine was driven with inconsistent transactions."""
 
-
-class EvaluationError(ReproError):
-    """An experiment driver was asked for an unsupported data point."""

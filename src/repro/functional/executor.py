@@ -11,23 +11,26 @@ the straight-line run from the current pc to the next branch or jump,
 ``vsetvli`` or ``halt``, labels skipped.  Every instruction of a block
 retires once it is entered (its end is the only control transfer, and
 ``vl`` and the vtype only change there), so a step extends the trace
-columns of :class:`~repro.functional.trace_pack.TraceBuffers` by the
+buffers of :class:`~repro.functional.trace_pack.TraceBuffers` by the
 block's static chunks — event tags, vector instruction indices, the
-``v_vl``/``v_sew``/``v_lmul`` rows of its vector ops, the flags and
-pattern codes of its vector memory rows, the codes of its body scalars
-and the sizes of its scalar accesses — and adds the block's FLOPs
-times ``vl`` once (FLOP counts are integral, so the sum is exact).
-Only what is dynamic is appended row by row: the memory fields that
-depend on registers or the vtype, slide amounts, scalar addresses and
-the branch outcome.  The capture's trace is the
-:class:`~repro.functional.trace_pack.PackedTrace` over those columns.
+codes of its body scalars and the sizes of its scalar accesses — and
+adds the block's FLOPs times ``vl`` once (FLOP counts are integral, so
+the sum is exact).  Only what execution decides is appended row by
+row: the base, stride, count and element width of vector memory
+accesses, slide amounts, scalar addresses, ``vsetvli`` results and the
+branch outcome.  No row index is kept: the trace's
+:class:`~repro.functional.trace_pack.PackedTrace` is finished from the
+buffers, the run's start vtype and the program's static
+:func:`~repro.functional.plan.row_table`, which place each appended
+value on its row and give each vector row its ``(vl, SEW, LMUL)``,
+memory flags and pattern code.
 
 What is memoized where:
 
 * on the program (:func:`~repro.functional.plan.blocks_for`, beside
   its pre-decoded :class:`~repro.functional.plan.InstrPlan` tuple):
   the static shape of each block, built the first time a run steps
-  from its start pc;
+  from its start pc, and the per-instruction row table;
 * per run: the vector ops bound to a vtype
   (:meth:`~repro.functional.vector.VectorUnit.bind`), one table per
   ``(SEW, LMUL)`` indexed by pc and filled as ops first retire, and the
@@ -51,14 +54,14 @@ cap.  A run therefore raises exactly when it would retire more than
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 
 from ..errors import ExecutionError, IllegalInstructionError
 from ..isa.program import Program
 from ..isa.vtype import vsetvl_result
 from .memory import FunctionalMemory
-from .plan import B_SCALAR, B_VECTOR, K_SCALAR, K_VSETVLI, blocks_for
+from .plan import (B_SCALAR, B_VECTOR, K_SCALAR, K_VSETVLI, blocks_for,
+                   row_table)
 from .scalar import ScalarUnit
 from .state import ArchState
 from .trace_pack import PackedTrace, TraceBuffers
@@ -106,36 +109,6 @@ class Executor:
         vector = self._vector
         bind = vector.bind
         require_legal = state.require_legal_vtype
-        buf = TraceBuffers()
-        tags = buf.tags
-        kind_code = buf.kind_code
-        new_kind = buf.new_kind
-        s_kind = buf.s_kind
-        s_mem_row = buf.s_mem_row.append
-        s_addr = buf.s_addr.append
-        s_nbytes = buf.s_nbytes
-        w_vl = buf.w_vl.append
-        w_sew = buf.w_sew.append
-        w_lmul = buf.w_lmul.append
-        v_instr = buf.v_instr
-        v_vl = buf.v_vl
-        v_sew = buf.v_sew
-        v_lmul = buf.v_lmul
-        slide_row = buf.slide_row.append
-        v_slide = buf.v_slide.append
-        mem_row = buf.mem_row.append
-        v_flags = buf.v_flags
-        m_base = buf.m_base.append
-        m_stride = buf.m_stride.append
-        m_count = buf.m_count.append
-        m_ew = buf.m_ew.append
-        m_pattern = buf.m_pattern
-        n_scalar = 0
-        n_vector = 0
-        total_flops = 0.0
-        pc = 0
-        retired = 0
-        halted = False
         n = len(blocks.plans)
         # This run's trace codes of each block's body scalars, by start pc.
         local_codes: dict = {}
@@ -153,9 +126,26 @@ class Executor:
         else:
             sew, lmul = state.sew_bits, state.lmul_i
             tables[sew, lmul] = table
-        # The v_vl/v_sew/v_lmul rows of a block's vector ops under the
-        # current (vl, sew, lmul), by vector op count.
-        config_rows: dict = {}
+        buf = TraceBuffers(vl, sew, lmul)
+        tags = buf.tags
+        kind_code = buf.kind_code
+        new_kind = buf.new_kind
+        s_kind = buf.s_kind
+        s_addr = buf.s_addr.append
+        s_nbytes = buf.s_nbytes
+        w_vl = buf.w_vl.append
+        w_sew = buf.w_sew.append
+        w_lmul = buf.w_lmul.append
+        v_instr = buf.v_instr
+        v_slide = buf.v_slide.append
+        m_base = buf.m_base.append
+        m_stride = buf.m_stride.append
+        m_count = buf.m_count.append
+        m_ew = buf.m_ew.append
+        total_flops = 0.0
+        pc = 0
+        retired = 0
+        halted = False
         with vector.ieee_errors():
             while pc < n:
                 block = blocks[pc]
@@ -173,22 +163,10 @@ class Executor:
                 tags += block.tags
                 s_kind += codes
                 s_nbytes += block.nbytes
-                count = block.n_vector
-                if count:
+                if block.n_vector:
                     v_instr += block.v_instr
-                    rows = config_rows.get(count)
-                    if rows is None:
-                        rows = config_rows[count] = (
-                            array("q", (vl,)) * count, bytes((sew,)) * count,
-                            bytes((lmul,)) * count)
-                    v_vl += rows[0]
-                    v_sew += rows[1]
-                    v_lmul += rows[2]
-                    v_flags += block.v_flags
-                    m_pattern += block.m_pattern
                     total_flops += block.flops * vl
-                for p, i, row, mode in zip(block.plans, block.pcs, block.rows,
-                                           block.modes):
+                for p, i, mode in zip(block.plans, block.pcs, block.modes):
                     if mode == B_VECTOR:
                         fn = table[i]
                         if fn is None:
@@ -198,10 +176,8 @@ class Executor:
                         extra = fn(p, vl, sew, lmul)
                         if extra is not None:
                             if p.vkind != "mem":  # a slide amount
-                                slide_row(n_vector + row)
                                 v_slide(extra)
                             else:  # (base, stride, count, element bytes)
-                                mem_row(n_vector + row)
                                 m_base(extra[0])
                                 m_stride(extra[1])
                                 m_count(extra[2])
@@ -209,10 +185,7 @@ class Executor:
                     elif mode == B_SCALAR:
                         p.scalar_fn(scalar_unit, p)
                     else:  # a load or store: returns the address
-                        s_mem_row(n_scalar + row)
                         s_addr(p.scalar_fn(scalar_unit, p))
-                n_scalar += block.n_scalar
-                n_vector += count
                 pc = block.next_pc
                 p = block.end
                 if p is None:
@@ -231,7 +204,6 @@ class Executor:
                     w_vl(vl)
                     w_sew(vsew)
                     w_lmul(vlmul)
-                    config_rows = {}
                     if vsew != sew or vlmul != lmul:
                         sew, lmul = vsew, vlmul
                         table = tables.get((sew, lmul))
@@ -240,8 +212,9 @@ class Executor:
                 else:  # halt
                     halted = True
                     break
-        return ExecResult(state, buf.finish(program, total_flops), retired,
-                          program, state.vlen_bits, halted=halted)
+        trace = buf.finish(program, total_flops, row_table(program))
+        return ExecResult(state, trace, retired, program, state.vlen_bits,
+                          halted=halted)
 
     # ------------------------------------------------------------------
     def _vsetvli(self, p) -> int:

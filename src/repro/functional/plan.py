@@ -18,11 +18,11 @@ dictionary lookups (``instr.op("vd").index``) and handler resolution
   (``p.trace_index``, set by :func:`plans_for`).
 
 Plans are cached: :func:`plans_for` memoizes the full decoded program on
-the (immutable) :class:`~repro.isa.program.Program` instance, and
-:func:`plan_for_instr` memoizes single-instruction decodes for direct
-``VectorUnit.execute`` callers (unit tests).  :func:`blocks_for`
-memoizes, beside the plans, the :class:`Block` that starts at each pc
-the executor has stepped from: the static shape of a basic block.
+the (immutable) :class:`~repro.isa.program.Program` instance.  Beside
+the plans, :func:`blocks_for` memoizes the :class:`Block` that starts at
+each pc the executor has stepped from (the static shape of a basic
+block), and :func:`row_table` the trace fields each instruction fixes
+for its vector rows (memory flags, pattern code, whether it slides).
 Only quantities that cannot depend on dynamic state (``vl``, ``vtype``)
 are pre-resolved here.  What depends on the vtype as well — dtypes,
 EMUL, register-group views — resolves once per binding of a plan to a
@@ -34,6 +34,8 @@ from __future__ import annotations
 
 from array import array
 from typing import Any, Optional
+
+import numpy as np
 
 from ..errors import AssemblerError, ExecutionError
 from ..isa.instructions import ExecUnit, Instruction, MemPattern
@@ -257,20 +259,6 @@ def decode(instr: Instruction,
     return p
 
 
-def plan_for_instr(instr: Instruction) -> InstrPlan:
-    """Single-instruction decode, memoized on the instruction object.
-
-    Branch targets stay unresolved (``target_idx is None``); direct-call
-    users (unit tests poking a lone instruction at a unit) never branch.
-    """
-    plan = instr.__dict__.get("_plan")
-    if plan is None:
-        plan = decode(instr)
-        # Frozen dataclass: writing through __dict__ bypasses the guard.
-        instr.__dict__["_plan"] = plan
-    return plan
-
-
 def plans_for(program) -> tuple[InstrPlan, ...]:
     """Decode (and memoize) the full execution plan of a program.
 
@@ -301,10 +289,9 @@ class Block:
     executor steps a whole block at once: it extends the trace columns
     by the block's static chunks and executes the body, then ``end``.
 
-    * the body, the instructions before ``end``, in four parallel
-      sequences: ``plans``, their ``pcs``, each one's vector (or
-      scalar) ``rows`` within the block and its ``modes`` (
-      :data:`B_VECTOR`, :data:`B_SCALAR` or :data:`B_ACCESS`, a scalar
+    * the body, the instructions before ``end``, in three parallel
+      sequences: ``plans``, their ``pcs`` and their ``modes``
+      (:data:`B_VECTOR`, :data:`B_SCALAR` or :data:`B_ACCESS`, a scalar
       load or store).  Programs stay memoized with their blocks, so a
       block holds two objects the cyclic GC tracks (itself and
       ``plans``), not one per instruction;
@@ -315,20 +302,16 @@ class Block:
       code of each body scalar, in order (the end's depends on whether
       a branch is taken);
     * ``nbytes`` -- the access size of each scalar load or store;
-    * ``v_flags``, ``m_pattern`` -- the memory-row flags and pattern
-      code of each vector load or store (every execution of one has a
-      memory row);
-    * ``retired``, ``n_scalar``, ``n_vector`` -- instructions retired,
-      scalar (``s_kind``) rows and vector rows, the end's included;
+    * ``retired``, ``n_vector`` -- instructions retired, the end's
+      included, and vector rows;
     * ``flops`` -- DP-FLOP per element of ``vl`` over the vector body;
       ``flops`` are integral, so ``flops * vl`` summed per block equals
       the per-instruction sum exactly;
     * ``next_pc`` -- the pc after ``end`` (the fall-through).
     """
 
-    __slots__ = ("plans", "pcs", "rows", "modes", "end", "tags", "v_instr",
-                 "codes", "nbytes", "v_flags", "m_pattern", "retired",
-                 "n_scalar", "n_vector", "flops", "next_pc")
+    __slots__ = ("plans", "pcs", "modes", "end", "tags", "v_instr", "codes",
+                 "nbytes", "retired", "n_vector", "flops", "next_pc")
 
 
 #: Body modes of a :class:`Block` instruction.
@@ -338,14 +321,11 @@ B_VECTOR, B_SCALAR, B_ACCESS = range(3)
 def _build_block(plans: tuple, start: int) -> Block:
     body = []
     pcs = array("i")
-    rows = array("i")
     modes = bytearray()
     tags = bytearray()
     v_instr = array("i")
     codes = bytearray()
     nbytes = array("q")
-    v_flags = bytearray()
-    m_pattern = bytearray()
     flops = 0.0
     end = None
     pc = start
@@ -357,14 +337,10 @@ def _build_block(plans: tuple, start: int) -> Block:
         if kind == K_VECTOR:
             body.append(p)
             pcs.append(pc - 1)
-            rows.append(len(v_instr))
             modes.append(B_VECTOR)
             tags.append(TAG_VECTOR)
             v_instr.append(p.trace_index)
             flops += p.flops
-            if p.vkind == "mem":
-                v_flags.append(3 if p.spec.is_store else 1)
-                m_pattern.append(PATTERN_CODE[p.spec.mem_pattern])
         elif kind == K_SCALAR:
             if p.skind == _scalar.S_BRANCH:
                 tags.append(TAG_SCALAR)
@@ -376,7 +352,6 @@ def _build_block(plans: tuple, start: int) -> Block:
                 nbytes.append(p.aux)
             body.append(p)
             pcs.append(pc - 1)
-            rows.append(len(codes))
             modes.append(mode)
             tags.append(TAG_SCALAR)
             codes.append(p.skind)
@@ -390,17 +365,13 @@ def _build_block(plans: tuple, start: int) -> Block:
     block = Block()
     block.plans = tuple(body)
     block.pcs = pcs
-    block.rows = rows
     block.modes = bytes(modes)
     block.end = end
     block.tags = bytes(tags)
     block.v_instr = v_instr
     block.codes = bytes(codes)
     block.nbytes = nbytes
-    block.v_flags = bytes(v_flags)
-    block.m_pattern = bytes(m_pattern)
     block.retired = len(body) + (end is not None)
-    block.n_scalar = len(codes) + (end is not None and end.kind == K_SCALAR)
     block.n_vector = len(v_instr)
     block.flops = flops
     block.next_pc = pc
@@ -428,3 +399,30 @@ def blocks_for(program) -> dict:
         blocks.plans = plans_for(program)
         program.__dict__["_blocks"] = blocks
     return blocks
+
+
+#: Vector kinds whose handler returns a slide amount.
+_SLIDES = ("slide_updn", "slide1")
+
+
+def row_table(program) -> np.ndarray:
+    """What each instruction fixes for its vector rows: a ``(3, n)``
+    ``u1`` array indexed by instruction position (a ``v_instr`` value)
+    whose rows are its memory flags (bit 0: an access, bit 1: a store),
+    its pattern code and whether it records a slide amount.  Every
+    retirement of a vector load or store has a memory row and of a
+    slide a slide row, so the trace derives both from ``v_instr``
+    (:meth:`~repro.functional.trace_pack.TraceBuffers.finish`).
+    Memoized on the program beside its plans."""
+    table = program.__dict__.get("_row_table")
+    if table is None:
+        plans = plans_for(program)
+        table = np.zeros((3, len(plans)), np.uint8)
+        for i, p in enumerate(plans):
+            if p.vkind == "mem":
+                table[0, i] = 3 if p.spec.is_store else 1
+                table[1, i] = PATTERN_CODE[p.spec.mem_pattern]
+            elif p.vkind in _SLIDES:
+                table[2, i] = 1
+        program.__dict__["_row_table"] = table
+    return table

@@ -46,10 +46,6 @@ class MemAccess:
     def total_bytes(self) -> int:
         return self.count * self.ew_bytes
 
-    @property
-    def is_unit_stride(self) -> bool:
-        return self.pattern in (MemPattern.UNIT, MemPattern.MASK)
-
 
 class ScalarEvent:
     """A retired scalar instruction, classified for the CVA6 timing model.
@@ -117,7 +113,3 @@ class VectorEvent:
     @cached_property
     def flops(self) -> float:
         return self.spec.flops * self.vl
-
-    @property
-    def result_bytes(self) -> int:
-        return self.vl * (self.sew // 8)

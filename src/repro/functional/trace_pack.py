@@ -25,11 +25,12 @@ program ships alongside the blob in the envelope payload, so unpacking
 re-links events to the very instruction objects the replay decode
 caches key on.
 
-The functional executor writes these columns as it retires instructions,
-through the typed append buffers of :class:`TraceBuffers`, and a
-capture is a :class:`PackedTrace` over them; its blob is serialized by
-:func:`pack_trace` the first time something needs it (pickling,
-``nbytes``, the disk tier).
+The functional executor writes what execution decides into the typed
+append buffers of :class:`TraceBuffers` as it retires instructions;
+:meth:`TraceBuffers.finish` derives the other columns from them and
+the program, and a capture is a :class:`PackedTrace` over the result.
+Its blob is serialized by :func:`pack_trace` the first time something
+needs it (pickling, ``nbytes``, the disk tier).
 
 :class:`PackedTrace` is also the lazy reader of a disk blob: aggregate
 counters and column views are available without materializing a single
@@ -163,49 +164,40 @@ def _delta_decode(arr: np.ndarray) -> np.ndarray:
 class TraceBuffers:
     """Typed append buffers the functional executor writes a trace into.
 
-    Dense buffers hold one value per row in their column's dtype
-    (``bytearray`` for ``u1``, :class:`array.array` otherwise), so
-    :meth:`finish` views them with :func:`numpy.frombuffer`.  Payload
-    most rows lack is sparse: the memory fields and flags of the vector
-    rows that access memory (rows in ``mem_row``), the amount of slide
-    rows (``slide_row``) and the address and size of scalar loads and
-    stores (``s_mem_row``) are scattered into zero-filled columns (``-1``
-    for a missing address).  ``s_kind`` holds trace codes into
+    The buffers hold only what execution decides, each value in its
+    column's dtype (``bytearray`` for ``u1``, :class:`array.array`
+    otherwise): the event ``tags``, scalar kind codes (trace codes into
     ``kinds``, grown in first-use order; ``kind_code`` maps a
-    :data:`~repro.functional.trace.SCALAR_KINDS` code to its trace code
-    (``-1``: unused so far).
+    :data:`~repro.functional.trace.SCALAR_KINDS` code to its trace code,
+    ``-1``: unused so far), the address and size of each scalar load or
+    store, the ``vsetvli`` results, the ``v_instr`` of each vector row,
+    slide amounts and the base, stride, count and element bytes of each
+    vector memory access.  Index 0 of ``w_vl``/``w_sew``/``w_lmul`` is
+    the run's start vtype, the configuration of the vector rows before
+    the first ``vsetvli``; the ``w_*`` columns start at index 1.
+    :meth:`finish` derives the rest of the columns.
     """
 
-    __slots__ = ("tags", "s_kind", "s_mem_row", "s_addr", "s_nbytes",
-                 "kinds", "kind_code", "w_vl", "w_sew", "w_lmul",
-                 "v_instr", "v_vl", "v_sew", "v_lmul", "slide_row",
-                 "v_slide", "mem_row", "v_flags", "m_base", "m_stride",
-                 "m_count", "m_ew", "m_pattern")
+    __slots__ = ("tags", "s_kind", "s_addr", "s_nbytes", "kinds",
+                 "kind_code", "w_vl", "w_sew", "w_lmul", "v_instr",
+                 "v_slide", "m_base", "m_stride", "m_count", "m_ew")
 
-    def __init__(self) -> None:
+    def __init__(self, vl: int, sew: int, lmul: int) -> None:
         self.tags = bytearray()
         self.s_kind = bytearray()  # widened to the u2 column by finish()
-        self.s_mem_row = array("q")
         self.s_addr = array("q")
         self.s_nbytes = array("q")
         self.kinds: list[str] = []
         self.kind_code = [-1] * len(SCALAR_KINDS)
-        self.w_vl = array("q")
-        self.w_sew = bytearray()
-        self.w_lmul = bytearray()
+        self.w_vl = array("q", (vl,))
+        self.w_sew = bytearray((sew,))
+        self.w_lmul = bytearray((lmul,))
         self.v_instr = array("i")
-        self.v_vl = array("q")
-        self.v_sew = bytearray()
-        self.v_lmul = bytearray()
-        self.slide_row = array("q")
         self.v_slide = array("q")
-        self.mem_row = array("q")
-        self.v_flags = bytearray()
         self.m_base = array("Q")
         self.m_stride = array("q")
         self.m_count = array("q")
         self.m_ew = bytearray()
-        self.m_pattern = bytearray()
 
     def new_kind(self, code: int) -> int:
         """Trace code of ``SCALAR_KINDS[code]`` on its first use."""
@@ -213,45 +205,68 @@ class TraceBuffers:
         self.kinds.append(SCALAR_KINDS[code])
         return local
 
-    def finish(self, program: Program, total_flops: float) -> "PackedTrace":
+    def finish(self, program: Program, total_flops: float,
+               row_table: np.ndarray) -> "PackedTrace":
         """The :class:`PackedTrace` of the buffered records (the
-        buffers stay exported to its columns)."""
-        counts = {"t": len(self.tags), "s": len(self.s_kind),
-                  "w": len(self.w_vl), "v": len(self.v_instr)}
-        columns: dict[str, np.ndarray] = {}
-        row_index: dict[str, np.ndarray] = {}
-        for name, dtype, group, _ in _COLUMNS:
-            rows = _SPARSE_ROWS.get(name)
-            if rows is None:
-                column = np.frombuffer(getattr(self, name),
-                                       np.uint8 if name == "s_kind" else dtype)
-                if name == "s_kind":
-                    column = column.astype(dtype)
-            else:
-                column = np.zeros(counts[group], dtype)
-                if name == "s_addr":
-                    column.fill(-1)
-                index = row_index.get(rows)
-                if index is None:
-                    index = row_index[rows] = np.frombuffer(
-                        getattr(self, rows), np.int64)
-                if index.size:
-                    column[index] = np.frombuffer(getattr(self, name), dtype)
-            columns[name] = column
-        packed = PackedTrace.__new__(PackedTrace)
-        _fill(packed, None, program, columns, {
-            "kinds": tuple(self.kinds),
-            "scalar_count": counts["t"] - counts["v"],
-            "vector_count": counts["v"], "total_flops": total_flops})
-        return packed
+        buffers stay exported to its columns).
+
+        Derives, in one vectorized pass, the rows of the scalar
+        accesses (the scalar rows whose kind is a load or store), each
+        vector row's ``(vl, SEW, LMUL)`` (the latest ``vsetvli``
+        before it, or the start vtype) and, from ``row_table``
+        (:func:`repro.functional.plan.row_table` of ``program``), its
+        memory flags and pattern code and the rows of the memory
+        accesses and slide amounts.  Rows without a scalar access, a
+        slide or a vector memory access hold zeros (``-1`` for a
+        missing address).
+        """
+        tags = np.frombuffer(self.tags, np.uint8)
+        s_kind = np.frombuffer(self.s_kind, np.uint8)
+        s_addr = np.full(len(s_kind), -1, np.int64)
+        s_nbytes = np.zeros(len(s_kind), np.int64)
+        if self.s_addr:
+            access = np.frombuffer(
+                bytes(kind in _ACCESS_KINDS for kind in self.kinds), np.bool_)
+            rows = access[s_kind].nonzero()[0]
+            s_addr[rows] = np.frombuffer(self.s_addr, np.int64)
+            s_nbytes[rows] = np.frombuffer(self.s_nbytes, np.int64)
+        w_vl = np.frombuffer(self.w_vl, np.int64)
+        w_sew = np.frombuffer(self.w_sew, np.uint8)
+        w_lmul = np.frombuffer(self.w_lmul, np.uint8)
+        v_instr = np.frombuffer(self.v_instr, np.int32)
+        n_vector = len(v_instr)
+        if n_vector and len(w_vl) > 1:  # vsetvlis before each vector row
+            config = (tags == TAG_VSETVL).cumsum()[tags == TAG_VECTOR]
+        else:
+            config = np.zeros(n_vector, np.intp)
+        v_flags, m_pattern, slides = row_table[:, v_instr]
+        v_slide = np.zeros(n_vector, np.int64)
+        if self.v_slide:
+            v_slide[slides.nonzero()[0]] = np.frombuffer(
+                self.v_slide, np.int64)
+        m_base = np.zeros(n_vector, np.uint64)
+        m_stride = np.zeros(n_vector, np.int64)
+        m_count = np.zeros(n_vector, np.int64)
+        m_ew = np.zeros(n_vector, np.uint8)
+        if self.m_base:
+            rows = v_flags.nonzero()[0]
+            m_base[rows] = np.frombuffer(self.m_base, np.uint64)
+            m_stride[rows] = np.frombuffer(self.m_stride, np.int64)
+            m_count[rows] = np.frombuffer(self.m_count, np.int64)
+            m_ew[rows] = np.frombuffer(self.m_ew, np.uint8)
+        return PackedTrace.from_columns(program, {
+            "tags": tags, "s_kind": s_kind.astype(np.uint16),
+            "s_addr": s_addr, "s_nbytes": s_nbytes,
+            "w_vl": w_vl[1:], "w_sew": w_sew[1:], "w_lmul": w_lmul[1:],
+            "v_instr": v_instr, "v_vl": w_vl[config],
+            "v_sew": w_sew[config], "v_lmul": w_lmul[config],
+            "v_slide": v_slide, "v_flags": v_flags, "m_base": m_base,
+            "m_stride": m_stride, "m_count": m_count, "m_ew": m_ew,
+            "m_pattern": m_pattern}, self.kinds, total_flops)
 
 
-#: Sparse :class:`TraceBuffers` columns and the buffer of their rows.
-_SPARSE_ROWS = {"s_addr": "s_mem_row", "s_nbytes": "s_mem_row",
-                "v_slide": "slide_row", "v_flags": "mem_row",
-                "m_base": "mem_row", "m_stride": "mem_row",
-                "m_count": "mem_row", "m_ew": "mem_row",
-                "m_pattern": "mem_row"}
+#: Scalar kinds with an address: loads and stores.
+_ACCESS_KINDS = ("load", "store")
 
 
 # ----------------------------------------------------------------------
@@ -413,6 +428,20 @@ class PackedTrace:
 
     def __init__(self, blob: bytes, program: Program) -> None:
         _parse_into(self, blob, program)
+
+    @classmethod
+    def from_columns(cls, program: Program, columns: dict, kinds,
+                     total_flops: float) -> "PackedTrace":
+        """The trace over ``columns`` (every column of the layout, by
+        name, not delta-coded) whose scalar rows have the kinds
+        ``kinds``; its blob is packed on first use."""
+        packed = cls.__new__(cls)
+        n_vector = len(columns["v_instr"])
+        _fill(packed, None, program, columns, {
+            "kinds": tuple(kinds),
+            "scalar_count": len(columns["tags"]) - n_vector,
+            "vector_count": n_vector, "total_flops": total_flops})
+        return packed
 
     # -- pickling: ship the blob, re-derive the views ------------------
     def __getstate__(self):

@@ -3,11 +3,11 @@
 Fetches operands from the VRF, applies the pure semantics from
 :mod:`repro.functional.vector_ops`, and handles masking (mask-undisturbed)
 and tail policy (tail-undisturbed, legal under agnosticism).  Each
-handler returns the trace fields the instruction adds to its dynamic
-configuration — a memory access's ``(base, stride, count, element
-bytes)``, a slide's amount, else ``None`` — which the executor appends
-to the trace columns and :meth:`VectorUnit.execute` wraps in a
-:class:`~repro.functional.trace.VectorEvent`.
+handler returns what its execution decides for the trace — a memory
+access's ``(base, stride, count, element bytes)``, a slide's amount,
+else ``None`` — which the executor appends to the trace columns.  The
+unit is driven only by :class:`~repro.functional.executor.Executor`:
+a lone instruction runs as a one-instruction program.
 
 Hot-path notes (this module runs once per retired vector instruction):
 
@@ -41,11 +41,10 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ExecutionError
-from ..isa.instructions import Instruction, MemPattern
+from ..isa.instructions import MemPattern
 from .memory import FunctionalMemory
-from .plan import (InstrPlan, OP1_F, OP1_I, OP1_V, OP1_X, plan_for_instr)
+from .plan import InstrPlan, OP1_F, OP1_I, OP1_V, OP1_X
 from .state import ArchState, fp_dtype, int_dtype
-from .trace import MemAccess, VectorEvent
 from .vector_ops import fp, mask as maskops, permute
 
 
@@ -75,22 +74,8 @@ def _cuts(*views: np.ndarray):
     return sliced.get, cut
 
 
-def vector_event(p: InstrPlan, vl: int, sew: int, lmul: int,
-                 extra) -> VectorEvent:
-    """The :class:`VectorEvent` of one execution of ``p`` at ``(vl, sew,
-    lmul)`` from its handler's ``extra`` fields."""
-    if extra is None:
-        return VectorEvent(p.instr, vl, sew, lmul)
-    if p.vkind == "mem":
-        base, stride, count, ew = extra
-        spec = p.spec
-        return VectorEvent(p.instr, vl, sew, lmul, MemAccess(
-            base, stride, count, ew, spec.mem_pattern, spec.is_store))
-    return VectorEvent(p.instr, vl, sew, lmul, None, extra)
-
-
 class VectorUnit:
-    """Executes one vector instruction against the architectural state."""
+    """Executes vector instructions against the architectural state."""
 
     #: vkind -> binder method name (see :meth:`bind`).
     _BINDERS = {
@@ -162,16 +147,6 @@ class VectorUnit:
         self._int_err = {**caller, "over": "ignore"}  # integers wrap
         with np.errstate(**IEEE_ERRSTATE):
             yield
-
-    def execute(self, instr: Instruction) -> VectorEvent:
-        """Decode-on-the-fly single-instruction path (tests, tools)."""
-        p = plan_for_instr(instr)
-        state = self.state
-        state.require_legal_vtype()
-        vl, sew, lmul = state.vl, state.sew_bits, state.lmul_i
-        with self.ieee_errors():
-            extra = self.bind(p, sew, lmul)(p, vl, sew, lmul)
-        return vector_event(p, vl, sew, lmul, extra)
 
     def bind(self, p: InstrPlan, sew: int, lmul: int):
         """``p`` bound to the legal vtype ``(sew, lmul)``: a callable

@@ -97,12 +97,6 @@ class FuzzCase:
     chunks: tuple       #: ``(kind, ops)`` pairs; kinds: pre/cfg/op/epi
     program: Program
 
-    @property
-    def op_chunks(self) -> tuple:
-        """Indices of chunks the shrink loop may drop ("cfg"/"op")."""
-        return tuple(i for i, (kind, _) in enumerate(self.chunks)
-                     if kind in ("cfg", "op"))
-
 
 def assemble(chunks, name: str) -> Program:
     """Replay recorded emit-ops onto a fresh assembler."""

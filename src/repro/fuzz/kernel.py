@@ -3,8 +3,9 @@
 A fuzz case enters the capture pipeline through exactly the machinery
 the curated kernels use — :func:`repro.kernels.common.memo_program` for
 the generated program skeleton, :func:`~repro.kernels.common.lazy_golden`
-for the reference memory image — so ``CaptureTask``/``SimPool``/
-``TraceStore`` handle it unchanged via the ``"fuzz"`` zoo entry.
+for the input image and the reference memory image — so
+``CaptureTask``/``SimPool``/``TraceStore`` handle it unchanged via the
+``"fuzz"`` zoo entry.
 
 The golden model is a second, independent functional execution of the
 same program at the same VLEN against a fresh minimal memory, and the
@@ -14,11 +15,13 @@ produce).  Because the generated program's behaviour may depend on VLEN
 (``vl = min(avl, vlmax)``), the golden key includes ``vlen_bits`` while
 the program skeleton key does not.  Both builders — :func:`build_fuzz`
 (the pipeline's zoo entry) and :func:`kernel_for_case` (the property
-harness and the shrink loop) — key the memoized reference image
-``("fuzz", seed, program fingerprint, vlen_bits)``, so one seed pays for
-one reference execution per VLEN however many machines and phases use
-it, and a shrunk variant (a different program) never reads another
-variant's image.
+harness and the shrink loop) — memoize the input image under
+``("fuzz", seed)`` (``setup`` reads only that) and the reference image
+under ``("fuzz", seed, program fingerprint, vlen_bits)``, built on the
+first ``check``: an unverified capture never runs the reference, one
+seed pays for one reference execution per VLEN however many machines
+and phases check it, and a shrunk variant (a different program) never
+reads another variant's image.
 """
 
 from __future__ import annotations
@@ -43,20 +46,20 @@ def generate_case(seed: int, size: int = 40, features: str = "all",
                            max_avl=max_avl).generate())
 
 
-def reference_image(case: FuzzCase, vlen_bits: int) -> tuple:
+def reference_image(case: FuzzCase, vlen_bits: int,
+                    inputs: np.ndarray) -> tuple:
     """Independent functional execution of ``case`` at ``vlen_bits``.
 
-    Returns ``(inputs, s_bytes, out_bytes)``: the seeded input image for
-    the A/B regions plus the S and OUT region contents after running the
-    program against a fresh minimal memory.
+    Returns ``(s_bytes, out_bytes)``: the S and OUT region contents
+    after running the program against a fresh minimal memory holding
+    the seed's input image ``inputs`` in the A/B regions.
     """
-    inputs = np.frombuffer(input_image(case.seed), dtype=np.uint8)
     mem = FunctionalMemory(TOTAL_BYTES)
     mem.write_bytes(REGIONS["A"][0], inputs)
     Executor(vlen_bits, mem=mem).run(case.program)
     s_base, s_bytes = REGIONS["S"]
     out_base, out_bytes = REGIONS["OUT"]
-    return (inputs, mem.read_bytes(s_base, s_bytes),
+    return (mem.read_bytes(s_base, s_bytes),
             mem.read_bytes(out_base, out_bytes))
 
 
@@ -64,21 +67,25 @@ def _fuzz_run(case: FuzzCase, config: SystemConfig,
               problem: dict) -> KernelRun:
     """The :class:`KernelRun` of ``case`` at ``config``'s VLEN.
 
-    ``setup`` and ``check`` share one memoized reference image, keyed
-    ``("fuzz", seed, program fingerprint, vlen_bits)``: the input image
-    depends on the seed only, the S/OUT contents on the program and the
-    VLEN, and the fingerprint keeps shrunk variants of one seed apart.
+    ``setup`` writes the input image, memoized under ``("fuzz", seed)``:
+    it depends on the seed only.  ``check`` compares with the reference
+    image, memoized under ``("fuzz", seed, program fingerprint,
+    vlen_bits)``: the S/OUT contents depend on the program and the VLEN,
+    and the fingerprint keeps shrunk variants of one seed apart.
     """
     vlen_bits = config.vlen_bits
-    golden = lazy_golden(
-        ("fuzz", case.seed, case.program.fingerprint, vlen_bits),
-        lambda: reference_image(case, vlen_bits))
+    seed = case.seed
+    inputs = lazy_golden(("fuzz", seed), lambda: (
+        np.frombuffer(input_image(seed), dtype=np.uint8),))
+    reference = lazy_golden(
+        ("fuzz", seed, case.program.fingerprint, vlen_bits),
+        lambda: reference_image(case, vlen_bits, inputs()[0]))
 
     def setup(sim) -> None:
-        sim.mem.write_bytes(REGIONS["A"][0], golden()[0])
+        sim.mem.write_bytes(REGIONS["A"][0], inputs()[0])
 
     def check(sim) -> float:
-        _, ref_s, ref_out = golden()
+        ref_s, ref_out = reference()
         for region, ref in (("S", ref_s), ("OUT", ref_out)):
             base, _ = REGIONS[region]
             got = sim.mem.read_bytes(base, ref.size)

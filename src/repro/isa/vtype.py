@@ -88,10 +88,6 @@ class VType:
             )
         return tuple(range(base, base + step))
 
-    @property
-    def sew_bytes(self) -> int:
-        return self.sew.bytes
-
     def encode(self) -> int:
         """Pack into the vtype CSR bit layout (vsew[5:3], vlmul[2:0])."""
         if self.vill:

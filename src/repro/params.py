@@ -210,11 +210,6 @@ class SystemConfig:
         return self.vlen_bits * lmul // sew
 
     @property
-    def datapath_bytes_per_cycle(self) -> int:
-        """Bytes the lanes jointly produce/consume per cycle."""
-        return (self.lane_width_bits // 8) * self.lanes
-
-    @property
     def peak_dp_flops_per_cycle(self) -> int:
         """One DP FMA per lane per cycle = 2 DP-FLOP per lane per cycle."""
         return 2 * self.lanes

@@ -460,23 +460,39 @@ class TraceCache:
         self.disk_hits += 1
         return entry
 
-    def _load_from_disk(self, key: TraceKey) -> Optional[ExecResult]:
-        path = self._disk_path(key)
+    def _read_checked(self, path: Optional[Path]) -> Optional[dict]:
+        """The envelope at ``path`` if it is readable, its tags are
+        current and its sections match their checksum, else None.
+
+        An unreadable or foreign file and stale tags (old format or
+        schema) are plain misses; an entry whose tags are current but
+        whose checksum fails is purged and counted
+        (:meth:`_purge_corrupt`).
+        """
         if path is None or not path.exists():
             return None
         try:
             obj = _read_envelope(path)
         # repro-lint: disable=RL201  unpickling foreign files raises any type
         except Exception:
-            return None  # unreadable/foreign file: fall through to a miss
+            return None
         if not _validate_envelope(obj):
-            return None  # stale tags (old format/schema): a plain miss
-        unwrapped = (_unwrap_envelope(obj, self._count_code_loads)
-                     if _crc_ok(obj) else None)
+            return None
+        if not _crc_ok(obj):
+            self._purge_corrupt(path)
+            return None
+        return obj
+
+    def _load_from_disk(self, key: TraceKey) -> Optional[ExecResult]:
+        path = self._disk_path(key)
+        obj = self._read_checked(path)
+        if obj is None:
+            return None
+        unwrapped = _unwrap_envelope(obj, self._count_code_loads)
         if unwrapped is None:
-            # Tags are current but the payload is not what the writer
-            # produced: purge it so the broken bytes can't shadow the
-            # store budget or fail again on the next read.
+            # Checksummed bytes that do not decode to an entry: purge
+            # them so they can't shadow the store budget or fail again
+            # on the next read.
             self._purge_corrupt(path)
             return None
         entry, stale = unwrapped
@@ -664,20 +680,7 @@ class TraceCache:
         """
         if key in self._entries:
             return True
-        path = self._disk_path(key)
-        if path is None or not path.exists():
-            return False
-        try:
-            obj = _read_envelope(path)
-        # repro-lint: disable=RL201  unpickling foreign files raises any type
-        except Exception:
-            return False
-        if not _validate_envelope(obj):
-            return False
-        if not _crc_ok(obj):
-            self._purge_corrupt(path)
-            return False
-        return True
+        return self._read_checked(self._disk_path(key)) is not None
 
     @property
     def stats(self) -> dict:

@@ -42,12 +42,6 @@ class TimingReport:
             return 0.0
         return min(1.0, self.flops_per_cycle / peak_flops_per_cycle)
 
-    def fpu_busy_fraction(self) -> float:
-        """Raw fraction of cycles the FPU pipeline streamed results."""
-        if self.cycles <= 0:
-            return 0.0
-        return min(1.0, self.unit_busy.get("vmfpu", 0.0) / self.cycles)
-
     def unit_utilization(self, unit: str) -> float:
         if self.cycles <= 0:
             return 0.0

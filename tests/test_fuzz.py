@@ -28,6 +28,7 @@ from repro.fuzz.properties import DEFAULT_MACHINES, default_configs
 from repro.fuzz.rng import FuzzRng
 from repro.isa import Assembler
 from repro.kernels import zoo_builder
+from repro.kernels import common
 from repro.kernels.common import golden_builds, reset_skeleton_caches
 from repro.machine import get_machine
 from repro.sim import (CaptureTask, SimPool, TraceCache, run_pipeline,
@@ -109,6 +110,9 @@ class TestGrouping:
 
     def test_pipeline_and_harness_share_the_reference_image(
             self, monkeypatch, machine_pair):
+        """The harness builds the reference an unverified pipeline
+        capture skipped, over the capture's memoized input image; a
+        verified pipeline capture then reuses the harness's reference."""
         reset_skeleton_caches()
         config = machine_pair[0]
         kwargs = {"seed": 11, "size": 20, "features": "all"}
@@ -116,8 +120,23 @@ class TestGrouping:
         builds = golden_builds()
         calls = _count_executor_runs(monkeypatch)
         check_case(generate_case(11, size=20), configs=machine_pair)
-        assert golden_builds() == builds
-        assert len(calls) == 2
+        assert golden_builds() == builds + 1
+        assert len(calls) == 3
+        build_fuzz(config, 64, **kwargs).capture(config, verify=True)
+        assert golden_builds() == builds + 1
+        assert len(calls) == 4
+
+    def test_unverified_capture_runs_no_reference(self, monkeypatch,
+                                                  machine_pair):
+        """An unverified capture of a fresh case executes the program
+        once and memoizes only the seed's input image."""
+        reset_skeleton_caches()
+        config = machine_pair[0]
+        calls = _count_executor_runs(monkeypatch)
+        kernel_for_case(generate_case(13, size=20), config).capture(
+            config, verify=False)
+        assert len(calls) == 1
+        assert list(common._GOLDEN_CACHE) == [("fuzz", 13)]
 
 
 class TestOracleSubject:

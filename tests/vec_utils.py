@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.functional.executor import Executor
 from repro.functional.memory import FunctionalMemory
 from repro.functional.state import ArchState
-from repro.functional.vector import VectorUnit
-from repro.isa import Assembler
+from repro.isa import Assembler, Program
 from repro.isa.vtype import LMUL, SEW, VType
 
 
 class VecEnv:
-    """A vector unit with directly pokeable state (no program needed)."""
+    """Vector state to poke directly and run single instructions on."""
 
     def __init__(self, vl: int, sew: int = 64, lmul: int = 1,
                  vlen_bits: int = 4096, mem_bytes: int = 1 << 16) -> None:
@@ -23,7 +23,6 @@ class VecEnv:
         self.vl = vl
         self.sew = sew
         self.lmul = lmul
-        self.unit = VectorUnit(self.state, self.mem)
         self.asm = Assembler("test")
 
     # ------------------------------------------------------------------
@@ -45,9 +44,14 @@ class VecEnv:
         return self.state.v.read_mask(reg, self.vl if count is None else count)
 
     def run(self, mnemonic: str, *operands, **kwargs):
-        """Assemble one instruction and execute it."""
+        """Assemble one instruction, run it as a one-instruction program
+        from this state and return its trace event."""
         instr = getattr(self.asm, mnemonic)(*operands, **kwargs)
-        return self.unit.execute(instr)
+        program = Program((instr,), name="test")
+        executor = Executor(self.state.vlen_bits, mem=self.mem,
+                            state=self.state)
+        (event,) = executor.run(program).trace.events
+        return event
 
     def rand_f64(self, rng, lo=-100.0, hi=100.0) -> np.ndarray:
         return rng.uniform(lo, hi, size=self.vl)

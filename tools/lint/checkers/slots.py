@@ -1,7 +1,8 @@
 """Hot-path ``__slots__`` (RL401): replay-loop classes stay slotted.
 
 The replay hot loops build millions of trace-event, plan, and stream
-instances per sweep; a ``__dict__`` per instance costs both allocation
+instances per sweep, and the capture and replay-plan classes sit on
+the same paths; a ``__dict__`` per instance costs both allocation
 time and cache locality (PR 1's interpreter overhaul measured it).  The
 modules listed in ``scope`` ARE the hot path, so every class they
 define must declare ``__slots__`` — either an explicit class-body
@@ -27,6 +28,8 @@ class SlotsChecker(Checker):
                    "path must declare __slots__")
     scope = ("src/repro/functional/trace.py",
              "src/repro/functional/plan.py",
+             "src/repro/functional/trace_pack.py",
+             "src/repro/timing/replay_plan.py",
              "src/repro/timing/stream.py")
 
     def check(self, ctx: FileContext):
