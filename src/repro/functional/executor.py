@@ -50,6 +50,28 @@ before it have executed, the ones after it have not.
 steps, the run raises if retiring the whole block would exceed the
 cap.  A run therefore raises exactly when it would retire more than
 ``max_instructions`` instructions, before the excess block executes.
+
+A data-free run (``run(program, data=False)``, for a program that
+:func:`~repro.functional.plan.data_free` admits) writes the same trace
+without computing any data.  No x register of such a program depends
+on FP, vector or memory data, so the x registers alone decide every
+column.  It steps each block through a body built once per block and
+vtype.  That body keeps the integer scalar ops, and the loads and
+stores as their address and bounds check alone
+(:meth:`~repro.functional.scalar.ScalarUnit.address`).  Its vector ops
+are bound by :meth:`~repro.functional.vector.VectorUnit.bind_data_free`,
+which makes the same element-type and register-group checks as
+:meth:`~repro.functional.vector.VectorUnit.bind`.  Only the ops that
+record something stay: memory accesses, which compute and bounds-check
+their ``(base, stride, count, element bytes)`` and move no data, and
+slides, which yield their amounts.  FP scalar ops and the vector ops
+that record nothing are left out.  Where a vector op would raise (an
+illegal vtype or register group), the body keeps it and ends there, so
+it raises when it retires.  Integer ops, ``vsetvli``, branches,
+``max_instructions`` and every bounds, vtype and register-group check
+therefore raise where the full run raises.  The memory and the FP and
+vector registers keep whatever they held, so a data-free run's final
+state and memory mean nothing.
 """
 
 from __future__ import annotations
@@ -60,9 +82,9 @@ from ..errors import ExecutionError, IllegalInstructionError
 from ..isa.program import Program
 from ..isa.vtype import vsetvl_result
 from .memory import FunctionalMemory
-from .plan import (B_SCALAR, B_VECTOR, K_SCALAR, K_VSETVLI, blocks_for,
-                   row_table)
-from .scalar import ScalarUnit
+from .plan import (B_ACCESS, B_ADDRESS, B_SCALAR, B_VECTOR, K_SCALAR,
+                   K_VSETVLI, blocks_for, data_free, row_table)
+from .scalar import S_FP, ScalarUnit
 from .state import ArchState
 from .trace_pack import PackedTrace, TraceBuffers
 from .vector import VectorUnit
@@ -101,23 +123,31 @@ class Executor:
 
     # ------------------------------------------------------------------
     def run(self, program: Program,
-            max_instructions: int = DEFAULT_MAX_INSTRUCTIONS) -> ExecResult:
-        """Execute until ``halt`` or the end of the program."""
+            max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
+            data: bool = True) -> ExecResult:
+        """Execute until ``halt`` or the end of the program; with
+        ``data=False``, a :func:`~repro.functional.plan.data_free`
+        program runs without its data (see the module docstring)."""
+        if not data and not data_free(program):
+            raise ExecutionError(
+                f"{program.name} lets data decide an x register or an "
+                f"access; it cannot run without data")
         state = self.state
         blocks = blocks_for(program)
         scalar_unit = self._scalar
+        address = scalar_unit.address
         vector = self._vector
-        bind = vector.bind
+        bind = vector.bind if data else vector.bind_data_free
         require_legal = state.require_legal_vtype
         n = len(blocks.plans)
         # This run's trace codes of each block's body scalars, by start pc.
         local_codes: dict = {}
-        # One table of bound vector ops per vtype, indexed by pc and
-        # filled as ops retire.  An illegal start state (vill, or vl
-        # beyond VLMAX) keeps sew = 0, which matches no vsetvli, and its
-        # table never fills: every vector op there raises.
-        tables: dict = {}
-        table = [None] * n
+        # Per vtype: the bound vector ops, indexed by pc and filled as
+        # ops retire, and a data-free run's block bodies, by start pc.
+        # An illegal start state (vill, or vl beyond VLMAX) keeps
+        # sew = 0, which matches no vsetvli, and its table never fills:
+        # every vector op there raises.
+        vtypes: dict = {}
         vl = state.vl
         try:
             require_legal()
@@ -125,7 +155,7 @@ class Executor:
             sew = lmul = 0
         else:
             sew, lmul = state.sew_bits, state.lmul_i
-            tables[sew, lmul] = table
+        table, bodies = vtypes[sew, lmul] = [None] * n, [None] * n
         buf = TraceBuffers(vl, sew, lmul)
         tags = buf.tags
         kind_code = buf.kind_code
@@ -166,7 +196,14 @@ class Executor:
                 if block.n_vector:
                     v_instr += block.v_instr
                     total_flops += block.flops * vl
-                for p, i, mode in zip(block.plans, block.pcs, block.modes):
+                if data:
+                    body = zip(block.plans, block.pcs, block.modes)
+                else:
+                    body = bodies[pc]
+                    if body is None:
+                        body = bodies[pc] = self._data_free_body(
+                            block, table, sew, lmul)
+                for p, i, mode in body:
                     if mode == B_VECTOR:
                         fn = table[i]
                         if fn is None:
@@ -184,8 +221,10 @@ class Executor:
                                 m_ew(extra[3])
                     elif mode == B_SCALAR:
                         p.scalar_fn(scalar_unit, p)
-                    else:  # a load or store: returns the address
+                    elif mode == B_ACCESS:  # a load or store: its address
                         s_addr(p.scalar_fn(scalar_unit, p))
+                    else:  # the same, moving no data
+                        s_addr(address(p))
                 pc = block.next_pc
                 p = block.end
                 if p is None:
@@ -206,9 +245,11 @@ class Executor:
                     w_lmul(vlmul)
                     if vsew != sew or vlmul != lmul:
                         sew, lmul = vsew, vlmul
-                        table = tables.get((sew, lmul))
-                        if table is None:
-                            table = tables[sew, lmul] = [None] * n
+                        tables = vtypes.get((sew, lmul))
+                        if tables is None:
+                            tables = vtypes[sew, lmul] = ([None] * n,
+                                                          [None] * n)
+                        table, bodies = tables
                 else:  # halt
                     halted = True
                     break
@@ -217,6 +258,35 @@ class Executor:
                           halted=halted)
 
     # ------------------------------------------------------------------
+    def _data_free_body(self, block, table: list, sew: int,
+                        lmul: int) -> tuple:
+        """The ``(plan, pc, mode)`` steps of ``block`` in a data-free run
+        under ``(sew, lmul)``, binding its vector ops into ``table``:
+        the integer scalars, each load and store as :data:`B_ADDRESS`
+        and the vector ops that record something.  A vector op that
+        raises when bound (every one, under an illegal vtype) ends the
+        body; it raises again when it retires."""
+        bind = self._vector.bind_data_free
+        body = []
+        for p, i, mode in zip(block.plans, block.pcs, block.modes):
+            if mode == B_VECTOR:
+                if sew:
+                    try:
+                        fn = table[i] = bind(p, sew, lmul)
+                    except ExecutionError:
+                        pass
+                    else:
+                        if fn is not None:
+                            body.append((p, i, mode))
+                        continue
+                body.append((p, i, mode))
+                break
+            if mode == B_ACCESS:
+                body.append((p, i, B_ADDRESS))
+            elif p.skind != S_FP:
+                body.append((p, i, mode))
+        return tuple(body)
+
     def _vsetvli(self, p) -> int:
         """Apply one ``vsetvli``; returns the new ``vl``."""
         state = self.state

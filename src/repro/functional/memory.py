@@ -116,19 +116,29 @@ class FunctionalMemory:
             )
         return starts[:, None] + np.arange(itemsize, dtype=np.int64)
 
+    @staticmethod
+    def _strided_starts(addr: int, count: int, stride: int) -> np.ndarray:
+        return addr + stride * np.arange(count, dtype=np.int64)
+
     def read_strided(self, addr: int, count: int, stride: int,
                      dtype: np.dtype) -> np.ndarray:
         """Gather ``count`` elements spaced ``stride`` bytes apart."""
         dtype = np.dtype(dtype)
-        starts = addr + stride * np.arange(count, dtype=np.int64)
+        starts = self._strided_starts(addr, count, stride)
         idx = self._byte_matrix(starts, dtype.itemsize)
         return np.ascontiguousarray(self._data[idx]).view(dtype).reshape(-1)
+
+    def check_strided(self, addr: int, count: int, stride: int,
+                      itemsize: int) -> None:
+        """Raise as :meth:`read_strided` of ``count`` elements of
+        ``itemsize`` bytes would, moving no data."""
+        self._byte_matrix(self._strided_starts(addr, count, stride), itemsize)
 
     def write_strided(self, addr: int, values: np.ndarray, stride: int) -> None:
         values = np.ascontiguousarray(values)
         if values.size == 0:  # e.g. a masked store with no active elements
             return
-        starts = addr + stride * np.arange(values.size, dtype=np.int64)
+        starts = self._strided_starts(addr, values.size, stride)
         idx = self._byte_matrix(starts, values.dtype.itemsize)
         self._data[idx] = values.view(np.uint8).reshape(values.size, -1)
 

@@ -21,8 +21,9 @@ Plans are cached: :func:`plans_for` memoizes the full decoded program on
 the (immutable) :class:`~repro.isa.program.Program` instance.  Beside
 the plans, :func:`blocks_for` memoizes the :class:`Block` that starts at
 each pc the executor has stepped from (the static shape of a basic
-block), and :func:`row_table` the trace fields each instruction fixes
-for its vector rows (memory flags, pattern code, whether it slides).
+block), :func:`row_table` the trace fields each instruction fixes
+for its vector rows (memory flags, pattern code, whether it slides)
+and :func:`data_free` whether a run may leave the program's data out.
 Only quantities that cannot depend on dynamic state (``vl``, ``vtype``)
 are pre-resolved here.  What depends on the vtype as well — dtypes,
 EMUL, register-group views — resolves once per binding of a plan to a
@@ -314,8 +315,9 @@ class Block:
                  "nbytes", "retired", "n_vector", "flops", "next_pc")
 
 
-#: Body modes of a :class:`Block` instruction.
-B_VECTOR, B_SCALAR, B_ACCESS = range(3)
+#: Body modes of a :class:`Block` instruction; a data-free run steps
+#: its loads and stores as :data:`B_ADDRESS` (the address only).
+B_VECTOR, B_SCALAR, B_ACCESS, B_ADDRESS = range(4)
 
 
 def _build_block(plans: tuple, start: int) -> Block:
@@ -426,3 +428,29 @@ def row_table(program) -> np.ndarray:
                 table[2, i] = 1
         program.__dict__["_row_table"] = table
     return table
+
+
+#: Formats and vector kinds that move FP, vector or memory data into an
+#: x register: an integer load, ``fmv.x.d``/``fcvt.l.d``, the FP
+#: compares, ``vmv.x.s``, ``vcpop.m`` and ``vfirst.m``.
+_DATA_TO_X_FORMATS = frozenset({"load", "rd_frs", "rd_frs_frs"})
+_DATA_TO_X_KINDS = frozenset({"mv_xs", "mask_scalar"})
+
+
+def data_free(program) -> bool:
+    """Whether a run of the program may leave its data out: no x
+    register, and so no address, AVL, slide amount or branch operand,
+    can depend on FP, vector or memory data, and no access is indexed
+    or masked (whether those raise depends on v0 or index data).  Such
+    a run computes the same trace from the x registers alone
+    (:meth:`~repro.functional.executor.Executor.run`).  Memoized on the
+    program beside its plans."""
+    admitted = program.__dict__.get("_data_free")
+    if admitted is None:
+        admitted = program.__dict__["_data_free"] = not any(
+            p.spec.fmt in _DATA_TO_X_FORMATS
+            or p.vkind in _DATA_TO_X_KINDS
+            or (p.vkind == "mem" and (
+                p.masked or p.spec.mem_pattern is MemPattern.INDEXED))
+            for p in plans_for(program))
+    return admitted

@@ -12,7 +12,9 @@ store handler returns the address it accessed; every other handler
 returns ``taken``, which tells the executor to redirect to
 ``plan.target_idx``.  The trace kind of each instruction is a code into
 :data:`~repro.functional.trace.SCALAR_KINDS`, resolved with the handler
-(a branch's code plus ``taken`` is its taken form).
+(a branch's code plus ``taken`` is its taken form).  A data-free run
+steps every load and store through :meth:`ScalarUnit.address`, which
+moves no data.
 """
 
 from __future__ import annotations
@@ -147,6 +149,14 @@ class ScalarUnit:
     def _h_flw(self, p):
         addr = self._xregs[p.rs1] + p.imm
         self._fregs[p.frd] = self.mem.load_f32(addr)
+        return addr
+
+    def address(self, p):
+        """The address of the load or store ``p``, bounds-checked as
+        its access would be (``p.aux`` is its size); no data moves."""
+        addr = self._xregs[p.rs1] + p.imm
+        if addr < 0 or addr + p.aux > self.mem.size:
+            self.mem._check(addr, p.aux)  # raises
         return addr
 
     def _h_fstore(self, p):

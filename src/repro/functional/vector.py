@@ -31,6 +31,12 @@ Hot-path notes (this module runs once per retired vector instruction):
   (tracked by ``VectorRegFile.v0_writes``) or ``vl`` changes;
 * handlers run inside one :meth:`VectorUnit.ieee_errors` scope per
   executor run instead of entering ``np.errstate`` per FP operation.
+
+A data-free run binds through :meth:`VectorUnit.bind_data_free`
+instead: the same element-type and register-group checks, then only
+what the op records — a memory access's bounds-checked ``(base,
+stride, count, element bytes)`` or a slide amount — and nothing at all
+for an op that records nothing.
 """
 
 from __future__ import annotations
@@ -57,6 +63,46 @@ _MASK, _INDEXED, _UNIT = MemPattern.MASK, MemPattern.INDEXED, MemPattern.UNIT
 #: operations yielding NaN and division by zero are the defined
 #: IEEE-754 results, not errors.
 IEEE_ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
+#: The register groups of more than one register that each kind's
+#: handler or binder views, as ``(operand, EMUL / LMUL)``; ``"op1"`` is
+#: vs1 where the first operand is a vector.  Memory accesses and
+#: conversions work theirs out from the mnemonic; kinds missing here
+#: view single registers only, which are always legal.
+_GROUPS = {
+    "red": (("vs2", 1),),
+    "slide_updn": (("vd", 1), ("vs2", 1)),
+    "slide1": (("vs2", 1), ("vd", 1)),
+    "rgather": (("vs2", 1), ("vs1", 1), ("vd", 1)),
+    "compress": (("vs2", 1), ("vd", 1)),
+    "iota": (("vd", 1),),
+    "vid": (("vd", 1),),
+    "cmp": (("vs2", 1), ("op1", 1)),
+    "mv_vv": (("vs2", 1), ("vd", 1)),
+    "merge": (("vs2", 1), ("op1", 1), ("vd", 1)),
+    "splat": (("vd", 1),),
+    "fp_unary": (("vs2", 1), ("vd", 1)),
+    "fp_fma": (("vd", 1), ("op1", 1), ("vs2", 1)),
+    "fp_bin": (("vs2", 1), ("op1", 1), ("vd", 1)),
+    "fp_fma_w": (("vd", 2), ("op1", 1), ("vs2", 1)),
+    "fp_widen": (("vs2", 1), ("op1", 1), ("vd", 2)),
+    "int_fma": (("vd", 1), ("op1", 1), ("vs2", 1)),
+    "int_bin": (("vs2", 1), ("op1", 1), ("vd", 1)),
+    "int_widen": (("vs2", 1), ("op1", 1), ("vd", 2)),
+    "int_narrow": (("vs2", 2), ("op1", 1), ("vd", 1)),
+    "fp_cvt": (("vs2", 1), ("vd", 1)),
+}
+#: Conversions whose operands differ in width.
+_CVT_GROUPS = {"vfwcvt_f_f_v": (("vs2", 1), ("vd", 2)),
+               "vfncvt_f_f_w": (("vs2", 2), ("vd", 1))}
+#: Kinds that resolve an FP, or an integer, type of twice SEW.
+_WIDE_FP = frozenset({"fp_fma_w", "fp_widen"})
+_WIDE_INT = frozenset({"int_widen", "int_narrow"})
+
+
+def _slide1_amount(p, vl, sew, lmul):
+    return 1
 
 
 def _cuts(*views: np.ndarray):
@@ -162,6 +208,110 @@ class VectorUnit:
         if binder is None:
             return self._execute_plan
         return binder(p, sew, lmul)
+
+    def bind_data_free(self, p: InstrPlan, sew: int, lmul: int):
+        """``p`` bound to the legal vtype ``(sew, lmul)`` for a run
+        without data: None when it records nothing, else a callable with
+        :meth:`execute_plan`'s signature that returns only what it
+        records — a memory access's ``(base, stride, count, element
+        bytes)``, raising first where the access would, or a slide
+        amount.  Binding makes the element-type and register-group
+        checks that :meth:`bind` or the handler make, raising as they
+        would.  ``p`` is of a :func:`~repro.functional.plan.data_free`
+        program, so it is no indexed or masked access (whether those
+        raise depends on data).
+        """
+        self._check_operands(p, sew, lmul)
+        kind = p.vkind
+        if kind == "mem":
+            return self._bind_addresses(p, sew, lmul)
+        if kind == "slide1":
+            return _slide1_amount
+        if kind == "slide_updn":
+            is_up, from_reg = p.aux
+            vlmax = self.state.vlen_bits * lmul // sew
+            if not from_reg:
+                offset = min(p.imm, vlmax)
+                return lambda p, vl, sew, lmul: offset
+            xregs, rs1 = self._xregs, p.rs1
+
+            def run(p, vl, sew, lmul, xregs=xregs, rs1=rs1, vlmax=vlmax):
+                return min(xregs[rs1] & _I64_MASK, vlmax)
+            return run
+        return None
+
+    def _check_operands(self, p: InstrPlan, sew: int, lmul: int) -> None:
+        """The element-type and register-group checks of ``p``'s
+        handler or binder under ``(sew, lmul)``, raising as they do."""
+        kind = p.vkind
+        if p.mnemonic.startswith(("vf", "vmf")):
+            fp_dtype(sew)
+        if kind in _WIDE_FP or p.mnemonic in _CVT_GROUPS:
+            fp_dtype(2 * sew)
+        elif kind in _WIDE_INT:
+            int_dtype(2 * sew)
+        group = self.state.v._group_bytes
+        if kind == "mem":
+            spec = p.spec
+            reg = p.vd if spec.is_load else p.vs3
+            if spec.mem_pattern is _MASK:
+                group(reg, 1)
+            else:
+                group(reg, p.aux * lmul // sew or 1)
+            return
+        groups = _CVT_GROUPS.get(p.mnemonic) or _GROUPS.get(kind, ())
+        for operand, factor in groups:
+            if operand == "op1":
+                if p.op1_mode != OP1_V:
+                    continue
+                operand = "vs1"
+            group(getattr(p, operand), factor * lmul)
+
+    def _bind_addresses(self, p: InstrPlan, sew: int, lmul: int):
+        """A unit-stride, strided or mask access that only computes its
+        ``(base, stride, count, element bytes)`` and raises where moving
+        its data would."""
+        spec = p.spec
+        pattern = spec.mem_pattern
+        mem = self.mem
+        size, check = mem.size, mem._check
+        xregs, rs1 = self._xregs, p.rs1
+        if pattern is _MASK:
+            def run(p, vl, sew, lmul, xregs=xregs, rs1=rs1, size=size,
+                    check=check):
+                base = xregs[rs1] & _I64_MASK
+                count = (vl + 7) // 8
+                if base + count > size:
+                    check(base, count)  # raises
+                return base, 1, count, 1
+            return run
+        ew = p.aux // 8
+        if pattern is _UNIT:
+            def run(p, vl, sew, lmul, xregs=xregs, rs1=rs1, size=size,
+                    check=check, ew=ew):
+                base = xregs[rs1] & _I64_MASK
+                if base + vl * ew > size:
+                    check(base, vl * ew)  # raises
+                return base, ew, vl, ew
+            return run
+        # Strided: the access's own check runs wherever plain integers
+        # do not prove it passes (it also raises on a base beyond the
+        # int64 range, and a store of no element checks nothing).
+        rs2, check_strided = p.rs2, mem.check_strided
+        is_load = spec.is_load
+
+        def run(p, vl, sew, lmul, xregs=xregs, rs1=rs1, rs2=rs2, size=size,
+                check_strided=check_strided, ew=ew, is_load=is_load):
+            base = xregs[rs1] & _I64_MASK
+            stride = xregs[rs2]
+            if vl:
+                last = base + stride * (vl - 1)
+                if min(base, last) < 0 or max(base, last) + ew > size:
+                    check_strided(base, vl, stride, ew)
+            elif is_load:
+                check_strided(base, 0, stride, ew)
+            return base, stride, vl, ew
+        return run
 
     def execute_plan(self, p: InstrPlan, vl: int, sew: int, lmul: int):
         """Execute ``p`` (of a kind without a binder) at the given

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..functional.executor import ExecResult
+from ..functional.plan import data_free
 from ..isa.program import Program
 from ..params import SystemConfig
 from ..sim import RunResult, Simulator, TraceCache, trace_key
@@ -187,15 +188,23 @@ class KernelRun:
         stores the trace with ``cache.put``, moving no lookup counter.
         A cached capture returns the replay-only entry the cache holds
         (no state, no ``extra["mem"]``); an uncached one keeps both.
+
+        Only the trace of an unverified cached capture is ever read, so
+        when :func:`~repro.functional.plan.data_free` admits the program
+        that capture runs without data: ``setup`` builds no input image
+        and the executor computes addresses, not values.
         """
         key = self.trace_key(config) if cache is not None else None
+        data = True
         if cache is not None and not verify:
             captured = cache.get(key)
             if captured is not None:
                 return captured
+            data = not data_free(self.program)
         sim = Simulator(config)
-        self.setup(sim)
-        captured = sim.capture(self.program)
+        if data:
+            self.setup(sim)
+        captured = sim.capture(self.program, data=data)
         if verify:
             self.check(sim)
         if cache is None:

@@ -91,10 +91,13 @@ class Simulator:
     # ------------------------------------------------------------------
     # Stage 1: trace capture (functional, machine-independent)
     # ------------------------------------------------------------------
-    def capture(self, program: Program) -> ExecResult:
+    def capture(self, program: Program, data: bool = True) -> ExecResult:
         """Execute ``program`` functionally; returns the captured trace
-        bundle, reusable by any replay at this VLEN."""
-        exec_result = self._executor.run(program)
+        bundle, reusable by any replay at this VLEN.  ``data=False``
+        captures a :func:`~repro.functional.plan.data_free` program
+        without computing its data: the same trace, but a final state
+        and memory that mean nothing."""
+        exec_result = self._executor.run(program, data=data)
         exec_result.extra["mem"] = self.mem
         return exec_result
 

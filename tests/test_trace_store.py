@@ -275,9 +275,9 @@ def image_refs(monkeypatch):
     refs = []
     capture = Simulator.capture
 
-    def recording(sim, program):
+    def recording(sim, program, **kwargs):
         refs.append(weakref.ref(sim.mem))
-        return capture(sim, program)
+        return capture(sim, program, **kwargs)
 
     monkeypatch.setattr(Simulator, "capture", recording)
     return refs
