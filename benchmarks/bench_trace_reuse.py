@@ -13,16 +13,16 @@ pipeline efficiency, not just hit counts:
   replays run.  This round is the one ``benchmark.pedantic`` measures,
   and ``warm_s`` is read back from the benchmark's own stats so the
   reported wall-clock is exactly the measured round;
-* **warm, parallel** — same warm cache, replay jobs fanned out over a
-  pool budget of ``min(4, cpu_count)`` workers (clamped so a small CI
-  host measures fan-out, not oversubscription; the row label records
-  the effective count);
-* **cold, parallel capture** — a fresh shared store, both phases on one
-  shared pool of the same clamped budget with the capture phase allowed
-  to fill it (``capture_workers`` = budget) and replays streaming in
-  behind.  Worker captures land in the parent store as ``remote
-  puts``, keeping them distinguishable from warm hits served by
-  earlier sweeps;
+* **warm, parallel** — same warm cache, point jobs carrying the cached
+  traces fanned out over a pool budget of ``min(4, cpu_count)`` workers
+  (clamped so a small CI host measures fan-out, not oversubscription;
+  the row label records the effective count);
+* **cold, parallel capture** — a fresh shared store, every point a
+  point job on one shared pool of the same clamped budget with
+  capturing jobs allowed to fill it (``capture_workers`` = budget): a
+  worker captures each point into the store and replays it.  The parent
+  records worker captures as ``remote puts``, keeping them
+  distinguishable from warm hits served by earlier sweeps;
 * **disk cold / disk warm** — a disk-backed cache written by one run and
   rehydrated by a fresh cache instance, recording the disk layer's
   write-through cost and its ``disk_hits`` accounting;

@@ -100,15 +100,15 @@ def build_parser() -> argparse.ArgumentParser:
                              "'auto' sizes to the host CPUs)")
     parser.add_argument("--capture-workers", type=_workers, default=1,
                         metavar="N|auto",
-                        help="soft share of the --workers budget the capture "
-                             "phase may hold while replays are pending "
-                             "(default 1: captures stay in-process; clamped "
-                             "to the budget); captures stream into the "
-                             "shared pool's replay jobs as traces land")
+                        help="soft share of the --workers budget that "
+                             "capturing point jobs may hold while warm point "
+                             "jobs are pending (default 1: captures stay "
+                             "in-process; clamped to the budget); a pool "
+                             "worker replays each point it captures")
     parser.add_argument("--job-timeout", type=_job_timeout, default=None,
                         metavar="SECONDS",
                         help="per-job deadline on the shared pool: a pooled "
-                             "capture/replay job running longer is treated "
+                             "point job running longer is treated "
                              "as hung, its worker abandoned and the job "
                              "reassigned (default: no deadline)")
     parser.add_argument("--trace-store", default=None, metavar="DIR",

@@ -117,8 +117,23 @@ class FunctionalMemory:
         return starts[:, None] + np.arange(itemsize, dtype=np.int64)
 
     @staticmethod
-    def _strided_starts(addr: int, count: int, stride: int) -> np.ndarray:
-        return addr + stride * np.arange(count, dtype=np.int64)
+    def _starts(base: int, offsets: np.ndarray) -> np.ndarray:
+        """Element start addresses ``base + offsets`` (int64 offsets).
+
+        An access that moves an element from a base past the int64
+        range (a negative x register) is out of memory; one that moves
+        none checks nothing."""
+        if not offsets.size:
+            return offsets
+        if base >= 1 << 63:
+            raise MemoryAccessError(
+                f"access at base {base:#x} outside memory")
+        return base + offsets
+
+    @classmethod
+    def _strided_starts(cls, addr: int, count: int,
+                        stride: int) -> np.ndarray:
+        return cls._starts(addr, stride * np.arange(count, dtype=np.int64))
 
     def read_strided(self, addr: int, count: int, stride: int,
                      dtype: np.dtype) -> np.ndarray:
@@ -146,7 +161,7 @@ class FunctionalMemory:
                     dtype: np.dtype) -> np.ndarray:
         """Indexed gather: element i at ``base + offsets[i]`` (byte offsets)."""
         dtype = np.dtype(dtype)
-        starts = base + np.asarray(offsets, dtype=np.int64)
+        starts = self._starts(base, np.asarray(offsets, dtype=np.int64))
         idx = self._byte_matrix(starts, dtype.itemsize)
         return np.ascontiguousarray(self._data[idx]).view(dtype).reshape(-1)
 
@@ -155,7 +170,7 @@ class FunctionalMemory:
         values = np.ascontiguousarray(values)
         if values.size == 0:  # e.g. a masked store with no active elements
             return
-        starts = base + np.asarray(offsets, dtype=np.int64)
+        starts = self._starts(base, np.asarray(offsets, dtype=np.int64))
         idx = self._byte_matrix(starts, values.dtype.itemsize)
         self._data[idx] = values.view(np.uint8).reshape(values.size, -1)
 

@@ -160,14 +160,12 @@ class VectorUnit:
     }
 
     def __init__(self, state: ArchState, mem: FunctionalMemory) -> None:
+        # The unit keeps no bound method of itself (the dispatch tables
+        # hold plain functions): that reference cycle would keep the
+        # unit, its state and its memory image alive until the cyclic
+        # GC ran, so an executor is freed as soon as it is dropped.
         self.state = state
         self.mem = mem
-        self._dispatch = {k: getattr(self, name)
-                          for k, name in self._HANDLERS.items()}
-        self._binders = {k: getattr(self, name)
-                         for k, name in self._BINDERS.items()}
-        # Bound once: binding reads these about once per retirement.
-        self._execute_plan = self.execute_plan
         self._group = state.v.typed_view
         self._xregs = state.x.regs
         self._fregs = state.f.regs
@@ -204,10 +202,10 @@ class VectorUnit:
         group legality checks, so an illegal operand raises here.  Kinds
         without a binder get :meth:`execute_plan` itself.
         """
-        binder = self._binders.get(p.vkind)
+        binder = _BINDER_FNS.get(p.vkind)
         if binder is None:
-            return self._execute_plan
-        return binder(p, sew, lmul)
+            return self.execute_plan
+        return binder(self, p, sew, lmul)
 
     def bind_data_free(self, p: InstrPlan, sew: int, lmul: int):
         """``p`` bound to the legal vtype ``(sew, lmul)`` for a run
@@ -296,20 +294,17 @@ class VectorUnit:
             return run
         # Strided: the access's own check runs wherever plain integers
         # do not prove it passes (it also raises on a base beyond the
-        # int64 range, and a store of no element checks nothing).
+        # int64 range); an access of no element checks nothing.
         rs2, check_strided = p.rs2, mem.check_strided
-        is_load = spec.is_load
 
         def run(p, vl, sew, lmul, xregs=xregs, rs1=rs1, rs2=rs2, size=size,
-                check_strided=check_strided, ew=ew, is_load=is_load):
+                check_strided=check_strided, ew=ew):
             base = xregs[rs1] & _I64_MASK
             stride = xregs[rs2]
             if vl:
                 last = base + stride * (vl - 1)
                 if min(base, last) < 0 or max(base, last) + ew > size:
                     check_strided(base, vl, stride, ew)
-            elif is_load:
-                check_strided(base, 0, stride, ew)
             return base, stride, vl, ew
         return run
 
@@ -317,8 +312,8 @@ class VectorUnit:
         """Execute ``p`` (of a kind without a binder) at the given
         configuration inside an :meth:`ieee_errors` scope; returns the
         handler's trace fields (see the module docstring)."""
-        return self._dispatch[p.vkind](
-            p, vl, sew, lmul, self._v0_mask(vl) if p.masked else None)
+        return _HANDLER_FNS[p.vkind](
+            self, p, vl, sew, lmul, self._v0_mask(vl) if p.masked else None)
 
     # ------------------------------------------------------------------
     # Operand helpers
@@ -1002,3 +997,11 @@ class VectorUnit:
                     mem.write_strided(base, src[:vl], stride)
                 return base, stride, vl, ew
         return run
+
+
+#: vkind -> the plain function of its binder or handler, called with the
+#: unit as its first argument (see ``VectorUnit.__init__``).
+_BINDER_FNS = {kind: getattr(VectorUnit, name)
+               for kind, name in VectorUnit._BINDERS.items()}
+_HANDLER_FNS = {kind: getattr(VectorUnit, name)
+                for kind, name in VectorUnit._HANDLERS.items()}

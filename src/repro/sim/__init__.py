@@ -9,13 +9,13 @@ architectural outcome and the cycle-level report.  Captured traces are
 shared across operating points via
 :class:`~repro.sim.trace_cache.TraceCache` — and across the whole
 benchmark suite via the disk-backed, garbage-collected
-:class:`~repro.sim.trace_store.TraceStore` — and both sweep phases fan
-out over one shared worker pool via :mod:`repro.sim.parallel`:
-:class:`~repro.sim.parallel.SimPool` executes tagged capture/replay
-jobs inside a single ``workers=`` process budget, and its one scheduling
-pass (:meth:`~repro.sim.parallel.SimPool.run`, which
-:func:`~repro.sim.parallel.run_pipeline` calls on a default pool)
-streams each capture's replays into the pool as its trace lands.
+:class:`~repro.sim.trace_store.TraceStore` — and sweeps fan out over
+one shared worker pool via :mod:`repro.sim.parallel`:
+:class:`~repro.sim.parallel.SimPool` runs point jobs, each capturing
+(or reading) one trace and replaying it, inside a single ``workers=``
+process budget, in one scheduling pass (:meth:`~repro.sim.parallel
+.SimPool.run`, which :func:`~repro.sim.parallel.run_pipeline` calls on
+a default pool).
 
 Fault tolerance lives in :mod:`repro.sim.faults`: a seeded
 :class:`~repro.sim.faults.FaultPlan` deterministically injects worker

@@ -1,109 +1,97 @@
-"""Parallel capture and replay: one shared pool, tagged jobs, two phases.
+"""Parallel capture and replay: one shared pool, one job kind.
 
 :meth:`~repro.sim.simulator.Simulator.capture` and
 :class:`~repro.timing.engine.TimingEngine` replay are independent: one
 captured :class:`~repro.functional.executor.ExecResult` replays against
 any number of machine models, each replay bit-identical to a fresh
 end-to-end run.  The paper's evaluation sweeps (Fig 6/7, Table I/III,
-the ablations) are therefore embarrassingly parallel in *both* phases:
-replays of one capture are independent of each other, and captures of
+the ablations) are therefore embarrassingly parallel: captures of
 distinct ``(program fingerprint, vlen_bits, setup)`` keys are
-independent of everything.
+independent of everything, and replays of one capture are independent
+of each other.
 
 :class:`SimPool` owns one
 :class:`~concurrent.futures.ProcessPoolExecutor` at a time, sized by
-one ``workers=`` budget, and executes *tagged* jobs on it.  The
-executor lives for one :meth:`SimPool.run`: it spawns on the run's
-first pooled submission and is shut down when the run ends, so every
-pooled sweep of an invocation forks its own workers.  Job kinds:
-
-* ``capture`` jobs run one functional capture per distinct trace key
-  (workers rebuild the kernel from its picklable :class:`CaptureTask`
-  spec and write the captured trace into the shared disk store through
-  the normal atomic-envelope
-  :meth:`~repro.sim.trace_cache.TraceCache.put` path);
-* ``replay`` jobs time a captured trace on one or more machine configs.
-
-``capture_workers=`` is a **soft priority split**: while replay jobs
-are in flight, at most ``min(capture_workers, workers)`` capture jobs
-are submitted concurrently, leaving the remaining slots to drain
-replays; when no replays are pending, captures may fill the whole
-budget.  ``capture_workers=1`` (the default) keeps the capture phase
-in-process, and ``workers=1`` keeps *everything* in-process with no
-executor at all.  Whatever the knobs, the total number of live worker
-processes never exceeds the ``workers=`` budget, and rendered sweep
-output is byte-identical: only scheduling changes, never results.
+one ``workers=`` budget, and runs **point jobs** on it.  The executor
+lives for one :meth:`SimPool.run`: it spawns on the run's first pooled
+submission and is shut down when the run ends, so every pooled sweep
+of an invocation forks its own workers.  A point job carries a
+picklable :class:`CaptureTask`, the machine configs of its point and
+an optional payload (the cache's replay-only entry).  The worker takes
+the trace from the payload, else from its process-local cache or the
+shared disk store, and captures it only when neither has it — through
+the normal atomic-envelope :meth:`~repro.sim.trace_cache.TraceCache
+.put`, which compiles the replay plan the job's replays then use.  So a
+trace crosses no process boundary on its way from capture to replay,
+and the parent unwraps no store entry: it records a worker's capture
+with :meth:`~repro.sim.trace_cache.TraceCache.ingest_remote`, which
+reads nothing.  Only without a shared disk store does the captured
+entry ship back, so a memory-only parent cache still holds it.
 
 Every sweep goes through :meth:`SimPool.run` (:func:`run_pipeline` only
 supplies a default pool), one scheduling pass for every pool size.  It
 groups the capture tasks by trace key, so tasks sharing a key run one
 capture, and the replay entries by ``(capture, machine fingerprint)``,
-so two machine definitions with one timing identity replay once.  Keys
-whose captures stay in the parent are served there in one loop; each
-point's replay jobs enter the pool *as soon as* its trace lands, so
-capture and replay overlap instead of running as strict serial phases
-(with ``workers=1`` the replays run in the parent right away).  Replay
-submissions are **chunked adaptively**: a capture whose key sits in the
-shared disk store ships no payload, so its replays can split across
-however many pool slots are currently idle — a busy pool gets one job
-(queueing more buys nothing), a draining pool gets enough chunks to
-refill.  Payload-shipping submissions (no shared disk) stay whole,
-since every extra chunk would re-pipe the pruned trace pickle.
+so two machine definitions with one timing identity replay once.  With
+``workers=1`` every point is captured and replayed in the parent, with
+no executor at all.  Otherwise a tag-and-CRC probe sorts the keys:
 
-Both phases are instrumented: every job (pooled or in-process) reports
-its wall-clock, summed per phase in :class:`PipelineStats`
-(:attr:`SimPool.pipeline_stats`), so benchmark tables can report
-capture/replay work seconds — pipeline *efficiency*, not just cache hit
-counts.
+* **cold** keys become point jobs that capture, while
+  ``capture_workers > 1``; with ``capture_workers=1`` (the default) the
+  parent captures them and submits point jobs that carry the payload or
+  rely on the store;
+* **warm** keys become point jobs that read the trace.  A warm key in
+  the shared store ships no payload, so its configs split across
+  however many pool slots are idle (a busy pool gets one job, a
+  draining pool enough chunks to refill); a payload-carrying job stays
+  whole, since every chunk would re-pipe the trace.
 
-Worker-side details shared by both job kinds:
+``capture_workers=`` is a **soft priority split**: while warm point
+jobs are pending, at most ``min(capture_workers, workers)`` cold point
+jobs are in flight; with none pending, cold jobs may fill the whole
+budget.  Whatever the knobs, the total number of live worker processes
+never exceeds ``workers=``, and rendered sweep output is
+byte-identical: only scheduling changes, never results.
 
-* **One process-local cache per worker** — with a ``disk_dir`` it
-  rehydrates payload-free replay jobs and write-throughs captures;
-  either way its memory layer lets keys repeated across jobs skip
-  re-shipping, and a worker that captured a trace serves its own replay
-  jobs from memory.
-* **One payload per trace key** — every capture the pool holds came
-  through a :class:`~repro.sim.trace_cache.TraceCache`, so it already
-  is the replay-only entry both cache tiers store (no final state or
-  memory image).  Replay jobs ship that entry only when the key is not
-  already in the shared store; stale or vanished store entries trigger
-  an explicit payload resend (the job answers with ``reports`` of
-  None).
-* **Failure degradation** — a dead worker, or a store GC that evicts a
-  fresh entry before the parent adopts it, degrades to in-process work
-  (counted in ``FaultLog.fallbacks``) rather than failing the sweep.
-* **Per-worker statistics** — each job, including one answered with a
-  payload request, reports its worker's cache counters;
-  :attr:`SimPool.stats` aggregates them across the pool, so every
-  worker lookup is counted once whatever the schedule.
+Both phases are instrumented: every point job (pooled or in-process)
+reports its capture and replay wall-clock separately, summed in
+:class:`PipelineStats` (:attr:`SimPool.pipeline_stats`), so benchmark
+tables can report capture/replay work seconds — pipeline *efficiency*,
+not just cache hit counts.  Each job also reports its worker's cache
+counters; :attr:`SimPool.stats` aggregates them across the pool.
 
 Fault tolerance (the full ladder lives in ``docs/robustness.md``):
 
+* **Worker recapture** — a worker that finds a store entry gone or
+  stale captures the key itself, and the parent records the capture
+  once.  A ``verify=True`` task is captured, hence verified, exactly
+  once, wherever that happens.
 * **Classification, never silence** — every pooled-job exception is
   classified (``BrokenProcessPool`` family vs anything else) and
   counted by type in the pool's :class:`~repro.sim.faults.FaultLog`
   (``pool.pipeline_stats.faults``); ``KeyboardInterrupt`` /
   ``SystemExit`` re-raise cleanly out of the pipeline loop.
-* **Bounded retry** — a failed pipeline job is resubmitted to the pool
+* **Bounded retry** — a failed point job is resubmitted to the pool
   exactly once (a fresh attempt number, so a seeded
-  :class:`~repro.sim.faults.FaultPlan` can let the retry succeed)
-  before degrading in-process.
+  :class:`~repro.sim.faults.FaultPlan` can let the retry succeed).
+* **Poison-job quarantine** — a job that fails twice is served in the
+  parent (counted in ``FaultLog.fallbacks``) and its key is flagged in
+  ``FaultLog.quarantined_keys``.  A job the pool cannot take is served
+  in the parent too.
 * **Executor rebuild** — a broken executor is retired (not reused: a
   ``BrokenProcessPool`` poisons every later submission) and the next
   submission builds a fresh one, up to :data:`MAX_REBUILDS` times; beyond
   that the whole sweep degrades to serial in-process execution and
   still completes byte-identically.
-* **Poison-job quarantine** — a job that takes workers down twice runs
-  in-process and its key is flagged in ``FaultLog.quarantined_keys``.
 * **Deadlines** — ``job_timeout=`` (default off) bounds each pooled
   job's wall-clock; an expired job is abandoned (its worker may be
   hung — the process is terminated at shutdown) and handled like any
-  other failure: retried once, then served in-process.
+  other failure.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import time
@@ -137,6 +125,14 @@ def autodetect_workers() -> int:
     return max(1, count or os.cpu_count() or 1)
 
 
+def _in_store(cache: TraceCache, key: TraceKey) -> bool:
+    """``key``'s entry sits in ``cache``'s disk store, where every pool
+    worker can read it."""
+    if cache.disk_dir is None or cache.memory_only:
+        return False
+    return disk_path(cache.disk_dir, key).exists()
+
+
 # ----------------------------------------------------------------------
 # Pipeline statistics: per-phase wall-clock.
 # ----------------------------------------------------------------------
@@ -144,13 +140,14 @@ def autodetect_workers() -> int:
 class PipelineStats:
     """Wall-clock instrumentation of one pool's capture/replay phases.
 
-    ``*_points`` counts operating points served per phase (a replay job
-    covering three configs contributes three points; tasks sharing a
-    trace key are one capture point), and ``*_seconds`` sums the jobs'
-    measured wall-clock.  Seconds are *work* seconds summed across
-    workers — with N workers busy they accrue up to N times faster than
-    the pipeline's elapsed time, which makes ``capture_seconds /
-    capture_points`` a scheduling-independent per-point cost.
+    ``*_points`` counts operating points served per phase (a job
+    covering three configs contributes three replay points; tasks
+    sharing a trace key are one capture point), and ``*_seconds`` sums
+    the jobs' measured wall-clock.  Seconds are *work* seconds summed
+    across workers — with N workers busy they accrue up to N times
+    faster than the pipeline's elapsed time, which makes
+    ``capture_seconds / capture_points`` a scheduling-independent
+    per-point cost.
     """
 
     capture_points: int = 0
@@ -160,34 +157,37 @@ class PipelineStats:
     #: Structured fault/recovery counters (see FaultLog).
     faults: FaultLog = field(default_factory=FaultLog)
 
-    def note(self, tag: str, points: int, seconds: float) -> None:
-        """Record one finished job of ``tag`` ('capture' | 'replay')."""
-        if tag == "capture":
-            self.capture_points += points
-            self.capture_seconds += seconds
-        else:
-            self.replay_points += points
-            self.replay_seconds += seconds
+    def note(self, capture_points: int, capture_seconds: float,
+             replay_points: int, replay_seconds: float) -> None:
+        """Record one served point job, both phases."""
+        self.capture_points += capture_points
+        self.capture_seconds += capture_seconds
+        self.replay_points += replay_points
+        self.replay_seconds += replay_seconds
 
 
 @dataclass
 class _Job:
-    """Parent-side bookkeeping for one tagged submission.
+    """Parent-side bookkeeping for one point job.
 
-    ``indices`` are capture-task indices for a capture job and result
-    indices for a replay job; ``captured`` is kept on replay jobs so a
-    stale-entry resend or an in-process degradation never needs the
-    worker's copy.  ``attempts`` numbers the submissions of this job
+    ``configs`` fill the result slots ``indices``.  ``points`` is the
+    capture points the job serves: 1, or 0 for the second and later
+    chunks of one key and for a key the parent already captured.
+    ``cold`` jobs may capture (they count against ``capture_workers``).
+    ``payload`` is the entry the job ships (None: the worker's cache or
+    the store has it).  ``attempts`` numbers the submissions of this job
     (feeding the fault plan's deterministic per-attempt rolls) and
     ``deadline`` is the monotonic instant after which the job is
     abandoned (None = no ``job_timeout``).
     """
 
-    tag: str                                   # "capture" | "replay"
-    key: Optional[TraceKey] = None
-    captured: Optional[ExecResult] = None
-    configs: list = field(default_factory=list)
-    indices: list = field(default_factory=list)
+    key: TraceKey
+    task: "CaptureTask"
+    configs: list
+    indices: list
+    points: int = 1
+    cold: bool = False
+    payload: Optional[ExecResult] = None
     attempts: int = 0
     deadline: Optional[float] = None
 
@@ -210,10 +210,8 @@ def _merge_snapshot(per_worker: dict[int, dict], pid: int,
 
 
 # ----------------------------------------------------------------------
-# Worker side.  One process-local TraceCache per worker serves BOTH job
-# kinds: with a disk_dir it rehydrates payload-free replay jobs and
-# write-throughs captures; either way its memory layer lets a worker
-# that captured a trace replay it without ever touching disk.
+# Worker side.  One process-local TraceCache per worker: with a disk_dir
+# it reads the shared store and writes its captures through to it.
 # ----------------------------------------------------------------------
 _WORKER_CACHE: Optional[TraceCache] = None
 
@@ -236,71 +234,45 @@ def _init_worker(disk_dir: Optional[str],
     _WORKER_FAULTS = fault_plan
 
 
-def _capture_job(task: "CaptureTask"):
-    """Capture one task in a worker; returns (pid, key, payload, stats, s).
+def _point_job(task: "CaptureTask", payload: Optional[ExecResult],
+               configs: list[SystemConfig]):
+    """Serve one point in a worker: its trace, then its replays.
 
-    With a disk-backed worker cache the capture lands in the shared
-    store through the normal atomic-envelope ``put`` and ``payload`` is
-    None — the parent (and any concurrent replay worker) rehydrates it
-    as a disk hit.  Without shared disk the cache's replay-only entry
-    ships back over the pipe instead.
+    The trace is ``payload``, else the worker cache's entry (memory,
+    then the shared store), else a capture here — which also covers an
+    entry that vanished or went stale.  Returns ``(pid, captured here,
+    entry, reports, cache stats, capture s, replay s)``, where ``entry``
+    is the capture when it did not land in the shared store, else None.
     """
     t0 = time.perf_counter()
     cache = _WORKER_CACHE  # set by _init_worker in every pool worker
     run = task.build()
-    captured = run.capture(task.config, cache=cache, verify=task.verify)
-    # A cache ENOSPC-demoted to memory-only never landed the entry on
-    # disk — ship the payload over the pipe instead of pointing the
-    # parent at a file that does not exist.
-    on_disk = cache.disk_dir is not None and not cache.memory_only
-    payload = None if on_disk else captured
-    return (os.getpid(), run.trace_key(task.config), payload,
-            dict(cache.stats), time.perf_counter() - t0)
+    captured, fresh = payload, False
+    if captured is None:
+        misses = cache.misses
+        captured = run.capture(task.config, cache=cache, verify=task.verify)
+        fresh = task.verify or cache.misses > misses
+    t1 = time.perf_counter()
+    reports = [replay_trace(config, captured).timing for config in configs]
+    t2 = time.perf_counter()
+    entry = None
+    if fresh and not _in_store(cache, run.trace_key(task.config)):
+        entry = captured
+    return (os.getpid(), fresh, entry, reports, dict(cache.stats),
+            t1 - t0, t2 - t1)
 
 
-def _replay_job(key: Optional[TraceKey], payload: Optional[ExecResult],
-                configs: list[SystemConfig]):
-    """Replay one trace's configs in a worker; (pid, reports, stats, s).
+def _run_job(token: str, attempt: int, *args):
+    """The pool's single entry point: one point job.
 
-    ``reports`` is None when the job carries no payload and the worker's
-    cache cannot serve the key: the parent must resend it with an
-    explicit payload.  The stats snapshot travels either way, so the
-    miss that lookup counted is reported like any other.
-    """
-    t0 = time.perf_counter()
-    cache = _WORKER_CACHE
-    captured = None
-    if cache is not None and key is not None:
-        captured = cache.get(key)
-    reports = None
-    if captured is None and payload is not None:
-        captured = payload
-        if cache is not None and key is not None:
-            cache._remember(key, captured)  # memory layer only: the
-            # parent (or another worker) already owns the disk write.
-    if captured is not None:
-        reports = [replay_trace(config, captured).timing
-                   for config in configs]
-    stats = dict(cache.stats) if cache is not None else {}
-    return os.getpid(), reports, stats, time.perf_counter() - t0
-
-
-def _run_job(tag: str, token: str, attempt: int, *args):
-    """The pool's single entry point: dispatch one tagged job.
-
-    Every submission to a :class:`SimPool` executor goes through here,
-    so one worker pool — and one process-local cache — serves both
-    phases.  ``tag`` is ``"capture"`` or ``"replay"``; ``token`` and
-    ``attempt`` identify this (job, submission) pair for the fault
-    plan's deterministic injection rolls — a retried job carries a
-    fresh attempt number, so a plan can crash the first attempt and
-    let the retry through.
+    ``token`` and ``attempt`` identify this (job, submission) pair for
+    the fault plan's deterministic injection rolls — a retried job
+    carries a fresh attempt number, so a plan can crash the first
+    attempt and let the retry through.
     """
     if _WORKER_FAULTS is not None:
-        _WORKER_FAULTS.inject_job_faults(f"{tag}:{token}", attempt)
-    if tag == "capture":
-        return _capture_job(*args)
-    return _replay_job(*args)
+        _WORKER_FAULTS.inject_job_faults(token, attempt)
+    return _point_job(*args)
 
 
 # ----------------------------------------------------------------------
@@ -353,21 +325,21 @@ class CaptureTask:
 # The shared pool.
 # ----------------------------------------------------------------------
 class SimPool:
-    """One process pool executing tagged capture/replay jobs.
+    """One process pool executing point jobs.
 
     * ``workers=`` is the **total** process budget — the executor is
-      sized by it, so capture and replay fan-out together can never
-      hold more than ``workers`` live processes.  ``None`` autodetects
-      the host's schedulable CPUs; ``1`` runs everything in-process
-      with no executor, byte-identical to any pooled schedule.
-    * ``capture_workers=`` is a **soft priority split**: while replay
-      jobs are pending, at most ``min(capture_workers, workers)``
-      capture jobs are in flight, keeping slots free to drain replays;
-      with no replays pending, captures may fill the whole budget.
-      ``1`` (the default) captures in the parent process.  ``None``
-      autodetects (and is then clamped to the budget).
-    * ``cache`` is the trace cache/store both phases go through; its
-      ``disk_dir`` (if any) is what lets workers exchange traces as
+      sized by it, so the pool can never hold more than ``workers``
+      live processes.  ``None`` autodetects the host's schedulable
+      CPUs; ``1`` runs everything in-process with no executor,
+      byte-identical to any pooled schedule.
+    * ``capture_workers=`` is a **soft priority split**: while warm
+      point jobs are pending, at most ``min(capture_workers, workers)``
+      cold point jobs are in flight; with no warm jobs pending, cold
+      jobs may fill the whole budget.  ``1`` (the default) captures in
+      the parent process.  ``None`` autodetects (and is then clamped to
+      the budget).
+    * ``cache`` is the trace cache/store every capture goes through;
+      its ``disk_dir`` (if any) is what lets workers share traces as
       disk envelopes instead of pipe payloads.
 
     The pool is lazy: the executor spawns on first pooled submission
@@ -395,7 +367,7 @@ class SimPool:
         split = autodetect_workers() if capture_workers is None \
             else int(capture_workers)
         #: The soft split, clamped to the budget: the cap on in-flight
-        #: capture jobs while replay jobs are pending.
+        #: cold point jobs while warm ones are pending.
         self.capture_workers = max(1, min(split, self.workers))
         self.cache = cache if cache is not None else TraceCache()
         #: Fault plan shipped to pool workers (None unless configured
@@ -413,11 +385,10 @@ class SimPool:
         self.fault_log = self.pipeline_stats.faults
         # Fault-tolerance state: retired-but-unreclaimed executors, the
         # futures of abandoned (timed-out) jobs, executor break count,
-        # per-key failure strikes, and the serial-degradation latch.
+        # and the serial-degradation latch.
         self._zombies: list = []
         self._abandoned: list = []
         self._breaks = 0
-        self._strikes: dict = {}
         self._serial_only = False
 
     # -- executor lifecycle --------------------------------------------
@@ -466,15 +437,8 @@ class SimPool:
             self.fault_log.job_errors += 1
         self._retire_broken()
 
-    def _job_token(self, job: _Job) -> str:
-        """Stable per-job identity for the fault plan's rolls."""
-        if job.tag == "capture":
-            return repr(job.key)
-        return f"{job.key!r}|{job.indices[0] if job.indices else -1}" \
-               f"x{len(job.indices)}"
-
-    def _submit_job(self, pending: dict, job: _Job, args: tuple) -> bool:
-        """Submit one tagged job to the (possibly rebuilt) executor.
+    def _submit_job(self, pending: dict, job: _Job) -> bool:
+        """Submit one point job to the (possibly rebuilt) executor.
 
         Returns False — without raising — when the pool cannot take the
         job (serial-only latch, or the submission itself failed); the
@@ -483,10 +447,13 @@ class SimPool:
         """
         if self._serial_only:
             return False
+        # Stable per-job identity for the fault plan's rolls.
+        token = f"point:{job.key!r}|{job.indices[0] if job.indices else -1}" \
+                f"x{len(job.indices)}"
         try:
             executor = self._ensure_executor()
-            fut = executor.submit(_run_job, job.tag, self._job_token(job),
-                                  job.attempts, *args)
+            fut = executor.submit(_run_job, token, job.attempts, job.task,
+                                  job.payload, job.configs)
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
@@ -538,7 +505,7 @@ class SimPool:
         self._abandoned.append(fut)
         self.fault_log.timeouts += 1
         exc = JobTimeout(
-            f"{job.tag} job exceeded job_timeout={self.job_timeout}s")
+            f"point job exceeded job_timeout={self.job_timeout}s")
         self.fault_log.note_error(exc)
         return exc
 
@@ -587,56 +554,36 @@ class SimPool:
     def __exit__(self, *exc) -> None:
         self.shutdown()
 
-    # -- shared helpers ------------------------------------------------
-    def _on_disk(self, key: Optional[TraceKey]) -> bool:
-        if self.cache.disk_dir is None or key is None:
-            return False
-        return disk_path(self.cache.disk_dir, key).exists()
-
-    def _capture_local(self, task: CaptureTask,
-                       points: int = 1) -> ExecResult:
-        """Capture (or cache-serve) one task in the parent, timed.
-
-        ``points=0`` records the wall-clock without claiming another
-        operating point — used when the point was already counted (a
-        worker captured it but the entry was lost before adoption), so
-        ``capture_points`` stays "points served", never "captures run".
-        """
+    # -- serving points ------------------------------------------------
+    def _serve_in_parent(self, job: _Job, results: list) -> ExecResult:
+        """Capture (or cache-serve) and replay one job in the parent,
+        timed per phase; returns the trace."""
         t0 = time.perf_counter()
-        run = task.build()
-        captured = run.capture(task.config, cache=self.cache,
-                               verify=task.verify)
-        self.pipeline_stats.note("capture", points,
-                                 time.perf_counter() - t0)
+        task = job.task
+        captured = task.build().capture(task.config, cache=self.cache,
+                                        verify=task.verify)
+        t1 = time.perf_counter()
+        for idx, config in zip(job.indices, job.configs):
+            results[idx] = replay_trace(config, captured).timing
+        self.pipeline_stats.note(job.points, t1 - t0, len(job.indices),
+                                 time.perf_counter() - t1)
         return captured
 
-    def _fallback(self, task: CaptureTask, points: int = 1) -> ExecResult:
-        self.fault_log.fallbacks += 1
-        return self._capture_local(task, points=points)
-
-    def _replay_in_parent(self, job: _Job, results: list) -> None:
-        """Replay one job's configs in the parent, timed."""
-        t0 = time.perf_counter()
-        for idx, config in zip(job.indices, job.configs):
-            results[idx] = replay_trace(config, job.captured).timing
-        self.pipeline_stats.note("replay", len(job.indices),
-                                 time.perf_counter() - t0)
-
-    def _replay_local(self, job: _Job, results: list) -> None:
-        """Replay one job in the parent as a recovery.
+    def _fallback(self, job: _Job, results: list) -> None:
+        """Serve one job in the parent as a recovery.
 
         The degradation path when the shared executor can no longer run
-        the job (a worker died, timed out, or the whole pool broke):
-        the parent holds ``job.captured``, so the sweep completes
-        instead of failing.  Counted in ``FaultLog.fallbacks`` — every
-        call site is a recovery, never a scheduling choice.
+        the job (a worker died, timed out, or the whole pool broke), so
+        the sweep completes instead of failing.  Counted in
+        ``FaultLog.fallbacks`` — every call site is a recovery, never a
+        scheduling choice.
         """
         self.fault_log.fallbacks += 1
-        self._replay_in_parent(job, results)
+        self._serve_in_parent(job, results)
 
     def _adaptive_chunks(self, n_configs: int, on_disk: bool,
                          queue_depth: int) -> int:
-        """Chunk count for one capture's replay submission.
+        """Chunk count for one warm point's submission.
 
         Adapts to the live queue instead of splitting every submission
         ``workers`` ways: payload-free (shared-disk) submissions split
@@ -650,58 +597,44 @@ class SimPool:
         idle = self.workers - queue_depth
         return max(1, min(n_configs, idle))
 
-    def _submit_replays(self, pending: dict, captured: ExecResult,
-                        key: Optional[TraceKey],
-                        configs: Sequence[SystemConfig],
-                        indices: Sequence[int],
-                        results: list) -> None:
-        """Queue one captured trace's replays onto the shared executor.
+    def _submit_point(self, pending: dict, job: _Job, results: list,
+                      split: bool = False) -> None:
+        """Queue one point job, in chunks of its configs when ``split``
+        (see :meth:`_adaptive_chunks`); a chunk the pool cannot take is
+        served in the parent.  Only the first chunk claims the job's
+        capture point."""
+        n = len(job.configs)
+        size = -(-n // self._adaptive_chunks(n, split, len(pending))) or 1
+        for start in range(0, max(n, 1), size):
+            chunk = dataclasses.replace(
+                job, configs=job.configs[start:start + size],
+                indices=job.indices[start:start + size],
+                points=job.points if start == 0 else 0)
+            if not self._submit_job(pending, chunk):
+                self._fallback(chunk, results)
 
-        With ``workers=1`` the replays run in the parent right away: the
-        serial schedule, not a recovery.  A pool that can no longer
-        accept work (broken by an earlier worker death) degrades each
-        chunk to an in-process replay instead of failing the sweep.
-        """
-        if not configs:
-            return
-        on_disk = self._on_disk(key)
-        payload = None if on_disk else captured
-        chunks = self._adaptive_chunks(len(configs), on_disk, len(pending))
-        size = -(-len(configs) // chunks)  # ceil division
-        for start in range(0, len(configs), size):
-            job = _Job(tag="replay", key=key, captured=captured,
-                       configs=list(configs[start:start + size]),
-                       indices=list(indices[start:start + size]))
-            if self.workers == 1:
-                self._replay_in_parent(job, results)
-            elif not self._submit_job(pending, job,
-                                      (key, payload, job.configs)):
-                self._replay_local(job, results)
-
-    def _resubmit_replay(self, pending: dict, job: _Job,
-                         resend: bool = False) -> bool:
-        """Re-enter one replay job as a fresh pool attempt.
-
-        ``resend`` forces an explicit payload (the worker found the
-        store entry stale or missing); otherwise the payload ships only
-        when the key is not in the shared disk store.
-        """
-        job.attempts += 1
-        payload = job.captured \
-            if resend or not self._on_disk(job.key) else None
-        return self._submit_job(pending, job,
-                                (job.key, payload, job.configs))
+    def _failed(self, pending: dict, job: _Job, results: list) -> None:
+        """Retry a failed job once; else quarantine it and serve it in
+        the parent."""
+        if job.attempts < 1:
+            job.attempts += 1
+            if self._submit_job(pending, job):
+                self.fault_log.retries += 1
+                return
+        else:
+            self.fault_log.quarantined += 1
+            self.fault_log.quarantined_keys.append(repr(job.key))
+        self._fallback(job, results)
 
     def _collect(self, fut, job: _Job, expired: set):
         """One finished or expired job's outcome, or :data:`_FAILED`.
 
-        The single failure step of :meth:`run`'s wait loop, for both
-        job kinds: an expired job is abandoned (its worker may be hung —
-        the process is terminated at shutdown); a raised exception (a
-        dead worker, or a broken pool taking every sibling future with
-        it) is classified into the fault log.  Either way the caller
-        retries once, then serves the job in the parent.
-        ``KeyboardInterrupt`` / ``SystemExit`` re-raise.
+        The single failure step of :meth:`run`'s wait loop: an expired
+        job is abandoned (its worker may be hung — the process is
+        terminated at shutdown); a raised exception (a dead worker, or
+        a broken pool taking every sibling future with it) is
+        classified into the fault log.  ``KeyboardInterrupt`` /
+        ``SystemExit`` re-raise.
         """
         if fut in expired:
             self._abandon(fut, job)
@@ -714,35 +647,12 @@ class SimPool:
             self._note_failure(exc)
             return _FAILED
 
-    def _replay_failed(self, pending: dict, job: _Job,
-                       results: list) -> None:
-        """Retry a failed replay job once; else finish it in-process."""
-        if job.attempts < 1 and self._resubmit_replay(pending, job):
-            self.fault_log.retries += 1
-        else:
-            self._replay_local(job, results)
-
-    def _replay_landed(self, pending: dict, job: _Job, outcome,
-                       results: list) -> None:
-        """Record one replay job's reports (or resend it a payload)."""
-        pid, reports, stats, seconds = outcome
-        _merge_snapshot(self._worker_stats, pid, stats)
-        if reports is None:
-            # Stale/missing disk entry: resend with an explicit payload
-            # (in-process if the pool can no longer take the job).
-            if not self._resubmit_replay(pending, job, resend=True):
-                self._replay_local(job, results)
-            return
-        self.pipeline_stats.note("replay", len(job.indices), seconds)
-        for idx, report in zip(job.indices, reports):
-            results[idx] = report
-
     # ------------------------------------------------------------------
-    # The two-phase pipeline: the pool's one scheduling loop.
+    # The pool's one scheduling loop.
     # ------------------------------------------------------------------
     def run(self, captures: Sequence[CaptureTask],
             replays: Sequence[PipelineReplay]) -> list[TimingReport]:
-        """Capture every task, replaying each point as its trace lands.
+        """Serve every capture task's point: its trace, then its replays.
 
         ``captures[i]`` names one operating point; ``replays[j] =
         (config, i)`` times capture ``i`` on ``config``.  Returns one
@@ -774,106 +684,95 @@ class SimPool:
             expand.append(slots[ident])
         results: list[Optional[TimingReport]] = [None] * len(configs)
 
-        by_key: dict[TraceKey, list[int]] = {}
+        jobs: dict[TraceKey, _Job] = {}
         for cidx, task in enumerate(captures):
-            by_key.setdefault(task.key(), []).append(cidx)
+            key = task.key()
+            job = jobs.setdefault(key, _Job(key, task, [], []))
+            job.indices += plans[cidx]
+        for job in jobs.values():
+            job.configs = [configs[slot] for slot in job.indices]
+        pooled = self.workers > 1
         pooled_captures = self.capture_workers > 1 and len(captures) > 1
-        # Keys are classified only when captures go to the pool: a
-        # tag-and-CRC probe (no payload deserialization, no lookup
-        # counter; a checksum-failed entry is purged and counted as
-        # get() would) keeps warm keys in the parent.  Every parent-side
-        # key is served by capture(), whose cache lookup counts the hit
-        # or recaptures — one store read per key, as a serial sweep does.
-        parent: list[tuple[TraceKey, list[int]]] = []
-        cold: "deque[tuple[TraceKey, list[int]]]" = deque()
-        for key, cidxs in by_key.items():
-            if pooled_captures and not self.cache.probe(key):
-                cold.append((key, cidxs))
+        # A pooled sweep sorts its keys with a tag-and-CRC probe (no
+        # payload deserialization, no lookup counter; a checksum-failed
+        # entry is purged and counted as get() would).  A serial one
+        # serves each key by capture(), whose own cache lookup counts
+        # the hit or recaptures — one store read per key.
+        parent: list[_Job] = []
+        warm: list[_Job] = []
+        cold: "deque[_Job]" = deque()
+        for job in jobs.values():
+            if not pooled:
+                parent.append(job)
+            elif not job.task.verify and self.cache.probe(job.key):
+                warm.append(job)
+            elif pooled_captures:
+                job.cold = True
+                cold.append(job)
             else:
-                parent.append((key, cidxs))
+                parent.append(job)
+        shared = self.cache.disk_dir is not None and not self.cache.memory_only
+        # Keys whose capture this run has recorded: a worker recapture
+        # of one (say, by two chunks of a vanished entry) adds nothing.
+        paid = {job.key for job in parent}
         pending: dict = {}
 
-        def in_flight(tag: str) -> int:
-            return sum(job.tag == tag for job in pending.values())
-
-        def capture_allowance() -> int:
-            # The soft split: full budget while no replays compete.
-            return self.capture_workers if in_flight("replay") \
-                else self.workers
-
-        def top_up_captures() -> None:
-            while cold and in_flight("capture") < capture_allowance():
-                key, cidxs = cold.popleft()
-                job = _Job(tag="capture", key=key, indices=list(cidxs))
-                if not self._submit_job(pending, job, (captures[cidxs[0]],)):
-                    # Unusable pool: capture (and replay) in the parent.
-                    submit_point(cidxs, key,
-                                 self._fallback(captures[cidxs[0]]))
-
-        def capture_failed(job: _Job) -> None:
-            """Retry a failed capture once; else quarantine + fallback.
-
-            The second failure for one key marks it a poison job: it
-            runs in the parent (like any fallback) and the key is
-            flagged in ``FaultLog.quarantined_keys``.
-            """
-            task = captures[job.indices[0]]
-            strikes = self._strikes.get(job.key, 0) + 1
-            self._strikes[job.key] = strikes
-            if strikes < 2:
-                job.attempts += 1
-                if self._submit_job(pending, job, (task,)):
-                    self.fault_log.retries += 1
+        def top_up_cold() -> None:
+            # The soft split: full budget while no warm job competes.
+            while cold:
+                in_flight = [job.cold for job in pending.values()]
+                allowance = self.capture_workers \
+                    if len(in_flight) > sum(in_flight) else self.workers
+                if sum(in_flight) >= allowance:
                     return
-            else:
-                self.fault_log.quarantined += 1
-                self.fault_log.quarantined_keys.append(repr(job.key))
-            submit_point(job.indices, job.key, self._fallback(task))
+                job = cold.popleft()
+                if not self._submit_job(pending, job):
+                    self._fallback(job, results)
 
-        def capture_landed(job: _Job, outcome) -> None:
-            pid, _wkey, payload, stats, seconds = outcome
+        def landed(job: _Job, outcome) -> None:
+            pid, fresh, entry, reports, stats, capture_s, replay_s = outcome
             _merge_snapshot(self._worker_stats, pid, stats)
-            self.pipeline_stats.note("capture", 1, seconds)
-            captured = self.cache.ingest_remote(job.key, payload)
-            if captured is None:
-                # The store's GC evicted the entry (or a corrupt write
-                # failed its checksum) between the worker's put and
-                # adoption; the point is already counted, so the
-                # re-capture adds seconds, not points.
-                captured = self._fallback(captures[job.indices[0]],
-                                          points=0)
-            submit_point(job.indices, job.key, captured)
-
-        def submit_point(cidxs: list[int], key: TraceKey,
-                         captured: ExecResult) -> None:
-            indices = [slot for cidx in cidxs for slot in plans[cidx]]
-            self._submit_replays(pending, captured,
-                                 key, [configs[i] for i in indices],
-                                 indices, results)
+            if fresh and job.key not in paid:
+                paid.add(job.key)
+                self.cache.ingest_remote(job.key, entry)
+            self.pipeline_stats.note(job.points, capture_s,
+                                     len(job.indices), replay_s)
+            for idx, report in zip(job.indices, reports):
+                results[idx] = report
 
         try:
-            # Cold keys enter the pool first, so serving the parent's
-            # keys below overlaps with captures already in flight, and
-            # submitted replays drain in the pool behind it.
-            top_up_captures()
-            for key, cidxs in parent:
-                submit_point(cidxs, key,
-                             self._capture_local(captures[cidxs[0]]))
+            # Cold keys enter the pool first and warm ones queue behind
+            # them, so the parent's own captures below overlap both.
+            top_up_cold()
+            for job in warm:
+                if not shared:
+                    job.payload = self.cache.get(job.key)
+                self._submit_point(pending, job, results,
+                                   split=job.payload is None)
+            for job in parent:
+                if not pooled or not job.configs:
+                    self._serve_in_parent(job, results)
+                    continue
+                # The parent captured (and verified) the point; its
+                # replays go to the pool with the trace or the store.
+                captured = self._serve_in_parent(
+                    dataclasses.replace(job, configs=[], indices=[]),
+                    results)
+                on_disk = _in_store(self.cache, job.key)
+                self._submit_point(pending, dataclasses.replace(
+                    job, task=dataclasses.replace(job.task, verify=False),
+                    points=0, payload=None if on_disk else captured),
+                    results, split=on_disk)
             while pending:
                 done, expired = self._wait_done(pending)
                 for fut in (done or expired):
                     job = pending.pop(fut)
                     outcome = self._collect(fut, job, expired)
-                    if job.tag == "capture":
-                        if outcome is _FAILED:
-                            capture_failed(job)
-                        else:
-                            capture_landed(job, outcome)
-                    elif outcome is _FAILED:
-                        self._replay_failed(pending, job, results)
+                    if outcome is _FAILED:
+                        self._failed(pending, job, results)
                     else:
-                        self._replay_landed(pending, job, outcome, results)
-                    top_up_captures()
+                        landed(job, outcome)
+                    top_up_cold()
         finally:
             self.shutdown()
         return [results[slot] for slot in expand]

@@ -112,11 +112,11 @@ Statistics distinguish the layers: ``hits`` counts in-memory LRU hits
 only, ``disk_hits`` counts rehydrations from disk, and ``hit_rate`` is
 the true in-memory rate ``hits / (hits + disk_hits + misses)``.  Each
 :meth:`TraceCache.get` counts exactly one of the three.
-``remote_puts`` counts entries adopted via :meth:`TraceCache
-.ingest_remote` — captures paid by a worker process of a
+``remote_puts`` counts captures recorded via :meth:`TraceCache
+.ingest_remote` — paid by a worker process of a
 :class:`~repro.sim.parallel.SimPool` rather than by this process —
 so warm disk hits served by an *earlier* run stay distinguishable from
-captures this very sweep fanned out.  Of the disk reads (both kinds),
+captures this very sweep fanned out.  Of the disk reads,
 ``plan_loads`` counts those that took their replay plan from the plan
 section and ``plan_stale`` those whose section another compiler wrote;
 ``code_loads`` counts the superblock bodies the replays of those loaded
@@ -623,28 +623,22 @@ class TraceCache:
         _write_envelope(path, envelope, clock=self.clock)
 
     def ingest_remote(self, key: TraceKey,
-                      payload: Optional[ExecResult] = None
-                      ) -> Optional[ExecResult]:
-        """Adopt an entry a capture worker produced for this cache.
+                      payload: Optional[ExecResult] = None) -> None:
+        """Record an entry a pool worker captured for this cache.
 
-        A :class:`~repro.sim.parallel.SimPool` capture worker either wrote
-        the entry to the shared disk directory (``payload=None`` — it is
-        rehydrated here) or shipped the pruned payload back over the
-        pipe.  Either way the capture was *paid elsewhere*: the adoption
-        is counted in ``remote_puts``, not as a hit, disk hit, or miss,
-        so the counters keep attributing functional work to whoever did
-        it.  Returns the adopted entry, or ``None`` when a disk-routed
-        entry vanished before adoption (e.g. the store's GC evicted it
-        mid-capture) — the caller must then recapture locally.
+        A :class:`~repro.sim.parallel.SimPool` worker that captured
+        ``key`` either wrote the entry to the shared disk directory
+        (``payload=None``) or, without a shared store, shipped the
+        replay-only entry back over the pipe, which the memory tier
+        keeps.  Nothing is read: the worker already replayed the trace,
+        and a later lookup reads the store entry when it needs it.  The
+        capture was *paid elsewhere*, so it is counted in
+        ``remote_puts``, not as a hit, disk hit, or miss, and the
+        counters keep attributing functional work to whoever did it.
         """
-        captured = payload
-        if captured is None:
-            captured = self._load_from_disk(key)
-        if captured is None:
-            return None
-        self._remember(key, captured)
+        if payload is not None:
+            self._remember(key, payload)
         self.remote_puts += 1
-        return captured
 
     def _remember(self, key: TraceKey, captured: ExecResult) -> None:
         self._entries[key] = captured

@@ -3,7 +3,7 @@
 The harness proves the tentpole invariant: for **every** sweep the suite
 runs (Fig 6, Fig 7, Table I, Table III, the ablations), the rendered
 output is byte-identical whether the capture/replay pipeline runs
-serially in-process or as tagged jobs on a shared
+serially in-process or as point jobs on a shared
 :class:`~repro.sim.parallel.SimPool`, and whether the shared trace
 store is cold or pre-warmed by a previous run.  The failure tests pin
 the degraded modes: a dead capture worker, a store key raced by two
@@ -158,16 +158,22 @@ class TestCapturePool:
         assert _timed(tasks, pool) == [_direct_timing(t) for t in tasks]
         assert store.stats["remote_puts"] + store.stats["misses"] == 2
 
-    def test_cached_keys_served_in_process(self, tmp_path):
-        """A pre-warmed store serves the capture without any worker."""
+    def test_cached_keys_served_by_a_worker(self, tmp_path):
+        """A pre-warmed store serves the capture to the worker that
+        replays it; the parent reads nothing and captures nothing."""
         store = TraceStore(disk_dir=tmp_path)
         task = _task()
         task.build().capture(task.config, cache=store, verify=False)
         fresh = TraceStore(disk_dir=tmp_path)
         pool = SimPool(workers=2, capture_workers=2, cache=fresh)
         assert _timed([task, task], pool) == [_direct_timing(task)] * 2
-        assert fresh.stats["disk_hits"] == 1
-        assert fresh.stats["remote_puts"] == 0
+        assert (fresh.stats["disk_hits"], fresh.stats["misses"],
+                fresh.stats["remote_puts"]) == (0, 0, 0)
+        # Two configs of one key split over the two idle workers: each
+        # chunk reads the store, or the memory of a worker that did.
+        assert pool.stats["hits"] + pool.stats["disk_hits"] == 2
+        assert pool.stats["disk_hits"] >= 1
+        assert pool.stats["misses"] == 0
         assert pool.pipeline_stats.capture_points == 1
 
     def test_serial_warm_pipeline_reads_each_key_once(self, tmp_path,
@@ -231,17 +237,30 @@ class TestCapturePool:
             assert replay_trace(task.config, reader.get(task.key())).timing \
                 == _direct_timing(task)
 
-    def test_gc_evicting_fresh_entry_falls_back(self, tmp_path, monkeypatch):
+    def test_gc_evicting_fresh_entry_needs_no_fallback(self, tmp_path,
+                                                       monkeypatch):
         """Deterministic GC-mid-capture: the worker's entry vanishes
-        before the parent adopts it (ingest returns None)."""
+        before the parent records it.  The parent reads no entry, so
+        it records the capture and falls back to nothing; a later
+        serial run recaptures the keys."""
         store = TraceStore(disk_dir=tmp_path)
-        monkeypatch.setattr(TraceStore, "ingest_remote",
-                            lambda self, key, payload=None: None)
+        real_ingest = TraceStore.ingest_remote
+
+        def evicted_first(self, key, payload=None):
+            disk_path(self.disk_dir, key).unlink()
+            return real_ingest(self, key, payload)
+
+        monkeypatch.setattr(TraceStore, "ingest_remote", evicted_first)
         pool = SimPool(workers=2, capture_workers=2, cache=store)
         tasks = [_task(lanes=4), _task(lanes=8)]
         assert run_pipeline(tasks, [], pool) == []
-        assert pool.fault_log.fallbacks == 2
+        assert pool.fault_log.fallbacks == 0
         assert pool.pipeline_stats.capture_points == 2
+        assert store.stats["remote_puts"] == 2
+        later = TraceStore(disk_dir=tmp_path)
+        assert _timed(tasks, SimPool(workers=1, cache=later)) \
+            == [_direct_timing(task) for task in tasks]
+        assert later.stats["misses"] == 2
 
     def test_gc_racing_live_captures(self, tmp_path):
         """An aggressive GC (budget 0) hammering the store while a
@@ -321,30 +340,36 @@ class TestRemotePuts:
         return run.trace_key(cfg), captured
 
     def test_ingest_from_disk_counts_remote_put_only(self, tmp_path):
+        """Recording a worker's disk-routed capture reads nothing: no
+        lookup, no memory entry; a later lookup reads the store."""
         key, _ = self._entry(tmp_path)
         reader = TraceCache(disk_dir=tmp_path)
-        adopted = reader.ingest_remote(key)
-        assert adopted is not None
+        assert reader.ingest_remote(key) is None
         stats = reader.stats
         assert stats["remote_puts"] == 1
         assert (stats["hits"], stats["disk_hits"], stats["misses"]) \
             == (0, 0, 0)
-        assert stats["lookups"] == 0  # adoption is not a lookup
-        assert reader.get(key) is adopted  # now a memory hit
-        assert reader.stats["hits"] == 1
+        assert stats["lookups"] == 0  # recording is not a lookup
+        assert len(reader) == 0
+        assert reader.get(key) is not None
+        assert reader.stats["disk_hits"] == 1
 
     def test_ingest_with_shipped_payload(self, tmp_path):
         key, captured = self._entry(tmp_path)
         memory_only = TraceCache()
-        adopted = memory_only.ingest_remote(key, captured)
-        assert adopted is not None
+        memory_only.ingest_remote(key, captured)
         assert memory_only.stats["remote_puts"] == 1
-        assert memory_only.get(key) is adopted
+        assert memory_only.get(key) is captured
+        assert memory_only.stats["hits"] == 1
 
     def test_ingest_missing_entry_returns_none(self, tmp_path):
+        """Nothing is read, so a key with no entry on disk (the GC
+        evicted it) is recorded like any other: a worker paid for it."""
         cache = TraceCache(disk_dir=tmp_path / "empty")
         assert cache.ingest_remote(("nope", 1, "x")) is None
-        assert cache.stats["remote_puts"] == 0
+        assert cache.stats["remote_puts"] == 1
+        assert cache.stats["lookups"] == 0
+        assert not (tmp_path / "empty").exists()
 
 
 # ----------------------------------------------------------------------

@@ -269,7 +269,7 @@ class TestMemoryErrors:
         _ACCESSES[access](a)
         a.halt()
         exc, _ = _same_outcome(a.build())
-        assert issubclass(exc, ExecutionError) or exc is OverflowError
+        assert issubclass(exc, ExecutionError)
 
     @pytest.mark.parametrize("access,raises", [
         ("vle64", True), ("vse64", True), ("vlm", True), ("vsm", True),
@@ -289,8 +289,9 @@ class TestMemoryErrors:
 
     @pytest.mark.parametrize("access", ["vlse64", "vsse64"])
     def test_vl_zero_strided_base_beyond_int64(self, access):
-        # A negative x10 is a base past the int64 range, which a strided
-        # load's own check cannot take even at vl = 0.
+        # A negative x10 is a base past the int64 range; at vl = 0 a
+        # strided access moves no element and checks nothing, as at
+        # any other base.
         a = Assembler("vl0")
         a.vsetvli("x2", "x1", sew=64, lmul=1)  # AVL x1 = 0
         a.li("x10", -64)
@@ -298,7 +299,8 @@ class TestMemoryErrors:
         _ACCESSES[access](a)
         a.addi("x5", "x5", 1)
         a.halt()
-        _same_outcome(a.build())
+        blob, _retired, halted = _same_outcome(a.build())
+        assert isinstance(blob, bytes) and halted  # ran to the halt
 
     def test_first_fault_in_a_block_wins(self):
         # An out-of-range fld before an illegal register group in one

@@ -52,6 +52,24 @@ class TestBounds:
         with pytest.raises(MemoryAccessError):
             mem.read_strided(mem.size - 16, 4, 8, np.float64)
 
+    @pytest.mark.parametrize("base", [1 << 63, (1 << 64) - 64])
+    def test_base_beyond_int64(self, mem, base):
+        """A base past the int64 range (a negative x register) is out
+        of memory for an access that moves an element, and checks
+        nothing for one that moves none."""
+        offsets = np.array([0, 8], dtype=np.int64)
+        accesses = [
+            lambda n: mem.read_strided(base, n, 8, np.float64),
+            lambda n: mem.check_strided(base, n, 8, 8),
+            lambda n: mem.write_strided(base, np.zeros(n), 8),
+            lambda n: mem.read_gather(base, offsets[:n], np.float64),
+            lambda n: mem.write_scatter(base, offsets[:n], np.zeros(n)),
+        ]
+        for access in accesses:
+            with pytest.raises(MemoryAccessError):
+                access(2)
+            access(0)
+
     def test_zero_size_memory_rejected(self):
         with pytest.raises(MemoryAccessError):
             FunctionalMemory(0)

@@ -1,5 +1,8 @@
 """Scalar semantics and the interpreter loop (loops, vsetvli, traces)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,3 +311,33 @@ class TestTrace:
         _, result = run(build)
         assert result.retired == 2  # li + halt
         assert result.halted
+
+
+class TestExecutorLifetime:
+    @pytest.mark.parametrize("data", [True, False])
+    def test_dropped_executor_is_freed_without_the_cyclic_gc(self, data):
+        """No reference cycle holds an executor's vector unit or its
+        memory image: with the cyclic GC off, both die with the last
+        reference to the executor, after a run with or without data."""
+        a = Assembler("lifetime")
+        a.li("x1", 8)
+        a.li("x10", 64)
+        a.vsetvli("x2", "x1", sew=64, lmul=1)
+        a.vle64_v("v1", "x10")
+        a.vfadd_vv("v2", "v1", "v1")
+        a.vfredusum_vs("v3", "v2", "v1")
+        a.vse64_v("v2", "x10")
+        a.halt()
+        program = a.build()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ex = Executor(2048)
+            ex.run(program, data=data)
+            refs = [weakref.ref(ex._vector), weakref.ref(ex.mem),
+                    weakref.ref(ex.state)]
+            del ex
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            if enabled:
+                gc.enable()

@@ -43,8 +43,8 @@ REPLAYS = [(SMALL, 0), (SMALL_XL, 0), (BIG, 1), (BIG_XL, 1)]
 
 
 class TestReplayPool:
-    """The replay phase of :meth:`SimPool.run`: ordering, in-process
-    serving, disk rehydration, and payload shipping/resending."""
+    """The replay side of :meth:`SimPool.run`: ordering, in-process
+    serving, disk rehydration, payload shipping and worker recapture."""
 
     def test_results_in_task_order_across_workers(self):
         """Interleaved replays over two VLEN groups come back in order."""
@@ -90,37 +90,38 @@ class TestReplayPool:
             == stats["disk_hits"]
 
     def test_missing_disk_entry_falls_back_to_payload(self):
-        """Without a shared disk store every replay job ships its
-        trace as a payload; workers never look for a disk entry."""
+        """Without a shared disk store every point job of a key the
+        parent captured ships its trace as a payload; workers never
+        look the key up."""
         pool = SimPool(workers=2, cache=TraceCache())
         assert run_pipeline(CAPTURES, REPLAYS, pool) \
             == _serial(CAPTURES, REPLAYS)
-        assert pool.stats["disk_hits"] == 0
-        assert pool.stats["misses"] >= 1
+        assert pool.stats["workers"] >= 1
+        assert (pool.stats["hits"], pool.stats["disk_hits"],
+                pool.stats["misses"]) == (0, 0, 0)
 
-    def test_payload_request_reports_its_lookup(self, monkeypatch):
-        """A worker that answers for a payload still ships the stats
-        snapshot holding the miss its lookup counted."""
+    def test_point_job_miss_captures_and_reports_its_lookup(
+            self, monkeypatch):
+        """A worker whose cache misses captures the point itself, ships
+        the entry back when no store holds it, and reports the miss."""
         monkeypatch.setattr(parallel_mod, "_WORKER_CACHE", TraceCache())
-        pid, reports, stats, _ = parallel_mod._replay_job(
-            CAPTURES[0].key(), None, [SMALL])
-        assert reports is None and stats["misses"] == 1
+        pid, fresh, entry, reports, stats, _, _ = parallel_mod._point_job(
+            CAPTURES[0], None, [SMALL, SMALL_XL])
+        assert fresh and entry is not None
+        assert stats["misses"] == 1
+        assert reports == _serial(CAPTURES, REPLAYS)[:2]
 
-    def test_stale_disk_entry_triggers_payload_resend(self, tmp_path):
-        """Entries that exist but fail to load hit the resend path: the
-        parent's store writes every payload corrupted, so each worker
-        misses on disk, answers for a payload, and gets it resent.
+    def test_stale_disk_entry_is_recaptured_by_the_worker(self, tmp_path):
+        """Entries that exist but fail to load are recaptured where
+        they are read: the parent's store writes every entry
+        corrupted, so each worker misses on disk and captures the key
+        itself, with no resend, fallback or second parent capture.
 
-        The parent captures both keys before it collects anything, so
-        the replays go out as three payload-free jobs (the first key's
-        two configs split over the idle pool, the second key's pair as
-        one job) and come back as three resends: six worker lookups,
-        each reported once, under every schedule.  The three first
-        attempts precede every resend in the executor's FIFO queue, so
-        they all miss.  Of the resends, the first key's second one hits
-        memory when it lands on the worker that already adopted that
-        key's payload, and misses otherwise: ``hits`` is 0 or 1 by
-        schedule.
+        The parent captures both keys, so the replays go out as three
+        payload-free jobs (the first key's two configs split over the
+        idle pool, the second key's pair as one job): three worker
+        lookups, each reported once.  A lookup misses, or hits the
+        memory or entry of a worker that recaptured the key before it.
         """
         store = TraceStore(disk_dir=tmp_path,
                            fault_plan=FaultPlan(seed=1, corrupt_rate=1.0))
@@ -128,8 +129,10 @@ class TestReplayPool:
         assert run_pipeline(CAPTURES, REPLAYS, pool) \
             == _serial(CAPTURES, REPLAYS)
         stats = pool.stats
-        assert stats["hits"] + stats["disk_hits"] + stats["misses"] == 6
-        assert stats["disk_hits"] == 0 and stats["hits"] in (0, 1)
+        assert stats["hits"] + stats["disk_hits"] + stats["misses"] == 3
+        assert stats["misses"] >= 2  # every key's first lookup
+        assert store.stats["misses"] == 2
+        assert store.stats["remote_puts"] == 0
         assert pool.fault_log.fallbacks == 0
 
 

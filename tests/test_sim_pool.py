@@ -1,4 +1,4 @@
-"""SimPool: one budget, tagged jobs, adaptive chunking, phase timing.
+"""SimPool: one budget, point jobs, adaptive chunking, phase timing.
 
 Pins the tentpole invariants of the shared capture/replay pool:
 
@@ -7,8 +7,10 @@ Pins the tentpole invariants of the shared capture/replay pool:
   ``test_capture_parallel``; here the pool is passed explicitly so its
   stats can be asserted too).
 * **Oversubscription cap** — one pipeline builds exactly one executor,
-  sized by the single ``workers=`` budget, and both job kinds run on
+  sized by the single ``workers=`` budget, and every point job runs on
   it; ``capture_workers`` clamps to the budget.
+* **Point jobs** — a worker captures and replays its point in one call;
+  the parent reads no store entry and records each worker capture once.
 * **Adaptive chunking** — replay submissions split by live queue depth
   (pure-function determinism), and results stay in replay order under
   any schedule.
@@ -29,7 +31,9 @@ from repro.eval.fig6_scaling import render_fig6, run_fig6
 from repro.eval.fuzz import run_fuzz
 from repro.params import Ara2Config, AraXLConfig
 from repro.sim import CaptureTask, SimPool, TraceCache, TraceStore
+from repro.sim.trace_cache import disk_path
 import repro.sim.parallel as parallel_mod
+import repro.sim.trace_cache as trace_cache_mod
 
 from test_capture_parallel import SWEEPS
 
@@ -86,10 +90,10 @@ def test_sweeps_take_one_pool_argument(entry):
 
 
 # ----------------------------------------------------------------------
-# One executor, sized by the budget, serving both tags
+# One executor, sized by the budget, serving every point job
 # ----------------------------------------------------------------------
 class _RecordingExecutor:
-    """Wraps the real executor, recording sizing and submission tags."""
+    """Wraps the real executor, recording sizing and job tokens."""
 
     instances: list["_RecordingExecutor"] = []
 
@@ -110,9 +114,9 @@ class _RecordingExecutor:
 class TestSingleSharedExecutor:
     def test_one_executor_caps_total_processes(self, tmp_path, monkeypatch):
         """A cold pooled pipeline builds exactly ONE executor, sized by
-        the workers budget, and runs capture AND replay jobs on it —
-        the old two-pool design held capture_workers + workers
-        processes during the overlap window."""
+        the workers budget, and runs every point job on it — the old
+        two-pool design held capture_workers + workers processes during
+        the overlap window."""
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor",
                             _RecordingExecutor)
         _RecordingExecutor.instances = []
@@ -124,8 +128,9 @@ class TestSingleSharedExecutor:
         assert len(_RecordingExecutor.instances) == 1
         recorder = _RecordingExecutor.instances[0]
         assert recorder.max_workers == 2  # the single budget, not 2 + 5
-        assert "capture" in recorder.tags
-        assert "replay" in recorder.tags
+        # One job per cold key: each captures and replays its point.
+        assert len(recorder.tags) == 4
+        assert all(tag.startswith("point:") for tag in recorder.tags)
 
     def test_workers_one_never_builds_an_executor(self, tmp_path,
                                                   monkeypatch):
@@ -227,17 +232,86 @@ class TestPipelineStats:
         _small_fig6(pool)
         assert self._counts(pool) == (4, 6)
 
-    def test_warm_pipeline_serves_captures_in_parent(self, tmp_path):
+    def test_warm_pipeline_serves_points_in_workers(self, tmp_path):
         store_dir = tmp_path / "warm"
         _small_fig6(SimPool(workers=1, cache=TraceStore(disk_dir=store_dir)))
         pool = SimPool(workers=2, capture_workers=2,
                        cache=TraceStore(disk_dir=store_dir))
         _small_fig6(pool)
-        # Warm keys never reach the workers' capture path: the parent
-        # reads each of them from disk and adopts no worker capture.
+        # Warm keys go to the workers as point jobs: each worker reads
+        # the entry it replays, and the parent reads none of them.
         assert pool.pipeline_stats.capture_points == 4
-        assert pool.cache.stats["disk_hits"] == 4
-        assert pool.cache.stats["remote_puts"] == 0
+        stats = pool.cache.stats
+        assert (stats["hits"], stats["disk_hits"], stats["misses"],
+                stats["remote_puts"]) == (0, 0, 0, 0)
+        assert pool.stats["disk_hits"] >= 4
+        assert pool.stats["misses"] == 0
+
+
+# ----------------------------------------------------------------------
+# Point jobs: the parent unwraps no entry and records each capture once
+# ----------------------------------------------------------------------
+class TestPointJobs:
+    def test_cold_pooled_parent_unwraps_nothing(self, tmp_path,
+                                                monkeypatch):
+        """Workers capture and replay each cold point; the parent
+        unwraps no store entry, and every key is paid exactly once."""
+        unwraps = []
+        real = trace_cache_mod._unwrap_envelope
+        monkeypatch.setattr(trace_cache_mod, "_unwrap_envelope",
+                            lambda *a: (unwraps.append(1), real(*a))[1])
+        store = TraceStore(disk_dir=tmp_path)
+        pool = SimPool(workers=2, capture_workers=2, cache=store)
+        assert _small_fig6(pool) \
+            == _small_fig6(SimPool(workers=1, cache=TraceCache()))
+        assert unwraps == []
+        keys = len(list(tmp_path.glob("trace_*.pkl")))
+        assert keys == 4
+        assert store.stats["misses"] + store.stats["remote_puts"] == keys
+        assert (store.stats["hits"], store.stats["disk_hits"]) == (0, 0)
+        assert len(store) == 0  # the parent holds no trace
+        ps = pool.pipeline_stats
+        assert (ps.capture_points, ps.replay_points) == (4, 6)
+        assert ps.capture_seconds > 0.0
+        assert ps.replay_seconds > 0.0
+        assert pool.fault_log.recovered_total() == 0
+
+    def test_vanished_entry_is_recaptured_by_the_worker(self, tmp_path,
+                                                        monkeypatch):
+        """A warm key whose entry is gone by the time a worker looks is
+        recaptured there — no fallback — and counted once, however
+        many chunks of its configs found it gone."""
+        serial = _small_fig6(SimPool(workers=1,
+                                     cache=TraceStore(disk_dir=tmp_path)))
+        real_probe = TraceCache.probe
+
+        def probe_then_vanish(self, key):
+            found = real_probe(self, key)
+            disk_path(self.disk_dir, key).unlink(missing_ok=True)
+            return found
+
+        monkeypatch.setattr(TraceCache, "probe", probe_then_vanish)
+        store = TraceStore(disk_dir=tmp_path)
+        pool = SimPool(workers=2, capture_workers=2, cache=store)
+        assert _small_fig6(pool) == serial
+        assert store.stats["remote_puts"] == 4
+        assert (store.stats["misses"], store.stats["disk_hits"]) == (0, 0)
+        assert pool.stats["misses"] >= 4  # the workers' lookups
+        assert pool.pipeline_stats.capture_points == 4
+        assert pool.fault_log.recovered_total() == 0
+
+    def test_memory_only_sweep_keeps_captures_in_parent(self):
+        """Without a shared store each worker capture ships back, so
+        the parent's memory tier holds every captured key."""
+        cache = TraceCache()
+        pool = SimPool(workers=2, capture_workers=2, cache=cache)
+        _small_fig6(pool)
+        assert cache.stats["remote_puts"] == len(cache) == 4
+        hits = cache.stats["hits"]
+        rerun = SimPool(workers=1, cache=cache)
+        _small_fig6(rerun)
+        assert cache.stats["hits"] - hits == 4
+        assert cache.stats["misses"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -267,20 +341,27 @@ class TestSharedPoolDegradation:
 
     def test_gc_evicted_adoption_counts_points_once(self, tmp_path,
                                                     monkeypatch):
-        """A worker capture whose entry the GC eats before adoption is
-        re-captured locally — extra seconds, but the operating point is
-        only counted once (bench assertions rely on points == points)."""
-        monkeypatch.setattr(TraceStore, "ingest_remote",
-                            lambda self, key, payload=None: None)
+        """A worker capture whose entry the GC eats before the parent
+        records it costs the parent nothing: the worker already
+        replayed the point, so there is no fallback, and the operating
+        point is counted once (bench assertions rely on points ==
+        points)."""
+        real_ingest = TraceStore.ingest_remote
+
+        def evicted_first(self, key, payload=None):
+            disk_path(self.disk_dir, key).unlink()
+            return real_ingest(self, key, payload)
+
+        monkeypatch.setattr(TraceStore, "ingest_remote", evicted_first)
         store = TraceStore(disk_dir=tmp_path)
         pool = SimPool(workers=2, capture_workers=2, cache=store)
-        _small_fig6(pool)
-        assert pool.fault_log.fallbacks == 4
+        assert _small_fig6(pool) \
+            == _small_fig6(SimPool(workers=1, cache=TraceCache()))
+        assert pool.fault_log.fallbacks == 0
         assert pool.pipeline_stats.capture_points == 4
-        # Nothing was adopted; each fallback re-capture is served by
-        # the entry the worker had already written.
-        assert store.stats["remote_puts"] == 0
+        assert store.stats["remote_puts"] == 4
         assert store.stats["misses"] == 0
+        assert not list(tmp_path.glob("trace_*.pkl"))
 
     def test_duplicate_key_captures_collapse(self, tmp_path):
         """Two capture tasks resolving to one trace key run ONE

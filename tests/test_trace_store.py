@@ -566,16 +566,20 @@ class TestHitsServed:
         assert replay_trace(cfg, entry).timing \
             == run.run(cfg, verify=False).timing
 
-    def test_ingest_remote_counts_as_a_serve(self, tmp_path):
-        """Adopting a worker's disk-routed capture is a disk serve too."""
+    def test_ingest_remote_reads_nothing(self, tmp_path):
+        """Recording a worker's disk-routed capture is no serve: the
+        entry is neither read nor restamped (the worker's write just
+        stamped it), and the serve counters do not move."""
         writer = TraceStore(disk_dir=tmp_path)
         key = _capture_entry(writer)
         path = _entry_file(writer, key)
         _set_age(path, 1000)
         aged = path.stat().st_mtime
         reader = TraceStore(disk_dir=tmp_path)
-        assert reader.ingest_remote(key) is not None
-        assert path.stat().st_mtime > aged
+        assert reader.ingest_remote(key) is None
+        assert path.stat().st_mtime == aged
+        assert reader.stats["disk_hits"] == 0
+        assert reader.stats["remote_puts"] == 1
 
     def test_gc_still_validates_bumped_entries(self, tmp_path):
         store = TraceStore(disk_dir=tmp_path)
