@@ -43,7 +43,7 @@ def main() -> None:
     print(f"cycles         : {result.cycles:.0f}")
     print(f"DP-FLOP        : {result.dp_flops:.0f}")
     print(f"DP-FLOP/cycle  : {result.flops_per_cycle:.2f} "
-          f"(peak {config.peak_dp_flops_per_cycle})")
+          f"(peak {2 * config.lanes})")
     print()
     print(result.timing.summary())
 

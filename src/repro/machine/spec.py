@@ -122,8 +122,6 @@ SPEC_FIELDS: tuple = (
               law="display only — never part of the spec fingerprint "
                   "or any cache key"),
     # ---- memory ------------------------------------------------------
-    SpecField("memory", "size_bytes", int, 16 * 2 ** 20, "size_bytes",
-              minimum=1, law="functional memory bound (no timing law)"),
     SpecField("memory", "read_bytes_per_cycle_per_lane", float, 8.0,
               "read_bytes_per_cycle_per_lane", minimum=1e-9,
               law="unit-stride load rate: mem_rate(UNIT/MASK, load)"),
@@ -134,11 +132,6 @@ SPEC_FIELDS: tuple = (
               minimum=0,
               law="load_first_data_latency (plus the interface pipe) "
                   "and the scalar frontend's D$-miss cost"),
-    SpecField("memory", "banks", int, 8, "banks", minimum=1,
-              law="bank-level parallelism bound (validation only today)"),
-    SpecField("memory", "max_outstanding", int, 8, "max_outstanding",
-              minimum=1,
-              law="outstanding-transaction bound (validation only today)"),
     # ---- scalar core -------------------------------------------------
     SpecField("scalar", "alu_latency", int, 1, "alu_latency", minimum=1,
               law="scalar frontend: ALU op cost"),

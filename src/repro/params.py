@@ -21,7 +21,6 @@ The laws encoded here follow Section III of the paper:
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -49,7 +48,7 @@ SUPPORTED_LMULS = (1, 2, 4, 8)
 
 @dataclass(frozen=True)
 class MemoryConfig:
-    """Parameters of the L2 memory and its AXI-like port.
+    """Parameters of the L2 memory as the vector and scalar paths see it.
 
     The paper assumes an L2 of at least 16 MiB (Table I footnote) and a
     memory interface that scales with the machine (Fig 2 annotates the
@@ -59,27 +58,18 @@ class MemoryConfig:
     is required for ``fdotproduct``'s Table-I bound of L*C DP-FLOP/cycle.
     """
 
-    size_bytes: int = 16 * 2 ** 20
     read_bytes_per_cycle_per_lane: float = 8.0
     write_bytes_per_cycle_per_lane: float = 8.0
     #: Zero-load request-to-first-data latency of the L2 itself, in cycles.
     l2_latency_cycles: int = 12
-    #: Number of independent L2 banks (limits bank-level parallelism).
-    banks: int = 8
-    #: Maximum outstanding AXI transactions per port.
-    max_outstanding: int = 8
 
     def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ConfigError("memory size must be positive")
         if self.read_bytes_per_cycle_per_lane <= 0:
             raise ConfigError("read bandwidth must be positive")
         if self.write_bytes_per_cycle_per_lane <= 0:
             raise ConfigError("write bandwidth must be positive")
         if self.l2_latency_cycles < 0:
             raise ConfigError("L2 latency cannot be negative")
-        if self.banks < 1 or self.max_outstanding < 1:
-            raise ConfigError("banks and max_outstanding must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -118,8 +108,8 @@ class SystemConfig:
     """Common base for Ara2 and AraXL machine configurations.
 
     Subclasses fix the interconnect style; all derived quantities
-    (``vlen_bits``, ``vlmax``, bandwidths) live here so kernels and the
-    timing engine can be written against a single interface.
+    (``vlen_bits``, ``vlmax``, the B/lane metric) live here so kernels
+    and the timing engine can be written against a single interface.
 
     Every field is a named quantity of the machine's declarative spec
     (:mod:`repro.machine`): configurations round-trip through
@@ -208,19 +198,6 @@ class SystemConfig:
         if lmul not in SUPPORTED_LMULS:
             raise ConfigError(f"unsupported LMUL {lmul}")
         return self.vlen_bits * lmul // sew
-
-    @property
-    def peak_dp_flops_per_cycle(self) -> int:
-        """One DP FMA per lane per cycle = 2 DP-FLOP per lane per cycle."""
-        return 2 * self.lanes
-
-    @property
-    def mem_read_bytes_per_cycle(self) -> float:
-        return self.memory.read_bytes_per_cycle_per_lane * self.lanes
-
-    @property
-    def mem_write_bytes_per_cycle(self) -> float:
-        return self.memory.write_bytes_per_cycle_per_lane * self.lanes
 
     def bytes_per_lane(self, vl: int, sew: int = 64) -> float:
         """Vector-length metric used throughout the evaluation (B/lane)."""
@@ -364,30 +341,6 @@ class AraXLConfig(SystemConfig):
     @property
     def lanes_per_cluster(self) -> int:
         return min(self.lanes, LANES_PER_CLUSTER)
-
-    @property
-    def glsu_pipeline_stages(self) -> int:
-        """Levels of the Align+Shuffle networks plus extra register cuts.
-
-        Align uses power-of-2 shift levels over the memory bus and Shuffle
-        distributes to C clusters, so both grow with log2(C).
-        """
-        levels = self.glsu_base_stages + max(0, int(math.log2(self.clusters)))
-        return levels + self.glsu_extra_regs
-
-    @property
-    def ring_hop_cycles(self) -> int:
-        return self.ring_hop_latency + self.ringi_extra_regs
-
-    @property
-    def reqi_issue_latency(self) -> int:
-        """CVA6-to-cluster request latency."""
-        return self.reqi_broadcast_latency + self.reqi_extra_regs
-
-    @property
-    def reqi_ack_latency(self) -> int:
-        """Cluster-0-to-CVA6 acknowledgement latency (limits issue rate)."""
-        return self.reqi_ack_base_latency + self.reqi_extra_regs
 
     @property
     def name(self) -> str:

@@ -90,9 +90,10 @@ class MachineModel:
                  is_store: bool) -> float:
         """Elements/cycle sustainable for a given access pattern."""
         if pattern in (MemPattern.UNIT, MemPattern.MASK):
-            bw = (self.config.mem_write_bytes_per_cycle if is_store
-                  else self.config.mem_read_bytes_per_cycle)
-            return bw / ew_bytes
+            memory = self.config.memory
+            per_lane = (memory.write_bytes_per_cycle_per_lane if is_store
+                        else memory.read_bytes_per_cycle_per_lane)
+            return per_lane * self.config.lanes / ew_bytes
         if pattern is MemPattern.STRIDED:
             return self.strided_elems_per_cycle
         return self.indexed_elems_per_cycle

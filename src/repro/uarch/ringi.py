@@ -25,11 +25,6 @@ class RingiModel:
     def hop_cycles(self) -> int:
         return self.hop_latency + self.extra_regs
 
-    def distance(self, src: int, dst: int) -> int:
-        """Minimal hop count between two clusters on the bidirectional ring."""
-        d = abs(dst - src) % self.clusters
-        return min(d, self.clusters - d)
-
     # ------------------------------------------------------------------
     # Slides
     # ------------------------------------------------------------------

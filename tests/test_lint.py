@@ -15,6 +15,7 @@ Three layers, mirroring how the suite is meant to be trusted:
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
@@ -666,6 +667,83 @@ def test_every_pragma_in_src_names_a_real_rule():
         for match in pragma_re.finditer(path.read_text()):
             for code in match.group(1).split(","):
                 assert code in known, f"{path}: unknown code {code}"
+
+
+#: Non-test trees whose every file is an entry point into ``repro``
+#: (besides the ``python -m repro.eval`` CLI).
+ENTRY_TREES = ("tools", "perfbench", "benchmarks", "examples")
+
+
+def _module_name(path: Path, root: Path) -> str:
+    """Dotted module name of ``path`` relative to ``root``."""
+    parts = list(path.relative_to(root).with_suffix("").parts)
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _static_imports(path: Path, module: str) -> set:
+    """Every absolute name ``path`` imports, at module level or lazily.
+
+    ``from a import b`` yields both ``a`` and ``a.b`` (``b`` may be a
+    submodule); relative imports resolve against ``module``.
+    """
+    package = module.split(".")
+    if path.name != "__init__.py":
+        package = package[:-1]
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] \
+                if node.level else []
+            prefix = ".".join(base + [node.module] if node.module else base)
+            names.add(prefix)
+            names.update(f"{prefix}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_every_src_module_is_reachable_from_an_entry_point():
+    """No orphan model: each ``src/repro`` module is imported, directly
+    or through other modules, by the CLI or a tool, perfbench,
+    benchmark or example script (imports from tests do not count)."""
+    src = REPO_ROOT / "src"
+    modules = {_module_name(path, src): path
+               for path in (src / "repro").rglob("*.py")}
+    pending = {"repro.eval.__main__"}
+    for tree in ENTRY_TREES:
+        for path in (REPO_ROOT / tree).rglob("*.py"):
+            pending |= _static_imports(path, _module_name(path, REPO_ROOT))
+    reached: set = set()
+    while pending:
+        name = pending.pop()
+        # Importing ``a.b.c`` runs the ``a`` and ``a.b`` packages too.
+        parts = name.split(".")
+        for depth in range(1, len(parts) + 1):
+            prefix = ".".join(parts[:depth])
+            if prefix in modules and prefix not in reached:
+                reached.add(prefix)
+                pending |= _static_imports(modules[prefix], prefix)
+    assert sorted(set(modules) - reached) == []
+
+
+def test_every_spec_field_attribute_is_read():
+    """No dead knob: each configuration attribute a machine-spec field
+    sets is read as ``.<attr>`` outside the schema and the config
+    classes that declare it."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        from repro.machine.spec import SPEC_FIELDS
+    finally:
+        sys.path.pop(0)
+    package = REPO_ROOT / "src" / "repro"
+    declaring = {package / "params.py", package / "machine" / "spec.py"}
+    read = {node.attr
+            for path in package.rglob("*.py") if path not in declaring
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+    unread = sorted(f.path for f in SPEC_FIELDS
+                    if f.target and f.target not in read)
+    assert unread == []
 
 
 def test_trace_store_knob_table_matches_registry():

@@ -82,6 +82,9 @@ class TestValidation:
         with pytest.raises(SpecError, match="did you mean 'fpu_latency'"):
             MachineSpec.from_dict({"family": "araxl", "lanes": 8,
                                    "pipeline": {"fpu_latencyy": 4}})
+        with pytest.raises(SpecError, match="unknown field 'memory.banks'"):
+            MachineSpec.from_dict({"family": "araxl", "lanes": 8,
+                                   "memory": {"banks": 8}})
 
     def test_family_mismatched_interconnect_field(self):
         with pytest.raises(SpecError, match="araxl-only"):

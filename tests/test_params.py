@@ -3,9 +3,11 @@
 import pytest
 
 from repro.errors import ConfigError
+from repro.isa.instructions import MemPattern
 from repro.params import (Ara2Config, AraXLConfig, MemoryConfig,
                           RVV_MAX_VLEN_BITS, ScalarCoreConfig,
                           paper_configurations)
+from repro.uarch import build_model
 
 
 class TestVlenLaw:
@@ -81,22 +83,25 @@ class TestClusters:
 
 
 class TestLatencyKnobs:
+    """The Fig 5/7 register cuts, as the live interface models apply them."""
+
     def test_glsu_extra_regs_deepen_pipeline(self):
-        base = AraXLConfig(lanes=16)
-        cut = AraXLConfig(lanes=16, glsu_extra_regs=4)
-        assert cut.glsu_pipeline_stages == base.glsu_pipeline_stages + 4
+        base = build_model(AraXLConfig(lanes=16))
+        cut = build_model(AraXLConfig(lanes=16, glsu_extra_regs=4))
+        assert cut.load_first_data_latency \
+            == base.load_first_data_latency + 8
 
     def test_reqi_extra_reg_delays_ack_by_two(self):
-        base = AraXLConfig(lanes=16)
-        cut = AraXLConfig(lanes=16, reqi_extra_regs=1)
-        delta = (cut.reqi_issue_latency + cut.reqi_ack_latency) \
-            - (base.reqi_issue_latency + base.reqi_ack_latency)
-        assert delta == 2
+        base = build_model(AraXLConfig(lanes=16))
+        cut = build_model(AraXLConfig(lanes=16, reqi_extra_regs=1))
+        assert cut.issue_gap == base.issue_gap + 2
 
     def test_ringi_extra_reg_adds_hop_cycle(self):
-        base = AraXLConfig(lanes=16)
-        cut = AraXLConfig(lanes=16, ringi_extra_regs=1)
-        assert cut.ring_hop_cycles == base.ring_hop_cycles + 1
+        base = build_model(AraXLConfig(lanes=16))
+        cut = build_model(AraXLConfig(lanes=16, ringi_extra_regs=1))
+        vl = base.config.vlmax(64)
+        assert cut.slide_extra_cycles(1, vl) \
+            == base.slide_extra_cycles(1, vl) + 1
 
     def test_negative_regs_rejected(self):
         with pytest.raises(ConfigError):
@@ -106,7 +111,7 @@ class TestLatencyKnobs:
 class TestSubConfigs:
     def test_memory_validation(self):
         with pytest.raises(ConfigError):
-            MemoryConfig(size_bytes=0)
+            MemoryConfig(l2_latency_cycles=-1)
         with pytest.raises(ConfigError):
             MemoryConfig(read_bytes_per_cycle_per_lane=0)
 
@@ -120,8 +125,9 @@ class TestSubConfigs:
         # 8 B/cycle/lane read bandwidth is what makes Table I's
         # fdotproduct bound (lanes DP-FLOP/cycle) reachable.
         cfg = AraXLConfig(lanes=64)
-        elems_per_cycle = cfg.mem_read_bytes_per_cycle / 8
-        assert elems_per_cycle / 2 * 2 == cfg.lanes
+        model = build_model(cfg)
+        assert model.mem_rate(MemPattern.UNIT, 8, False) == cfg.lanes
+        assert model.mem_rate(MemPattern.UNIT, 8, True) == cfg.lanes
 
 
 def test_paper_configurations_inventory():

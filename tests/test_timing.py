@@ -1,4 +1,4 @@
-"""Timing core: streams, resources, scoreboard, engine behaviours."""
+"""Timing core: streams, resources, scoreboard, the D$, engine behaviours."""
 
 import math
 
@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import TimingError
 from repro.functional.trace import ScalarEvent
 from repro.params import Ara2Config, AraXLConfig, ScalarCoreConfig
-from repro.timing.frontend import ScalarFrontend
+from repro.timing.frontend import DirectMappedCache, ScalarFrontend
 from repro.timing.resources import Resource
 from repro.timing.scoreboard import Scoreboard
 from repro.timing.stream import Stream, consume
@@ -132,6 +132,54 @@ class TestScoreboard:
         src = sb.source_stream(20, 1, 16)
         assert src.t_first == 0.0
         assert math.isinf(src.rate)
+
+
+class TestDirectMappedCache:
+    def test_hit_after_fill(self):
+        c = DirectMappedCache(1024, 64)
+        assert not c.access(0)
+        assert c.access(0)
+        assert c.hits == 1 and c.misses == 1
+
+    def test_conflict_eviction(self):
+        c = DirectMappedCache(128, 64)  # 2 lines
+        c.access(0)
+        c.access(128)  # same index as 0
+        assert not c.access(0)
+
+
+class TestAccessMany:
+    """The batch D$ walk is exactly ``access`` on each address in order."""
+
+    @given(line_bytes=st.sampled_from([1, 4, 16, 64]),
+           num_lines=st.integers(min_value=1, max_value=16),
+           slack=st.integers(min_value=0, max_value=3),
+           base=st.sampled_from([0, 2**40, 2**70]),
+           warm=st.lists(st.integers(-512, 4096), max_size=24),
+           offsets=st.lists(st.integers(-512, 4096), max_size=80))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sequential_access(self, line_bytes, num_lines, slack,
+                                       base, warm, offsets):
+        size = line_bytes * num_lines + slack  # odd sizes floor the lines
+        seq = DirectMappedCache(size, line_bytes)
+        batch = DirectMappedCache(size, line_bytes)
+        for addr in warm:
+            seq.access(base + addr)
+            batch.access(base + addr)
+        addrs = [base + off for off in offsets]
+        expect = [seq.access(addr) for addr in addrs]
+        # Beyond int64 the addresses stay Python ints in an object array.
+        column = np.array(addrs, dtype=object if base > 2**62 else np.int64)
+        mask = batch.access_many(column)
+        assert mask.dtype == bool and mask.tolist() == expect
+        assert (batch.hits, batch.misses) == (seq.hits, seq.misses)
+        assert batch._tags == seq._tags
+
+    def test_empty_batch_changes_nothing(self):
+        c = DirectMappedCache(1024, 64)
+        c.access(0)
+        assert c.access_many(np.zeros(0, dtype=np.int64)).size == 0
+        assert (c.hits, c.misses) == (0, 1) and c.access(0)
 
 
 class TestScalarFrontendBatch:

@@ -36,12 +36,6 @@ class TestGlsu:
 
 
 class TestRingi:
-    def test_distance_is_min_of_directions(self):
-        r = RingiModel(clusters=8)
-        assert r.distance(0, 1) == 1
-        assert r.distance(0, 7) == 1
-        assert r.distance(0, 4) == 4
-
     def test_slide1_latency_is_one_hop(self):
         r = RingiModel(clusters=8, hop_latency=2)
         assert r.slide_latency(1, 1024) == 2.0
